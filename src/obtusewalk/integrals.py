@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PredictabilityError
-from .omega import PathSpace, PathTable, atom_deviation
+from .omega import PathSpace, PathTable, _frozen_float, atom_deviation
 from .walk import WalkSpec
 
 _EINSUM_LETTERS = "abcdefghij"
@@ -247,11 +247,10 @@ class VectorProcess:
     values: np.ndarray  # (N+1, num_paths, d)
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
+        vals = _frozen_float(self.values)
         expected = (self.space.N + 1, self.space.num_paths, self.space.d)
         if vals.shape != expected:
             raise ValueError(f"process has shape {vals.shape}, expected {expected}")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @staticmethod

@@ -22,6 +22,7 @@ from .integrals import VectorProcess, kernel_time_slice, multiple_integral
 from .omega import (
     PathSpace,
     PathTable,
+    _frozen_float,
     atom_average,
     atom_deviation,
     covariance,
@@ -38,11 +39,10 @@ class GradientField:
     values: np.ndarray  # (N+1, num_paths, d)
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
+        vals = _frozen_float(self.values)
         expected = (self.space.N + 1, self.space.num_paths, self.space.d)
         if vals.shape != expected:
             raise ValueError(f"gradient field has shape {vals.shape}, expected {expected}")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def table(self, k: int, j: int) -> PathTable:
@@ -68,6 +68,7 @@ def gradient(walk: WalkSpec, table: PathTable) -> GradientField:
     for k in range(space.N + 1):
         mutated = table.values[space.mutated_indices(k)]  # (P, d+1)
         out[k] = mutated @ walk.steps[k].c  # (P, d)
+    out.setflags(write=False)
     return GradientField(space, out)
 
 

@@ -3,10 +3,18 @@
 Scenario i at step k multiplies the risky price vector by (I + M_k^i);
 the bond grows by 1 + r_k. With d+1 scenarios per step and the stacked
 scenario matrix invertible the market is complete: the risk-neutral
-probabilities solve a (d+1)x(d+1) linear system per step, every claim is
-priced by discounted expectation, and the hedge is recovered either by
-backward atom-wise replication (the ground-truth oracle) or through the
+probabilities solve a (d+1)x(d+1) linear system per step and prior atom,
+every claim is priced by discounted expectation, and the hedge is
+recovered either by backward replication or through the
 predictable-representation formula on the driving walk.
+
+The price paths are computed once per MarketSpec (its `prices` property)
+and every routine here reads them from there. Both the risk-neutral and
+the replication systems of one step are stacked over all prior atoms as
+an (atoms, d+1, d+1) array and solved by one batched call; the per-atom
+checks still apply atom by atom, and the first failing atom in canonical
+order decides the error. The one-atom-at-a-time loop survives only as the
+test suite's oracle.
 """
 from __future__ import annotations
 
@@ -22,6 +30,7 @@ from .omega import (
     DEFAULT_CAP,
     PathSpace,
     PathTable,
+    _frozen_float,
     atom_average,
     atom_deviation,
     expectation,
@@ -116,6 +125,20 @@ class MarketSpec:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def prices(self) -> VectorProcess:
+        """Price tables S_n along every path, built once per market."""
+        space = self.space
+        growth = np.eye(self.d)[None, None] + self.scenarios  # (N+1, d+1, d, d)
+        values = np.empty((self.N + 1, space.num_paths, self.d))
+        current = np.broadcast_to(self.s_init, (space.num_paths, self.d))
+        for n in range(self.N + 1):
+            mats = growth[n][space.outcomes[:, n]]  # (P, d, d)
+            current = np.einsum("pij,pj->pi", mats, current)
+            values[n] = current
+        values.setflags(write=False)
+        return VectorProcess(space, values)
+
 
 @dataclass(frozen=True, eq=False)
 class EMM:
@@ -144,8 +167,8 @@ class Strategy:
     gamma_init: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        beta = np.array(self.beta, dtype=float)
-        gamma = np.array(self.gamma, dtype=float)
+        beta = _frozen_float(self.beta)
+        gamma = _frozen_float(self.gamma)
         num, d = self.space.num_paths, self.space.d
         if beta.shape != (self.space.N + 1, num):
             raise ValueError(f"beta has shape {beta.shape}, expected ({self.space.N + 1}, {num})")
@@ -153,13 +176,9 @@ class Strategy:
             raise ValueError(
                 f"gamma has shape {gamma.shape}, expected ({self.space.N + 1}, {num}, {d})"
             )
-        init = (
-            np.zeros(d) if self.gamma_init is None else np.array(self.gamma_init, dtype=float)
-        )
+        init = _frozen_float(np.zeros(d) if self.gamma_init is None else self.gamma_init)
         if init.shape != (d,):
             raise ValueError(f"gamma_init has shape {init.shape}, expected ({d},)")
-        for arr in (beta, gamma, init):
-            arr.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_init", init)
@@ -167,15 +186,20 @@ class Strategy:
 
 def build_prices(market: MarketSpec) -> tuple[VectorProcess, np.ndarray]:
     """Price tables S_n along every path and the deterministic bond curve."""
-    space = market.space
-    growth = np.eye(market.d)[None, None] + market.scenarios  # (N+1, d+1, d, d)
-    values = np.empty((market.N + 1, space.num_paths, market.d))
-    current = np.broadcast_to(market.s_init, (space.num_paths, market.d))
-    for n in range(market.N + 1):
-        mats = growth[n][space.outcomes[:, n]]  # (P, d, d)
-        current = np.einsum("pij,pj->pi", mats, current)
-        values[n] = current
-    return VectorProcess(space, values), market.bond.copy()
+    return market.prices, market.bond.copy()
+
+
+def _prev_prices(market: MarketSpec, n: int) -> np.ndarray:
+    """(num_paths, d) prices S_{n-1} before step n; S_{-1} is the initial vector."""
+    if n == 0:
+        return np.broadcast_to(market.s_init, (market.space.num_paths, market.d))
+    return market.prices.values[n - 1]
+
+
+def _leading_regular(mats: np.ndarray) -> int:
+    """Number of leading systems in the stack before the first singular one."""
+    singular = np.linalg.cond(mats) > _COND_LIMIT
+    return int(np.argmax(singular)) if singular.any() else len(mats)
 
 
 def find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
@@ -185,35 +209,35 @@ def find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
     normalization is solved on every prior atom; the solutions must be
     strictly positive and agree across atoms.
     """
-    prices, _ = build_prices(market)
-    space = market.space
-    out = np.empty((market.N + 1, market.d + 1))
+    d = market.d
+    out = np.empty((market.N + 1, d + 1))
     for k in range(market.N + 1):
-        q_step = None
-        for a in range(space.atom_count(k - 1)):
-            start = a * space.atom_size(k - 1)
-            s_prev = market.s_init if k == 0 else prices.values[k - 1][start]
-            mat = np.empty((market.d + 1, market.d + 1))
-            for i in range(market.d + 1):
-                mat[: market.d, i] = market.scenarios[k, i] @ s_prev
-            mat[market.d, :] = 1.0
-            rhs = np.concatenate([market.rates[k] * s_prev, [1.0]])
-            if np.linalg.cond(mat) > _COND_LIMIT:
-                raise IncompleteMarketError(
-                    f"incomplete market: scenario system at step {k} is singular"
-                )
-            q = np.linalg.solve(mat, rhs)
-            if np.any(q <= 0.0):
-                raise ArbitrageError(
-                    f"arbitrage: risk-neutral weights at step {k} are not strictly positive"
-                )
-            if q_step is None:
-                q_step = q
-            elif np.max(np.abs(q - q_step)) > tol:
-                raise StateDependentMeasureError(
-                    f"state-dependent EMM unsupported: step {k} weights differ across atoms"
-                )
-        out[k] = q_step
+        s_prev = _prev_prices(market, k)[:: market.space.atom_size(k - 1)]  # (atoms, d)
+        mats = np.ones((len(s_prev), d + 1, d + 1))
+        moved = np.matmul(market.scenarios[k][None], s_prev[:, None, :, None])
+        mats[:, :d, :] = moved[..., 0].transpose(0, 2, 1)  # column i: M_k^i S_{k-1}
+        rhs = np.ones((len(s_prev), d + 1, 1))
+        rhs[:, :d, 0] = market.rates[k] * s_prev
+        # solve only the atoms before the first singular one: a failure
+        # there comes first in canonical order
+        solvable = _leading_regular(mats)
+        q = np.linalg.solve(mats[:solvable], rhs[:solvable])[..., 0]
+        positive = np.all(q > 0.0, axis=1)
+        agree = np.max(np.abs(q - q[:1]), axis=1) <= tol
+        failed = np.flatnonzero(~(positive & agree))
+        if failed.size and not positive[failed[0]]:
+            raise ArbitrageError(
+                f"arbitrage: risk-neutral weights at step {k} are not strictly positive"
+            )
+        if failed.size:
+            raise StateDependentMeasureError(
+                f"state-dependent EMM unsupported: step {k} weights differ across atoms"
+            )
+        if solvable < len(mats):
+            raise IncompleteMarketError(
+                f"incomplete market: scenario system at step {k} is singular"
+            )
+        out[k] = q[0]
     return EMM(out)
 
 
@@ -225,13 +249,9 @@ def emm_walk(market: MarketSpec, emm: EMM) -> WalkSpec:
     return construct_obtuse([emm.q[k] for k in range(market.N + 1)], cap=market.cap)
 
 
-def _emm_measure_walk(market: MarketSpec, emm: EMM) -> WalkSpec:
-    return emm_walk(market, emm)
-
-
 def price_claim(market: MarketSpec, emm: EMM, claim: PathTable) -> float:
     """Initial price: discounted risk-neutral expectation of the claim."""
-    wq = _emm_measure_walk(market, emm)
+    wq = emm_walk(market, emm)
     return expectation(wq, claim) / float(market.bond[market.N])
 
 
@@ -250,7 +270,7 @@ def _value_tables(
 
 
 def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
-    """Backward atom-wise replication: the ground-truth hedging oracle.
+    """Backward atom-wise replication of the claim.
 
     At each time and prior atom, the bond row and the d+1 scenario prices
     determine the portfolio matching the replication values in every
@@ -259,31 +279,31 @@ def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
     if claim.space != market.space:
         raise ValueError("claim is not defined on the market's path space")
     space = market.space
-    wq = _emm_measure_walk(market, emm)
-    prices, bond = build_prices(market)
+    wq = emm_walk(market, emm)
+    prices = market.prices.values
     values, v_init = _value_tables(market, wq, claim)
 
     beta = np.empty((market.N + 1, space.num_paths))
     gamma = np.empty((market.N + 1, space.num_paths, market.d))
     for n in range(market.N, -1, -1):
         block = space.atom_size(n - 1)
-        sub = space.atom_size(n)
-        for a in range(space.atom_count(n - 1)):
-            start = a * block
-            mat = np.empty((market.d + 1, market.d + 1))
-            rhs = np.empty(market.d + 1)
-            for i in range(market.d + 1):
-                idx = start + i * sub
-                mat[i, 0] = bond[n]
-                mat[i, 1:] = prices.values[n][idx]
-                rhs[i] = values[n][idx]
-            if np.linalg.cond(mat) > _COND_LIMIT:
-                raise IncompleteMarketError(
-                    f"incomplete market: replication system at step {n} is singular"
-                )
-            sol = np.linalg.solve(mat, rhs)
-            beta[n][start : start + block] = sol[0]
-            gamma[n][start : start + block] = sol[1:]
+        # row i of atom a is the path that follows the atom with scenario i
+        rows = (
+            np.arange(space.atom_count(n - 1))[:, None] * block
+            + np.arange(market.d + 1) * space.atom_size(n)
+        )
+        mats = np.empty(rows.shape + (market.d + 1,))
+        mats[:, :, 0] = market.bond[n]
+        mats[:, :, 1:] = prices[n][rows]
+        if _leading_regular(mats) < len(mats):
+            raise IncompleteMarketError(
+                f"incomplete market: replication system at step {n} is singular"
+            )
+        sol = np.linalg.solve(mats, values[n][rows][..., None])[..., 0]
+        beta[n] = np.repeat(sol[:, 0], block)
+        gamma[n] = np.repeat(sol[:, 1:], block, axis=0)
+    beta.setflags(write=False)
+    gamma.setflags(write=False)
     return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
 
 
@@ -303,8 +323,8 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
         )
     rate = market.uniform_rate()
     space = market.space
-    wq = _emm_measure_walk(market, emm)
-    prices, bond = build_prices(market)
+    wq = emm_walk(market, emm)
+    prices = market.prices.values
     grad = gradient(wq, claim)
 
     # per step and asset: v_i^j must be proportional to (lambda^{j,i} - r)
@@ -329,17 +349,12 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
     beta = np.empty((market.N + 1, space.num_paths))
     gamma = np.empty((market.N + 1, space.num_paths, market.d))
     for n in range(market.N + 1):
-        s_prev = (
-            np.broadcast_to(market.s_init, (space.num_paths, market.d))
-            if n == 0
-            else prices.values[n - 1]
-        )
         xi = atom_average(wq, grad.values[n], n - 1)  # (P, d)
-        gamma[n] = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / s_prev
+        gamma[n] = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / _prev_prices(market, n)
         cond = atom_average(wq, claim.values, n)
         raw_beta = (1.0 + rate) ** (-market.N - 1) * cond - (1.0 + rate) ** (
             -n - 1
-        ) * np.einsum("pj,pj->p", gamma[n], prices.values[n])
+        ) * np.einsum("pj,pj->p", gamma[n], prices[n])
         beta[n] = atom_average(wq, raw_beta, n - 1)
         defect = float(np.max(np.abs(raw_beta - beta[n])))
         if defect > 1e-6 * max(1.0, float(np.max(np.abs(beta[n])))):
@@ -347,7 +362,9 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
                 f"bond position at step {n} is not predictable (defect {defect:.3e}); "
                 "use hedge_replicate"
             )
-    v_init = expectation(wq, claim) / float(bond[market.N])
+    v_init = expectation(wq, claim) / float(market.bond[market.N])
+    beta.setflags(write=False)
+    gamma.setflags(write=False)
     return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
 
 
@@ -380,11 +397,11 @@ class StrategyReport:
 
 def strategy_values(market: MarketSpec, strategy: Strategy) -> tuple[np.ndarray, float]:
     """Post-rebalance portfolio values V_n = beta_n B_n + <gamma_n, S_n>."""
-    prices, bond = build_prices(market)
+    prices, bond = market.prices.values, market.bond
     values = np.empty((market.N + 1, market.space.num_paths))
     for n in range(market.N + 1):
         values[n] = strategy.beta[n] * bond[n] + np.einsum(
-            "pj,pj->p", strategy.gamma[n], prices.values[n]
+            "pj,pj->p", strategy.gamma[n], prices[n]
         )
     v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
     return values, v_init
@@ -402,7 +419,7 @@ def verify_strategy(
     if strategy.space != market.space or claim.space != market.space:
         raise ValueError("strategy and claim must live on the market's path space")
     space = market.space
-    prices, bond = build_prices(market)
+    prices, bond = market.prices.values, market.bond
     values, v_init = strategy_values(market, strategy)
 
     predict = 0.0
@@ -412,16 +429,14 @@ def verify_strategy(
 
     # self-financing at n = -1..N-1: rebalancing at time n conserves value
     self_fin = 0.0
-    s_prev = np.broadcast_to(market.s_init, (space.num_paths, market.d))
     beta_prev = np.full(space.num_paths, strategy.beta_init)
     gamma_prev = np.broadcast_to(strategy.gamma_init, (space.num_paths, market.d))
     bond_prev = 1.0
     for n in range(market.N + 1):
         res = bond_prev * (strategy.beta[n] - beta_prev) + np.einsum(
-            "pj,pj->p", s_prev, strategy.gamma[n] - gamma_prev
+            "pj,pj->p", _prev_prices(market, n), strategy.gamma[n] - gamma_prev
         )
         self_fin = max(self_fin, float(np.max(np.abs(res))))
-        s_prev = prices.values[n]
         beta_prev = strategy.beta[n]
         gamma_prev = strategy.gamma[n]
         bond_prev = float(bond[n])
@@ -431,13 +446,8 @@ def verify_strategy(
     gains = np.full(space.num_paths, v_init)
     for n in range(market.N + 1):
         b_prev = 1.0 if n == 0 else float(bond[n - 1])
-        sp = (
-            np.broadcast_to(market.s_init, (space.num_paths, market.d))
-            if n == 0
-            else prices.values[n - 1]
-        )
         gains = gains + strategy.beta[n] * (float(bond[n]) - b_prev) + np.einsum(
-            "pj,pj->p", strategy.gamma[n], prices.values[n] - sp
+            "pj,pj->p", strategy.gamma[n], prices[n] - _prev_prices(market, n)
         )
         telescoping = max(telescoping, float(np.max(np.abs(values[n] - gains))))
 
@@ -447,7 +457,7 @@ def verify_strategy(
     s_bar_prev = np.broadcast_to(market.s_init, (space.num_paths, market.d))
     for n in range(market.N + 1):
         disc_val = values[n] / float(bond[n])
-        s_bar = prices.values[n] / float(bond[n])
+        s_bar = prices[n] / float(bond[n])
         res = disc_val - disc_prev - np.einsum(
             "pj,pj->p", strategy.gamma[n], s_bar - s_bar_prev
         )
@@ -462,14 +472,9 @@ def verify_strategy(
         decomposition = 0.0
         acc = np.zeros(space.num_paths)
         for n in range(market.N + 1):
-            sp = (
-                np.broadcast_to(market.s_init, (space.num_paths, market.d))
-                if n == 0
-                else prices.values[n - 1]
-            )
             excess = lam[n][space.outcomes[:, n]] - rate  # (P, d)
             acc = (1.0 + rate) * acc + np.einsum(
-                "pj,pj->p", excess * strategy.gamma[n], sp
+                "pj,pj->p", excess * strategy.gamma[n], _prev_prices(market, n)
             )
             expected = (1.0 + rate) ** (n + 1) * v_init + acc
             decomposition = max(

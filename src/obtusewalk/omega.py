@@ -58,10 +58,9 @@ class PathSpace:
     def outcomes(self) -> np.ndarray:
         """(num_paths, N+1) matrix of outcomes in canonical order."""
         idx = np.arange(self.num_paths, dtype=np.int64)
-        cols = [
-            (idx // self.stride(n)) % (self.d + 1) for n in range(self.N + 1)
-        ]
-        out = np.stack(cols, axis=1).astype(np.int32)
+        out = np.empty((self.num_paths, self.N + 1), dtype=np.int32)
+        for n in range(self.N + 1):
+            np.remainder(idx // self.stride(n), self.d + 1, out=out[:, n], casting="unsafe")
         out.setflags(write=False)
         return out
 
@@ -97,6 +96,24 @@ class PathSpace:
         base = np.arange(self.num_paths, dtype=np.int64)
         base = base - self.outcomes[:, k].astype(np.int64) * stride
         return base[:, None] + np.arange(self.d + 1, dtype=np.int64) * stride
+
+
+def _frozen_float(values) -> np.ndarray:
+    """Read-only float64 array holding the values, copied only when needed.
+
+    An array is reused as is when it and every array it views are read-only,
+    so nothing can write to it later; anything else is copied, and the
+    caller's own array keeps its flags.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        arr = values
+        while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+            if arr.base is None:
+                return values
+            arr = arr.base
+    out = np.array(values, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ObtuseWalkError
-from .market import MarketSpec, build_prices
+from .market import MarketSpec
 from .omega import PathTable
 
 
@@ -317,7 +317,7 @@ def to_source(node: PayoffExpr) -> str:
 
 def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
     """Evaluate the expression pointwise over the market's price paths."""
-    prices, bond = build_prices(market)
+    prices, bond = market.prices.values, market.bond
     space = market.space
 
     def ev(node: PayoffExpr) -> np.ndarray:
@@ -325,7 +325,7 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
             return np.full(space.num_paths, node.value)
         if isinstance(node, PriceRef):
             time = market.N if node.time is None else node.time
-            return prices.values[time][:, node.asset - 1]
+            return prices[time][:, node.asset - 1]
         if isinstance(node, BondRef):
             return np.full(space.num_paths, float(bond[node.time]))
         if isinstance(node, Neg):

@@ -220,10 +220,8 @@ def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     that atom and its value at formation, so the first row's value is the
     claim price.
     """
-    from .market import build_prices
-
     space = market.space
-    prices = build_prices(market)[0].values
+    prices = market.prices.values
     _, v_init = strategy_values(market, strategy)
     header = "time,atom,beta," + ",".join(
         f"gamma_{j}" for j in range(1, market.d + 1)

@@ -1,0 +1,211 @@
+"""Batched market engine: agreement with the per-atom oracle, error order, caching."""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from obtusewalk import (
+    EMM,
+    ArbitrageError,
+    IncompleteMarketError,
+    MarketSpec,
+    PathSpace,
+    PathTable,
+    Strategy,
+    VectorProcess,
+    build_prices,
+    crr_market,
+    find_emm,
+    hedge_replicate,
+)
+from obtusewalk.market import MarketModelError, StateDependentMeasureError
+from helpers import SQ2
+from market_oracle import oracle_find_emm, oracle_hedge_replicate
+
+V = np.array([[SQ2, 1.0], [-SQ2, 1.0], [0.0, -1.0]])
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _basket_step(rng, rate):
+    sig = rng.uniform(0.01, 0.2, size=2)
+    return np.array([np.diag(rate + sig * V[i]) for i in range(3)])
+
+
+def _nondiag_step(rng, rate, s_init):
+    """Non-diagonal scenarios with a positive risk-neutral solution at s_init."""
+    q = rng.dirichlet(np.ones(3)) * 0.4 + 0.2
+    m0, m1 = (
+        np.diag(rng.uniform(-0.03, 0.03, size=2)) + rng.uniform(0.0, 0.03) * SWAP
+        for _ in range(2)
+    )
+    w = (rate * s_init - q[0] * m0 @ s_init - q[1] * m1 @ s_init) / q[2]
+    return np.array([m0, m1, np.diag(w / s_init)])
+
+
+@st.composite
+def markets(draw):
+    kind = draw(st.sampled_from(["crr", "diag2", "nondiag2"]))
+    periods = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = float(rng.uniform(-0.02, 0.05))
+    if kind == "crr":
+        up, down = float(rng.uniform(0.06, 0.3)), float(rng.uniform(-0.3, -0.03))
+        return crr_market(float(rng.uniform(50, 150)), up, down, rate, periods), rng
+    s_init = rng.uniform(80.0, 120.0, size=2)
+    steps = [_basket_step(rng, rate) for _ in range(periods)]
+    if kind == "nondiag2":
+        steps[0] = _nondiag_step(rng, rate, s_init)
+    market = MarketSpec(
+        d=2,
+        N=periods - 1,
+        s_init=s_init,
+        rates=np.full(periods, rate),
+        scenarios=np.array(steps),
+    )
+    return market, rng
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MarketModelError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstOracle:
+    @given(markets())
+    @settings(max_examples=80, deadline=None)
+    def test_byte_identical(self, drawn):
+        market, rng = drawn
+        expected = _outcome(oracle_find_emm, market)
+        emm = _outcome(find_emm, market)
+        if isinstance(expected, tuple):
+            assert emm == expected
+            return
+        assert emm.q.tobytes() == expected.q.tobytes()
+        claim = PathTable(market.space, rng.standard_normal(market.space.num_paths))
+        got = hedge_replicate(market, emm, claim)
+        want = oracle_hedge_replicate(market, emm, claim)
+        assert got.beta.tobytes() == want.beta.tobytes()
+        assert got.gamma.tobytes() == want.gamma.tobytes()
+        assert got.beta_init == want.beta_init
+
+
+def _two_step(lams0, step1, s_init):
+    """Two periods, d=2, zero rate: diagonal step 0 returns, then step 1 matrices."""
+    scenarios = np.array([[np.diag(lam) for lam in lams0], step1])
+    return MarketSpec(
+        d=2, N=1, s_init=np.array(s_init, dtype=float), rates=np.zeros(2), scenarios=scenarios
+    )
+
+
+def _calibrated_step(s, eps=0.1):
+    """Non-diagonal step with weights (0.3, 0.3, 0.4) at s, singular where s1 = s2."""
+    d1 = -eps * 0.3 * (s[0] + s[1]) / s[0]
+    d2 = -eps * 0.3 * (s[1] + s[0]) / s[1]
+    base = np.diag([d1, d2])
+    return [base + eps * np.eye(2), base + eps * SWAP, base]
+
+
+#: step-0 returns with weights (0.4, 0.2, 0.4); from (100, 100) the three
+#: atoms of F_0 sit at (120, 110), (90, 110) and (85, 85)
+MIXED_LAMS = [(0.2, 0.1), (-0.1, 0.1), (-0.15, -0.15)]
+
+
+def _crr_two_step(second):
+    scenarios = np.array([[[[0.1]], [[-0.1]]], [[[second[0]]], [[second[1]]]]])
+    return MarketSpec(d=1, N=1, s_init=np.array([100.0]), rates=np.zeros(2), scenarios=scenarios)
+
+
+class TestMultiAtomErrors:
+    """Failures at step 1, which has two or three prior atoms."""
+
+    @pytest.mark.parametrize(
+        "market, error, message",
+        [
+            (_crr_two_step((0.1, 0.05)), ArbitrageError, "at step 1 are not strictly positive"),
+            (_crr_two_step((0.1, 0.1)), IncompleteMarketError, "at step 1 is singular"),
+            (
+                _two_step(
+                    [(0.02, 0.01), (-0.01, 0.01), (-0.015, -0.015)],
+                    _calibrated_step((102.0, 90.9)),
+                    (100.0, 90.0),
+                ),
+                StateDependentMeasureError,
+                "step 1 weights differ across atoms",
+            ),
+        ],
+    )
+    def test_error_at_step_one(self, market, error, message):
+        assert market.space.atom_count(0) >= 2
+        with pytest.raises(error, match=message):
+            find_emm(market)
+        with pytest.raises(error, match=message):
+            oracle_find_emm(market)
+
+    @pytest.mark.parametrize(
+        "order, error",
+        [
+            ([0, 1, 2], ArbitrageError),  # atom 1 has negative weights, atom 2 is singular
+            ([0, 2, 1], IncompleteMarketError),  # the same two atoms, swapped
+        ],
+    )
+    def test_first_failing_atom_decides(self, order, error):
+        market = _two_step(
+            [MIXED_LAMS[i] for i in order], _calibrated_step((120.0, 110.0)), (100.0, 100.0)
+        )
+        want = _outcome(oracle_find_emm, market)
+        assert want[0] is error
+        assert _outcome(find_emm, market) == want
+
+    def test_singular_replication_at_step_one(self):
+        market = _crr_two_step((0.1, 0.1))
+        emm = EMM(np.full((2, 2), 0.5))
+        claim = PathTable.constant(market.space, 1.0)
+        with pytest.raises(IncompleteMarketError, match="replication system at step 1"):
+            hedge_replicate(market, emm, claim)
+
+
+class TestPricesOncePerMarket:
+    def test_cached(self):
+        market = crr_market(100.0, 0.1, -0.1, 0.0, 3)
+        prices, _ = build_prices(market)
+        assert prices is market.prices
+        assert build_prices(market)[0] is prices
+        assert not prices.values.flags.writeable
+
+    def test_bond_copy_stays_private(self):
+        market = crr_market(100.0, 0.1, -0.1, 0.05, 2)
+        _, bond = build_prices(market)
+        bond[:] = 0.0
+        assert np.all(market.bond > 1.0)
+
+
+class TestArrayOwnership:
+    def test_caller_array_stays_writable(self):
+        space = PathSpace(1, 1)
+        beta = np.ones((2, space.num_paths))
+        gamma = np.zeros((2, space.num_paths, 1))
+        values = np.zeros((2, space.num_paths, 1))
+        strategy = Strategy(space, beta, gamma)
+        process = VectorProcess(space, values)
+        for arr in (beta, gamma, values):
+            assert arr.flags.writeable
+        beta[:] = 7.0
+        values[:] = 7.0
+        assert np.all(strategy.beta == 1.0)
+        assert np.all(process.values == 0.0)
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        space = PathSpace(1, 1)
+        base = np.zeros((2, space.num_paths, 1))
+        view = base.view()
+        view.setflags(write=False)
+        process = VectorProcess(space, view)
+        base[:] = 5.0
+        assert np.all(process.values == 0.0)
+
+    def test_frozen_array_is_shared(self):
+        space = PathSpace(2, 1)
+        values = np.zeros((2, space.num_paths, 2))
+        values.setflags(write=False)
+        assert VectorProcess(space, values).values is values

@@ -46,6 +46,11 @@ class TestEnumeration:
             assert space.index_of(path) == idx
             assert space.path_at(idx) == path
 
+    def test_outcomes_table_layout(self):
+        out = PathSpace(2, 2).outcomes
+        assert out.dtype == np.int32 and out.flags.c_contiguous and not out.flags.writeable
+        assert out.tolist() == [[a, b, c] for a in range(3) for b in range(3) for c in range(3)]
+
 
 class TestPathProbability:
     def test_symmetric_bernoulli(self):
