@@ -45,10 +45,7 @@ class RunConfig:
 
 
 def _config_from(args) -> RunConfig:
-    cap = args.cap
-    if cap is None:
-        env = os.environ.get("OBTUSE_CAP")
-        cap = int(env) if env is not None else DEFAULT_CAP
+    cap = DEFAULT_CAP if args.cap is None else args.cap
     return RunConfig(out=args.out, fmt=args.format, tol=args.tol, cap=cap)
 
 
@@ -364,6 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    env_cap = os.environ.get("OBTUSE_CAP")
+    if args.cap is None and env_cap is not None:
+        try:
+            args.cap = int(env_cap)
+        except ValueError:
+            parser.error(f"environment variable OBTUSE_CAP: invalid int value: {env_cap!r}")
     try:
         return args.func(args)
     except (ObtuseWalkError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

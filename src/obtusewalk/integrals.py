@@ -23,7 +23,9 @@ from .errors import PredictabilityError
 from .omega import PathSpace, PathTable, _frozen_float, atom_deviation
 from .walk import WalkSpec
 
-_EINSUM_LETTERS = "abcdefghij"
+#: einsum subscripts for the kernel axes of an order-r term: every ASCII
+#: letter except "z", which is the path axis
+_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 #: raw kernel entry: (times, coords, value) with 1-based coordinates
 RawEntry = tuple[Sequence[int], Sequence[int], float]

@@ -8,13 +8,19 @@ every claim is priced by discounted expectation, and the hedge is
 recovered either by backward replication or through the
 predictable-representation formula on the driving walk.
 
-The price paths are computed once per MarketSpec (its `prices` property)
-and every routine here reads them from there. Both the risk-neutral and
-the replication systems of one step are stacked over all prior atoms as
-an (atoms, d+1, d+1) array and solved by one batched call; the per-atom
-checks still apply atom by atom, and the first failing atom in canonical
-order decides the error. The one-atom-at-a-time loop survives only as the
-test suite's oracle.
+The price paths are computed once per MarketSpec (its `prices` property),
+one step at a time on the (atoms, d) prices of the prefix atoms and then
+repeated out to path resolution; every routine here reads them from there.
+Both the risk-neutral and the replication systems of one step depend only
+on prices, and recombining models repeat the same prices at many atoms. So
+each step's systems are grouped by the exact bytes of their prices: every
+distinct system (node) is conditioned, and every distinct risk-neutral
+system solved, once; the replication systems are solved by one batched
+call. The per-atom checks still apply atom by atom, and the first failing
+atom in canonical order decides the error: a node's first occurrence is
+its earliest atom. A step whose systems are all distinct gains nothing and
+pays one extra sort, about a quarter of the cost of its condition numbers.
+The one-atom-at-a-time loop survives only as the test suite's oracle.
 """
 from __future__ import annotations
 
@@ -131,11 +137,11 @@ class MarketSpec:
         space = self.space
         growth = np.eye(self.d)[None, None] + self.scenarios  # (N+1, d+1, d, d)
         values = np.empty((self.N + 1, space.num_paths, self.d))
-        current = np.broadcast_to(self.s_init, (space.num_paths, self.d))
+        current = self.s_init[None]  # (atoms of F_{n-1}, d)
         for n in range(self.N + 1):
-            mats = growth[n][space.outcomes[:, n]]  # (P, d, d)
-            current = np.einsum("pij,pj->pi", mats, current)
-            values[n] = current
+            # atom a of F_{n-1} followed by scenario k is atom a*(d+1)+k of F_n
+            current = np.einsum("kij,aj->aki", growth[n], current).reshape(-1, self.d)
+            values[n] = np.repeat(current, space.atom_size(n), axis=0)
         values.setflags(write=False)
         return VectorProcess(space, values)
 
@@ -196,10 +202,18 @@ def _prev_prices(market: MarketSpec, n: int) -> np.ndarray:
     return market.prices.values[n - 1]
 
 
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row, by exact bytes."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
+    return np.unique(keys, return_index=True)[1]
+
+
 def _leading_regular(mats: np.ndarray) -> int:
     """Number of leading systems in the stack before the first singular one."""
-    singular = np.linalg.cond(mats) > _COND_LIMIT
-    return int(np.argmax(singular)) if singular.any() else len(mats)
+    first = _distinct(mats)
+    singular = first[np.linalg.cond(mats[first]) > _COND_LIMIT]
+    return int(singular.min()) if singular.size else len(mats)
 
 
 def find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
@@ -213,31 +227,34 @@ def find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
     out = np.empty((market.N + 1, d + 1))
     for k in range(market.N + 1):
         s_prev = _prev_prices(market, k)[:: market.space.atom_size(k - 1)]  # (atoms, d)
-        mats = np.ones((len(s_prev), d + 1, d + 1))
-        moved = np.matmul(market.scenarios[k][None], s_prev[:, None, :, None])
+        first = _distinct(s_prev)  # earliest atom of each node
+        s_node = s_prev[first]
+        mats = np.ones((len(s_node), d + 1, d + 1))
+        moved = np.matmul(market.scenarios[k][None], s_node[:, None, :, None])
         mats[:, :d, :] = moved[..., 0].transpose(0, 2, 1)  # column i: M_k^i S_{k-1}
-        rhs = np.ones((len(s_prev), d + 1, 1))
-        rhs[:, :d, 0] = market.rates[k] * s_prev
-        # solve only the atoms before the first singular one: a failure
-        # there comes first in canonical order
-        solvable = _leading_regular(mats)
-        q = np.linalg.solve(mats[:solvable], rhs[:solvable])[..., 0]
+        rhs = np.ones((len(s_node), d + 1, 1))
+        rhs[:, :d, 0] = market.rates[k] * s_node
+        singular = np.linalg.cond(mats) > _COND_LIMIT
+        q = np.zeros((len(s_node), d + 1))
+        q[~singular] = np.linalg.solve(mats[~singular], rhs[~singular])[..., 0]
+        ref = np.argmin(first)  # the node of atom 0
         positive = np.all(q > 0.0, axis=1)
-        agree = np.max(np.abs(q - q[:1]), axis=1) <= tol
-        failed = np.flatnonzero(~(positive & agree))
-        if failed.size and not positive[failed[0]]:
-            raise ArbitrageError(
-                f"arbitrage: risk-neutral weights at step {k} are not strictly positive"
-            )
-        if failed.size:
+        agree = np.max(np.abs(q - q[ref]), axis=1) <= tol
+        failing = singular | ~(positive & agree)
+        if failing.any():
+            node = np.flatnonzero(failing)[np.argmin(first[failing])]
+            if singular[node]:
+                raise IncompleteMarketError(
+                    f"incomplete market: scenario system at step {k} is singular"
+                )
+            if not positive[node]:
+                raise ArbitrageError(
+                    f"arbitrage: risk-neutral weights at step {k} are not strictly positive"
+                )
             raise StateDependentMeasureError(
                 f"state-dependent EMM unsupported: step {k} weights differ across atoms"
             )
-        if solvable < len(mats):
-            raise IncompleteMarketError(
-                f"incomplete market: scenario system at step {k} is singular"
-            )
-        out[k] = q[0]
+        out[k] = q[ref]
     return EMM(out)
 
 
@@ -472,7 +489,12 @@ def verify_strategy(
         decomposition = 0.0
         acc = np.zeros(space.num_paths)
         for n in range(market.N + 1):
-            excess = lam[n][space.outcomes[:, n]] - rate  # (P, d)
+            # scenario of step n along each path: blocks of atom_size(n) paths
+            # cycling through the d+1 scenarios
+            excess = np.tile(
+                np.repeat(lam[n] - rate, space.atom_size(n), axis=0),
+                (space.atom_count(n - 1), 1),
+            )  # (P, d)
             acc = (1.0 + rate) * acc + np.einsum(
                 "pj,pj->p", excess * strategy.gamma[n], _prev_prices(market, n)
             )

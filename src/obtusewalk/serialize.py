@@ -16,7 +16,7 @@ from .chaos import ChaosCoefficients
 from .integrals import Kernel, VectorProcess, symmetrize
 from .market import MarketSpec, Strategy, strategy_values
 from .omega import DEFAULT_CAP, PathSpace, PathTable
-from .walk import StepLaw, WalkSpec, _complete_orthogonal
+from .walk import StepLaw, WalkSpec, canonical_step
 
 
 def fmt_float(x: float) -> str:
@@ -86,10 +86,7 @@ def walk_from_json(obj: dict, cap: int = DEFAULT_CAP) -> WalkSpec:
         if "v" in raw:
             steps.append(StepLaw(p, np.asarray(raw["v"], dtype=float)))
         else:
-            if np.any(p <= 0.0):
-                raise ValueError(f"step {n}: probabilities must be strictly positive")
-            u = _complete_orthogonal(np.sqrt(p))
-            steps.append(StepLaw(p, (u[1:] / np.sqrt(p)).T))
+            steps.append(canonical_step(p, n))
     return WalkSpec(d=d, N=N, steps=tuple(steps), cap=cap)
 
 

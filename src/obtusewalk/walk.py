@@ -83,9 +83,10 @@ class WalkSpec:
     @cached_property
     def measure(self) -> np.ndarray:
         """(num_paths,) product probabilities in canonical order."""
-        out = np.ones(self.space.num_paths)
-        for n, step in enumerate(self.steps):
-            out *= step.p[self.space.outcomes[:, n]]
+        out = np.ones(1)
+        for step in self.steps:
+            # prefix products times each outcome of the next step, left to right
+            out = np.multiply.outer(out, step.p).ravel()
         out.setflags(write=False)
         return out
 
@@ -200,34 +201,44 @@ def _complete_orthogonal(sqrt_p: np.ndarray) -> np.ndarray:
     return rows
 
 
+def canonical_step(p: Sequence[float], n: int = 0) -> StepLaw:
+    """Step n of the canonical construction for the outcome probabilities p.
+
+    p must be strictly positive and sum to one within 1e-9; it is then
+    renormalized. An orthogonal (d+1)x(d+1) matrix U with first row
+    (sqrt p_0, ..., sqrt p_d) is completed, and the outcome vectors are
+    v_i^j = U[j, i] / sqrt(p_i).
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1 or len(p) < 2:
+        raise ValueError(f"step {n}: need at least two outcome probabilities")
+    if np.any(p <= 0.0):
+        raise ValueError(f"step {n}: probabilities must be strictly positive")
+    total = float(np.add.reduce(p))
+    if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
+        raise ValueError(f"step {n}: probabilities sum to {total!r}, not 1")
+    p = p / total
+    u = _complete_orthogonal(np.sqrt(p))
+    return StepLaw(p, (u[1:] / np.sqrt(p)).T)
+
+
 def construct_obtuse(
     probabilities: Sequence[Sequence[float]], cap: int = DEFAULT_CAP
 ) -> WalkSpec:
     """Build a walk carrying the given per-step outcome probabilities.
 
-    For each step, an orthogonal (d+1)x(d+1) matrix U with first row
-    (sqrt p_0, ..., sqrt p_d) is completed; the outcome vectors are then
-    v_i^j = U[j, i] / sqrt(p_i). The result always validates.
+    Every step is the canonical step of its probabilities, so the result
+    always validates.
     """
     steps = []
     d = None
-    for n, p_raw in enumerate(probabilities):
-        p = np.asarray(p_raw, dtype=float)
-        if p.ndim != 1 or len(p) < 2:
-            raise ValueError(f"step {n}: need at least two outcome probabilities")
+    for n, p in enumerate(probabilities):
+        step = canonical_step(p, n)
         if d is None:
-            d = len(p) - 1
-        elif len(p) - 1 != d:
-            raise ValueError(f"step {n}: outcome count changed from {d + 1} to {len(p)}")
-        if np.any(p <= 0.0):
-            raise ValueError(f"step {n}: probabilities must be strictly positive")
-        total = float(np.add.reduce(p))
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"step {n}: probabilities sum to {total!r}, not 1")
-        p = p / total
-        u = _complete_orthogonal(np.sqrt(p))
-        v = (u[1:] / np.sqrt(p)).T  # (d+1, d)
-        steps.append(StepLaw(p, v))
+            d = step.d
+        elif step.d != d:
+            raise ValueError(f"step {n}: outcome count changed from {d + 1} to {step.d + 1}")
+        steps.append(step)
     if not steps:
         raise ValueError("need at least one step")
     return WalkSpec(d=d, N=len(steps) - 1, steps=tuple(steps), cap=cap)

@@ -1,13 +1,16 @@
-"""Per-atom reference versions of the market engine's stacked solves.
+"""Per-atom and per-path reference versions of the market engine.
 
-These are the one-system-at-a-time loops that `find_emm` and
-`hedge_replicate` batch over all prior atoms of a step. They check and
-solve every atom separately, in canonical order, so the first failing atom
-raises. Tests compare the batched engine against them byte for byte.
+`oracle_find_emm` and `oracle_hedge_replicate` are the one-system-at-a-time
+loops that `find_emm` and `hedge_replicate` replace with per-node and
+batched work. They check and solve every atom separately, in canonical
+order, so the first failing atom raises. `oracle_prices` and `oracle_measure` build
+the price and probability tables path by path from the outcome matrix,
+where the library builds them prefix by prefix. Tests compare the engine
+against them byte for byte.
 """
 import numpy as np
 
-from obtusewalk import EMM, MarketSpec, PathTable, Strategy, emm_walk
+from obtusewalk import EMM, MarketSpec, PathTable, Strategy, WalkSpec, emm_walk
 from obtusewalk.market import (
     _COND_LIMIT,
     ArbitrageError,
@@ -15,6 +18,27 @@ from obtusewalk.market import (
     StateDependentMeasureError,
 )
 from obtusewalk.omega import atom_average, expectation
+
+
+def oracle_prices(market: MarketSpec) -> np.ndarray:
+    """(N+1, num_paths, d) prices S_n, one growth matrix product per path and step."""
+    space = market.space
+    growth = np.eye(market.d)[None, None] + market.scenarios
+    values = np.empty((market.N + 1, space.num_paths, market.d))
+    current = np.broadcast_to(market.s_init, (space.num_paths, market.d))
+    for n in range(market.N + 1):
+        mats = growth[n][space.outcomes[:, n]]  # (P, d, d)
+        current = np.einsum("pij,pj->pi", mats, current)
+        values[n] = current
+    return values
+
+
+def oracle_measure(walk: WalkSpec) -> np.ndarray:
+    """(num_paths,) path probabilities, multiplied in step by step along each path."""
+    out = np.ones(walk.space.num_paths)
+    for n, step in enumerate(walk.steps):
+        out *= step.p[walk.space.outcomes[:, n]]
+    return out
 
 
 def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:

@@ -72,6 +72,13 @@ class TestReconstruct:
             recon = reconstruct(walk, decompose(walk, table))
             assert recon.max_abs_diff(table) < 1e-10
 
+    @pytest.mark.parametrize("N", [10, 11])
+    def test_round_trip_beyond_ten_steps(self, rng, N):
+        # orders above ten need more einsum subscripts than "a".."j"
+        walk = random_walk(rng, 1, N)
+        table = random_table(rng, walk.space)
+        assert reconstruct(walk, decompose(walk, table)).max_abs_diff(table) < 1e-12
+
     def test_linear_in_coefficients(self, rng):
         walk = random_walk(rng, 2, 1)
         f = random_table(rng, walk.space)

@@ -203,3 +203,31 @@ class TestExitCodes:
         monkeypatch.setenv("OBTUSE_CAP", "2")
         code, _ = run_cli(COMMANDS["walk-validate"], capsys)
         assert code == 1
+
+    def test_malformed_cap_env_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("OBTUSE_CAP", "abc")
+        with pytest.raises(SystemExit) as info:
+            main(COMMANDS["walk-validate"])
+        assert info.value.code == 2
+        assert "OBTUSE_CAP" in capsys.readouterr().err
+
+    def test_cap_flag_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("OBTUSE_CAP", "abc")
+        code, _ = run_cli(COMMANDS["walk-validate"] + ["--cap", "100"], capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ("[0.5, 0.4]", "step 0: probabilities sum to 0.9, not 1"),
+            ("[1.5, -0.5]", "step 0: probabilities must be strictly positive"),
+        ],
+    )
+    def test_construct_rejects_non_obtuse_input(self, capsys, tmp_path, p, message):
+        bad = tmp_path / "walk.json"
+        bad.write_text(f'{{"d": 1, "N": 0, "steps": [{{"p": {p}}}]}}')
+        code = main(["walk", "construct", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

@@ -1,4 +1,5 @@
-"""Batched market engine: agreement with the per-atom oracle, error order, caching."""
+"""Node-level market engine: agreement with the per-atom and per-path oracles,
+error order, caching."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +18,14 @@ from obtusewalk import (
     find_emm,
     hedge_replicate,
 )
-from obtusewalk.market import MarketModelError, StateDependentMeasureError
-from helpers import SQ2
-from market_oracle import oracle_find_emm, oracle_hedge_replicate
+from obtusewalk.market import MarketModelError, StateDependentMeasureError, _distinct
+from helpers import SQ2, random_walk
+from market_oracle import (
+    oracle_find_emm,
+    oracle_hedge_replicate,
+    oracle_measure,
+    oracle_prices,
+)
 
 V = np.array([[SQ2, 1.0], [-SQ2, 1.0], [0.0, -1.0]])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -41,15 +47,32 @@ def _nondiag_step(rng, rate, s_init):
     return np.array([m0, m1, np.diag(w / s_init)])
 
 
+def _stepwise_crr(rng, rate, periods):
+    """One asset whose up and down returns change at every step: no node recombines."""
+    returns = np.stack(
+        [rng.uniform(0.06, 0.3, size=periods), rng.uniform(-0.3, -0.03, size=periods)], axis=1
+    )
+    return MarketSpec(
+        d=1,
+        N=periods - 1,
+        s_init=np.array([rng.uniform(50, 150)]),
+        rates=np.full(periods, rate),
+        scenarios=returns[:, :, None, None],
+    )
+
+
 @st.composite
 def markets(draw):
-    kind = draw(st.sampled_from(["crr", "diag2", "nondiag2"]))
-    periods = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["crr", "stepwise", "diag2", "nondiag2"]))
+    # recombining CRR trees group thousands of prior atoms into few nodes
+    periods = draw(st.integers(1, 12 if kind == "crr" else 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rate = float(rng.uniform(-0.02, 0.05))
     if kind == "crr":
         up, down = float(rng.uniform(0.06, 0.3)), float(rng.uniform(-0.3, -0.03))
         return crr_market(float(rng.uniform(50, 150)), up, down, rate, periods), rng
+    if kind == "stepwise":
+        return _stepwise_crr(rng, rate, periods), rng
     s_init = rng.uniform(80.0, 120.0, size=2)
     steps = [_basket_step(rng, rate) for _ in range(periods)]
     if kind == "nondiag2":
@@ -111,6 +134,11 @@ def _calibrated_step(s, eps=0.1):
 MIXED_LAMS = [(0.2, 0.1), (-0.1, 0.1), (-0.15, -0.15)]
 
 
+#: weights (0.25, 0.25, 0.5); growth factors are exact in binary, so prices
+#: recombine bit for bit and S_0 * 1.5625 is the price at atom 0 of F_1
+RECOMBINING_LAMS = [(0.25, 0.25), (-0.25, 0.25), (0.0, -0.25)]
+
+
 def _crr_two_step(second):
     scenarios = np.array([[[[0.1]], [[-0.1]]], [[[second[0]]], [[second[1]]]]])
     return MarketSpec(d=1, N=1, s_init=np.array([100.0]), rates=np.zeros(2), scenarios=scenarios)
@@ -157,12 +185,80 @@ class TestMultiAtomErrors:
         assert want[0] is error
         assert _outcome(find_emm, market) == want
 
+    @pytest.mark.parametrize(
+        "s_init, error",
+        [
+            # atom 1 has negative weights; the singular node (60, 60) sits
+            # at atoms 5 and 7
+            ((80.0, 64.0), ArbitrageError),
+            # the singular node (75, 75) sits at atoms 1 and 3
+            ((80.0, 48.0), IncompleteMarketError),
+        ],
+    )
+    def test_singular_node_at_several_atoms(self, s_init, error):
+        diag = [np.diag(lam) for lam in RECOMBINING_LAMS]
+        at_atom0 = np.array(s_init) * 1.5625
+        market = MarketSpec(
+            d=2,
+            N=2,
+            s_init=np.array(s_init),
+            rates=np.zeros(3),
+            scenarios=np.array([diag, diag, _calibrated_step(at_atom0)]),
+        )
+        s_prev = market.prices.values[1][:: market.space.atom_size(1)]
+        assert len(_distinct(s_prev)) < len(s_prev)
+        want = _outcome(oracle_find_emm, market)
+        assert want[0] is error
+        assert _outcome(find_emm, market) == want
+
     def test_singular_replication_at_step_one(self):
         market = _crr_two_step((0.1, 0.1))
         emm = EMM(np.full((2, 2), 0.5))
         claim = PathTable.constant(market.space, 1.0)
         with pytest.raises(IncompleteMarketError, match="replication system at step 1"):
             hedge_replicate(market, emm, claim)
+
+
+class TestNodes:
+    def test_recombining_tree_shares_nodes(self):
+        market = crr_market(100.0, 0.1, -0.08, 0.01, 12)
+        s_prev = market.prices.values[10][:: market.space.atom_size(10)]
+        assert len(_distinct(s_prev)) * 8 < len(s_prev)
+
+    def test_stepwise_returns_never_recombine(self):
+        market = _stepwise_crr(np.random.default_rng(3), 0.01, 8)
+        s_prev = market.prices.values[6][:: market.space.atom_size(6)]
+        assert len(_distinct(s_prev)) == len(s_prev)
+
+
+def _random_scenarios(rng, d, N):
+    """Full scenario matrices with I + M entrywise nonnegative."""
+    diag = rng.uniform(-0.3, 0.3, size=(N + 1, d + 1, d, d))
+    off = rng.uniform(0.0, 0.1, size=(N + 1, d + 1, d, d))
+    return np.where(np.eye(d, dtype=bool), diag, off)
+
+
+class TestPrefixTables:
+    """Tables built prefix by prefix equal the path-by-path oracles byte for byte."""
+
+    SHAPES = [(1, 0), (1, 5), (1, 8), (2, 3), (2, 8), (3, 1), (3, 5), (3, 8)]
+
+    @pytest.mark.parametrize("d, N", SHAPES)
+    def test_prices(self, d, N):
+        rng = np.random.default_rng(10 * d + N)
+        market = MarketSpec(
+            d=d,
+            N=N,
+            s_init=rng.uniform(50.0, 150.0, size=d),
+            rates=np.zeros(N + 1),
+            scenarios=_random_scenarios(rng, d, N),
+        )
+        assert market.prices.values.tobytes() == oracle_prices(market).tobytes()
+
+    @pytest.mark.parametrize("d, N", SHAPES)
+    def test_measure(self, d, N):
+        walk = random_walk(np.random.default_rng(10 * d + N), d, N)
+        assert walk.measure.tobytes() == oracle_measure(walk).tobytes()
 
 
 class TestPricesOncePerMarket:
