@@ -58,6 +58,15 @@ def _load_json(path: str):
         return json.load(handle)
 
 
+def _load(path: str, loader, *args, **kwargs):
+    """Build an object from a JSON file; a missing field is reported with the file."""
+    obj = _load_json(path)
+    try:
+        return loader(obj, *args, **kwargs)
+    except KeyError as exc:
+        raise ObtuseWalkError(f"{path}: missing field {exc.args[0]!r}") from None
+
+
 def _emit(args, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -69,16 +78,16 @@ def _emit(args, text: str) -> None:
 
 
 def _load_walk(args) -> walk_mod.WalkSpec:
-    return serialize.walk_from_json(_load_json(args.walk), cap=_cap_from(args))
+    return _load(args.walk, serialize.walk_from_json, cap=_cap_from(args))
 
 
 def _load_market(args) -> market_mod.MarketSpec:
-    return serialize.market_from_json(_load_json(args.market), cap=_cap_from(args))
+    return _load(args.market, serialize.market_from_json, cap=_cap_from(args))
 
 
 def _load_table(args, space):
     path = getattr(args, "table", None) or getattr(args, "payoff_table", None)
-    return serialize.table_from_json(_load_json(path), space)
+    return _load(path, serialize.table_from_json, space)
 
 
 def _emit_table(args, table) -> None:
@@ -93,7 +102,7 @@ def _market_claim(args, market):
         expr = parse_payoff(args.payoff, market.d, market.N)
         return eval_payoff(expr, market)
     if getattr(args, "payoff_table", None):
-        return serialize.table_from_json(_load_json(args.payoff_table), market.space)
+        return _load(args.payoff_table, serialize.table_from_json, market.space)
     raise ObtuseWalkError("provide --payoff or --payoff-table")
 
 
@@ -128,7 +137,7 @@ def _cmd_chaos_decompose(args) -> int:
 
 def _cmd_chaos_reconstruct(args) -> int:
     walk = _load_walk(args)
-    coeffs = serialize.chaos_from_json(_load_json(args.coeffs))
+    coeffs = _load(args.coeffs, serialize.chaos_from_json)
     _emit_table(args, chaos_mod.reconstruct(walk, coeffs))
     return 0
 
@@ -138,7 +147,7 @@ def _cmd_gradient(args) -> int:
     table = _load_table(args, walk.space)
     grad = malliavin.gradient(walk, table)
     if args.format == "json":
-        _emit(args, serialize.dump_json([[list(map(float, row)) for row in g] for g in grad.values]))
+        _emit(args, serialize.dump_json(grad.values.tolist()))
     else:
         _emit(args, serialize.gradient_to_csv(grad.values))
     return 0
@@ -165,7 +174,7 @@ def _cmd_clark_ocone(args) -> int:
 
 def _cmd_divergence(args) -> int:
     walk = _load_walk(args)
-    process = serialize.process_from_json(_load_json(args.process), walk.space)
+    process = _load(args.process, serialize.process_from_json, walk.space)
     _emit_table(args, malliavin.divergence(walk, process))
     return 0
 
@@ -205,7 +214,7 @@ def _cmd_deviation(args) -> int:
 def _cmd_market_emm(args) -> int:
     market = _load_market(args)
     emm = market_mod.find_emm(market, tol=args.tol)
-    _emit(args, serialize.dump_json({"q": [[float(x) for x in row] for row in emm.q]}))
+    _emit(args, serialize.dump_json({"q": emm.q.tolist()}))
     return 0
 
 
@@ -358,8 +367,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (build_parser, its parser) from the first main call of the process.
+_parser_cache: tuple | None = None
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused: parse_args keeps no state.
+
+    It is built again if build_parser has been replaced since, as
+    instrumentation that wraps build_parser does.
+    """
+    global _parser_cache
+    if _parser_cache is None or _parser_cache[0] is not build_parser:
+        _parser_cache = (build_parser, build_parser())
+    return _parser_cache[1]
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     env_cap = os.environ.get("OBTUSE_CAP")
     if args.cap is None and env_cap is not None:

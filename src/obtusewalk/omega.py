@@ -94,7 +94,8 @@ class PathSpace:
             raise ValueError(f"time index {k} outside [0, {self.N}]")
         stride = self.stride(k)
         base = np.arange(self.num_paths, dtype=np.int64)
-        base = base - self.outcomes[:, k].astype(np.int64) * stride
+        # outcome k of each path from its index, without the (P, N+1) outcomes table
+        base = base - (base // stride) % (self.d + 1) * stride
         return base[:, None] + np.arange(self.d + 1, dtype=np.int64) * stride
 
 

@@ -2,12 +2,13 @@
 
 All numeric output is rendered with 17 significant digits so that values
 round-trip exactly and identical inputs always produce byte-identical
-output.
+output. Writers read arrays through `ndarray.tolist()` and format every
+number once, so output costs time linear in its size.
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _json_string  # what json.dumps does for a str
 from typing import Any
 
 import numpy as np
@@ -26,25 +27,39 @@ def fmt_float(x: float) -> str:
 
 
 def dump_json(obj: Any, indent: int = 0) -> str:
-    """Serialize nested dict/list/str/number structures deterministically."""
+    """Serialize nested dict/list/str/number structures deterministically.
+
+    A list is written on one line when that line holds no newline and at
+    most 100 characters, else one item per line. Every value is rendered
+    once: an item's text is the same at any indent unless it spans lines,
+    so the text rendered for the expanded form also decides the flat one.
+    """
+    if type(obj) is float:
+        return fmt_float(obj)
+    if type(obj) is int:
+        return str(obj)
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{pad}  {json.dumps(str(key))}: {dump_json(val, indent + 2)}'
+            f"{pad}  {_json_string(str(key))}: {dump_json(val, indent + 2)}"
             for key, val in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [dump_json(val, indent) for val in obj]
+        parts = [
+            fmt_float(val) if type(val) is float
+            else str(val) if type(val) is int
+            else dump_json(val, indent + 2)
+            for val in obj
+        ]
         flat = "[" + ", ".join(parts) + "]"
         if len(flat) <= 100 and "\n" not in flat:
             return flat
-        items = [f"{pad}  {dump_json(val, indent + 2)}" for val in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        return f"[\n{pad}  " + f",\n{pad}  ".join(parts) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -52,7 +67,7 @@ def dump_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return fmt_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _json_string(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -65,7 +80,7 @@ def walk_to_json(walk: WalkSpec) -> dict:
         "d": walk.d,
         "N": walk.N,
         "steps": [
-            {"p": [float(x) for x in step.p], "v": [[float(x) for x in row] for row in step.v]}
+            {"p": step.p.tolist(), "v": step.v.tolist()}
             for step in walk.steps
         ],
     }
@@ -150,27 +165,46 @@ def chaos_from_json(obj: dict) -> ChaosCoefficients:
 
 # -- tables and processes ----------------------------------------------------
 
+def _first_non_finite(values: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first NaN or infinite entry in canonical order, if any."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if not bad.size:
+        return None
+    return tuple(int(i) for i in np.unravel_index(bad[0], values.shape))
+
+
 def table_from_json(obj: Any, space: PathSpace) -> PathTable:
-    """A raw table is a JSON array in canonical path order."""
+    """A raw table is a JSON array of finite numbers in canonical path order."""
     values = np.asarray(obj, dtype=float)
     if values.shape != (space.num_paths,):
         raise ValueError(
             f"table has {values.size} entries, expected {space.num_paths}"
         )
+    bad = _first_non_finite(values)
+    if bad is not None:
+        raise ValueError(f"table entry at path {bad[0]} is not finite: {float(values[bad])!r}")
     return PathTable(space, values)
 
 
 def table_to_json(table: PathTable) -> list:
-    return [float(x) for x in table.values]
+    return table.values.tolist()
 
 
 def process_from_json(obj: dict, space: PathSpace) -> VectorProcess:
     """Process schema: {"values": [[[coord per asset] per path] per time]}."""
-    return VectorProcess(space, np.asarray(obj["values"], dtype=float))
+    process = VectorProcess(space, np.asarray(obj["values"], dtype=float))
+    bad = _first_non_finite(process.values)
+    if bad is not None:
+        time, path, coord = bad
+        raise ValueError(
+            f"process value at time {time}, path {path}, coordinate {coord + 1} "
+            f"is not finite: {float(process.values[bad])!r}"
+        )
+    return process
 
 
 def process_to_json(process: VectorProcess) -> dict:
-    return {"values": [[list(map(float, row)) for row in t] for t in process.values]}
+    return {"values": process.values.tolist()}
 
 
 # -- markets and strategies ---------------------------------------------------
@@ -210,6 +244,15 @@ def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
     )
 
 
+def _atom_prefixes(d: int, n: int) -> list[str]:
+    """Outcome prefixes w_0..w_{n-1} of the atoms of F_{n-1}, in canonical order."""
+    prefixes = [""]
+    digits = [str(i) for i in range(d + 1)]
+    for _ in range(n):
+        prefixes = [prefix + digit for prefix in prefixes for digit in digits]
+    return prefixes
+
+
 def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     """Rows: time, atom prefix, bond units, share counts, formation value.
 
@@ -226,47 +269,45 @@ def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     lines = [header]
     for n in range(market.N + 1):
         block = space.atom_size(n - 1)
-        for a in range(space.atom_count(n - 1)):
-            start = a * block
-            prefix = "".join(str(int(w)) for w in space.outcomes[start][:n])
-            if n == 0:
-                value = v_init
-            else:
-                value = float(
-                    strategy.beta[n][start] * market.bond[n - 1]
-                    + strategy.gamma[n][start] @ prices[n - 1][start]
-                )
-            fields = [str(n), prefix, fmt_float(float(strategy.beta[n][start]))]
-            fields += [
-                fmt_float(float(strategy.gamma[n][start][j])) for j in range(market.d)
-            ]
-            fields.append(fmt_float(value))
-            lines.append(",".join(fields))
+        beta = strategy.beta[n][::block]
+        gamma = strategy.gamma[n][::block]
+        if n == 0:
+            values = [v_init]
+        else:
+            # stacked 1x1 matmul: the same BLAS dot per atom as gamma_row @ price_row,
+            # which an elementwise sum would not reproduce bit for bit
+            dots = np.matmul(gamma[:, None, :], prices[n - 1][::block][:, :, None])[:, 0, 0]
+            values = (beta * market.bond[n - 1] + dots).tolist()
+        rows = zip(_atom_prefixes(market.d, n), beta.tolist(), gamma.tolist(), values)
+        lines.extend(
+            f"{n},{prefix},{fmt_float(b)},{','.join(map(fmt_float, g))},{fmt_float(v)}"
+            for prefix, b, g, v in rows
+        )
     return "\n".join(lines) + "\n"
 
 
 def table_to_csv(values: np.ndarray) -> str:
     """Table CSV: columns path index, value."""
+    rows = np.asarray(values, dtype=float).tolist()
     lines = ["path,value"]
-    for p, x in enumerate(values):
-        lines.append(f"{p},{fmt_float(float(x))}")
+    lines.extend(f"{p},{fmt_float(x)}" for p, x in enumerate(rows))
     return "\n".join(lines) + "\n"
 
 
 def matrix_to_csv(values: np.ndarray) -> str:
     """Dense matrix CSV: one row per target path, entries in path order."""
-    lines = []
-    for row in values:
-        lines.append(",".join(fmt_float(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    rows = np.asarray(values, dtype=float).tolist()
+    return "\n".join(",".join(map(fmt_float, row)) for row in rows) + "\n"
 
 
 def gradient_to_csv(values: np.ndarray) -> str:
     """Gradient field CSV: columns time k, coordinate j, path index, value."""
     lines = ["k,j,path,value"]
     steps, num_paths, d = values.shape
+    columns = np.asarray(values, dtype=float).transpose(0, 2, 1).tolist()  # [k][j][p]
+    paths = [f",{p}," for p in range(num_paths)]
     for k in range(steps):
         for j in range(d):
-            for p in range(num_paths):
-                lines.append(f"{k},{j + 1},{p},{fmt_float(float(values[k][p][j]))}")
+            head = f"{k},{j + 1}"
+            lines += [head + path + fmt_float(x) for path, x in zip(paths, columns[k][j])]
     return "\n".join(lines) + "\n"

@@ -1,9 +1,12 @@
 """Golden-file CLI tests: byte-identical output, exit codes, library parity."""
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import obtusewalk
 from obtusewalk import price_claim, find_emm
 from obtusewalk.cli import main
 from obtusewalk.payoff import eval_payoff, parse_payoff
@@ -231,3 +234,106 @@ class TestExitCodes:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize(
+        "argv, content, field",
+        [
+            (["walk", "validate", "{file}"], '{"d": 1, "N": 1}', "steps"),
+            (["walk", "construct", "{file}"], '{"d": 1, "N": 0, "steps": [{}]}', "p"),
+            (
+                ["market", "emm", "{file}"],
+                '{"d": 1, "N": 0, "scenarios": [[{"lambda": [0.1]}, {"lambda": [-0.1]}]]}',
+                "S0",
+            ),
+            (["market", "emm", "{file}"], '{"d": 1, "N": 0, "S0": [100.0]}', "scenarios"),
+            (
+                ["divergence", f"{FIX}/bernoulli.json", "--process", "{file}"],
+                "{}",
+                "values",
+            ),
+            (
+                ["chaos", "reconstruct", f"{FIX}/bernoulli.json", "--coeffs", "{file}"],
+                '{"d": 1, "N": 1}',
+                "mean",
+            ),
+        ],
+    )
+    def test_missing_field_names_field_and_file(self, capsys, tmp_path, argv, content, field):
+        bad = tmp_path / "input.json"
+        bad.write_text(content)
+        code = main([arg.replace("{file}", str(bad)) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: missing field {field!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (
+                ["deviation", f"{FIX}/bernoulli.json", "--payoff-table", "{file}", "--x", "1"],
+                "[0.5, NaN, 1.0, 2.0]",
+                "table entry at path 1 is not finite: nan",
+            ),
+            (
+                ["gradient", f"{FIX}/bernoulli.json", "--table", "{file}"],
+                "[0.5, 1.0, 2.0, -Infinity]",
+                "table entry at path 3 is not finite: -inf",
+            ),
+            (
+                ["divergence", f"{FIX}/bernoulli.json", "--process", "{file}"],
+                '{"values": [[[1.0], [2.0], [3.0], [4.0]], [[1.0], [Infinity], [3.0], [NaN]]]}',
+                "process value at time 1, path 1, coordinate 1 is not finite: inf",
+            ),
+        ],
+    )
+    def test_non_finite_input_is_rejected_at_load(self, capsys, tmp_path, argv, content, message):
+        bad = tmp_path / "input.json"
+        bad.write_text(content)
+        code = main([arg.replace("{file}", str(bad)) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def _in_process(argv, env, capsys, monkeypatch):
+    monkeypatch.delenv("OBTUSE_CAP", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_process(argv, env):
+    src = os.path.dirname(os.path.dirname(obtusewalk.__file__))
+    full_env = {k: v for k, v in os.environ.items() if k != "OBTUSE_CAP"}
+    full_env.update(env, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "obtusewalk.cli", *argv],
+        env=full_env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    """One process running many command lines behaves like one process per line."""
+    runs = [
+        (COMMANDS["gradient"] + ["--format", "json"], {}),
+        (["market", "nonsense"], {}),
+        (COMMANDS["gradient"], {}),
+        (COMMANDS["walk-validate"], {"OBTUSE_CAP": "2"}),
+        (COMMANDS["deviation"], {"OBTUSE_CAP": "abc"}),
+        (COMMANDS["market-hedge"], {}),
+        (COMMANDS["ou"] + ["--format", "csv"], {}),
+        (COMMANDS["walk-validate"], {}),
+    ]
+    seen = [_in_process(argv, env, capsys, monkeypatch) for argv, env in runs]
+    assert [code for code, _, _ in seen] == [0, 2, 0, 1, 2, 0, 0, 0]
+    assert seen == [_fresh_process(argv, env) for argv, env in runs]

@@ -15,9 +15,13 @@ from obtusewalk import (
     VectorProcess,
     build_prices,
     crr_market,
+    emm_walk,
     find_emm,
+    hedge_clark_ocone,
     hedge_replicate,
+    price_claim,
 )
+from obtusewalk import market as market_mod
 from obtusewalk.market import MarketModelError, StateDependentMeasureError, _distinct
 from helpers import SQ2, random_walk
 from market_oracle import (
@@ -274,6 +278,31 @@ class TestPricesOncePerMarket:
         _, bond = build_prices(market)
         bond[:] = 0.0
         assert np.all(market.bond > 1.0)
+
+
+class TestRiskNeutralWalkOncePerEMM:
+    def test_one_walk_per_emm(self, monkeypatch):
+        market = crr_market(100.0, 0.1, -0.08, 0.01, 4)
+        claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
+        emm = find_emm(market)
+        assert emm.cap == market.cap
+        built = []
+        construct = market_mod.construct_obtuse
+        monkeypatch.setattr(
+            market_mod, "construct_obtuse", lambda *a, **k: built.append(1) or construct(*a, **k)
+        )
+        price_claim(market, emm, claim)
+        hedge_replicate(market, emm, claim)
+        hedge_clark_ocone(market, emm, claim)
+        assert emm_walk(market, emm) is emm_walk(market, emm)
+        assert len(built) == 1
+        # the cached walk lives as long as the EMM: the gradient leaves no outcome table on it
+        assert "outcomes" not in emm.walk.space.__dict__
+
+    def test_emm_of_another_horizon_is_rejected(self):
+        emm = find_emm(crr_market(100.0, 0.1, -0.08, 0.01, 3))
+        with pytest.raises(ValueError, match="EMM has shape"):
+            emm_walk(crr_market(100.0, 0.1, -0.08, 0.01, 4), emm)
 
 
 class TestArrayOwnership:

@@ -169,13 +169,15 @@ class TestMutatePath:
         assert mutate_path(path, k, path[k]) == path
 
     def test_mutated_indices_consistent(self):
-        space = PathSpace(2, 2)
-        mut = space.mutated_indices(1)
-        for idx in range(space.num_paths):
-            for i in range(3):
-                assert mut[idx, i] == space.index_of(
-                    mutate_path(space.path_at(idx), 1, i)
-                )
+        for d, N in [(2, 2), (1, 3), (3, 1)]:
+            space = PathSpace(d, N)
+            for k in range(N + 1):
+                mut = space.mutated_indices(k)
+                for idx in range(space.num_paths):
+                    for i in range(d + 1):
+                        assert mut[idx, i] == space.index_of(
+                            mutate_path(space.path_at(idx), k, i)
+                        )
 
 
 class TestCovariance:
