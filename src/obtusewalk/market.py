@@ -11,7 +11,7 @@ predictable-representation formula on the driving walk.
 The price paths are computed once per MarketSpec (its `prices` property),
 one step at a time on the (atoms, d) prices of the prefix atoms and then
 repeated out to path resolution; every routine here reads them from there.
-The risk-neutral walk is likewise built once per EMM (its `walk` property).
+The risk-neutral walk is likewise built once per EMM (see `emm_walk`).
 Both the risk-neutral and the replication systems of one step depend only
 on prices, and recombining models repeat the same prices at many atoms. So
 each step's systems are grouped by the exact bytes of their prices: every
@@ -152,20 +152,11 @@ class EMM:
     """Per-step risk-neutral scenario probabilities."""
 
     q: np.ndarray  # (N+1, d+1)
-    cap: int = field(default=DEFAULT_CAP, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         q = np.array(self.q, dtype=float)
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
-
-    @cached_property
-    def walk(self) -> WalkSpec:
-        """Normalized driving walk under q, built once per EMM.
-
-        Outcome i of the walk is identified with market scenario i.
-        """
-        return construct_obtuse(list(self.q), cap=self.cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,16 +256,24 @@ def find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
                 f"state-dependent EMM unsupported: step {k} weights differ across atoms"
             )
         out[k] = q[ref]
-    return EMM(out, cap=market.cap)
+    return EMM(out)
 
 
 def emm_walk(market: MarketSpec, emm: EMM) -> WalkSpec:
-    """Normalized driving walk under the risk-neutral probabilities (`EMM.walk`)."""
+    """Normalized driving walk under the risk-neutral probabilities.
+
+    Outcome i of the walk is identified with market scenario i. The walk is
+    kept on the EMM and built again only for a market with another cap.
+    """
     if emm.q.shape != (market.N + 1, market.d + 1):
         raise ValueError(
             f"EMM has shape {emm.q.shape}, expected ({market.N + 1}, {market.d + 1})"
         )
-    return emm.walk
+    walk = emm.__dict__.get("_walk")
+    if walk is None or walk.cap != market.cap:
+        walk = construct_obtuse(list(emm.q), cap=market.cap)
+        object.__setattr__(emm, "_walk", walk)
+    return walk
 
 
 def price_claim(market: MarketSpec, emm: EMM, claim: PathTable) -> float:

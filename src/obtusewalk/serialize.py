@@ -50,12 +50,7 @@ def dump_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [
-            fmt_float(val) if type(val) is float
-            else str(val) if type(val) is int
-            else dump_json(val, indent + 2)
-            for val in obj
-        ]
+        parts = [dump_json(val, indent + 2) for val in obj]
         flat = "[" + ", ".join(parts) + "]"
         if len(flat) <= 100 and "\n" not in flat:
             return flat

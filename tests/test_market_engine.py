@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obtusewalk import (
+    DEFAULT_CAP,
     EMM,
     ArbitrageError,
     IncompleteMarketError,
@@ -285,7 +286,6 @@ class TestRiskNeutralWalkOncePerEMM:
         market = crr_market(100.0, 0.1, -0.08, 0.01, 4)
         claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
         emm = find_emm(market)
-        assert emm.cap == market.cap
         built = []
         construct = market_mod.construct_obtuse
         monkeypatch.setattr(
@@ -297,7 +297,25 @@ class TestRiskNeutralWalkOncePerEMM:
         assert emm_walk(market, emm) is emm_walk(market, emm)
         assert len(built) == 1
         # the cached walk lives as long as the EMM: the gradient leaves no outcome table on it
-        assert "outcomes" not in emm.walk.space.__dict__
+        assert "outcomes" not in emm_walk(market, emm).space.__dict__
+
+    @pytest.mark.parametrize("cap", [32, 2 * DEFAULT_CAP])
+    def test_walk_takes_the_cap_of_the_market(self, cap):
+        # an EMM built directly carries no cap: the walk uses the market's
+        market = crr_market(100.0, 0.1, -0.08, 0.01, 4, cap=cap)
+        emm = EMM(find_emm(market).q)
+        claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
+        assert price_claim(market, emm, claim) == price_claim(market, find_emm(market), claim)
+        walk = emm_walk(market, emm)
+        assert walk.cap == cap and walk.space.cap == market.space.cap
+
+    def test_walk_is_rebuilt_for_another_cap(self):
+        small = crr_market(100.0, 0.1, -0.08, 0.01, 4, cap=32)
+        large = crr_market(100.0, 0.1, -0.08, 0.01, 4, cap=2 * DEFAULT_CAP)
+        emm = find_emm(small)
+        assert emm_walk(small, emm).cap == 32
+        assert emm_walk(large, emm).cap == 2 * DEFAULT_CAP
+        assert emm_walk(large, emm) is emm_walk(large, emm)
 
     def test_emm_of_another_horizon_is_rejected(self):
         emm = find_emm(crr_market(100.0, 0.1, -0.08, 0.01, 3))
