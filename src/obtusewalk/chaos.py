@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
-from .integrals import Kernel, multiple_integral, _EINSUM_LETTERS
-from .omega import PathTable, expectation
+from .integrals import Kernel, _block, _synthesize, along_axes
+from .omega import PathTable, _check_space, expectation
 from .walk import WalkSpec
 
 
@@ -60,22 +58,20 @@ class ChaosCoefficients:
 def decompose(walk: WalkSpec, table: PathTable) -> ChaosCoefficients:
     """Expand a table over the orthonormal monomial basis.
 
-    Every coefficient is an independent inner product against the exact
-    measure, so the decomposition is embarrassingly parallel and exact up
-    to rounding.
+    The coefficient of a monomial is E[F * monomial]. The per-step bases
+    are orthonormal under the step laws, so all coefficients come from one
+    contraction of measure * F with the transposed basis along each axis,
+    exact up to rounding.
     """
-    if table.space != walk.space:
-        raise ValueError("table is not defined on the walk's path space")
-    weighted = walk.measure * table.values
+    _check_space(walk, table)
+    coef = along_axes(walk, walk.measure * table.values, [step.basis.T for step in walk.steps])
     kernels = []
     for r in range(1, walk.N + 2):
-        letters = _EINSUM_LETTERS[:r]
-        subscripts = ",".join(["z"] + [f"z{c}" for c in letters]) + "->" + letters
         fact = math.factorial(r)
-        entries = {}
-        for times in combinations(range(walk.N + 1), r):
-            operands = [weighted] + [walk.increments[t] for t in times]
-            entries[times] = np.einsum(subscripts, *operands) / fact
+        entries = {
+            times: coef[_block(times, walk.N)] / fact
+            for times in combinations(range(walk.N + 1), r)
+        }
         kernels.append(Kernel(r, walk.d, entries))
     return ChaosCoefficients(
         d=walk.d, N=walk.N, mean=expectation(walk, table), kernels=tuple(kernels)
@@ -90,10 +86,7 @@ def reconstruct(walk: WalkSpec, coeffs: ChaosCoefficients) -> PathTable:
         raise ValueError(
             f"coefficients use time {coeffs.max_time()}, beyond the walk horizon {walk.N}"
         )
-    values = np.full(walk.space.num_paths, coeffs.mean)
-    for kernel in coeffs.kernels:
-        values = values + multiple_integral(walk, kernel).values
-    return PathTable(walk.space, values)
+    return _synthesize(walk, coeffs.mean, coeffs.kernels)
 
 
 def project_horizon(coeffs: ChaosCoefficients, horizon: int) -> ChaosCoefficients:

@@ -59,12 +59,15 @@ def _load_json(path: str):
 
 
 def _load(path: str, loader, *args, **kwargs):
-    """Build an object from a JSON file; a missing field is reported with the file."""
+    """Build an object from a JSON file; a missing field, a value of the wrong
+    shape or a number beyond the float range is reported with the file."""
     obj = _load_json(path)
     try:
         return loader(obj, *args, **kwargs)
     except KeyError as exc:
         raise ObtuseWalkError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ObtuseWalkError(f"{path}: {exc}") from None
 
 
 def _emit(args, text: str) -> None:
@@ -137,7 +140,7 @@ def _cmd_chaos_decompose(args) -> int:
 
 def _cmd_chaos_reconstruct(args) -> int:
     walk = _load_walk(args)
-    coeffs = _load(args.coeffs, serialize.chaos_from_json)
+    coeffs = _load(args.coeffs, serialize.chaos_from_json, cap=_cap_from(args))
     _emit_table(args, chaos_mod.reconstruct(walk, coeffs))
     return 0
 

@@ -10,6 +10,9 @@ multiple integral is then
 
 and the stochastic integral of a predictable process U is
 sum_n <U_n, Y_n>.
+
+Integrals are evaluated from a (d+1,)*(N+1) coefficient tensor contracted
+with the per-step bases [1 | v] one axis at a time (along_axes).
 """
 from __future__ import annotations
 
@@ -22,10 +25,6 @@ import numpy as np
 from .errors import PredictabilityError
 from .omega import PathSpace, PathTable, _frozen_float, atom_deviation
 from .walk import WalkSpec
-
-#: einsum subscripts for the kernel axes of an order-r term: every ASCII
-#: letter except "z", which is the path axis
-_EINSUM_LETTERS = "abcdefghijklmnopqrstuvwxyABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 #: raw kernel entry: (times, coords, value) with 1-based coordinates
 RawEntry = tuple[Sequence[int], Sequence[int], float]
@@ -72,12 +71,6 @@ class Kernel:
     def scalar(value: float, d: int) -> "Kernel":
         return Kernel(0, d, {(): np.array(float(value))})
 
-    @property
-    def scalar_value(self) -> float:
-        if self.order != 0:
-            raise ValueError("not an order-0 kernel")
-        return float(self.entries.get((), 0.0))
-
     def tensor(self, times: tuple[int, ...]) -> np.ndarray:
         """Component tensor at an increasing tuple (zeros if unset)."""
         out = self.entries.get(tuple(times))
@@ -92,13 +85,6 @@ class Kernel:
             if times and np.any(tensor != 0.0):
                 worst = max(worst, times[-1])
         return worst
-
-    def scale(self, factor: float) -> "Kernel":
-        return Kernel(
-            self.order,
-            self.d,
-            {t: factor * arr for t, arr in self.entries.items()},
-        )
 
     def truncate(self, horizon: int) -> "Kernel":
         """Drop every entry with a time index beyond the horizon."""
@@ -187,6 +173,39 @@ def monomial_kernel(times: Sequence[int], coords: Sequence[int], d: int) -> Kern
     return Kernel(r, d, {times: tensor})
 
 
+def along_axes(walk: WalkSpec, values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Apply mats[n] along axis n of the (d+1,)*(N+1) view of a table.
+
+    out[a_0..a_N] = sum_w prod_n mats[n][a_n, w_n] values[w_0..w_N]: the
+    Kronecker product of the per-step matrices times the table, one
+    (d+1)x(d+1) contraction per axis. The result has the tensor shape.
+    """
+    out = np.reshape(values, (walk.d + 1,) * (walk.N + 1))
+    for mat in mats:
+        # contracts the leading axis (step n) and appends the new one, so
+        # after all steps the axes are back in time order
+        out = np.tensordot(out, mat, axes=(0, 1))
+    return out
+
+
+def _block(times: tuple[int, ...], N: int) -> tuple:
+    """Index of a time tuple's coefficient block: digits 1..d at its times, 0 elsewhere."""
+    return tuple(slice(1, None) if n in times else 0 for n in range(N + 1))
+
+
+def _synthesize(walk: WalkSpec, mean: float, kernels: Iterable[Kernel]) -> PathTable:
+    """Table of mean + sum of I^r(f_r): r! f_r fills each tuple's coefficient block."""
+    coef = np.zeros((walk.d + 1,) * (walk.N + 1))
+    coef[(0,) * (walk.N + 1)] = mean
+    for kernel in kernels:
+        fact = math.factorial(kernel.order)
+        # entries beyond the horizon are zero: callers check max_time
+        for times, tensor in kernel.truncate(walk.N).entries.items():
+            coef[_block(times, walk.N)] += fact * tensor
+    values = along_axes(walk, coef, [step.basis for step in walk.steps])
+    return PathTable(walk.space, values.ravel())
+
+
 def multiple_integral(walk: WalkSpec, kernel: Kernel) -> PathTable:
     """Evaluate the multiple stochastic integral of the kernel as a table."""
     if kernel.d != walk.d:
@@ -195,21 +214,7 @@ def multiple_integral(walk: WalkSpec, kernel: Kernel) -> PathTable:
         raise ValueError(
             f"kernel uses time {kernel.max_time()}, beyond the walk horizon {walk.N}"
         )
-    space = walk.space
-    if kernel.order == 0:
-        return PathTable.constant(space, kernel.scalar_value)
-    if kernel.order > walk.N + 1:
-        return PathTable.constant(space, 0.0)
-
-    r = kernel.order
-    letters = _EINSUM_LETTERS[:r]
-    subscripts = ",".join([letters] + [f"z{c}" for c in letters]) + "->z"
-    total = np.zeros(space.num_paths)
-    for times in sorted(kernel.entries):
-        tensor = kernel.entries[times]
-        operands = [tensor] + [walk.increments[t] for t in times]
-        total += np.einsum(subscripts, *operands)
-    return PathTable(space, math.factorial(r) * total)
+    return _synthesize(walk, 0.0, [kernel])
 
 
 def kernel_time_slice(kernel: Kernel, coord: int, time: int) -> Kernel:

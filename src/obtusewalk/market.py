@@ -82,6 +82,8 @@ class MarketSpec:
         s_init = np.array(self.s_init, dtype=float)
         rates = np.array(self.rates, dtype=float)
         scenarios = np.array(self.scenarios, dtype=float)
+        if not all(np.all(np.isfinite(a)) for a in (s_init, rates, scenarios)):
+            raise MarketModelError("initial prices, rates and scenarios must be finite")
         if s_init.shape != (self.d,):
             raise MarketModelError(f"initial prices have shape {s_init.shape}, expected ({self.d},)")
         if np.any(s_init <= 0.0):

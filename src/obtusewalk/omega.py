@@ -44,10 +44,11 @@ class PathSpace:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.N < 0:
             raise ValueError(f"last time index must be >= 0, got {self.N}")
-        count = (self.d + 1) ** (self.N + 1)
+        # exact while it can be within the cap; never a huge power for a huge N
+        count = (self.d + 1) ** min(self.N + 1, self.cap.bit_length() + 1)
         if count > self.cap:
             raise SizeCapError(
-                f"path space would need {count} entries, above the cap of {self.cap}"
+                f"path space would need at least {count} entries, above the cap of {self.cap}"
             )
 
     @property

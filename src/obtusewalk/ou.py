@@ -1,28 +1,29 @@
 """Ornstein-Uhlenbeck semigroup, covariance identities, deviation bound.
 
-The semigroup damps the order-n chaos component by exp(-n t). It also has
+The semigroup damps the order-r chaos component by exp(-r t). It also has
 a product-form integral kernel
 
     q_t(w~, w) = prod_n (1 + exp(-t) <Y_n(w), Y_n(w~)>),
 
 which averages to one in w under the walk measure. Both routes are
-implemented and must agree.
+implemented independently, one per-step operator per axis, and must agree:
+the chaos route damps the coefficient tensor between the basis contractions,
+and the kernel route applies each step's factor (1 + exp(-t) v v^T) * p.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosCoefficients, decompose, reconstruct
 from .errors import SizeCapError
-from .integrals import kernel_time_slice, multiple_integral
+from .integrals import along_axes
 from .malliavin import GradientField, gradient
-from .omega import PathTable, atom_average, expectation
+from .omega import PathTable, _check_space, atom_average, expectation
 from .walk import WalkSpec
-
-_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,44 +48,36 @@ def _check_time(t: float) -> float:
     return t
 
 
-def damp_coefficients(coeffs: ChaosCoefficients, t: float) -> ChaosCoefficients:
-    """Scale the order-r component by exp(-r t)."""
-    t = _check_time(t)
-    return ChaosCoefficients(
-        d=coeffs.d,
-        N=coeffs.N,
-        mean=coeffs.mean,
-        kernels=tuple(k.scale(math.exp(-k.order * t)) for k in coeffs.kernels),
-    )
+def _scale_chaos(walk: WalkSpec, table: PathTable, factors: Sequence[float]) -> PathTable:
+    """Table whose order-r chaos component is factors[r] times that of F."""
+    _check_space(walk, table)
+    coef = along_axes(walk, walk.measure * table.values, [step.basis.T for step in walk.steps])
+    # chaos order of every coefficient: the number of its nonzero digits
+    nonzero = np.array([0] + [1] * walk.d)
+    order = reduce(np.add.outer, [nonzero] * (walk.N + 1))
+    coef = coef * np.asarray(factors, dtype=float)[order]
+    values = along_axes(walk, coef, [step.basis for step in walk.steps])
+    return PathTable(walk.space, values.ravel())
 
 
 def ou_apply_chaos(walk: WalkSpec, table: PathTable, t: float) -> PathTable:
     """Apply the semigroup by damping the chaos expansion."""
-    return reconstruct(walk, damp_coefficients(decompose(walk, table), t))
+    t = _check_time(t)
+    return _scale_chaos(walk, table, [math.exp(-r * t) for r in range(walk.N + 2)])
 
 
-def _kernel_rows(walk: WalkSpec, t: float, start: int, stop: int) -> np.ndarray:
-    """Kernel rows for target paths start..stop against all source paths."""
-    block = np.ones((stop - start, walk.space.num_paths))
+def _step_kernels(walk: WalkSpec, t: float) -> list[np.ndarray]:
+    """Per-step kernel factors 1 + exp(-t) <v_i, v_j>, rows indexed by the target."""
     damp = math.exp(-t)
-    for n in range(walk.N + 1):
-        yn = walk.increments[n]  # (P, d)
-        block *= 1.0 + damp * (yn[start:stop] @ yn.T)
-    return block
+    return [1.0 + damp * (step.v @ step.v.T) for step in walk.steps]
 
 
 def ou_apply_kernel(walk: WalkSpec, table: PathTable, t: float) -> PathTable:
     """Apply the semigroup through its product-form probability kernel."""
     t = _check_time(t)
-    if table.space != walk.space:
-        raise ValueError("table is not defined on the walk's path space")
-    num = walk.space.num_paths
-    weighted = walk.measure * table.values
-    out = np.empty(num)
-    for start in range(0, num, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, num)
-        out[start:stop] = _kernel_rows(walk, t, start, stop) @ weighted
-    return PathTable(walk.space, out)
+    _check_space(walk, table)
+    mats = [q * step.p for q, step in zip(_step_kernels(walk, t), walk.steps)]
+    return PathTable(walk.space, along_axes(walk, table.values, mats).ravel())
 
 
 def ou_kernel_matrix(walk: WalkSpec, t: float) -> OUKernelMatrix:
@@ -95,7 +88,7 @@ def ou_kernel_matrix(walk: WalkSpec, t: float) -> OUKernelMatrix:
         raise SizeCapError(
             f"kernel matrix would need {num * num} entries, above the cap of {walk.space.cap}"
         )
-    return OUKernelMatrix(t, _kernel_rows(walk, t, 0, num))
+    return OUKernelMatrix(t, reduce(np.kron, _step_kernels(walk, t)))
 
 
 def cov_gradient(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
@@ -113,24 +106,14 @@ def cov_gradient(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
 def cov_semigroup(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
     """Covariance via sum_k int_0^inf e^{-t} E[<D_k F, P_t D_k G>] dt.
 
-    The time integral is evaluated analytically through chaos orders: the
-    order-(r-1) part of D_k^j G integrates against e^{-t} damping to a
-    factor 1/r, so the whole expression reduces to inner products of
-    gradient tables with sliced multiple integrals.
+    Since D_k P_t = e^{-t} P_t D_k, the integrand is E[<D_k F, D_k P_t G>],
+    and the time integral moves onto G: int_0^inf P_t (G - E[G]) dt is the
+    table H whose order-r chaos is that of G divided by r. The result is
+    sum_k E[<D_k F, D_k H>] with both gradients taken by finite differences.
     """
-    grad_f = gradient(walk, f)
-    coeffs_g = decompose(walk, g)
-    total = 0.0
-    for kernel in coeffs_g.kernels:
-        for k in range(walk.N + 1):
-            for j in range(1, walk.d + 1):
-                sliced = kernel_time_slice(kernel, j, k)
-                if not sliced.entries:
-                    continue
-                part = multiple_integral(walk, sliced).values
-                dkj = grad_f.values[k][:, j - 1]
-                total += float(np.add.reduce(walk.measure * dkj * part))
-    return total
+    h = _scale_chaos(walk, g, [0.0] + [1.0 / r for r in range(1, walk.N + 2)])
+    inner = np.einsum("kpj,kpj->p", gradient(walk, f).values, gradient(walk, h).values)
+    return float(np.add.reduce(walk.measure * inner))
 
 
 def tail_probability(walk: WalkSpec, table: PathTable, x: float) -> float:

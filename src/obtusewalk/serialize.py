@@ -148,12 +148,16 @@ def chaos_to_json(coeffs: ChaosCoefficients) -> dict:
     }
 
 
-def chaos_from_json(obj: dict) -> ChaosCoefficients:
+def chaos_from_json(obj: dict, cap: int = DEFAULT_CAP) -> ChaosCoefficients:
+    """Load coefficients; their path space must fit the cap, which bounds every order read."""
     d = int(obj["d"])
     N = int(obj["N"])
+    PathSpace(d, N, cap)
     kernels = []
     for r in range(1, N + 2):
         raw = obj.get("kernels", {}).get(str(r))
+        if raw and int(raw["order"]) != r:  # checked before any d^order tensor is built
+            raise ValueError(f"kernel {r} declares order {raw['order']}")
         kernels.append(kernel_from_json(raw, d) if raw else Kernel.zero(r, d))
     return ChaosCoefficients(d=d, N=N, mean=float(obj["mean"]), kernels=tuple(kernels))
 
@@ -207,18 +211,20 @@ def process_to_json(process: VectorProcess) -> dict:
 def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
     d = int(obj["d"])
     N = int(obj["N"])
-    rates_raw = obj.get("r", 0.0)
-    if isinstance(rates_raw, (int, float)):
-        rates = np.full(N + 1, float(rates_raw))
-    else:
-        rates = np.asarray(rates_raw, dtype=float)
-    scenarios = np.empty((N + 1, d + 1, d, d))
     raw_steps = obj["scenarios"]
     if len(raw_steps) != N + 1:
         raise ValueError(f"market declares N={N} but has {len(raw_steps)} scenario steps")
     for k, step in enumerate(raw_steps):
         if len(step) != d + 1:
             raise ValueError(f"step {k}: expected {d + 1} scenarios, got {len(step)}")
+    # lengths first, so that no array is sized by a bare d or N alone
+    rates_raw = obj.get("r", 0.0)
+    if isinstance(rates_raw, (int, float)):
+        rates = np.full(N + 1, float(rates_raw))
+    else:
+        rates = np.asarray(rates_raw, dtype=float)
+    scenarios = np.empty((N + 1, d + 1, d, d))
+    for k, step in enumerate(raw_steps):
         for i, scen in enumerate(step):
             if "lambda" in scen:
                 lam = np.asarray(scen["lambda"], dtype=float)

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeCapError
 from .omega import DEFAULT_CAP, PathSpace, PathTable
 
 
@@ -37,6 +36,8 @@ class StepLaw:
             raise ValueError(
                 f"outcome matrix has shape {v.shape}, expected ({len(p)}, {len(p) - 1})"
             )
+        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))):
+            raise ValueError("step law needs finite probabilities and outcome vectors")
         p.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -53,6 +54,13 @@ class StepLaw:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """(d+1, d+1) matrix [1 | v]: the constant and Y^1..Y^d, orthonormal under p if obtuse."""
+        out = np.hstack([np.ones((self.d + 1, 1)), self.v])
+        out.setflags(write=False)
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class WalkSpec:
@@ -62,6 +70,7 @@ class WalkSpec:
     N: int
     steps: tuple[StepLaw, ...]
     cap: int = field(default=DEFAULT_CAP, compare=False, repr=False)
+    space: PathSpace = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.steps) != self.N + 1:
@@ -70,15 +79,8 @@ class WalkSpec:
             if step.d != self.d:
                 raise ValueError(f"step {n} has dimension {step.d}, expected {self.d}")
         object.__setattr__(self, "steps", tuple(self.steps))
-        count = (self.d + 1) ** (self.N + 1)
-        if count > self.cap:
-            raise SizeCapError(
-                f"path space would need {count} entries, above the cap of {self.cap}"
-            )
-
-    @cached_property
-    def space(self) -> PathSpace:
-        return PathSpace(self.d, self.N, self.cap)
+        # the path space enforces the enumeration cap
+        object.__setattr__(self, "space", PathSpace(self.d, self.N, self.cap))
 
     @cached_property
     def measure(self) -> np.ndarray:
@@ -129,12 +131,14 @@ class StructureTensor:
         object.__setattr__(self, "phi", phi)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate(walk: WalkSpec, tol: float = 1e-10) -> ValidationReport:
     """Check the centering and covariance identities at every step.
 
     Structural defects (non-positive probabilities, probability sums away
     from one) fail the report outright; otherwise the report carries the
     worst residual of each identity and passes iff both stay within tol.
+    A residual that overflows reads inf or NaN and counts as the worst.
     """
     errors: list[str] = []
     for n, step in enumerate(walk.steps):
@@ -151,12 +155,12 @@ def validate(walk: WalkSpec, tol: float = 1e-10) -> ValidationReport:
     for n, step in enumerate(walk.steps):
         mean_res = np.abs(step.c.sum(axis=0))  # (d,)
         j = int(np.argmax(mean_res))
-        if mean_res[j] >= max_mean:
+        if not mean_res[j] < max_mean:
             max_mean = float(mean_res[j])
             worst_mean = (n, j + 1)
         moment_res = np.abs(step.c.T @ step.v - np.eye(walk.d))  # (d, d)
         jl = np.unravel_index(int(np.argmax(moment_res)), moment_res.shape)
-        if moment_res[jl] >= max_moment:
+        if not moment_res[jl] < max_moment:
             max_moment = float(moment_res[jl])
             worst_moment = (n, jl[0] + 1, jl[1] + 1)
 

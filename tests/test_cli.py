@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import obtusewalk
 from obtusewalk import price_claim, find_emm
@@ -299,6 +301,99 @@ class TestLoaderErrors:
         assert captured.err == f"error: {message}\n"
 
 
+#: one command per input loader, with the input file as "{file}"
+LOADER_COMMANDS = {
+    "walk": ["walk", "validate", "{file}"],
+    "market": ["market", "emm", "{file}"],
+    "table": ["gradient", f"{FIX}/bernoulli.json", "--table", "{file}"],
+    "process": ["divergence", f"{FIX}/bernoulli.json", "--process", "{file}"],
+    "chaos": ["chaos", "reconstruct", f"{FIX}/bernoulli.json", "--coeffs", "{file}"],
+}
+
+
+def _run_on_file(loader, content, tmp_path, capsys):
+    bad = tmp_path / "input.json"
+    bad.write_text(content)
+    code = main([arg.replace("{file}", str(bad)) for arg in LOADER_COMMANDS[loader]])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, bad
+
+
+@pytest.mark.parametrize(
+    "loader, content",
+    [
+        ("walk", "[1]"),
+        ("walk", '{"d": 1, "N": 1, "steps": 5}'),
+        ("market", '{"d": 1, "N": 0, "S0": [100.0], "scenarios": 3}'),
+        ("table", '{"a": 1}'),
+        ("process", '{"values": {"a": 1}}'),
+        ("chaos", "[1, 2, 3, 4]"),
+    ],
+)
+def test_wrong_shape_is_one_error_line(capsys, tmp_path, loader, content):
+    code, out, err, bad = _run_on_file(loader, content, tmp_path, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line outside pytest
+@pytest.mark.parametrize(
+    "loader, content",
+    [
+        ("walk", '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[NaN], [-1.0]]}]}'),
+        ("walk", '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[1e308], [-1e308]]}]}'),
+        ("walk", '{"d": 1e400, "N": 0, "steps": []}'),
+        ("market", '{"d": 1, "N": 0, "S0": [NaN], "scenarios": [[{"lambda": [0.1]}, {"lambda": [-0.1]}]]}'),
+        ("table", "[1, 2, 3, 1" + "0" * 400 + "]"),
+        ("chaos", '{"d": 1, "N": 100000000000, "mean": 0}'),
+        ("chaos", '{"d": 1, "N": 1, "mean": 0, "kernels": []}'),
+        (
+            "chaos",
+            '{"d": 2, "N": 1, "mean": 0, "kernels": {"1": {"order": 40, "entries": '
+            f'[{{"times": {list(range(40))}, "coords": {[1] * 40}, "value": 1}}]}}}}}}',
+        ),
+    ],
+)
+def test_numeric_trouble_is_one_error_line(capsys, tmp_path, loader, content):
+    code, out, err, _ = _run_on_file(loader, content, tmp_path, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: JSON values whose objects mostly use the loaders' own field names
+_JSON_FIELDS = st.sampled_from(
+    ["d", "N", "steps", "p", "v", "S0", "r", "scenarios", "lambda", "M",
+     "values", "mean", "kernels", "order", "entries", "times", "coords", "value", "1", "2"]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_FIELDS | st.text(max_size=2), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line outside pytest
+@pytest.mark.parametrize("loader", sorted(LOADER_COMMANDS))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=_JSON_VALUES)
+def test_fuzzed_input_never_ends_in_a_traceback(capsys, tmp_path, loader, value):
+    """Any JSON value exits 0, 1 or 2 with at most one stderr line.
+
+    A random value is sometimes a valid input (a table of four numbers) or
+    a walk that fails validation, which reports on stdout; a rejected input
+    prints nothing but its one error line.
+    """
+    code, out, err, _ = _run_on_file(loader, json.dumps(value), tmp_path, capsys)
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1
+    if code != 0 and not out:
+        assert err.startswith("error: ") and err.endswith("\n")
+
+
 def _in_process(argv, env, capsys, monkeypatch):
     monkeypatch.delenv("OBTUSE_CAP", raising=False)
     for key, value in env.items():
@@ -337,3 +432,19 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
     seen = [_in_process(argv, env, capsys, monkeypatch) for argv, env in runs]
     assert [code for code, _, _ in seen] == [0, 2, 0, 1, 2, 0, 0, 0]
     assert seen == [_fresh_process(argv, env) for argv, env in runs]
+
+
+def test_output_is_independent_of_the_blas_thread_count(rng, tmp_path):
+    """The per-axis contractions give the same bytes on one and two BLAS threads."""
+    probs = rng.uniform(0.2, 1.0, size=(7, 4))
+    walk = tmp_path / "walk.json"
+    walk.write_text(json.dumps({"d": 3, "N": 6, "steps": [{"p": (p / p.sum()).tolist()} for p in probs]}))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(rng.uniform(-1.0, 1.0, size=4**7).tolist()))
+    for argv in (
+        ["chaos", "decompose", str(walk), "--table", str(table)],
+        ["ou", str(walk), "--table", str(table), "--t", "0.3", "--method", "kernel"],
+    ):
+        runs = [_fresh_process(argv, {"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs[0] == runs[1]

@@ -19,7 +19,7 @@ from obtusewalk import (
     price_claim,
     verify_strategy,
 )
-from obtusewalk.market import HedgeFormulaError, strategy_values
+from obtusewalk.market import HedgeFormulaError, MarketModelError, strategy_values
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2
 
@@ -88,6 +88,14 @@ class TestBuildPrices:
     def test_negative_growth_rejected(self):
         with pytest.raises(Exception):
             crr_market(100.0, 0.1, -1.5, 0.0, 1)
+
+    @pytest.mark.parametrize("field", ["s_init", "rates", "scenarios"])
+    def test_non_finite_model_rejected(self, field):
+        market = crr1()
+        parts = {"s_init": market.s_init, "rates": market.rates, "scenarios": market.scenarios}
+        parts[field] = np.where(parts[field] == parts[field].flat[0], np.nan, parts[field])
+        with pytest.raises(MarketModelError, match="finite"):
+            MarketSpec(d=market.d, N=market.N, **parts)
 
 
 class TestFindEMM:

@@ -40,6 +40,11 @@ class TestEnumeration:
         with pytest.raises(SizeCapError, match="1024"):
             enumerate_paths(1, 9, cap=1000)
 
+    def test_cap_check_never_builds_a_huge_count(self):
+        # (d+1)^(N+1) here has about 3e11 digits; the check stops at 2^11
+        with pytest.raises(SizeCapError, match="at least 2048 entries"):
+            PathSpace(1, 10**12, cap=1000)
+
     def test_index_round_trip(self):
         space = PathSpace(2, 2)
         for idx, path in enumerate(enumerate_paths(2, 2)):

@@ -1,4 +1,6 @@
 """Walk validation, canonical construction, and structure identities."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,18 @@ class TestValidate:
         report = validate(biased(2))
         assert report.worst_mean is not None
         assert report.worst_moment is not None
+
+    def test_non_finite_step_is_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            StepLaw(np.array([0.5, 0.5]), np.array([[np.nan], [-1.0]]))
+
+    def test_overflowing_residual_fails_quietly(self):
+        step = StepLaw(np.array([0.5, 0.5]), np.array([[1e308], [-1e308]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate(WalkSpec(d=1, N=0, steps=(step,)))
+        assert not report.passed
+        assert report.max_moment_residual == np.inf
 
 
 class TestConstructObtuse:
