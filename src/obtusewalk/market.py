@@ -22,6 +22,14 @@ atom in canonical order decides the error: a node's first occurrence is
 its earliest atom. A step whose systems are all distinct gains nothing and
 pays one extra sort, about a quarter of the cost of its condition numbers.
 The one-atom-at-a-time loop survives only as the test suite's oracle.
+
+Every adapted quantity is computed on the atoms of the filtration, one row
+per atom: an atom of F_n is a contiguous block of atom_size(n) paths, and
+its d+1 sub-atoms of F_{n+1} follow it scenario by scenario. Both hedges
+read the claim only through its conditional means on the atoms of F_n
+(`omega.atom_means`); neither builds the path-wise gradient. Strategies
+keep their path-indexed form, repeated out from the atoms, and
+`verify_strategy` evaluates the identities once per atom of F_n.
 """
 from __future__ import annotations
 
@@ -30,16 +38,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ObtuseWalkError
+from .errors import ObtuseWalkError, SizeCapError
 from .integrals import VectorProcess
-from .malliavin import gradient
 from .omega import (
     DEFAULT_CAP,
     PathSpace,
     PathTable,
     _frozen_float,
-    atom_average,
     atom_deviation,
+    atom_means,
     expectation,
 )
 from .walk import WalkSpec, construct_obtuse
@@ -67,6 +74,15 @@ class HedgeFormulaError(MarketModelError):
     """The closed-form hedge's assumptions fail; use hedge_replicate instead."""
 
 
+def _check_market_size(d: int, N: int, cap: int) -> None:
+    """Refuse a market whose (N+1, d+1, d, d) scenario array would exceed the cap."""
+    entries = (N + 1) * (d + 1) * d * d
+    if entries > cap:
+        raise SizeCapError(
+            f"market scenarios would need {entries} entries, above the cap of {cap}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class MarketSpec:
     """d risky assets over trading times 0..N plus a deterministic bond."""
@@ -79,6 +95,7 @@ class MarketSpec:
     cap: int = field(default=DEFAULT_CAP, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        _check_market_size(self.d, self.N, self.cap)
         s_init = np.array(self.s_init, dtype=float)
         rates = np.array(self.rates, dtype=float)
         scenarios = np.array(self.scenarios, dtype=float)
@@ -284,20 +301,6 @@ def price_claim(market: MarketSpec, emm: EMM, claim: PathTable) -> float:
     return expectation(wq, claim) / float(market.bond[market.N])
 
 
-def _value_tables(
-    market: MarketSpec, wq: WalkSpec, claim: PathTable
-) -> tuple[np.ndarray, float]:
-    """Replication values V_n = B_n / B_N E_Q[F | F_n] and the initial V_{-1}."""
-    bond = market.bond
-    values = np.empty((market.N + 1, market.space.num_paths))
-    for n in range(market.N + 1):
-        values[n] = (
-            float(bond[n]) / float(bond[market.N])
-        ) * atom_average(wq, claim.values, n)
-    v_init = expectation(wq, claim) / float(bond[market.N])
-    return values, v_init
-
-
 def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
     """Backward atom-wise replication of the claim.
 
@@ -310,53 +313,34 @@ def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
     space = market.space
     wq = emm_walk(market, emm)
     prices = market.prices.values
-    values, v_init = _value_tables(market, wq, claim)
+    bond = market.bond
 
     beta = np.empty((market.N + 1, space.num_paths))
     gamma = np.empty((market.N + 1, space.num_paths, market.d))
     for n in range(market.N, -1, -1):
-        block = space.atom_size(n - 1)
-        # row i of atom a is the path that follows the atom with scenario i
-        rows = (
-            np.arange(space.atom_count(n - 1))[:, None] * block
-            + np.arange(market.d + 1) * space.atom_size(n)
-        )
-        mats = np.empty(rows.shape + (market.d + 1,))
-        mats[:, :, 0] = market.bond[n]
-        mats[:, :, 1:] = prices[n][rows]
+        # row i of atom a of F_{n-1} is atom a*(d+1)+i of F_n: a followed by scenario i
+        shape = (space.atom_count(n - 1), market.d + 1)
+        mats = np.empty(shape + (market.d + 1,))
+        mats[:, :, 0] = bond[n]
+        mats[:, :, 1:] = prices[n][:: space.atom_size(n)].reshape(*shape, market.d)
         if _leading_regular(mats) < len(mats):
             raise IncompleteMarketError(
                 f"incomplete market: replication system at step {n} is singular"
             )
-        sol = np.linalg.solve(mats, values[n][rows][..., None])[..., 0]
+        # replication values V_n = B_n / B_N E_Q[F | F_n] on the atoms of F_n
+        values = (float(bond[n]) / float(bond[market.N])) * atom_means(wq, claim.values, n)
+        sol = np.linalg.solve(mats, values.reshape(shape)[..., None])[..., 0]
+        block = space.atom_size(n - 1)
         beta[n] = np.repeat(sol[:, 0], block)
         gamma[n] = np.repeat(sol[:, 1:], block, axis=0)
+    v_init = expectation(wq, claim) / float(bond[market.N])
     beta.setflags(write=False)
     gamma.setflags(write=False)
     return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
 
 
-def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
-    """Closed-form hedge from the predictable representation of the claim.
-
-    Restricted to diagonal scenario models with a uniform rate. The share
-    count is the conditioned gradient of the claim under the risk-neutral
-    walk, scaled by the predictable ratio of the walk increment to the
-    excess price move; the ratio must be scenario-independent.
-    """
-    if claim.space != market.space:
-        raise ValueError("claim is not defined on the market's path space")
-    if not market.diagonal:
-        raise HedgeFormulaError(
-            "closed-form hedge needs diagonal scenario matrices; use hedge_replicate"
-        )
-    rate = market.uniform_rate()
-    space = market.space
-    wq = emm_walk(market, emm)
-    prices = market.prices.values
-    grad = gradient(wq, claim)
-
-    # per step and asset: v_i^j must be proportional to (lambda^{j,i} - r)
+def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
+    """(N+1, d) ratios v_i^j / (lambda^{j,i} - r), which must not depend on i."""
     lam = market.lambdas  # (N+1, d+1, d)
     ratio_const = np.empty((market.N + 1, market.d))
     for n in range(market.N + 1):
@@ -374,23 +358,55 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
                 )
             i_star = int(np.argmax(np.abs(excess)))
             ratio_const[n, j] = v[i_star, j] / excess[i_star]
+    return ratio_const
+
+
+def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
+    """Closed-form hedge from the predictable representation of the claim.
+
+    Restricted to diagonal scenario models with a uniform rate. The share
+    count is xi_n = E[D_n F | F_{n-1}] under the risk-neutral walk, scaled by
+    the predictable ratio of the walk increment to the excess price move; the
+    ratio must be scenario-independent. On an atom of F_{n-1}, xi_n is the
+    (d+1)-term sum  sum_i c_i(n) E[F | atom, w_n = i]  over its F_n atoms.
+    """
+    if claim.space != market.space:
+        raise ValueError("claim is not defined on the market's path space")
+    if not market.diagonal:
+        raise HedgeFormulaError(
+            "closed-form hedge needs diagonal scenario matrices; use hedge_replicate"
+        )
+    rate = market.uniform_rate()
+    space = market.space
+    wq = emm_walk(market, emm)
+    prices = market.prices.values
+    ratio_const = _hedge_ratios(market, wq, rate)
 
     beta = np.empty((market.N + 1, space.num_paths))
     gamma = np.empty((market.N + 1, space.num_paths, market.d))
     for n in range(market.N + 1):
-        xi = atom_average(wq, grad.values[n], n - 1)  # (P, d)
-        gamma[n] = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / _prev_prices(market, n)
-        cond = atom_average(wq, claim.values, n)
+        block = space.atom_size(n - 1)
+        cond = atom_means(wq, claim.values, n)  # E_Q[F | F_n], one entry per atom
+        xi = cond.reshape(-1, market.d + 1) @ wq.steps[n].c  # (atoms of F_{n-1}, d)
+        gam = (
+            (1.0 + rate) ** (n - market.N) * xi * ratio_const[n]
+            / _prev_prices(market, n)[::block]
+        )
         raw_beta = (1.0 + rate) ** (-market.N - 1) * cond - (1.0 + rate) ** (
             -n - 1
-        ) * np.einsum("pj,pj->p", gamma[n], prices[n])
-        beta[n] = atom_average(wq, raw_beta, n - 1)
-        defect = float(np.max(np.abs(raw_beta - beta[n])))
-        if defect > 1e-6 * max(1.0, float(np.max(np.abs(beta[n])))):
+        ) * np.einsum(
+            "aj,aj->a", np.repeat(gam, market.d + 1, axis=0), prices[n][:: space.atom_size(n)]
+        )
+        raw_beta = raw_beta.reshape(-1, market.d + 1)
+        bet = (raw_beta * wq.steps[n].p).sum(axis=1)  # E_Q[raw | F_{n-1}]
+        defect = float(np.max(np.abs(raw_beta - bet[:, None])))
+        if defect > 1e-6 * max(1.0, float(np.max(np.abs(bet)))):
             raise HedgeFormulaError(
                 f"bond position at step {n} is not predictable (defect {defect:.3e}); "
                 "use hedge_replicate"
             )
+        beta[n] = np.repeat(bet, block)
+        gamma[n] = np.repeat(gam, block, axis=0)
     v_init = expectation(wq, claim) / float(market.bond[market.N])
     beta.setflags(write=False)
     gamma.setflags(write=False)
@@ -441,81 +457,78 @@ def verify_strategy(
 ) -> StrategyReport:
     """Check predictability, self-financing, value identities and replication.
 
-    All checks are reported as max residuals; the telescoping, discounted
-    increment, and (for diagonal uniform-rate models) value-decomposition
-    identities are evaluated pathwise from the raw strategy arrays.
+    All checks are reported as max residuals. Predictability is measured on
+    every path. The self-financing, telescoping, discounted increment and
+    (for diagonal uniform-rate models) value-decomposition identities and
+    replication involve only F_n-measurable quantities at time n once the
+    strategy is predictable, so they are evaluated once per atom of F_n, at
+    its first path; running sums over F_{n-1} are repeated to its d+1
+    sub-atoms. On an exactly predictable strategy, such as either hedge
+    here, every residual is bit-identical to its maximum over all paths. On
+    any other strategy the predictability residual already fails the check.
+    Prices come from the market, so the check stays independent of the hedge.
     """
     if strategy.space != market.space or claim.space != market.space:
         raise ValueError("strategy and claim must live on the market's path space")
     space = market.space
     prices, bond = market.prices.values, market.bond
-    values, v_init = strategy_values(market, strategy)
+    d = market.d
 
     predict = 0.0
     for n in range(market.N + 1):
         predict = max(predict, atom_deviation(strategy.beta[n], space, n - 1))
         predict = max(predict, atom_deviation(strategy.gamma[n], space, n - 1))
 
-    # self-financing at n = -1..N-1: rebalancing at time n conserves value
-    self_fin = 0.0
-    beta_prev = np.full(space.num_paths, strategy.beta_init)
-    gamma_prev = np.broadcast_to(strategy.gamma_init, (space.num_paths, market.d))
-    bond_prev = 1.0
+    decomposable = market.diagonal and bool(np.all(market.rates == market.rates[0]))
+    rate = float(market.rates[0])
+    v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
+    self_fin = telescoping = discounted = 0.0
+    decomposition = 0.0 if decomposable else None
+    # running sums on the atoms of F_{n-1}; F_{-1} has one atom
+    gains = np.array([v_init])
+    disc_prev = np.array([v_init])
+    acc = np.zeros(1)
     for n in range(market.N + 1):
-        res = bond_prev * (strategy.beta[n] - beta_prev) + np.einsum(
-            "pj,pj->p", _prev_prices(market, n), strategy.gamma[n] - gamma_prev
-        )
+        first = space.atom_size(n)  # path stride between the first paths of F_n atoms
+        beta, gamma = strategy.beta[n][::first], strategy.gamma[n][::first]
+        s_now, s_prev = prices[n][::first], _prev_prices(market, n)[::first]
+        if n == 0:
+            beta_prev = np.full(len(beta), strategy.beta_init)
+            gamma_prev = np.broadcast_to(strategy.gamma_init, gamma.shape)
+            bond_prev = 1.0
+        else:
+            beta_prev, gamma_prev = strategy.beta[n - 1][::first], strategy.gamma[n - 1][::first]
+            bond_prev = float(bond[n - 1])
+        values = beta * bond[n] + np.einsum("aj,aj->a", gamma, s_now)
+
+        # self-financing at n-1: rebalancing conserves value
+        res = bond_prev * (beta - beta_prev) + np.einsum("aj,aj->a", s_prev, gamma - gamma_prev)
         self_fin = max(self_fin, float(np.max(np.abs(res))))
-        beta_prev = strategy.beta[n]
-        gamma_prev = strategy.gamma[n]
-        bond_prev = float(bond[n])
 
-    # telescoping: V_n = V_{-1} + sum_{k<=n} beta_k dB + <gamma_k, dS>
-    telescoping = 0.0
-    gains = np.full(space.num_paths, v_init)
-    for n in range(market.N + 1):
-        b_prev = 1.0 if n == 0 else float(bond[n - 1])
-        gains = gains + strategy.beta[n] * (float(bond[n]) - b_prev) + np.einsum(
-            "pj,pj->p", strategy.gamma[n], prices[n] - _prev_prices(market, n)
+        # telescoping: V_n = V_{-1} + sum_{k<=n} beta_k dB + <gamma_k, dS>
+        gains = np.repeat(gains, d + 1) + beta * (float(bond[n]) - bond_prev) + np.einsum(
+            "aj,aj->a", gamma, s_now - s_prev
         )
-        telescoping = max(telescoping, float(np.max(np.abs(values[n] - gains))))
+        telescoping = max(telescoping, float(np.max(np.abs(values - gains))))
 
-    # discounted increments: dV~_n = <gamma_{n+1}, dS~_n> for n = -1..N-1
-    discounted = 0.0
-    disc_prev = v_init
-    s_bar_prev = np.broadcast_to(market.s_init, (space.num_paths, market.d))
-    for n in range(market.N + 1):
-        disc_val = values[n] / float(bond[n])
-        s_bar = prices[n] / float(bond[n])
-        res = disc_val - disc_prev - np.einsum(
-            "pj,pj->p", strategy.gamma[n], s_bar - s_bar_prev
+        # discounted increments: dV~_n = <gamma_n, dS~_n>
+        disc_val = values / float(bond[n])
+        res = disc_val - np.repeat(disc_prev, d + 1) - np.einsum(
+            "aj,aj->a", gamma, s_now / float(bond[n]) - s_prev / bond_prev
         )
         discounted = max(discounted, float(np.max(np.abs(res))))
         disc_prev = disc_val
-        s_bar_prev = s_bar
 
-    decomposition: float | None = None
-    if market.diagonal and np.all(market.rates == market.rates[0]):
-        rate = float(market.rates[0])
-        lam = market.lambdas  # (N+1, d+1, d)
-        decomposition = 0.0
-        acc = np.zeros(space.num_paths)
-        for n in range(market.N + 1):
-            # scenario of step n along each path: blocks of atom_size(n) paths
-            # cycling through the d+1 scenarios
-            excess = np.tile(
-                np.repeat(lam[n] - rate, space.atom_size(n), axis=0),
-                (space.atom_count(n - 1), 1),
-            )  # (P, d)
-            acc = (1.0 + rate) * acc + np.einsum(
-                "pj,pj->p", excess * strategy.gamma[n], _prev_prices(market, n)
+        if decomposable:
+            # atom a*(d+1)+i of F_n took scenario i at step n
+            excess = np.tile(market.lambdas[n] - rate, (space.atom_count(n - 1), 1))
+            acc = (1.0 + rate) * np.repeat(acc, d + 1) + np.einsum(
+                "aj,aj->a", excess * gamma, s_prev
             )
             expected = (1.0 + rate) ** (n + 1) * v_init + acc
-            decomposition = max(
-                decomposition, float(np.max(np.abs(values[n] - expected)))
-            )
+            decomposition = max(decomposition, float(np.max(np.abs(values - expected))))
 
-    replication = float(np.max(np.abs(values[market.N] - claim.values)))
+    replication = float(np.max(np.abs(values - claim.values)))  # F_N atoms are paths
     return StrategyReport(
         predictability=predict,
         self_financing=self_fin,

@@ -218,25 +218,29 @@ def expectation(walk: "WalkSpec", table: PathTable) -> float:
     return float(np.add.reduce(walk.measure * table.values))
 
 
-def atom_average(walk: "WalkSpec", values: np.ndarray, n: int) -> np.ndarray:
-    """Probability-weighted average over F_n-atoms, broadcast back to paths.
+def atom_means(walk: "WalkSpec", values: np.ndarray, n: int) -> np.ndarray:
+    """Probability-weighted mean of the values on each F_n-atom, one row per atom.
 
-    Works on arrays of shape (num_paths, ...); averaging is applied along
-    the path axis within each contiguous atom block.
+    Works on arrays of shape (num_paths, ...); row a averages the contiguous
+    block of paths of atom a. At n = N every path is an atom and the values
+    are returned unchanged.
     """
     space = walk.space
     if not -1 <= n <= space.N:
         raise ValueError(f"conditioning time {n} outside [-1, {space.N}]")
     if n == space.N:
-        return np.array(values, dtype=float)
+        return np.asarray(values, dtype=float)
     atoms = space.atom_count(n)
-    block = space.atom_size(n)
     trailing = values.shape[1:]
-    w = walk.measure.reshape(atoms, block, *(1,) * len(trailing))
-    v = values.reshape(atoms, block, *trailing)
-    means = (w * v).sum(axis=1) / w.sum(axis=1)
-    out = np.repeat(means, block, axis=0)
-    return out.reshape(values.shape)
+    w = walk.measure.reshape(atoms, -1, *(1,) * len(trailing))
+    v = values.reshape(atoms, -1, *trailing)
+    return (w * v).sum(axis=1) / w.sum(axis=1)
+
+
+def atom_average(walk: "WalkSpec", values: np.ndarray, n: int) -> np.ndarray:
+    """Probability-weighted average over F_n-atoms, broadcast back to paths."""
+    means = atom_means(walk, values, n)
+    return np.repeat(means, walk.space.atom_size(n), axis=0)
 
 
 def conditional_expectation(walk: "WalkSpec", table: PathTable, n: int) -> PathTable:

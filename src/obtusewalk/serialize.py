@@ -15,7 +15,7 @@ import numpy as np
 
 from .chaos import ChaosCoefficients
 from .integrals import Kernel, VectorProcess, symmetrize
-from .market import MarketSpec, Strategy, strategy_values
+from .market import MarketSpec, Strategy, _check_market_size
 from .omega import DEFAULT_CAP, PathSpace, PathTable
 from .walk import StepLaw, WalkSpec, canonical_step
 
@@ -217,7 +217,8 @@ def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
     for k, step in enumerate(raw_steps):
         if len(step) != d + 1:
             raise ValueError(f"step {k}: expected {d + 1} scenarios, got {len(step)}")
-    # lengths first, so that no array is sized by a bare d or N alone
+    # lengths and size first, so that no array is sized by a bare d or N alone
+    _check_market_size(d, N, cap)
     rates_raw = obj.get("r", 0.0)
     if isinstance(rates_raw, (int, float)):
         rates = np.full(N + 1, float(rates_raw))
@@ -263,7 +264,7 @@ def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     """
     space = market.space
     prices = market.prices.values
-    _, v_init = strategy_values(market, strategy)
+    v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
     header = "time,atom,beta," + ",".join(
         f"gamma_{j}" for j in range(1, market.d + 1)
     ) + ",V"

@@ -5,19 +5,29 @@ loops that `find_emm` and `hedge_replicate` replace with per-node and
 batched work. They check and solve every atom separately, in canonical
 order, so the first failing atom raises. `oracle_prices` and `oracle_measure` build
 the price and probability tables path by path from the outcome matrix,
-where the library builds them prefix by prefix. Tests compare the engine
-against them byte for byte.
+where the library builds them prefix by prefix. `oracle_hedge_clark_ocone`
+takes the path-wise gradient of the claim and averages it back onto atoms,
+and `oracle_verify_strategy` checks every identity on every path at every
+step; the library works on the atoms of the filtration instead. Tests
+compare the engine against them byte for byte, or within rounding for the
+closed-form hedge.
 """
 import numpy as np
 
 from obtusewalk import EMM, MarketSpec, PathTable, Strategy, WalkSpec, emm_walk
+from obtusewalk.malliavin import gradient
 from obtusewalk.market import (
     _COND_LIMIT,
     ArbitrageError,
+    HedgeFormulaError,
     IncompleteMarketError,
     StateDependentMeasureError,
+    StrategyReport,
+    _hedge_ratios,
+    _prev_prices,
+    strategy_values,
 )
-from obtusewalk.omega import atom_average, expectation
+from obtusewalk.omega import atom_average, atom_deviation, expectation
 
 
 def oracle_prices(market: MarketSpec) -> np.ndarray:
@@ -110,3 +120,125 @@ def oracle_hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> St
             beta[n][start : start + block] = sol[0]
             gamma[n][start : start + block] = sol[1:]
     return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+
+
+def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
+    """Closed-form hedge from the path-wise gradient, conditioned path by path."""
+    if claim.space != market.space:
+        raise ValueError("claim is not defined on the market's path space")
+    if not market.diagonal:
+        raise HedgeFormulaError(
+            "closed-form hedge needs diagonal scenario matrices; use hedge_replicate"
+        )
+    rate = market.uniform_rate()
+    space = market.space
+    wq = emm_walk(market, emm)
+    prices = market.prices.values
+    ratio_const = _hedge_ratios(market, wq, rate)
+    grad = gradient(wq, claim)
+
+    beta = np.empty((market.N + 1, space.num_paths))
+    gamma = np.empty((market.N + 1, space.num_paths, market.d))
+    for n in range(market.N + 1):
+        xi = atom_average(wq, grad.values[n], n - 1)  # (P, d)
+        gamma[n] = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / _prev_prices(market, n)
+        cond = atom_average(wq, claim.values, n)
+        raw_beta = (1.0 + rate) ** (-market.N - 1) * cond - (1.0 + rate) ** (
+            -n - 1
+        ) * np.einsum("pj,pj->p", gamma[n], prices[n])
+        beta[n] = atom_average(wq, raw_beta, n - 1)
+        defect = float(np.max(np.abs(raw_beta - beta[n])))
+        if defect > 1e-6 * max(1.0, float(np.max(np.abs(beta[n])))):
+            raise HedgeFormulaError(
+                f"bond position at step {n} is not predictable (defect {defect:.3e}); "
+                "use hedge_replicate"
+            )
+    v_init = expectation(wq, claim) / float(market.bond[market.N])
+    return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+
+
+def oracle_verify_strategy(
+    market: MarketSpec, strategy: Strategy, claim: PathTable, tol: float = 1e-8
+) -> StrategyReport:
+    """Every strategy identity evaluated on every path at every step."""
+    if strategy.space != market.space or claim.space != market.space:
+        raise ValueError("strategy and claim must live on the market's path space")
+    space = market.space
+    prices, bond = market.prices.values, market.bond
+    values, v_init = strategy_values(market, strategy)
+
+    predict = 0.0
+    for n in range(market.N + 1):
+        predict = max(predict, atom_deviation(strategy.beta[n], space, n - 1))
+        predict = max(predict, atom_deviation(strategy.gamma[n], space, n - 1))
+
+    # self-financing at n = -1..N-1: rebalancing at time n conserves value
+    self_fin = 0.0
+    beta_prev = np.full(space.num_paths, strategy.beta_init)
+    gamma_prev = np.broadcast_to(strategy.gamma_init, (space.num_paths, market.d))
+    bond_prev = 1.0
+    for n in range(market.N + 1):
+        res = bond_prev * (strategy.beta[n] - beta_prev) + np.einsum(
+            "pj,pj->p", _prev_prices(market, n), strategy.gamma[n] - gamma_prev
+        )
+        self_fin = max(self_fin, float(np.max(np.abs(res))))
+        beta_prev = strategy.beta[n]
+        gamma_prev = strategy.gamma[n]
+        bond_prev = float(bond[n])
+
+    # telescoping: V_n = V_{-1} + sum_{k<=n} beta_k dB + <gamma_k, dS>
+    telescoping = 0.0
+    gains = np.full(space.num_paths, v_init)
+    for n in range(market.N + 1):
+        b_prev = 1.0 if n == 0 else float(bond[n - 1])
+        gains = gains + strategy.beta[n] * (float(bond[n]) - b_prev) + np.einsum(
+            "pj,pj->p", strategy.gamma[n], prices[n] - _prev_prices(market, n)
+        )
+        telescoping = max(telescoping, float(np.max(np.abs(values[n] - gains))))
+
+    # discounted increments: dV~_n = <gamma_{n+1}, dS~_n> for n = -1..N-1
+    discounted = 0.0
+    disc_prev = v_init
+    s_bar_prev = np.broadcast_to(market.s_init, (space.num_paths, market.d))
+    for n in range(market.N + 1):
+        disc_val = values[n] / float(bond[n])
+        s_bar = prices[n] / float(bond[n])
+        res = disc_val - disc_prev - np.einsum(
+            "pj,pj->p", strategy.gamma[n], s_bar - s_bar_prev
+        )
+        discounted = max(discounted, float(np.max(np.abs(res))))
+        disc_prev = disc_val
+        s_bar_prev = s_bar
+
+    decomposition = None
+    if market.diagonal and np.all(market.rates == market.rates[0]):
+        rate = float(market.rates[0])
+        lam = market.lambdas  # (N+1, d+1, d)
+        decomposition = 0.0
+        acc = np.zeros(space.num_paths)
+        for n in range(market.N + 1):
+            # scenario of step n along each path: blocks of atom_size(n) paths
+            # cycling through the d+1 scenarios
+            excess = np.tile(
+                np.repeat(lam[n] - rate, space.atom_size(n), axis=0),
+                (space.atom_count(n - 1), 1),
+            )  # (P, d)
+            acc = (1.0 + rate) * acc + np.einsum(
+                "pj,pj->p", excess * strategy.gamma[n], _prev_prices(market, n)
+            )
+            expected = (1.0 + rate) ** (n + 1) * v_init + acc
+            decomposition = max(
+                decomposition, float(np.max(np.abs(values[n] - expected)))
+            )
+
+    replication = float(np.max(np.abs(values[market.N] - claim.values)))
+    return StrategyReport(
+        predictability=predict,
+        self_financing=self_fin,
+        telescoping=telescoping,
+        discounted_increment=discounted,
+        decomposition=decomposition,
+        replication=replication,
+        value_initial=v_init,
+        tol=tol,
+    )

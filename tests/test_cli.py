@@ -204,6 +204,20 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_market_size_checked_against_cap(self, capsys, tmp_path):
+        """The d^3 scenario array is refused before it is sized, though the 11 paths fit."""
+        big = tmp_path / "market.json"
+        big.write_text(
+            json.dumps({"d": 10, "N": 0, "S0": [100.0] * 10, "scenarios": [[{"M": 0}] * 11]})
+        )
+        code = main(["market", "emm", str(big), "--cap", "500"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: market scenarios would need 1100 entries, above the cap of 500\n"
+        )
+
     def test_cap_env_enforced(self, capsys, monkeypatch):
         monkeypatch.setenv("OBTUSE_CAP", "2")
         code, _ = run_cli(COMMANDS["walk-validate"], capsys)
@@ -235,7 +249,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {bad}: {message}\n"
 
 
 class TestLoaderErrors:
@@ -298,7 +312,31 @@ class TestLoaderErrors:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (
+                ["walk", "validate", "{file}"],
+                '{"d": "x", "N": 0, "steps": [{"p": [0.5, 0.5]}]}',
+                "invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                ["market", "emm", "{file}"],
+                '{"d": 1, "N": 0, "S0": [100.0], "scenarios": [[{"M": "x"}, {"lambda": [-0.1]}]]}',
+                "could not convert string to float: 'x'",
+            ),
+        ],
+    )
+    def test_bad_value_names_the_file(self, capsys, tmp_path, argv, content, message):
+        bad = tmp_path / "input.json"
+        bad.write_text(content)
+        code = main([arg.replace("{file}", str(bad)) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: {message}\n"
 
 
 #: one command per input loader, with the input file as "{file}"
@@ -435,15 +473,36 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
 
 
 def test_output_is_independent_of_the_blas_thread_count(rng, tmp_path):
-    """The per-axis contractions give the same bytes on one and two BLAS threads."""
+    """The per-axis and per-atom contractions give the same bytes on one and two BLAS threads."""
     probs = rng.uniform(0.2, 1.0, size=(7, 4))
     walk = tmp_path / "walk.json"
     walk.write_text(json.dumps({"d": 3, "N": 6, "steps": [{"p": (p / p.sum()).tolist()} for p in probs]}))
     table = tmp_path / "table.json"
     table.write_text(json.dumps(rng.uniform(-1.0, 1.0, size=4**7).tolist()))
+    crr = tmp_path / "crr12.json"
+    crr.write_text(json.dumps({
+        "d": 1, "N": 11, "S0": [100.0], "r": 0.01,
+        "scenarios": [[{"lambda": [0.09]}, {"lambda": [-0.07]}]] * 12,
+    }))
+    sq2 = 2.0 ** 0.5
+    basket = tmp_path / "basket7.json"
+    basket.write_text(json.dumps({
+        "d": 2, "N": 6, "S0": [100.0, 95.0], "r": 0.01,
+        "scenarios": [[
+            {"lambda": [0.01 + 0.05 * sq2, 0.01 + 0.04]},
+            {"lambda": [0.01 - 0.05 * sq2, 0.01 + 0.04]},
+            {"lambda": [0.01, 0.01 - 0.04]},
+        ]] * 7,
+    }))
+    hedges = [
+        [command, str(market), "--payoff", payoff, "--method", "clark-ocone"]
+        for command in ("hedge", "verify")
+        for market, payoff in ((crr, "max(S(1)-100,0)"), (basket, "max(0.5*(S(1)+S(2))-97,0)"))
+    ]
     for argv in (
         ["chaos", "decompose", str(walk), "--table", str(table)],
         ["ou", str(walk), "--table", str(table), "--t", "0.3", "--method", "kernel"],
+        *(["market", *args] for args in hedges),
     ):
         runs = [_fresh_process(argv, {"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]
         assert runs[0][0] == 0 and runs[0][1]

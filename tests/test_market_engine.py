@@ -12,6 +12,7 @@ from obtusewalk import (
     MarketSpec,
     PathSpace,
     PathTable,
+    SizeCapError,
     Strategy,
     VectorProcess,
     build_prices,
@@ -21,15 +22,19 @@ from obtusewalk import (
     hedge_clark_ocone,
     hedge_replicate,
     price_claim,
+    verify_strategy,
 )
+from obtusewalk import malliavin
 from obtusewalk import market as market_mod
 from obtusewalk.market import MarketModelError, StateDependentMeasureError, _distinct
 from helpers import SQ2, random_walk
 from market_oracle import (
     oracle_find_emm,
+    oracle_hedge_clark_ocone,
     oracle_hedge_replicate,
     oracle_measure,
     oracle_prices,
+    oracle_verify_strategy,
 )
 
 V = np.array([[SQ2, 1.0], [-SQ2, 1.0], [0.0, -1.0]])
@@ -116,6 +121,86 @@ class TestAgainstOracle:
         assert got.beta.tobytes() == want.beta.tobytes()
         assert got.gamma.tobytes() == want.gamma.tobytes()
         assert got.beta_init == want.beta_init
+
+    @given(markets())
+    @settings(max_examples=60, deadline=None)
+    def test_hedges_and_reports(self, drawn):
+        """Per-atom hedges and verifier against the path-wise oracles."""
+        market, rng = drawn
+        emm = _outcome(find_emm, market)
+        if isinstance(emm, tuple):
+            return
+        claim = PathTable(market.space, rng.standard_normal(market.space.num_paths))
+        price = price_claim(market, emm, claim)
+        replicated = hedge_replicate(market, emm, claim)
+        assert replicated.beta_init == price
+        want = _outcome(oracle_hedge_clark_ocone, market, emm, claim)
+        got = _outcome(hedge_clark_ocone, market, emm, claim)
+        strategies = [replicated]
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.beta_init == want.beta_init == price
+            for mine, theirs in ((got.beta, want.beta), (got.gamma, want.gamma)):
+                scale = max(1.0, float(np.max(np.abs(theirs))))
+                assert float(np.max(np.abs(mine - theirs))) <= 1e-12 * scale
+            strategies += [got, want]
+        for strategy in strategies:
+            report = verify_strategy(market, strategy, claim)
+            assert report == oracle_verify_strategy(market, strategy, claim)
+
+
+class TestPredictabilityOnPaths:
+    """The verifier reads the F_n identities at one path per atom, but predictability on all."""
+
+    @pytest.mark.parametrize("where", ["one path", "one sub-atom"])
+    @pytest.mark.parametrize("hedge", [hedge_replicate, hedge_clark_ocone])
+    def test_gamma_perturbed_inside_one_atom(self, where, hedge):
+        market = crr_market(100.0, 0.1, -0.08, 0.01, 6)
+        space = market.space
+        claim = PathTable(market.space, np.linspace(0.0, 1.0, space.num_paths) ** 2)
+        emm = find_emm(market)
+        strategy = hedge(market, emm, claim)
+        n = 3
+        start = 5 * space.atom_size(n - 1)  # atom 5 of F_{n-1}
+        # a path that is not the first of an F_n atom, or the whole last sub-atom
+        rows = (
+            slice(start + 1, start + 2)
+            if where == "one path"
+            else slice(start + space.atom_size(n), start + space.atom_size(n - 1))
+        )
+        gamma = strategy.gamma.copy()
+        gamma[n, rows] += 1e-3
+        bent = Strategy(space, strategy.beta, gamma, strategy.beta_init, strategy.gamma_init)
+        report = verify_strategy(market, bent, claim)
+        assert report.predictability == pytest.approx(1e-3)
+        assert report.predictability > report.tol
+        assert not report.passed
+        assert report.predictability == oracle_verify_strategy(market, bent, claim).predictability
+
+
+class TestNoPathSurgery:
+    def test_hedges_and_verify_stay_on_atoms(self, monkeypatch):
+        """Neither hedge nor the verifier takes the path-wise gradient or path tables."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("path surgery reached")
+
+        monkeypatch.setattr(PathSpace, "mutated_indices", forbidden)
+        monkeypatch.setattr(malliavin, "gradient", forbidden)
+        for market in (
+            crr_market(100.0, 0.1, -0.08, 0.01, 8),
+            _stepwise_crr(np.random.default_rng(5), 0.01, 5),
+        ):
+            claim = PathTable(market.space, np.cos(np.arange(market.space.num_paths)))
+            emm = find_emm(market)
+            price_claim(market, emm, claim)
+            for hedge in (hedge_replicate, hedge_clark_ocone):
+                assert verify_strategy(market, hedge(market, emm, claim), claim).passed
+            walk = emm_walk(market, emm)
+            assert "increments" not in walk.__dict__
+            for space in (market.space, walk.space):
+                assert "outcomes" not in space.__dict__
 
 
 def _two_step(lams0, step1, s_init):
@@ -321,6 +406,16 @@ class TestRiskNeutralWalkOncePerEMM:
         emm = find_emm(crr_market(100.0, 0.1, -0.08, 0.01, 3))
         with pytest.raises(ValueError, match="EMM has shape"):
             emm_walk(crr_market(100.0, 0.1, -0.08, 0.01, 4), emm)
+
+
+class TestMarketSize:
+    def test_scenario_array_checked_against_cap(self):
+        # 2 * 3 * 2 * 2 = 24 scenario entries over 9 paths
+        scenarios = np.zeros((2, 3, 2, 2))
+        args = dict(d=2, N=1, s_init=np.ones(2), rates=np.zeros(2), scenarios=scenarios)
+        assert MarketSpec(**args, cap=24).space.num_paths == 9
+        with pytest.raises(SizeCapError, match="would need 24 entries, above the cap of 23"):
+            MarketSpec(**args, cap=23)
 
 
 class TestArrayOwnership:
