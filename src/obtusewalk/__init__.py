@@ -6,7 +6,14 @@ kernel, tail bounds, and complete-market hedging, all on an exhaustively
 enumerated path space so every identity can be checked against brute force.
 """
 
-from .chaos import ChaosCoefficients, decompose, parseval_energy, project_horizon, reconstruct
+from .chaos import (
+    ChaosCoefficients,
+    decompose,
+    multiple_integral,
+    parseval_energy,
+    project_horizon,
+    reconstruct,
+)
 from .errors import (
     MartingaleError,
     ObtuseWalkError,
@@ -18,7 +25,6 @@ from .integrals import (
     VectorProcess,
     integrate_predictable,
     monomial_kernel,
-    multiple_integral,
     symmetrize,
 )
 from .malliavin import (

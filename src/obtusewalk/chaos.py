@@ -3,56 +3,112 @@
 At finite horizon the monomials Y_{t_1}^{k_1}...Y_{t_r}^{k_r} over increasing
 time tuples form an orthonormal basis of the table space, so any table
 decomposes exactly into a mean plus multiple integrals of orders 1..N+1.
-The single place fixing the convention between basis coefficients and kernel
-components is decompose: stored component = E[F * monomial] / r!, so that the
-multiple integral's r! times the stored component reproduces the coefficient.
+All basis coefficients form one (d+1,)*(N+1) tensor: index (a_0, ..., a_N)
+is the monomial with the factor Y_n^{a_n} at each nonzero digit a_n, its
+entry is E[F * monomial], the mean sits at the all-zero index, and the
+chaos order of an entry is its count of nonzero digits. Decompose and
+reconstruct are one per-step contraction each (integrals.along_axes); every
+other operation is a slice of the tensor.
+
+Symmetric kernels (integrals.Kernel) are the view at the user boundary
+only: JSON files and multiple_integral. from_kernels fills r! times each
+tuple's component tensor into that tuple's block of the tensor, and
+kernel(r) reads a block back divided by r!.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from typing import Iterable
 
-from .integrals import Kernel, _block, _synthesize, along_axes
-from .omega import PathTable, _check_space, expectation
+import numpy as np
+
+from .integrals import Kernel, _synthesize, along_axes
+from .omega import PathTable, _check_space, _frozen_float, expectation
 from .walk import WalkSpec
+
+
+def chaos_order(d: int, N: int) -> np.ndarray:
+    """(d+1,)*(N+1) tensor of chaos orders: the count of each index's nonzero digits."""
+    nonzero = np.array([0] + [1] * d)
+    return reduce(np.add.outer, [nonzero] * (N + 1))
+
+
+def _block(times: tuple[int, ...], N: int) -> tuple:
+    """Index of a time tuple's coefficient block: digits 1..d at its times, 0 elsewhere."""
+    return tuple(slice(1, None) if n in times else 0 for n in range(N + 1))
 
 
 @dataclass(frozen=True, eq=False)
 class ChaosCoefficients:
-    """Mean plus symmetric kernels of orders 1..N+1 (some possibly zero)."""
+    """Read-only (d+1,)*(N+1) tensor of E[F * monomial] over the monomial basis."""
 
     d: int
     N: int
-    mean: float
-    kernels: tuple[Kernel, ...]
+    coef: np.ndarray
 
     def __post_init__(self) -> None:
-        for r, kernel in enumerate(self.kernels, start=1):
-            if kernel.order != r:
-                raise ValueError(f"kernel {r} has order {kernel.order}")
-            if kernel.d != self.d:
-                raise ValueError(f"kernel {r} has dimension {kernel.d}, expected {self.d}")
-            if kernel.max_time() > self.N:
+        coef = _frozen_float(self.coef)
+        shape = (self.d + 1,) * (self.N + 1)
+        if coef.shape != shape:
+            raise ValueError(f"coefficients have shape {coef.shape}, expected {shape}")
+        object.__setattr__(self, "coef", coef)
+
+    @staticmethod
+    def from_kernels(
+        d: int, N: int, mean: float, kernels: Iterable[Kernel]
+    ) -> "ChaosCoefficients":
+        """Coefficients of mean + sum of I^r(f_r): r! f_r fills each tuple's block.
+
+        An order-0 kernel adds to the mean.
+        """
+        coef = np.zeros((d + 1,) * (N + 1))
+        coef[(0,) * (N + 1)] = float(mean)
+        for kernel in kernels:
+            if kernel.d != d:
                 raise ValueError(
-                    f"kernel {r} uses time {kernel.max_time()}, beyond horizon {self.N}"
+                    f"kernel of order {kernel.order} has dimension {kernel.d}, expected {d}"
                 )
+            if kernel.max_time() > N:
+                raise ValueError(
+                    f"kernel of order {kernel.order} uses time {kernel.max_time()}, "
+                    f"beyond horizon {N}"
+                )
+            fact = math.factorial(kernel.order)
+            for times, tensor in kernel.entries.items():
+                if not times or times[-1] <= N:  # entries beyond the horizon are zero
+                    coef[_block(times, N)] += fact * tensor
+        return ChaosCoefficients(d, N, coef)
+
+    @property
+    def mean(self) -> float:
+        return float(self.coef[(0,) * (self.N + 1)])
 
     def kernel(self, order: int) -> Kernel:
-        if 1 <= order <= len(self.kernels):
-            return self.kernels[order - 1]
-        return Kernel.zero(order, self.d)
+        """Symmetric kernel view of one order: each tuple's block divided by order!.
+
+        Order 0 is the mean; orders beyond N+1 have no tuples and are zero.
+        """
+        fact = math.factorial(order)
+        entries = {
+            times: self.coef[_block(times, self.N)] / fact
+            for times in combinations(range(self.N + 1), order)
+        }
+        return Kernel(order, self.d, entries)
 
     def max_order(self) -> int:
         """Largest order carrying a nonzero component (0 if purely constant)."""
-        for r in range(len(self.kernels), 0, -1):
-            if self.kernels[r - 1].max_time() >= 0:
-                return r
-        return 0
+        return int(chaos_order(self.d, self.N)[self.coef != 0.0].max(initial=0))
 
     def max_time(self) -> int:
         """Largest time index carrying a nonzero component (-1 if constant)."""
-        return max((k.max_time() for k in self.kernels), default=-1)
+        for n in range(self.N, -1, -1):
+            digits = self.coef.reshape((self.d + 1) ** n, self.d + 1, -1)
+            if np.any(digits[:, 1:] != 0.0):
+                return n
+        return -1
 
 
 def decompose(walk: WalkSpec, table: PathTable) -> ChaosCoefficients:
@@ -61,53 +117,57 @@ def decompose(walk: WalkSpec, table: PathTable) -> ChaosCoefficients:
     The coefficient of a monomial is E[F * monomial]. The per-step bases
     are orthonormal under the step laws, so all coefficients come from one
     contraction of measure * F with the transposed basis along each axis,
-    exact up to rounding.
+    exact up to rounding. The mean entry is the expectation itself.
     """
     _check_space(walk, table)
     coef = along_axes(walk, walk.measure * table.values, [step.basis.T for step in walk.steps])
-    kernels = []
-    for r in range(1, walk.N + 2):
-        fact = math.factorial(r)
-        entries = {
-            times: coef[_block(times, walk.N)] / fact
-            for times in combinations(range(walk.N + 1), r)
-        }
-        kernels.append(Kernel(r, walk.d, entries))
-    return ChaosCoefficients(
-        d=walk.d, N=walk.N, mean=expectation(walk, table), kernels=tuple(kernels)
-    )
+    coef[(0,) * (walk.N + 1)] = expectation(walk, table)
+    return ChaosCoefficients(walk.d, walk.N, coef)
 
 
-def reconstruct(walk: WalkSpec, coeffs: ChaosCoefficients) -> PathTable:
-    """Sum the mean and all multiple integrals back into a table."""
+def _on_walk(walk: WalkSpec, coeffs: ChaosCoefficients) -> np.ndarray:
+    """The coefficient tensor on the walk's horizon.
+
+    Coefficients of another horizon are accepted when they use no time
+    beyond the walk's: trailing axes are cut or padded at digit 0.
+    """
     if coeffs.d != walk.d:
         raise ValueError(f"coefficients have dimension {coeffs.d}, walk has {walk.d}")
     if coeffs.max_time() > walk.N:
         raise ValueError(
             f"coefficients use time {coeffs.max_time()}, beyond the walk horizon {walk.N}"
         )
-    return _synthesize(walk, coeffs.mean, coeffs.kernels)
+    if coeffs.N >= walk.N:
+        return coeffs.coef[(Ellipsis,) + (0,) * (coeffs.N - walk.N)]
+    coef = np.zeros((walk.d + 1,) * (walk.N + 1))
+    coef[(Ellipsis,) + (0,) * (walk.N - coeffs.N)] = coeffs.coef
+    return coef
+
+
+def reconstruct(walk: WalkSpec, coeffs: ChaosCoefficients) -> PathTable:
+    """Sum the mean and all multiple integrals back into a table."""
+    return _synthesize(walk, _on_walk(walk, coeffs))
+
+
+def multiple_integral(walk: WalkSpec, kernel: Kernel) -> PathTable:
+    """Evaluate the multiple stochastic integral of the kernel as a table."""
+    return _synthesize(walk, ChaosCoefficients.from_kernels(walk.d, walk.N, 0.0, [kernel]).coef)
 
 
 def project_horizon(coeffs: ChaosCoefficients, horizon: int) -> ChaosCoefficients:
-    """Zero every component with a time index beyond the horizon.
+    """Zero every coefficient with a nonzero digit beyond the horizon.
 
     Projecting the coefficients matches conditioning the reconstructed table
     on the horizon's prefix field; horizon -1 keeps only the mean.
     """
     if not -1 <= horizon <= coeffs.N:
         raise ValueError(f"horizon {horizon} outside [-1, {coeffs.N}]")
-    return ChaosCoefficients(
-        d=coeffs.d,
-        N=coeffs.N,
-        mean=coeffs.mean,
-        kernels=tuple(k.truncate(horizon) for k in coeffs.kernels),
-    )
+    rows = coeffs.coef.reshape((coeffs.d + 1) ** (horizon + 1), -1)
+    kept = np.zeros_like(rows)
+    kept[:, 0] = rows[:, 0]
+    return ChaosCoefficients(coeffs.d, coeffs.N, kept.reshape(coeffs.coef.shape))
 
 
 def parseval_energy(coeffs: ChaosCoefficients) -> float:
-    """mean^2 + sum_r r! <f_r, f_r>; equals E[F^2] for exact coefficients."""
-    total = coeffs.mean**2
-    for kernel in coeffs.kernels:
-        total += math.factorial(kernel.order) * kernel.dot(kernel)
-    return total
+    """Sum of the squared coefficients; equals E[F^2] for exact coefficients."""
+    return float(np.add.reduce((coeffs.coef * coeffs.coef).ravel()))

@@ -1,4 +1,4 @@
-"""Single and multiple stochastic integrals of symmetric kernels.
+"""Symmetric kernels, the per-axis engine, and stochastic integrals.
 
 An order-r kernel is stored only on strictly increasing time tuples, one
 dense d^r component tensor per tuple; the symmetric extension to arbitrary
@@ -8,11 +8,14 @@ multiple integral is then
     I^r(f) = r! * sum over increasing tuples, components of
              f^{k_1..k_r}(t_1..t_r) Y_{t_1}^{k_1} ... Y_{t_r}^{k_r},
 
-and the stochastic integral of a predictable process U is
-sum_n <U_n, Y_n>.
+so r! times a tuple's component tensor is the block of basis coefficients
+with digits 1..d at its times and 0 elsewhere in the (d+1,)*(N+1)
+coefficient tensor of chaos.ChaosCoefficients. Kernels are the view users
+read and write (JSON files, chaos.multiple_integral); the library computes
+on the tensor, contracted with the per-step bases [1 | v] one axis at a
+time (along_axes).
 
-Integrals are evaluated from a (d+1,)*(N+1) coefficient tensor contracted
-with the per-step bases [1 | v] one axis at a time (along_axes).
+The stochastic integral of a predictable process U is sum_n <U_n, Y_n>.
 """
 from __future__ import annotations
 
@@ -85,34 +88,6 @@ class Kernel:
             if times and np.any(tensor != 0.0):
                 worst = max(worst, times[-1])
         return worst
-
-    def truncate(self, horizon: int) -> "Kernel":
-        """Drop every entry with a time index beyond the horizon."""
-        kept = {
-            t: arr for t, arr in self.entries.items() if not t or t[-1] <= horizon
-        }
-        return Kernel(self.order, self.d, kept)
-
-    def dot(self, other: "Kernel") -> float:
-        """L^2 inner product of the symmetric extensions over distinct tuples.
-
-        Every increasing tuple stands for its order! permutations, so the
-        stored componentwise sum is scaled accordingly.
-        """
-        if (self.order, self.d) != (other.order, other.d):
-            raise ValueError("kernels have mismatched order or dimension")
-        total = 0.0
-        for times in sorted(set(self.entries) & set(other.entries)):
-            total += float(np.add.reduce((self.entries[times] * other.entries[times]).ravel()))
-        return math.factorial(self.order) * total
-
-    def allclose(self, other: "Kernel", atol: float = 1e-12) -> bool:
-        if (self.order, self.d) != (other.order, other.d):
-            return False
-        for times in set(self.entries) | set(other.entries):
-            if not np.all(np.abs(self.tensor(times) - other.tensor(times)) <= atol):
-                return False
-        return True
 
 
 def symmetrize(raw: Iterable[RawEntry], order: int, d: int) -> Kernel:
@@ -188,62 +163,10 @@ def along_axes(walk: WalkSpec, values: np.ndarray, mats: Sequence[np.ndarray]) -
     return out
 
 
-def _block(times: tuple[int, ...], N: int) -> tuple:
-    """Index of a time tuple's coefficient block: digits 1..d at its times, 0 elsewhere."""
-    return tuple(slice(1, None) if n in times else 0 for n in range(N + 1))
-
-
-def _synthesize(walk: WalkSpec, mean: float, kernels: Iterable[Kernel]) -> PathTable:
-    """Table of mean + sum of I^r(f_r): r! f_r fills each tuple's coefficient block."""
-    coef = np.zeros((walk.d + 1,) * (walk.N + 1))
-    coef[(0,) * (walk.N + 1)] = mean
-    for kernel in kernels:
-        fact = math.factorial(kernel.order)
-        # entries beyond the horizon are zero: callers check max_time
-        for times, tensor in kernel.truncate(walk.N).entries.items():
-            coef[_block(times, walk.N)] += fact * tensor
+def _synthesize(walk: WalkSpec, coef: np.ndarray) -> PathTable:
+    """Table sum_a coef[a] * monomial_a: the basis [1 | v] applied along each axis."""
     values = along_axes(walk, coef, [step.basis for step in walk.steps])
     return PathTable(walk.space, values.ravel())
-
-
-def multiple_integral(walk: WalkSpec, kernel: Kernel) -> PathTable:
-    """Evaluate the multiple stochastic integral of the kernel as a table."""
-    if kernel.d != walk.d:
-        raise ValueError(f"kernel dimension {kernel.d} != walk dimension {walk.d}")
-    if kernel.max_time() > walk.N:
-        raise ValueError(
-            f"kernel uses time {kernel.max_time()}, beyond the walk horizon {walk.N}"
-        )
-    return _synthesize(walk, 0.0, [kernel])
-
-
-def kernel_time_slice(kernel: Kernel, coord: int, time: int) -> Kernel:
-    """Order-(r-1) kernel f^{coord}(*, time) on tuples avoiding the time.
-
-    Fixing the last argument of the symmetric kernel at the given time and
-    the matching component index at coord lowers the order by one; tuples
-    containing the time are excluded (off-diagonal restriction).
-    """
-    if kernel.order < 1:
-        raise ValueError("cannot slice an order-0 kernel")
-    if not 1 <= coord <= kernel.d:
-        raise ValueError(f"coordinate {coord} outside [1, {kernel.d}]")
-    if time < 0:
-        raise ValueError(f"negative time index {time}")
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for times, tensor in kernel.entries.items():
-        if time not in times:
-            continue
-        pos = times.index(time)
-        rest = times[:pos] + times[pos + 1 :]
-        out[rest] = np.take(tensor, coord - 1, axis=pos)
-    return Kernel(kernel.order - 1, kernel.d, out)
-
-
-def kernel_head_slice(kernel: Kernel, coord: int, time: int) -> Kernel:
-    """Order-(r-1) kernel f^{coord}(*, time) restricted to tuples below the time."""
-    sliced = kernel_time_slice(kernel, coord, time)
-    return sliced.truncate(time - 1)
 
 
 @dataclass(frozen=True, eq=False)

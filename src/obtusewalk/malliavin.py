@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .chaos import ChaosCoefficients
+from .chaos import ChaosCoefficients, _on_walk
 from .errors import MartingaleError
-from .integrals import VectorProcess, kernel_time_slice, multiple_integral
+from .integrals import VectorProcess, _synthesize
 from .omega import (
     PathSpace,
     PathTable,
@@ -75,21 +75,21 @@ def gradient(walk: WalkSpec, table: PathTable) -> GradientField:
 def gradient_chaos(
     walk: WalkSpec, coeffs: ChaosCoefficients, k: int, j: int
 ) -> PathTable:
-    """Gradient via chaos lowering: sum_r r I^{r-1}(f_r^j(*,k) off-diagonal).
+    """Gradient via chaos lowering: D_k^j removes the factor Y_k^j from each monomial.
 
-    Agrees with the finite-difference gradient of the reconstructed table.
+    The coefficients with digit j at time k move to digit 0 there; every
+    other coefficient with a nonzero digit at k maps to zero. Agrees with
+    the finite-difference gradient of the reconstructed table.
     """
     if not 0 <= k <= walk.N:
         raise ValueError(f"time {k} outside [0, {walk.N}]")
     if not 1 <= j <= walk.d:
         raise ValueError(f"coordinate {j} outside [1, {walk.d}]")
-    values = np.zeros(walk.space.num_paths)
-    for kernel in coeffs.kernels:
-        sliced = kernel_time_slice(kernel, j, k)
-        if not sliced.entries:
-            continue
-        values = values + kernel.order * multiple_integral(walk, sliced).values
-    return PathTable(walk.space, values)
+    coef = _on_walk(walk, coeffs)
+    head = (slice(None),) * k
+    lowered = np.zeros_like(coef)
+    lowered[head + (0,)] = coef[head + (j,)]
+    return _synthesize(walk, lowered)
 
 
 def divergence(walk: WalkSpec, process: VectorProcess) -> PathTable:

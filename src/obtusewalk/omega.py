@@ -87,7 +87,15 @@ class PathSpace:
         return idx
 
     def path_at(self, index: int) -> Path:
-        return tuple(int(w) for w in self.outcomes[index])
+        """Outcomes of the path at the index: its base-(d+1) digits, time 0 first."""
+        index = int(index)
+        if not 0 <= index < self.num_paths:
+            raise ValueError(f"path index {index} outside [0, {self.num_paths - 1}]")
+        digits = []
+        for _ in range(self.N + 1):
+            index, w = divmod(index, self.d + 1)
+            digits.append(w)
+        return tuple(reversed(digits))
 
     def mutated_indices(self, k: int) -> np.ndarray:
         """(num_paths, d+1) indices of each path with outcome k forced to i."""

@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .chaos import chaos_order
 from .errors import SizeCapError
 from .integrals import along_axes
 from .malliavin import GradientField, gradient
@@ -52,10 +53,7 @@ def _scale_chaos(walk: WalkSpec, table: PathTable, factors: Sequence[float]) -> 
     """Table whose order-r chaos component is factors[r] times that of F."""
     _check_space(walk, table)
     coef = along_axes(walk, walk.measure * table.values, [step.basis.T for step in walk.steps])
-    # chaos order of every coefficient: the number of its nonzero digits
-    nonzero = np.array([0] + [1] * walk.d)
-    order = reduce(np.add.outer, [nonzero] * (walk.N + 1))
-    coef = coef * np.asarray(factors, dtype=float)[order]
+    coef = coef * np.asarray(factors, dtype=float)[chaos_order(walk.d, walk.N)]
     values = along_axes(walk, coef, [step.basis for step in walk.steps])
     return PathTable(walk.space, values.ravel())
 

@@ -144,7 +144,7 @@ def chaos_to_json(coeffs: ChaosCoefficients) -> dict:
         "d": coeffs.d,
         "N": coeffs.N,
         "mean": coeffs.mean,
-        "kernels": {str(k.order): kernel_to_json(k) for k in coeffs.kernels},
+        "kernels": {str(r): kernel_to_json(coeffs.kernel(r)) for r in range(1, coeffs.N + 2)},
     }
 
 
@@ -158,8 +158,9 @@ def chaos_from_json(obj: dict, cap: int = DEFAULT_CAP) -> ChaosCoefficients:
         raw = obj.get("kernels", {}).get(str(r))
         if raw and int(raw["order"]) != r:  # checked before any d^order tensor is built
             raise ValueError(f"kernel {r} declares order {raw['order']}")
-        kernels.append(kernel_from_json(raw, d) if raw else Kernel.zero(r, d))
-    return ChaosCoefficients(d=d, N=N, mean=float(obj["mean"]), kernels=tuple(kernels))
+        if raw:
+            kernels.append(kernel_from_json(raw, d))
+    return ChaosCoefficients.from_kernels(d, N, float(obj["mean"]), kernels)
 
 
 # -- tables and processes ----------------------------------------------------

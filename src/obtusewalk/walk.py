@@ -272,7 +272,9 @@ def increment_rv(walk: WalkSpec, n: int, j: int) -> PathTable:
         raise ValueError(f"step {n} outside [0, {walk.N}]")
     if not 1 <= j <= walk.d:
         raise ValueError(f"coordinate {j} outside [1, {walk.d}]")
-    return PathTable(walk.space, walk.increments[n][:, j - 1])
+    space = walk.space
+    column = np.repeat(walk.steps[n].v[:, j - 1], space.stride(n))
+    return PathTable(space, np.tile(column, space.atom_count(n - 1)))
 
 
 def monomial_table(

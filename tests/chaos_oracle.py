@@ -3,18 +3,21 @@
 `oracle_decompose` and `oracle_multiple_integral` evaluate one einsum per
 increasing time tuple over the (N+1, P, d) increment table;
 `oracle_ou_apply_kernel` builds the dense kernel q_t in blocks of rows;
-`oracle_cov_semigroup` sums sliced multiple integrals over every order,
-time and coordinate. They cost O(P^2) or more, where the library applies
-one small per-step operator along each axis of the table
-(`integrals.along_axes`). Tests compare the two on random walks.
+`oracle_gradient_chaos` and `oracle_cov_semigroup` sum sliced multiple
+integrals over every order, time and coordinate. They cost O(P^2) or more,
+where the library applies one small per-step operator along each axis of
+the coefficient tensor (`integrals.along_axes`). `oracle_kernel_view` is
+the per-tuple `Kernel` view the JSON writer must reproduce. The per-tuple
+kernel helpers (truncate, inner product, slices) are used by tests only.
+Tests compare the two sides on random walks.
 """
 import math
 from itertools import combinations
 
 import numpy as np
 
-from obtusewalk import ChaosCoefficients, Kernel, PathTable, WalkSpec, expectation, gradient
-from obtusewalk.integrals import kernel_time_slice
+from obtusewalk import Kernel, PathTable, WalkSpec, expectation, gradient
+from obtusewalk.integrals import along_axes
 
 #: einsum subscripts for the kernel axes of an order-r term: every ASCII
 #: letter except "z", which is the path axis
@@ -23,8 +26,62 @@ LETTERS = "abcdefghijklmnopqrstuvwxyABCDEFGHIJKLMNOPQRSTUVWXYZ"
 ROW_BLOCK = 4096
 
 
-def oracle_decompose(walk: WalkSpec, table: PathTable) -> ChaosCoefficients:
-    """Each component E[F * monomial] / r! as its own weighted sum over paths."""
+# -- per-tuple kernel helpers ------------------------------------------------
+
+def kernel_truncate(kernel: Kernel, horizon: int) -> Kernel:
+    """Drop every entry with a time index beyond the horizon."""
+    kept = {t: arr for t, arr in kernel.entries.items() if not t or t[-1] <= horizon}
+    return Kernel(kernel.order, kernel.d, kept)
+
+
+def kernel_dot(f: Kernel, g: Kernel) -> float:
+    """L^2 inner product of the symmetric extensions over distinct tuples.
+
+    Every increasing tuple stands for its order! permutations, so the
+    stored componentwise sum is scaled accordingly.
+    """
+    assert (f.order, f.d) == (g.order, g.d)
+    total = 0.0
+    for times in sorted(set(f.entries) & set(g.entries)):
+        total += float(np.add.reduce((f.entries[times] * g.entries[times]).ravel()))
+    return math.factorial(f.order) * total
+
+
+def kernel_allclose(f: Kernel, g: Kernel, atol: float = 1e-12) -> bool:
+    if (f.order, f.d) != (g.order, g.d):
+        return False
+    return all(
+        np.all(np.abs(f.tensor(times) - g.tensor(times)) <= atol)
+        for times in set(f.entries) | set(g.entries)
+    )
+
+
+def kernel_time_slice(kernel: Kernel, coord: int, time: int) -> Kernel:
+    """Order-(r-1) kernel f^{coord}(*, time) on tuples containing the time.
+
+    Fixing one argument of the symmetric kernel at the given time and the
+    matching component index at coord lowers the order by one; tuples
+    without the time contribute nothing (off-diagonal restriction).
+    """
+    assert kernel.order >= 1 and 1 <= coord <= kernel.d and time >= 0
+    out = {}
+    for times, tensor in kernel.entries.items():
+        if time not in times:
+            continue
+        pos = times.index(time)
+        out[times[:pos] + times[pos + 1 :]] = np.take(tensor, coord - 1, axis=pos)
+    return Kernel(kernel.order - 1, kernel.d, out)
+
+
+def kernel_head_slice(kernel: Kernel, coord: int, time: int) -> Kernel:
+    """Order-(r-1) kernel f^{coord}(*, time) restricted to tuples below the time."""
+    return kernel_truncate(kernel_time_slice(kernel, coord, time), time - 1)
+
+
+# -- chaos operators, one tuple at a time ------------------------------------
+
+def oracle_decompose(walk: WalkSpec, table: PathTable) -> tuple[float, list[Kernel]]:
+    """Mean and kernels: each component E[F * monomial] / r! as its own weighted sum."""
     weighted = walk.measure * table.values
     kernels = []
     for r in range(1, walk.N + 2):
@@ -36,9 +93,25 @@ def oracle_decompose(walk: WalkSpec, table: PathTable) -> ChaosCoefficients:
             operands = [weighted] + [walk.increments[t] for t in times]
             entries[times] = np.einsum(subscripts, *operands) / fact
         kernels.append(Kernel(r, walk.d, entries))
-    return ChaosCoefficients(
-        d=walk.d, N=walk.N, mean=expectation(walk, table), kernels=tuple(kernels)
-    )
+    return expectation(walk, table), kernels
+
+
+def oracle_kernel_view(walk: WalkSpec, table: PathTable) -> tuple[float, list[Kernel]]:
+    """Mean and kernels read per tuple out of one basis contraction, each block / r!.
+
+    This is the view chaos_to_json must write digit for digit: on random
+    doubles r! * (block / r!) differs from the block in the last bit.
+    """
+    coef = along_axes(walk, walk.measure * table.values, [step.basis.T for step in walk.steps])
+    kernels = []
+    for r in range(1, walk.N + 2):
+        fact = math.factorial(r)
+        entries = {}
+        for times in combinations(range(walk.N + 1), r):
+            block = tuple(slice(1, None) if n in times else 0 for n in range(walk.N + 1))
+            entries[times] = coef[block] / fact
+        kernels.append(Kernel(r, walk.d, entries))
+    return expectation(walk, table), kernels
 
 
 def oracle_multiple_integral(walk: WalkSpec, kernel: Kernel) -> np.ndarray:
@@ -56,21 +129,31 @@ def oracle_multiple_integral(walk: WalkSpec, kernel: Kernel) -> np.ndarray:
     return math.factorial(kernel.order) * total
 
 
-def oracle_reconstruct(walk: WalkSpec, coeffs: ChaosCoefficients) -> np.ndarray:
-    values = np.full(walk.space.num_paths, coeffs.mean)
-    for kernel in coeffs.kernels:
+def oracle_reconstruct(walk: WalkSpec, mean: float, kernels) -> np.ndarray:
+    values = np.full(walk.space.num_paths, mean)
+    for kernel in kernels:
         values = values + oracle_multiple_integral(walk, kernel)
+    return values
+
+
+def oracle_gradient_chaos(walk: WalkSpec, kernels, k: int, j: int) -> np.ndarray:
+    """sum_r r I^{r-1}(f_r^j(*, k)): the chaos lowering, one sliced kernel per order."""
+    values = np.zeros(walk.space.num_paths)
+    for kernel in kernels:
+        values = values + kernel.order * oracle_multiple_integral(
+            walk, kernel_time_slice(kernel, j, k)
+        )
     return values
 
 
 def oracle_ou_apply_chaos(walk: WalkSpec, table: PathTable, t: float) -> np.ndarray:
     """Damp every stored component of order r by exp(-r t) and sum back."""
-    coeffs = oracle_decompose(walk, table)
-    damped = tuple(
+    mean, kernels = oracle_decompose(walk, table)
+    damped = [
         Kernel(k.order, k.d, {ts: math.exp(-k.order * t) * arr for ts, arr in k.entries.items()})
-        for k in coeffs.kernels
-    )
-    return oracle_reconstruct(walk, ChaosCoefficients(coeffs.d, coeffs.N, coeffs.mean, damped))
+        for k in kernels
+    ]
+    return oracle_reconstruct(walk, mean, damped)
 
 
 def oracle_kernel_rows(walk: WalkSpec, t: float, start: int, stop: int) -> np.ndarray:
@@ -97,7 +180,7 @@ def oracle_cov_semigroup(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
     """sum over orders r, times k, coordinates j of E[D_k^j F * I^{r-1}(f_r^j(*, k))]."""
     grad_f = gradient(walk, f)
     total = 0.0
-    for kernel in oracle_decompose(walk, g).kernels:
+    for kernel in oracle_decompose(walk, g)[1]:
         for k in range(walk.N + 1):
             for j in range(1, walk.d + 1):
                 sliced = kernel_time_slice(kernel, j, k)

@@ -44,7 +44,6 @@ from obtusewalk import (
     verify_strategy,
 )
 from obtusewalk.cli import main as cli_main
-from obtusewalk.integrals import kernel_head_slice
 from obtusewalk.market import strategy_values
 from obtusewalk.payoff import (
     BinOp,
@@ -56,6 +55,7 @@ from obtusewalk.payoff import (
     eval_payoff,
 )
 from obtusewalk.walk import increment_rv, structure_residual
+from chaos_oracle import kernel_dot, kernel_head_slice
 from helpers import (
     bernoulli,
     d2_fixture,
@@ -110,7 +110,7 @@ def test_criterion_2_isometry_and_recurrence():
                                 walk,
                                 multiple_integral(walk, f) * multiple_integral(walk, g),
                             )
-                            rhs = math.factorial(r) * f.dot(g) if r == s else 0.0
+                            rhs = math.factorial(r) * kernel_dot(f, g) if r == s else 0.0
                             assert abs(lhs - rhs) < 1e-9
             for r, fs in kernels.items():
                 for f in fs:

@@ -9,11 +9,15 @@ from obtusewalk import (
     ChaosCoefficients,
     Kernel,
     PathTable,
+    WalkSpec,
     conditional_expectation,
     decompose,
     expectation,
+    gradient,
+    gradient_chaos,
     increment_rv,
     is_measurable,
+    monomial_kernel,
     monomial_table,
     multiple_integral,
     parseval_energy,
@@ -56,8 +60,61 @@ class TestDecompose:
 class TestReconstruct:
     def test_mean_only(self):
         walk = bernoulli(1)
-        coeffs = ChaosCoefficients(d=1, N=1, mean=5.0, kernels=(Kernel.zero(1, 1), Kernel.zero(2, 1)))
+        coeffs = ChaosCoefficients.from_kernels(1, 1, 5.0, [Kernel.zero(1, 1), Kernel.zero(2, 1)])
         assert np.all(reconstruct(walk, coeffs).values == 5.0)
+
+    def test_order_zero_kernel_adds_to_the_mean(self):
+        walk = bernoulli(1)
+        coeffs = ChaosCoefficients.from_kernels(1, 1, 5.0, [Kernel.scalar(2.0, 1)])
+        assert coeffs.mean == 7.0
+        assert np.all(reconstruct(walk, coeffs).values == 7.0)
+
+    def test_from_kernels_checks_dimension_and_horizon(self):
+        with pytest.raises(ValueError, match="dimension"):
+            ChaosCoefficients.from_kernels(1, 1, 0.0, [monomial_kernel((0,), (1,), 2)])
+        with pytest.raises(ValueError, match="beyond horizon 1"):
+            ChaosCoefficients.from_kernels(1, 1, 0.0, [monomial_kernel((2,), (1,), 1)])
+
+    def test_zero_entries_beyond_the_horizon_are_dropped(self):
+        kernel = Kernel(1, 2, {(0,): [1.0, 2.0], (3,): [0.0, 0.0]})
+        coeffs = ChaosCoefficients.from_kernels(2, 1, 0.5, [kernel])
+        assert coeffs.coef[:, 0].tolist() == [0.5, 1.0, 2.0]
+        assert coeffs.max_time() == 0
+
+    def test_kernel_view_at_the_ends(self):
+        coeffs = ChaosCoefficients.from_kernels(1, 1, 5.0, [])
+        assert coeffs.kernel(0).entries[()] == 5.0
+        assert coeffs.kernel(3).entries == {}
+
+    def test_tensor_shape_is_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            ChaosCoefficients(1, 2, np.zeros((2, 2)))
+        coeffs = ChaosCoefficients(1, 1, np.zeros((2, 2)))
+        assert not coeffs.coef.flags.writeable
+
+    def test_other_horizons_that_use_no_later_time(self, rng):
+        walk = random_walk(rng, 2, 2)
+        head = WalkSpec(2, 1, walk.steps[:2])
+        f = random_table(rng, head.space)
+        expected = np.repeat(f.values, 3)  # F does not depend on the last step
+        short = decompose(head, f)
+        assert reconstruct(walk, short).max_abs_diff(expected) < 1e-12
+        padded = np.zeros((3,) * 4)
+        padded[:, :, 0, 0] = short.coef
+        longer = ChaosCoefficients(2, 3, padded)
+        assert longer.max_time() == 1
+        assert reconstruct(walk, longer).max_abs_diff(expected) < 1e-12
+
+    def test_later_times_are_rejected(self, rng):
+        walk = random_walk(rng, 1, 1)
+        late = ChaosCoefficients.from_kernels(1, 2, 0.0, [monomial_kernel((2,), (1,), 1)])
+        assert late.max_time() == 2
+        with pytest.raises(ValueError, match="beyond the walk horizon 1"):
+            reconstruct(walk, late)
+        with pytest.raises(ValueError, match="beyond the walk horizon 1"):
+            gradient_chaos(walk, late, 0, 1)
+        with pytest.raises(ValueError, match="dimension"):
+            reconstruct(random_walk(rng, 2, 2), late)
 
     def test_monomial_coefficients(self):
         walk = bernoulli(1)
@@ -83,22 +140,7 @@ class TestReconstruct:
         f = random_table(rng, walk.space)
         g = random_table(rng, walk.space)
         cf, cg = decompose(walk, f), decompose(walk, g)
-        combo = ChaosCoefficients(
-            d=cf.d,
-            N=cf.N,
-            mean=cf.mean + 2.0 * cg.mean,
-            kernels=tuple(
-                Kernel(
-                    k1.order,
-                    k1.d,
-                    {
-                        t: k1.tensor(t) + 2.0 * k2.tensor(t)
-                        for t in set(k1.entries) | set(k2.entries)
-                    },
-                )
-                for k1, k2 in zip(cf.kernels, cg.kernels)
-            ),
-        )
+        combo = ChaosCoefficients(cf.d, cf.N, cf.coef + 2.0 * cg.coef)
         assert reconstruct(walk, combo).max_abs_diff(f + g * 2.0) < 1e-10
 
 
@@ -176,24 +218,22 @@ class TestInvariants:
             conditioned = conditional_expectation(walk, table, n)
             coeffs = decompose(walk, conditioned)
             pruned = ChaosCoefficients(
-                coeffs.d,
-                coeffs.N,
-                coeffs.mean,
-                tuple(
-                    Kernel(
-                        k.order,
-                        k.d,
-                        {
-                            t: arr
-                            for t, arr in k.entries.items()
-                            if np.max(np.abs(arr)) > 1e-11
-                        },
-                    )
-                    for k in coeffs.kernels
-                ),
+                coeffs.d, coeffs.N, np.where(np.abs(coeffs.coef) > 1e-11, coeffs.coef, 0.0)
             )
             assert pruned.max_time() <= n
         # conversely a table loading a late time is not early-measurable
         late = increment_rv(walk, 2, 1)
         assert decompose(walk, late).max_time() == 2
         assert not is_measurable(late, 1, tol=1e-10)
+
+
+def test_one_sixteen_round_trip_parseval_and_lowering(rng):
+    # 131,072 paths: every operator here is one contraction per step
+    walk = random_walk(rng, 1, 16)
+    table = random_table(rng, walk.space)
+    coeffs = decompose(walk, table)
+    assert reconstruct(walk, coeffs).max_abs_diff(table) < 1e-12
+    assert parseval_energy(coeffs) == pytest.approx(expectation(walk, table * table), rel=1e-12)
+    grad = gradient(walk, table)
+    for k in (0, 7, 16):
+        assert gradient_chaos(walk, coeffs, k, 1).max_abs_diff(grad.table(k, 1)) < 1e-12

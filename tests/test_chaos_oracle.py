@@ -3,21 +3,29 @@ import numpy as np
 import pytest
 
 from obtusewalk import (
+    Kernel,
     cov_semigroup,
     decompose,
+    gradient,
+    gradient_chaos,
     multiple_integral,
     ou_apply_chaos,
     ou_apply_kernel,
     ou_kernel_matrix,
+    parseval_energy,
+    project_horizon,
     reconstruct,
 )
+from obtusewalk.serialize import chaos_to_json, dump_json, kernel_to_json
 from chaos_oracle import (
     oracle_cov_semigroup,
     oracle_decompose,
+    oracle_gradient_chaos,
     oracle_kernel_rows,
     oracle_multiple_integral,
     oracle_ou_apply_chaos,
     oracle_ou_apply_kernel,
+    oracle_kernel_view,
     oracle_reconstruct,
 )
 from helpers import random_kernel, random_table, random_walk
@@ -33,10 +41,14 @@ def _scaled_gap(a, b) -> float:
     return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
 
 
+def _kernels(coeffs):
+    return [coeffs.kernel(r) for r in range(1, coeffs.N + 2)]
+
+
 def _assert_coefficients_match(got, want):
-    assert (got.d, got.N, len(got.kernels)) == (want.d, want.N, len(want.kernels))
-    assert got.mean == want.mean
-    for k_got, k_want in zip(got.kernels, want.kernels):
+    mean, kernels = want
+    assert got.mean == mean
+    for k_got, k_want in zip(_kernels(got), kernels, strict=True):
         assert set(k_got.entries) == set(k_want.entries)
         for times, tensor in k_want.entries.items():
             assert _scaled_gap(k_got.entries[times], tensor) <= TOL
@@ -50,7 +62,7 @@ def test_decompose_and_reconstruct_match_the_oracle(rng, d, N):
         coeffs = decompose(walk, table)
         _assert_coefficients_match(coeffs, oracle_decompose(walk, table))
         back = reconstruct(walk, coeffs).values
-        assert _scaled_gap(back, oracle_reconstruct(walk, coeffs)) <= TOL
+        assert _scaled_gap(back, oracle_reconstruct(walk, coeffs.mean, _kernels(coeffs))) <= TOL
 
 
 @pytest.mark.parametrize("d,N", SIZES)
@@ -88,7 +100,8 @@ def test_long_walks_match_the_oracle(rng, N):
     table = random_table(rng, walk.space)
     coeffs = decompose(walk, table)
     _assert_coefficients_match(coeffs, oracle_decompose(walk, table))
-    assert _scaled_gap(reconstruct(walk, coeffs).values, oracle_reconstruct(walk, coeffs)) <= TOL
+    want = oracle_reconstruct(walk, coeffs.mean, _kernels(coeffs))
+    assert _scaled_gap(reconstruct(walk, coeffs).values, want) <= TOL
     assert reconstruct(walk, coeffs).max_abs_diff(table) <= TOL
 
 
@@ -101,3 +114,45 @@ def test_operators_never_build_the_increment_table(rng):
     ou_kernel_matrix(walk, 0.4)
     cov_semigroup(walk, f, g)
     assert "increments" not in walk.__dict__
+
+
+@pytest.mark.parametrize("d,N", SIZES)
+def test_gradient_chaos_matches_the_oracle(rng, d, N):
+    walk = random_walk(rng, d, N)
+    coeffs = decompose(walk, random_table(rng, walk.space))
+    kernels = _kernels(coeffs)
+    for k in range(N + 1):
+        for j in range(1, d + 1):
+            got = gradient_chaos(walk, coeffs, k, j).values
+            assert _scaled_gap(got, oracle_gradient_chaos(walk, kernels, k, j)) <= TOL
+
+
+@pytest.mark.parametrize("d,N", [(1, 12), (2, 7), (4, 3)])
+def test_chaos_json_text_matches_the_kernel_view(rng, d, N):
+    # orders up to N + 1 >= 4, where r! * (block / r!) is not the block itself
+    walk = random_walk(rng, d, N)
+    table = random_table(rng, walk.space)
+    mean, kernels = oracle_kernel_view(walk, table)
+    want = {
+        "d": d,
+        "N": N,
+        "mean": mean,
+        "kernels": {str(k.order): kernel_to_json(k) for k in kernels},
+    }
+    assert dump_json(chaos_to_json(decompose(walk, table))) == dump_json(want)
+
+
+def test_tensor_operators_build_no_kernel_and_no_path_tables(rng, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a Kernel was built")
+
+    monkeypatch.setattr(Kernel, "__post_init__", refuse)
+    walk = random_walk(rng, 2, 3)
+    table = random_table(rng, walk.space)
+    coeffs = decompose(walk, table)
+    assert reconstruct(walk, coeffs).max_abs_diff(table) <= TOL
+    gradient_chaos(walk, coeffs, 1, 2)
+    project_horizon(coeffs, 1)
+    parseval_energy(coeffs)
+    assert "increments" not in walk.__dict__
+    assert "outcomes" not in walk.space.__dict__

@@ -17,7 +17,7 @@ from obtusewalk import (
     multiple_integral,
     symmetrize,
 )
-from obtusewalk.integrals import kernel_head_slice
+from chaos_oracle import kernel_dot, kernel_head_slice, kernel_truncate
 from helpers import (
     bernoulli,
     d2_fixture,
@@ -149,7 +149,7 @@ class TestMultipleIntegral:
                         walk,
                         multiple_integral(walk, f) * multiple_integral(walk, g),
                     )
-                    rhs = math.factorial(r) * f.dot(g) if r == s else 0.0
+                    rhs = math.factorial(r) * kernel_dot(f, g) if r == s else 0.0
                     assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_recurrence(self, rng):
@@ -173,7 +173,7 @@ class TestMultipleIntegral:
             table = multiple_integral(walk, f)
             for horizon in range(-1, 3):
                 conditioned = conditional_expectation(walk, table, horizon)
-                truncated = multiple_integral(walk, f.truncate(horizon))
+                truncated = multiple_integral(walk, kernel_truncate(f, horizon))
                 assert conditioned.max_abs_diff(truncated) < 1e-10
 
     def test_measurability_corollary(self, rng):
@@ -184,7 +184,7 @@ class TestMultipleIntegral:
         from obtusewalk import is_measurable
 
         assert not is_measurable(table, 1, tol=1e-10)
-        assert is_measurable(multiple_integral(walk, f.truncate(1)), 1, tol=1e-10)
+        assert is_measurable(multiple_integral(walk, kernel_truncate(f, 1)), 1, tol=1e-10)
 
 
 class TestMonomialKernel:

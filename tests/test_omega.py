@@ -51,6 +51,15 @@ class TestEnumeration:
             assert space.index_of(path) == idx
             assert space.path_at(idx) == path
 
+    @pytest.mark.parametrize("d,N", [(2, 2), (1, 3), (3, 1)])
+    def test_path_at_decodes_the_index(self, d, N):
+        space = PathSpace(d, N)
+        decoded = [space.path_at(idx) for idx in range(space.num_paths)]
+        assert "outcomes" not in space.__dict__
+        assert decoded == [tuple(row) for row in space.outcomes.tolist()]
+        with pytest.raises(ValueError):
+            space.path_at(space.num_paths)
+
     def test_outcomes_table_layout(self):
         out = PathSpace(2, 2).outcomes
         assert out.dtype == np.int32 and out.flags.c_contiguous and not out.flags.writeable

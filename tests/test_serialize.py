@@ -19,6 +19,7 @@ from obtusewalk.serialize import (
     walk_from_json,
     walk_to_json,
 )
+from chaos_oracle import kernel_allclose
 from helpers import bernoulli, d2_fixture, random_process, random_table
 
 
@@ -74,7 +75,7 @@ class TestKernelJSON:
         for order in (1, 2):
             kernel = coeffs.kernel(order)
             again = kernel_from_json(kernel_to_json(kernel), 2)
-            assert kernel.allclose(again, atol=1e-14)
+            assert kernel_allclose(kernel, again, atol=1e-14)
 
 
 class TestChaosJSON:

@@ -176,6 +176,16 @@ class TestIncrementRV:
         with pytest.raises(ValueError):
             increment_rv(walk, 0, 2)
 
+    def test_builds_no_path_tables(self, rng):
+        walk = random_walk(rng, 2, 3)
+        tables = [increment_rv(walk, n, j) for n in range(4) for j in (1, 2)]
+        tables.append(monomial_table(walk, (0, 2, 3), (2, 1, 2)))
+        assert "increments" not in walk.__dict__
+        assert "outcomes" not in walk.space.__dict__
+        # the same floats as gathering each step's vectors by outcome
+        for (n, j), table in zip(product(range(4), (1, 2)), tables):
+            assert np.array_equal(table.values, walk.increments[n][:, j - 1])
+
 
 def _all_monomials(d, N):
     out = [((), ())]
