@@ -33,7 +33,7 @@ def sweep(name, walk, table, grid):
 
 def main():
     walk = exact_bernoulli(3)
-    total = PathTable(walk.space, walk.increments[:, :, 0].sum(axis=0))
+    total = sum(increment_rv(walk, n, 1) for n in range(walk.N + 1))
     sweep("sum of four symmetric steps", walk, total, [0.5, 1.0, 2.0, 3.0, 4.0])
 
     walk = exact_bernoulli(1)

@@ -15,7 +15,8 @@ read and write (JSON files, chaos.multiple_integral); the library computes
 on the tensor, contracted with the per-step bases [1 | v] one axis at a
 time (along_axes).
 
-The stochastic integral of a predictable process U is sum_n <U_n, Y_n>.
+The stochastic integral of a predictable process U is sum_n <U_n, Y_n>,
+Y_n being v_n along the outcome-n axis of PathSpace.axis_view.
 """
 from __future__ import annotations
 
@@ -218,5 +219,13 @@ def integrate_predictable(
         raise PredictabilityError(
             f"process is not predictable (atom deviation {defect:.3e} > {tol:.0e})"
         )
-    values = np.einsum("npj,npj->p", process.values, walk.increments)
-    return PathTable(walk.space, values)
+    views = [walk.space.axis_view(u, n) for n, u in enumerate(process.values)]
+    return PathTable(walk.space, _stochastic_sum(walk, views))
+
+
+def _stochastic_sum(walk: WalkSpec, views: Sequence[np.ndarray]) -> np.ndarray:
+    """sum_n <U_n, Y_n> per path; views[n] is U_n on, or broadcast to, axis_view(., n)."""
+    total = np.zeros(walk.space.num_paths)
+    for view, step in zip(views, walk.steps):
+        total += np.einsum("aisj,ij->ais", view, step.v).ravel()
+    return total

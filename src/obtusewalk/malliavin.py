@@ -1,13 +1,10 @@
 """Gradient, divergence, Clark-Ocone representation, and related identities.
 
-The gradient is implemented as the finite-difference operator
-
-    D_k^j F(w) = sum_i c_i^j(k) F(w with outcome k forced to i),
-
-which is defined for every table on the finite path space; the equivalent
-chaos-lowering form is provided as a cross-check. The divergence extends
-the stochastic integral to non-predictable integrands via a correction
-term and is the adjoint of the gradient.
+Each operator acts on the outcome-k axis of the table (PathSpace.axis_view):
+D_k^j F(w) = sum_i c_i^j(k) F(w with outcome k set to i) contracts it with
+c_k, and the chaos-lowering form is a cross-check. The divergence, adjoint
+of the gradient, integrates the outcome at time k out of X_k and extends
+the stochastic integral to any integrand.
 """
 from __future__ import annotations
 
@@ -18,7 +15,7 @@ import numpy as np
 
 from .chaos import ChaosCoefficients, _on_walk
 from .errors import MartingaleError
-from .integrals import VectorProcess, _synthesize
+from .integrals import VectorProcess, _stochastic_sum, _synthesize
 from .omega import (
     PathSpace,
     PathTable,
@@ -60,16 +57,23 @@ class GradientField:
 
 
 def gradient(walk: WalkSpec, table: PathTable) -> GradientField:
-    """Finite-difference gradient of a table at every time and coordinate."""
+    """Gradient of a table at every time and coordinate."""
     if table.space != walk.space:
         raise ValueError("table is not defined on the walk's path space")
     space = walk.space
     out = np.empty((space.N + 1, space.num_paths, walk.d))
     for k in range(space.N + 1):
-        mutated = table.values[space.mutated_indices(k)]  # (P, d+1)
-        out[k] = mutated @ walk.steps[k].c  # (P, d)
+        _step_gradient(walk, table.values, k, out[k])
     out.setflags(write=False)
     return GradientField(space, out)
+
+
+def _step_gradient(walk: WalkSpec, values: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write D_k F, constant along the outcome-k axis, into the (num_paths, d) array out."""
+    view = walk.space.axis_view(values, k)  # (atoms, d+1, stride)
+    rows = view.transpose(0, 2, 1).reshape(-1, walk.d + 1)
+    grad = rows @ walk.steps[k].c  # (atoms * stride, d)
+    walk.space.axis_view(out, k)[...] = grad.reshape(len(view), 1, -1, walk.d)
 
 
 def gradient_chaos(
@@ -79,7 +83,7 @@ def gradient_chaos(
 
     The coefficients with digit j at time k move to digit 0 there; every
     other coefficient with a nonzero digit at k maps to zero. Agrees with
-    the finite-difference gradient of the reconstructed table.
+    the gradient of the reconstructed table.
     """
     if not 0 <= k <= walk.N:
         raise ValueError(f"time {k} outside [0, {walk.N}]")
@@ -95,44 +99,34 @@ def gradient_chaos(
 def divergence(walk: WalkSpec, process: VectorProcess) -> PathTable:
     """Extension of the stochastic integral to arbitrary integrands.
 
-    delta(X) = sum_k <X_k, Y_k> - sum_i sum_k <D_k(X_k^i), Y_k> Y_k^i.
-    The correction term is skipped for times where X_k is exactly constant
-    on the prior prefix atoms, so on predictable processes the result is
-    bit-identical to the stochastic integral.
+    delta(X) = sum_k <E_k X_k, Y_k>, E_k integrating out the outcome at
+    time k alone. E_k is skipped where X_k is exactly constant along that
+    axis, since its weights sum to one only up to rounding, so on
+    predictable processes the result is bit-identical to the integral.
     """
     if process.space != walk.space:
         raise ValueError("process is not defined on the walk's path space")
-    space = walk.space
-    total = np.einsum("npj,npj->p", process.values, walk.increments)
-    for k in range(space.N + 1):
-        xk = process.values[k]  # (P, d)
-        if atom_deviation(xk, space, k - 1) == 0.0:
-            continue
-        mutated = xk[space.mutated_indices(k)]  # (P, d+1, d_i)
-        grad = np.einsum("pmi,mj->pij", mutated, walk.steps[k].c)  # (P, j, i)
-        yk = walk.increments[k]  # (P, d)
-        total = total - np.einsum("pij,pj,pi->p", grad, yk, yk)
-    return PathTable(space, total)
+    views = []
+    for k, step in enumerate(walk.steps):
+        view = walk.space.axis_view(process.values[k], k)  # (atoms, d+1, stride, d)
+        if np.any(view != view[:, :1]):
+            view = np.einsum("i,aisj->asj", step.p, view)[:, None]
+        views.append(view)
+    return PathTable(walk.space, _stochastic_sum(walk, views))
 
 
 def clark_ocone(walk: WalkSpec, table: PathTable) -> tuple[float, VectorProcess]:
     """Predictable representation F = E[F] + sum_k <E[D_k F | F_{k-1}], Y_k>."""
-    grad = gradient(walk, table)
-    xi = np.empty_like(grad.values)
-    for k in range(walk.N + 1):
-        xi[k] = atom_average(walk, grad.values[k], k - 1)
-    return expectation(walk, table), VectorProcess(walk.space, xi)
+    return expectation(walk, table), clark_ocone_from(walk, table, -1)[1]
 
 
 def clark_ocone_from(
     walk: WalkSpec, table: PathTable, n: int
 ) -> tuple[PathTable, VectorProcess]:
-    """Representation from an intermediate time:
+    """Representation from an intermediate time n in [-1, N] (checked by atom_average):
 
     F = E[F | F_n] + sum_{k > n} <E[D_k F | F_{k-1}], Y_k>.
     """
-    if not -1 <= n <= walk.N:
-        raise ValueError(f"conditioning time {n} outside [-1, {walk.N}]")
     head = PathTable(walk.space, atom_average(walk, table.values, n))
     grad = gradient(walk, table)
     xi = np.zeros_like(grad.values)
@@ -171,8 +165,8 @@ def predictable_representation(
             raise MartingaleError(
                 f"martingale property fails at step {n} (deviation {defect:.3e})"
             )
-        grad_n = m.values[walk.space.mutated_indices(n)] @ walk.steps[n].c
-        xi[n] = atom_average(walk, grad_n, n - 1)
+        _step_gradient(walk, m.values, n, xi[n])
+        xi[n] = atom_average(walk, xi[n], n - 1)
         prev = m.values
     return m_init, VectorProcess(walk.space, xi)
 

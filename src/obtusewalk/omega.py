@@ -1,9 +1,9 @@
 """Finite path space, exact measure, and expectation oracles.
 
 Everything here enumerates the full outcome space {0,...,d}^(N+1) and
-computes probabilities, (conditional) expectations and path surgery by
-brute force. These routines are the ground truth the rest of the library
-is tested against, so they stay deliberately simple: dense tables, fixed
+computes probabilities and (conditional) expectations by brute force.
+These routines are the ground truth the rest of the library is tested
+against, so they stay deliberately simple: dense tables, fixed
 lexicographic summation order, no sampling.
 """
 from __future__ import annotations
@@ -97,15 +97,12 @@ class PathSpace:
             digits.append(w)
         return tuple(reversed(digits))
 
-    def mutated_indices(self, k: int) -> np.ndarray:
-        """(num_paths, d+1) indices of each path with outcome k forced to i."""
+    def axis_view(self, values: np.ndarray, k: int) -> np.ndarray:
+        """The (num_paths, ...) array as (atoms of F_{k-1}, d+1, stride(k), ...); axis 1 is w_k."""
         if not 0 <= k <= self.N:
             raise ValueError(f"time index {k} outside [0, {self.N}]")
-        stride = self.stride(k)
-        base = np.arange(self.num_paths, dtype=np.int64)
-        # outcome k of each path from its index, without the (P, N+1) outcomes table
-        base = base - (base // stride) % (self.d + 1) * stride
-        return base[:, None] + np.arange(self.d + 1, dtype=np.int64) * stride
+        shape = (self.atom_count(k - 1), self.d + 1, self.stride(k))
+        return np.reshape(values, shape + np.shape(values)[1:])
 
 
 def _frozen_float(values) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .chaos import chaos_order
 from .errors import SizeCapError
 from .integrals import along_axes
-from .malliavin import GradientField, gradient
+from .malliavin import gradient
 from .omega import PathTable, _check_space, atom_average, expectation
 from .walk import WalkSpec
 
@@ -107,7 +107,7 @@ def cov_semigroup(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
     Since D_k P_t = e^{-t} P_t D_k, the integrand is E[<D_k F, D_k P_t G>],
     and the time integral moves onto G: int_0^inf P_t (G - E[G]) dt is the
     table H whose order-r chaos is that of G divided by r. The result is
-    sum_k E[<D_k F, D_k H>] with both gradients taken by finite differences.
+    sum_k E[<D_k F, D_k H>] with both gradients taken on the path view.
     """
     h = _scale_chaos(walk, g, [0.0] + [1.0 / r for r in range(1, walk.N + 2)])
     inner = np.einsum("kpj,kpj->p", gradient(walk, f).values, gradient(walk, h).values)
@@ -159,11 +159,10 @@ def deviation_bound(
     if table.space != walk.space:
         raise ValueError("table is not defined on the walk's path space")
 
-    space = walk.space
     k_min = 0.0
-    for k in range(space.N + 1):
-        mutated = table.values[space.mutated_indices(k)]  # (P, d+1)
-        k_min = max(k_min, float(np.max(mutated.max(axis=1) - mutated.min(axis=1))))
+    for k in range(walk.N + 1):
+        view = walk.space.axis_view(table.values, k)  # (atoms, d+1, stride)
+        k_min = max(k_min, float(np.max(view.max(axis=1) - view.min(axis=1))))
     c_min = max(float(np.max(np.abs(step.c))) for step in walk.steps)
 
     if spread is None:
@@ -195,70 +194,3 @@ def deviation_bound(
         bound_log=bound_log,
         oracle_tail=tail_probability(walk, table, x),
     )
-
-
-def exp_gradient_residual(
-    walk: WalkSpec, table: PathTable, s: float
-) -> float:
-    """Worst defect of the exponential-gradient identity at scale s.
-
-    Checks pointwise that exp(-sF) D_k^j exp(sF) equals
-    sum_{i != w_k} c_i^j(k) (exp(s (F(w_i^k) - F)) - 1).
-    """
-    space = walk.space
-    exp_table = PathTable(space, np.exp(s * table.values))
-    grad_exp = gradient(walk, exp_table)
-    worst = 0.0
-    for k in range(space.N + 1):
-        mutated = table.values[space.mutated_indices(k)]  # (P, d+1)
-        diff = np.expm1(s * (mutated - table.values[:, None]))  # (P, d+1)
-        taken = space.outcomes[:, k]
-        diff[np.arange(space.num_paths), taken] = 0.0
-        rhs = diff @ walk.steps[k].c  # (P, d)
-        lhs = grad_exp.values[k] / exp_table.values[:, None]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
-def product_rule_residual(
-    walk: WalkSpec, f: PathTable, g: PathTable
-) -> float:
-    """Worst defect of the gradient product correction.
-
-    D_k^j(FG) - F D_k^j G - G D_k^j F must equal
-    sum_{i != w_k} c_i^j(k) (F - F(w_i^k)) (G - G(w_i^k)).
-    """
-    space = walk.space
-    grad_fg = gradient(walk, f * g)
-    grad_f = gradient(walk, f)
-    grad_g = gradient(walk, g)
-    worst = 0.0
-    for k in range(space.N + 1):
-        mut = space.mutated_indices(k)
-        df = f.values[:, None] - f.values[mut]  # (P, d+1)
-        dg = g.values[:, None] - g.values[mut]
-        prod = df * dg
-        taken = space.outcomes[:, k]
-        prod[np.arange(space.num_paths), taken] = 0.0
-        correction = prod @ walk.steps[k].c  # (P, d)
-        lhs = (
-            grad_fg.values[k]
-            - f.values[:, None] * grad_g.values[k]
-            - g.values[:, None] * grad_f.values[k]
-        )
-        worst = max(worst, float(np.max(np.abs(lhs - correction))))
-    return worst
-
-
-def semigroup_gradient_contraction(
-    walk: WalkSpec, grad: GradientField, t: float
-) -> float:
-    """max over paths of sum_k max_j |P_t(D_k^j F)| for the given gradient."""
-    t = _check_time(t)
-    damped = np.empty_like(grad.values)
-    for k in range(walk.N + 1):
-        for j in range(walk.d):
-            damped[k][:, j] = ou_apply_kernel(
-                walk, PathTable(walk.space, grad.values[k][:, j]), t
-            ).values
-    return float(np.max(np.abs(damped).max(axis=2).sum(axis=0)))

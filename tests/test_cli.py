@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import obtusewalk
-from obtusewalk import price_claim, find_emm
+from obtusewalk import price_claim, find_emm, serialize
 from obtusewalk.cli import main
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from obtusewalk.serialize import market_from_json
@@ -157,6 +158,44 @@ class TestFormatsAndFlags:
         assert code == 0
         data = json.loads(out)
         assert data[0][0] == [0.5] and data[1][0] == [0.5]
+
+
+class TestClarkOconeFrom:
+    def test_output_equals_the_library_call(self, capsys, rng, tmp_path):
+        """Every start time, --from N included, prints what the library writer prints."""
+        probs = rng.uniform(0.2, 1.0, size=(4, 3))
+        walk_file = tmp_path / "walk.json"
+        steps = [{"p": (p / p.sum()).tolist()} for p in probs]
+        walk_file.write_text(json.dumps({"d": 2, "N": 3, "steps": steps}))
+        table_file = tmp_path / "table.json"
+        table_file.write_text(json.dumps(rng.uniform(-1.0, 1.0, size=3**4).tolist()))
+        for walk_path, table_path in (
+            (f"{FIX}/bernoulli.json", f"{FIX}/indicator_table.json"),
+            (str(walk_file), str(table_file)),
+        ):
+            with open(walk_path, "r", encoding="utf-8") as handle:
+                walk = serialize.walk_from_json(json.load(handle))
+            with open(table_path, "r", encoding="utf-8") as handle:
+                table = serialize.table_from_json(json.load(handle), walk.space)
+            for start in range(-1, walk.N + 1):
+                argv = ["clark-ocone", walk_path, "--table", table_path, "--from", str(start)]
+                code, out = run_cli(argv, capsys)
+                assert code == 0
+                head, xi = obtusewalk.clark_ocone_from(walk, table, start)
+                payload = {
+                    "head": serialize.table_to_json(head),
+                    "integrand": serialize.process_to_json(xi)["values"],
+                }
+                assert out == serialize.dump_json(payload) + "\n"
+                if start == walk.N:
+                    assert not np.any(np.array(json.loads(out)["integrand"]))
+
+    def test_time_past_the_horizon_is_one_error_line(self, capsys):
+        code = main(COMMANDS["clark-ocone"] + ["--from", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: conditioning time 3 outside [-1, 1]\n"
 
 
 class TestExitCodes:
@@ -499,9 +538,15 @@ def test_output_is_independent_of_the_blas_thread_count(rng, tmp_path):
         for command in ("hedge", "verify")
         for market, payoff in ((crr, "max(S(1)-100,0)"), (basket, "max(0.5*(S(1)+S(2))-97,0)"))
     ]
+    process = tmp_path / "process.json"
+    process.write_text(json.dumps({"values": rng.uniform(-1.0, 1.0, size=(7, 4**7, 3)).tolist()}))
     for argv in (
         ["chaos", "decompose", str(walk), "--table", str(table)],
         ["ou", str(walk), "--table", str(table), "--t", "0.3", "--method", "kernel"],
+        ["gradient", str(walk), "--table", str(table)],
+        ["clark-ocone", str(walk), "--table", str(table)],
+        ["divergence", str(walk), "--process", str(process)],
+        ["deviation", str(walk), "--payoff-table", str(table), "--x", "0.5"],
         *(["market", *args] for args in hedges),
     ):
         runs = [_fresh_process(argv, {"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]

@@ -21,7 +21,6 @@ from obtusewalk import (
     poincare_check,
     predictable_representation,
 )
-from obtusewalk.ou import product_rule_residual
 from helpers import (
     bernoulli,
     d2_fixture,
@@ -30,6 +29,7 @@ from helpers import (
     random_table,
     random_walk,
 )
+from malliavin_oracle import product_rule_residual
 
 
 def _reconstructs(walk, mean, xi, table, atol=1e-10):

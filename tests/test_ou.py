@@ -18,8 +18,8 @@ from obtusewalk import (
     ou_kernel_matrix,
     tail_probability,
 )
-from obtusewalk.ou import exp_gradient_residual, semigroup_gradient_contraction
 from helpers import bernoulli, biased, d2_fixture, random_table, random_walk
+from malliavin_oracle import exp_gradient_residual, semigroup_gradient_contraction
 
 TS = (0.0, 0.3, 1.0, 5.0)
 
