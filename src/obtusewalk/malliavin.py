@@ -132,6 +132,7 @@ def clark_ocone_from(
     xi = np.zeros_like(grad.values)
     for k in range(n + 1, walk.N + 1):
         xi[k] = atom_average(walk, grad.values[k], k - 1)
+    xi.setflags(write=False)
     return head, VectorProcess(walk.space, xi)
 
 
@@ -168,6 +169,7 @@ def predictable_representation(
         _step_gradient(walk, m.values, n, xi[n])
         xi[n] = atom_average(walk, xi[n], n - 1)
         prev = m.values
+    xi.setflags(write=False)
     return m_init, VectorProcess(walk.space, xi)
 
 

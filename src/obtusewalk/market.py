@@ -8,28 +8,33 @@ every claim is priced by discounted expectation, and the hedge is
 recovered either by backward replication or through the
 predictable-representation formula on the driving walk.
 
-The price paths are computed once per MarketSpec (its `prices` property),
-one step at a time on the (atoms, d) prices of the prefix atoms and then
-repeated out to path resolution; every routine here reads them from there.
-The risk-neutral walk is likewise built once per EMM (see `emm_walk`).
-Both the risk-neutral and the replication systems of one step depend only
-on prices, and recombining models repeat the same prices at many atoms. So
-each step's systems are grouped by the exact bytes of their prices: every
-distinct system (node) is conditioned, and every distinct risk-neutral
-system solved, once; the replication systems are solved by one batched
-call. The per-atom checks still apply atom by atom, and the first failing
-atom in canonical order decides the error: a node's first occurrence is
-its earliest atom. A step whose systems are all distinct gains nothing and
-pays one extra sort, about a quarter of the cost of its condition numbers.
-The one-atom-at-a-time loop survives only as the test suite's oracle.
+Prices live on a lattice built once per MarketSpec (`PriceLattice`): at
+each time n the distinct price vectors (nodes), numbered by their first
+atom, and the node of every atom of F_n. Step n+1 grows only the nodes of
+time n, d+1 children each, and merges children with the same bytes, so a
+recombining model such as CRR keeps far fewer nodes than atoms. An atom's
+prices are its node's row. The path-indexed `prices` view is built only
+when something asks for it, and no market routine here does.
+
+The risk-neutral and the replication systems depend only on the node, so
+both are set up once per node. `find_emm` stacks the systems of every node
+of every step and conditions and solves them in one call each; the first
+failing (step, node) decides the error, and since nodes are numbered by
+first atom this is the first failing atom of the one-atom-at-a-time loop.
+A system with a non-finite entry counts as singular. `hedge_replicate`
+conditions one replication matrix per node, for all steps at once, and
+then solves each atom's system against the claim. The one-atom-at-a-time
+loops survive only as the test suite's oracle.
 
 Every adapted quantity is computed on the atoms of the filtration, one row
 per atom: an atom of F_n is a contiguous block of atom_size(n) paths, and
 its d+1 sub-atoms of F_{n+1} follow it scenario by scenario. Both hedges
 read the claim only through its conditional means on the atoms of F_n
-(`omega.atom_means`); neither builds the path-wise gradient. Strategies
-keep their path-indexed form, repeated out from the atoms, and
-`verify_strategy` evaluates the identities once per atom of F_n.
+(`omega.atom_means`); neither builds the path-wise gradient. A `Strategy`
+holds one row per atom of F_{n-1} for each n, so it is predictable by
+construction; path-indexed input comes in through `Strategy.from_paths`,
+which records how far it was from predictable. `verify_strategy` evaluates
+the remaining identities once per atom of F_n.
 """
 from __future__ import annotations
 
@@ -152,18 +157,90 @@ class MarketSpec:
         return out
 
     @cached_property
-    def prices(self) -> VectorProcess:
-        """Price tables S_n along every path, built once per market."""
-        space = self.space
+    def lattice(self) -> "PriceLattice":
+        """Price nodes of every time, built once per market."""
         growth = np.eye(self.d)[None, None] + self.scenarios  # (N+1, d+1, d, d)
+        return PriceLattice.build(self.s_init, growth)
+
+    @cached_property
+    def prices(self) -> VectorProcess:
+        """Price tables S_n along every path: the lattice's path view, built on first use."""
+        space = self.space
         values = np.empty((self.N + 1, space.num_paths, self.d))
-        current = self.s_init[None]  # (atoms of F_{n-1}, d)
         for n in range(self.N + 1):
-            # atom a of F_{n-1} followed by scenario k is atom a*(d+1)+k of F_n
-            current = np.einsum("kij,aj->aki", growth[n], current).reshape(-1, self.d)
-            values[n] = np.repeat(current, space.atom_size(n), axis=0)
+            values[n] = np.repeat(self.lattice.atom_prices(n), space.atom_size(n), axis=0)
         values.setflags(write=False)
         return VectorProcess(space, values)
+
+
+def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows, by exact bytes, in order of first occurrence.
+
+    Returns the number of every row and the index of each number's first row.
+    """
+    width = rows.shape[1] * rows.itemsize
+    buf = np.ascontiguousarray(rows).tobytes()
+    seen: dict[bytes, int] = {}
+    head = np.fromiter(
+        (seen.setdefault(buf[i * width : (i + 1) * width], i) for i in range(len(rows))),
+        dtype=np.intp,
+        count=len(rows),
+    )
+    first = np.flatnonzero(head == np.arange(len(rows)))
+    number = np.empty(len(rows), dtype=np.intp)
+    number[first] = np.arange(len(first))
+    return number[head], first
+
+
+@dataclass(frozen=True, eq=False)
+class PriceLattice:
+    """The distinct prices (nodes) of each time and the node of every atom.
+
+    nodes[n] holds the distinct price vectors S_n, numbered by their first
+    atom of F_n; owner[n][a] is the node of atom a of F_n; children[n][c, i]
+    is the node that node c of time n-1 moves to in scenario i. Time -1 has
+    one node, the initial prices.
+    """
+
+    s_init: np.ndarray  # (d,)
+    nodes: tuple[np.ndarray, ...]  # (nodes of time n, d) per n
+    owner: tuple[np.ndarray, ...]  # (atoms of F_n,) per n
+    children: tuple[np.ndarray, ...]  # (nodes of time n-1, d+1) per n
+
+    @staticmethod
+    def build(s_init: np.ndarray, growth: np.ndarray) -> "PriceLattice":
+        """Grow the lattice step by step from the (N+1, d+1, d, d) growth matrices I + M."""
+        d = len(s_init)
+        nodes, owner, children = [], [], []
+        prev, prev_owner = s_init[None], np.zeros(1, dtype=np.intp)
+        for step in growth:
+            # row c*(d+1)+i is node c followed by scenario i; its first atom is
+            # first_atom(c)*(d+1)+i, so numbering rows by first occurrence
+            # numbers the new nodes by first atom
+            rows = np.einsum("kij,aj->aki", step, prev).reshape(-1, d)
+            number, first = _first_occurrence(rows)
+            kids = number.reshape(-1, d + 1)
+            prev, prev_owner = rows[first], np.take(kids, prev_owner, axis=0).ravel()
+            for arr in (prev, prev_owner, kids):
+                arr.setflags(write=False)
+            nodes.append(prev)
+            owner.append(prev_owner)
+            children.append(kids)
+        return PriceLattice(s_init, tuple(nodes), tuple(owner), tuple(children))
+
+    def prior(self, n: int) -> np.ndarray:
+        """(nodes of time n-1, d) prices before step n; before step 0 the initial prices."""
+        return self.nodes[n - 1] if n > 0 else self.s_init[None]
+
+    def prior_owner(self, n: int) -> np.ndarray:
+        """(atoms of F_{n-1},) node of time n-1 of every atom."""
+        return self.owner[n - 1] if n > 0 else np.zeros(1, dtype=np.intp)
+
+    def atom_prices(self, n: int) -> np.ndarray:
+        """(atoms of F_n, d) prices S_n, one row per atom; n = -1 gives the initial prices."""
+        if n < 0:
+            return self.s_init[None]
+        return np.take(self.nodes[n], self.owner[n], axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,36 +255,88 @@ class EMM:
         object.__setattr__(self, "q", q)
 
 
+def _row_start(space: PathSpace, n: int) -> int:
+    """Number of strategy rows of the steps before n: the atoms of F_{-1}..F_{n-2}."""
+    return (space.atom_count(n - 1) - 1) // space.d
+
+
 @dataclass(frozen=True, eq=False)
 class Strategy:
     """Predictable portfolio: bond units beta_n and share counts gamma_n.
 
-    Index n holds the position formed at time n-1 and carried into time n;
-    beta_init/gamma_init are the deterministic values at index -1.
+    The position formed at time n-1 and carried into time n has one row per
+    atom of F_{n-1}; `beta` and `gamma` stack these rows for n = 0..N in
+    level order, and rows(n) reads those of step n. beta_init/gamma_init
+    are the deterministic values at index -1. `predictability_defect` is
+    how far path-indexed input was from constant on the atoms of F_{n-1}
+    (see from_paths); a strategy built per atom has none.
     """
 
     space: PathSpace
-    beta: np.ndarray  # (N+1, num_paths)
-    gamma: np.ndarray  # (N+1, num_paths, d)
+    beta: np.ndarray  # (rows,)
+    gamma: np.ndarray  # (rows, d)
     beta_init: float = 0.0
     gamma_init: np.ndarray | None = None
+    predictability_defect: float = 0.0
 
     def __post_init__(self) -> None:
         beta = _frozen_float(self.beta)
         gamma = _frozen_float(self.gamma)
-        num, d = self.space.num_paths, self.space.d
-        if beta.shape != (self.space.N + 1, num):
-            raise ValueError(f"beta has shape {beta.shape}, expected ({self.space.N + 1}, {num})")
-        if gamma.shape != (self.space.N + 1, num, d):
-            raise ValueError(
-                f"gamma has shape {gamma.shape}, expected ({self.space.N + 1}, {num}, {d})"
-            )
+        rows, d = _row_start(self.space, self.space.N + 1), self.space.d
+        if beta.shape != (rows,):
+            raise ValueError(f"beta has shape {beta.shape}, expected ({rows},)")
+        if gamma.shape != (rows, d):
+            raise ValueError(f"gamma has shape {gamma.shape}, expected ({rows}, {d})")
         init = _frozen_float(np.zeros(d) if self.gamma_init is None else self.gamma_init)
         if init.shape != (d,):
             raise ValueError(f"gamma_init has shape {init.shape}, expected ({d},)")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_init", init)
+        object.__setattr__(self, "predictability_defect", float(self.predictability_defect))
+
+    @staticmethod
+    def from_paths(
+        space: PathSpace,
+        beta: np.ndarray,
+        gamma: np.ndarray,
+        beta_init: float = 0.0,
+        gamma_init: np.ndarray | None = None,
+    ) -> "Strategy":
+        """Strategy from (N+1, num_paths) bond units and (N+1, num_paths, d) share counts.
+
+        Keeps the first path of each atom of F_{n-1} at step n and records
+        the largest deviation from it within the atom as the strategy's
+        predictability defect.
+        """
+        beta = np.asarray(beta, dtype=float)
+        gamma = np.asarray(gamma, dtype=float)
+        steps, num, d = space.N + 1, space.num_paths, space.d
+        if beta.shape != (steps, num):
+            raise ValueError(f"beta has shape {beta.shape}, expected ({steps}, {num})")
+        if gamma.shape != (steps, num, d):
+            raise ValueError(f"gamma has shape {gamma.shape}, expected ({steps}, {num}, {d})")
+        defect = 0.0
+        for n in range(steps):
+            defect = max(defect, atom_deviation(beta[n], space, n - 1))
+            defect = max(defect, atom_deviation(gamma[n], space, n - 1))
+        firsts = [space.atom_size(n - 1) for n in range(steps)]
+        return Strategy(
+            space,
+            np.concatenate([beta[n][::block] for n, block in enumerate(firsts)]),
+            np.concatenate([gamma[n][::block] for n, block in enumerate(firsts)]),
+            beta_init,
+            gamma_init,
+            defect,
+        )
+
+    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(atoms of F_{n-1},) bond units and (atoms of F_{n-1}, d) share counts of step n."""
+        if not 0 <= n <= self.space.N:
+            raise ValueError(f"step {n} outside [0, {self.space.N}]")
+        start = _row_start(self.space, n)
+        stop = start + self.space.atom_count(n - 1)
+        return self.beta[start:stop], self.gamma[start:stop]
 
 
 def build_prices(market: MarketSpec) -> tuple[VectorProcess, np.ndarray]:
@@ -215,25 +344,11 @@ def build_prices(market: MarketSpec) -> tuple[VectorProcess, np.ndarray]:
     return market.prices, market.bond.copy()
 
 
-def _prev_prices(market: MarketSpec, n: int) -> np.ndarray:
-    """(num_paths, d) prices S_{n-1} before step n; S_{-1} is the initial vector."""
-    if n == 0:
-        return np.broadcast_to(market.s_init, (market.space.num_paths, market.d))
-    return market.prices.values[n - 1]
-
-
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct row, by exact bytes."""
-    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
-    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
-    return np.unique(keys, return_index=True)[1]
-
-
-def _leading_regular(mats: np.ndarray) -> int:
-    """Number of leading systems in the stack before the first singular one."""
-    first = _distinct(mats)
-    singular = first[np.linalg.cond(mats[first]) > _COND_LIMIT]
-    return int(singular.min()) if singular.size else len(mats)
+def _singular(mats: np.ndarray) -> np.ndarray:
+    """Which systems of the stack are singular: non-finite or conditioned above the limit."""
+    singular = ~np.isfinite(mats).all(axis=(1, 2))
+    singular[~singular] = np.linalg.cond(mats[~singular]) > _COND_LIMIT
+    return singular
 
 
 def find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
@@ -241,41 +356,43 @@ def find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
 
     For each step the system  sum_i q_i M_k^i S_{k-1} = r_k S_{k-1}  plus
     normalization is solved on every prior atom; the solutions must be
-    strictly positive and agree across atoms.
+    strictly positive and agree across atoms. The systems of every node of
+    every step are conditioned and solved together; the first failing
+    (step, node) decides the error.
     """
-    d = market.d
-    out = np.empty((market.N + 1, d + 1))
-    for k in range(market.N + 1):
-        s_prev = _prev_prices(market, k)[:: market.space.atom_size(k - 1)]  # (atoms, d)
-        first = _distinct(s_prev)  # earliest atom of each node
-        s_node = s_prev[first]
+    d, lattice = market.d, market.lattice
+    prior = [lattice.prior(k) for k in range(market.N + 1)]
+    sizes = [len(s_node) for s_node in prior]
+    step = np.repeat(np.arange(market.N + 1), sizes)  # the step of every system
+    starts = np.cumsum([0] + sizes[:-1])  # node 0 of each step, the node of atom 0
+    s_node = np.concatenate(prior)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as singular
         mats = np.ones((len(s_node), d + 1, d + 1))
-        moved = np.matmul(market.scenarios[k][None], s_node[:, None, :, None])
+        moved = np.matmul(market.scenarios[step], s_node[:, None, :, None])
         mats[:, :d, :] = moved[..., 0].transpose(0, 2, 1)  # column i: M_k^i S_{k-1}
         rhs = np.ones((len(s_node), d + 1, 1))
-        rhs[:, :d, 0] = market.rates[k] * s_node
-        singular = np.linalg.cond(mats) > _COND_LIMIT
-        q = np.zeros((len(s_node), d + 1))
-        q[~singular] = np.linalg.solve(mats[~singular], rhs[~singular])[..., 0]
-        ref = np.argmin(first)  # the node of atom 0
-        positive = np.all(q > 0.0, axis=1)
-        agree = np.max(np.abs(q - q[ref]), axis=1) <= tol
-        failing = singular | ~(positive & agree)
-        if failing.any():
-            node = np.flatnonzero(failing)[np.argmin(first[failing])]
-            if singular[node]:
-                raise IncompleteMarketError(
-                    f"incomplete market: scenario system at step {k} is singular"
-                )
-            if not positive[node]:
-                raise ArbitrageError(
-                    f"arbitrage: risk-neutral weights at step {k} are not strictly positive"
-                )
-            raise StateDependentMeasureError(
-                f"state-dependent EMM unsupported: step {k} weights differ across atoms"
+        rhs[:, :d, 0] = market.rates[step, None] * s_node
+    singular = _singular(mats) | ~np.isfinite(rhs).all(axis=(1, 2))
+    q = np.zeros((len(s_node), d + 1))
+    q[~singular] = np.linalg.solve(mats[~singular], rhs[~singular])[..., 0]
+    positive = np.all(q > 0.0, axis=1)
+    agree = np.max(np.abs(q - q[np.repeat(starts, sizes)]), axis=1) <= tol
+    failing = np.flatnonzero(singular | ~(positive & agree))
+    if failing.size:
+        node = failing[0]
+        k = int(step[node])
+        if singular[node]:
+            raise IncompleteMarketError(
+                f"incomplete market: scenario system at step {k} is singular"
             )
-        out[k] = q[ref]
-    return EMM(out)
+        if not positive[node]:
+            raise ArbitrageError(
+                f"arbitrage: risk-neutral weights at step {k} are not strictly positive"
+            )
+        raise StateDependentMeasureError(
+            f"state-dependent EMM unsupported: step {k} weights differ across atoms"
+        )
+    return EMM(q[starts])
 
 
 def emm_walk(market: MarketSpec, emm: EMM) -> WalkSpec:
@@ -307,36 +424,44 @@ def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
     At each time and prior atom, the bond row and the d+1 scenario prices
     determine the portfolio matching the replication values in every
     scenario; the resulting strategy is predictable and self-financing.
+    An atom's matrix is its node's, so the matrices of every node of every
+    step are conditioned before any atom is solved; the singular step with
+    the largest n raises.
     """
     if claim.space != market.space:
         raise ValueError("claim is not defined on the market's path space")
-    space = market.space
+    space, d, lattice, bond = market.space, market.d, market.lattice, market.bond
     wq = emm_walk(market, emm)
-    prices = market.prices.values
-    bond = market.bond
+    # row i for a node of time n-1: the bond, then the prices of its child in scenario i
+    mats = []
+    for n in range(market.N + 1):
+        node_mats = np.empty(lattice.children[n].shape + (d + 1,))
+        node_mats[:, :, 0] = bond[n]
+        node_mats[:, :, 1:] = lattice.nodes[n][lattice.children[n]]
+        mats.append(node_mats)
+    singular = _singular(np.concatenate(mats))
+    if singular.any():
+        step = np.repeat(np.arange(market.N + 1), [len(m) for m in mats])
+        raise IncompleteMarketError(
+            f"incomplete market: replication system at step {int(step[singular].max())} is singular"
+        )
 
-    beta = np.empty((market.N + 1, space.num_paths))
-    gamma = np.empty((market.N + 1, space.num_paths, market.d))
+    beta = np.empty(_row_start(space, market.N + 1))
+    gamma = np.empty((len(beta), d))
     for n in range(market.N, -1, -1):
         # row i of atom a of F_{n-1} is atom a*(d+1)+i of F_n: a followed by scenario i
-        shape = (space.atom_count(n - 1), market.d + 1)
-        mats = np.empty(shape + (market.d + 1,))
-        mats[:, :, 0] = bond[n]
-        mats[:, :, 1:] = prices[n][:: space.atom_size(n)].reshape(*shape, market.d)
-        if _leading_regular(mats) < len(mats):
-            raise IncompleteMarketError(
-                f"incomplete market: replication system at step {n} is singular"
-            )
+        shape = (space.atom_count(n - 1), d + 1)
         # replication values V_n = B_n / B_N E_Q[F | F_n] on the atoms of F_n
         values = (float(bond[n]) / float(bond[market.N])) * atom_means(wq, claim.values, n)
-        sol = np.linalg.solve(mats, values.reshape(shape)[..., None])[..., 0]
-        block = space.atom_size(n - 1)
-        beta[n] = np.repeat(sol[:, 0], block)
-        gamma[n] = np.repeat(sol[:, 1:], block, axis=0)
+        atom_mats = np.take(mats[n], lattice.prior_owner(n), axis=0)
+        sol = np.linalg.solve(atom_mats, values.reshape(shape)[..., None])[..., 0]
+        rows = slice(_row_start(space, n), _row_start(space, n + 1))
+        beta[rows] = sol[:, 0]
+        gamma[rows] = sol[:, 1:]
     v_init = expectation(wq, claim) / float(bond[market.N])
     beta.setflags(write=False)
     gamma.setflags(write=False)
-    return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+    return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(d))
 
 
 def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
@@ -377,27 +502,22 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
             "closed-form hedge needs diagonal scenario matrices; use hedge_replicate"
         )
     rate = market.uniform_rate()
-    space = market.space
+    space, d, lattice = market.space, market.d, market.lattice
     wq = emm_walk(market, emm)
-    prices = market.prices.values
     ratio_const = _hedge_ratios(market, wq, rate)
 
-    beta = np.empty((market.N + 1, space.num_paths))
-    gamma = np.empty((market.N + 1, space.num_paths, market.d))
+    beta = np.empty(_row_start(space, market.N + 1))
+    gamma = np.empty((len(beta), d))
+    s_prev = lattice.atom_prices(-1)
     for n in range(market.N + 1):
-        block = space.atom_size(n - 1)
+        s_now = lattice.atom_prices(n)
         cond = atom_means(wq, claim.values, n)  # E_Q[F | F_n], one entry per atom
-        xi = cond.reshape(-1, market.d + 1) @ wq.steps[n].c  # (atoms of F_{n-1}, d)
-        gam = (
-            (1.0 + rate) ** (n - market.N) * xi * ratio_const[n]
-            / _prev_prices(market, n)[::block]
-        )
+        xi = cond.reshape(-1, d + 1) @ wq.steps[n].c  # (atoms of F_{n-1}, d)
+        gam = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / s_prev
         raw_beta = (1.0 + rate) ** (-market.N - 1) * cond - (1.0 + rate) ** (
             -n - 1
-        ) * np.einsum(
-            "aj,aj->a", np.repeat(gam, market.d + 1, axis=0), prices[n][:: space.atom_size(n)]
-        )
-        raw_beta = raw_beta.reshape(-1, market.d + 1)
+        ) * np.einsum("aj,aj->a", np.repeat(gam, d + 1, axis=0), s_now)
+        raw_beta = raw_beta.reshape(-1, d + 1)
         bet = (raw_beta * wq.steps[n].p).sum(axis=1)  # E_Q[raw | F_{n-1}]
         defect = float(np.max(np.abs(raw_beta - bet[:, None])))
         if defect > 1e-6 * max(1.0, float(np.max(np.abs(bet)))):
@@ -405,12 +525,14 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
                 f"bond position at step {n} is not predictable (defect {defect:.3e}); "
                 "use hedge_replicate"
             )
-        beta[n] = np.repeat(bet, block)
-        gamma[n] = np.repeat(gam, block, axis=0)
+        rows = slice(_row_start(space, n), _row_start(space, n + 1))
+        beta[rows] = bet
+        gamma[rows] = gam
+        s_prev = s_now
     v_init = expectation(wq, claim) / float(market.bond[market.N])
     beta.setflags(write=False)
     gamma.setflags(write=False)
-    return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+    return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(d))
 
 
 @dataclass(frozen=True)
@@ -441,13 +563,15 @@ class StrategyReport:
 
 
 def strategy_values(market: MarketSpec, strategy: Strategy) -> tuple[np.ndarray, float]:
-    """Post-rebalance portfolio values V_n = beta_n B_n + <gamma_n, S_n>."""
-    prices, bond = market.prices.values, market.bond
-    values = np.empty((market.N + 1, market.space.num_paths))
+    """Post-rebalance portfolio values V_n = beta_n B_n + <gamma_n, S_n> along every path."""
+    space, d, lattice = market.space, market.d, market.lattice
+    values = np.empty((market.N + 1, space.num_paths))
     for n in range(market.N + 1):
-        values[n] = strategy.beta[n] * bond[n] + np.einsum(
-            "pj,pj->p", strategy.gamma[n], prices[n]
+        beta, gamma = strategy.rows(n)
+        on_atoms = np.repeat(beta, d + 1) * market.bond[n] + np.einsum(
+            "aj,aj->a", np.repeat(gamma, d + 1, axis=0), lattice.atom_prices(n)
         )
+        values[n] = np.repeat(on_atoms, space.atom_size(n))
     v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
     return values, v_init
 
@@ -457,64 +581,56 @@ def verify_strategy(
 ) -> StrategyReport:
     """Check predictability, self-financing, value identities and replication.
 
-    All checks are reported as max residuals. Predictability is measured on
-    every path. The self-financing, telescoping, discounted increment and
-    (for diagonal uniform-rate models) value-decomposition identities and
-    replication involve only F_n-measurable quantities at time n once the
-    strategy is predictable, so they are evaluated once per atom of F_n, at
-    its first path; running sums over F_{n-1} are repeated to its d+1
-    sub-atoms. On an exactly predictable strategy, such as either hedge
-    here, every residual is bit-identical to its maximum over all paths. On
-    any other strategy the predictability residual already fails the check.
-    Prices come from the market, so the check stays independent of the hedge.
+    All checks are reported as max residuals. A strategy holds one position
+    per atom of F_{n-1}, so it is predictable by construction; the report
+    carries the defect that `Strategy.from_paths` measured on path-indexed
+    input. The self-financing, telescoping, discounted increment and (for
+    diagonal uniform-rate models) value-decomposition identities and
+    replication involve only F_n-measurable quantities at time n, so they
+    are evaluated once per atom of F_n: the position of an atom of F_{n-1}
+    and the running sums over F_{n-1} are repeated to its d+1 sub-atoms.
+    Each residual equals its maximum over all paths bit for bit. Prices
+    come from the market, so the check stays independent of the hedge.
     """
     if strategy.space != market.space or claim.space != market.space:
         raise ValueError("strategy and claim must live on the market's path space")
-    space = market.space
-    prices, bond = market.prices.values, market.bond
-    d = market.d
-
-    predict = 0.0
-    for n in range(market.N + 1):
-        predict = max(predict, atom_deviation(strategy.beta[n], space, n - 1))
-        predict = max(predict, atom_deviation(strategy.gamma[n], space, n - 1))
+    space, d, lattice, bond = market.space, market.d, market.lattice, market.bond
 
     decomposable = market.diagonal and bool(np.all(market.rates == market.rates[0]))
     rate = float(market.rates[0])
     v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
     self_fin = telescoping = discounted = 0.0
     decomposition = 0.0 if decomposable else None
-    # running sums on the atoms of F_{n-1}; F_{-1} has one atom
+    # positions, prices and running sums on the atoms of F_{n-1}; F_{-1} has one atom
+    beta_prev = np.array([strategy.beta_init])
+    gamma_prev = strategy.gamma_init[None]
+    s_prev = lattice.atom_prices(-1)
+    bond_prev = 1.0
     gains = np.array([v_init])
     disc_prev = np.array([v_init])
     acc = np.zeros(1)
     for n in range(market.N + 1):
-        first = space.atom_size(n)  # path stride between the first paths of F_n atoms
-        beta, gamma = strategy.beta[n][::first], strategy.gamma[n][::first]
-        s_now, s_prev = prices[n][::first], _prev_prices(market, n)[::first]
-        if n == 0:
-            beta_prev = np.full(len(beta), strategy.beta_init)
-            gamma_prev = np.broadcast_to(strategy.gamma_init, gamma.shape)
-            bond_prev = 1.0
-        else:
-            beta_prev, gamma_prev = strategy.beta[n - 1][::first], strategy.gamma[n - 1][::first]
-            bond_prev = float(bond[n - 1])
+        beta, gamma = (np.repeat(rows, d + 1, axis=0) for rows in strategy.rows(n))
+        s_now = lattice.atom_prices(n)
+        s_before = np.repeat(s_prev, d + 1, axis=0)
         values = beta * bond[n] + np.einsum("aj,aj->a", gamma, s_now)
 
         # self-financing at n-1: rebalancing conserves value
-        res = bond_prev * (beta - beta_prev) + np.einsum("aj,aj->a", s_prev, gamma - gamma_prev)
+        res = bond_prev * (beta - np.repeat(beta_prev, d + 1)) + np.einsum(
+            "aj,aj->a", s_before, gamma - np.repeat(gamma_prev, d + 1, axis=0)
+        )
         self_fin = max(self_fin, float(np.max(np.abs(res))))
 
         # telescoping: V_n = V_{-1} + sum_{k<=n} beta_k dB + <gamma_k, dS>
         gains = np.repeat(gains, d + 1) + beta * (float(bond[n]) - bond_prev) + np.einsum(
-            "aj,aj->a", gamma, s_now - s_prev
+            "aj,aj->a", gamma, s_now - s_before
         )
         telescoping = max(telescoping, float(np.max(np.abs(values - gains))))
 
         # discounted increments: dV~_n = <gamma_n, dS~_n>
         disc_val = values / float(bond[n])
         res = disc_val - np.repeat(disc_prev, d + 1) - np.einsum(
-            "aj,aj->a", gamma, s_now / float(bond[n]) - s_prev / bond_prev
+            "aj,aj->a", gamma, s_now / float(bond[n]) - s_before / bond_prev
         )
         discounted = max(discounted, float(np.max(np.abs(res))))
         disc_prev = disc_val
@@ -523,14 +639,15 @@ def verify_strategy(
             # atom a*(d+1)+i of F_n took scenario i at step n
             excess = np.tile(market.lambdas[n] - rate, (space.atom_count(n - 1), 1))
             acc = (1.0 + rate) * np.repeat(acc, d + 1) + np.einsum(
-                "aj,aj->a", excess * gamma, s_prev
+                "aj,aj->a", excess * gamma, s_before
             )
             expected = (1.0 + rate) ** (n + 1) * v_init + acc
             decomposition = max(decomposition, float(np.max(np.abs(values - expected))))
+        beta_prev, gamma_prev, s_prev, bond_prev = beta, gamma, s_now, float(bond[n])
 
     replication = float(np.max(np.abs(values - claim.values)))  # F_N atoms are paths
     return StrategyReport(
-        predictability=predict,
+        predictability=strategy.predictability_defect,
         self_financing=self_fin,
         telescoping=telescoping,
         discounted_increment=discounted,

@@ -317,7 +317,7 @@ def to_source(node: PayoffExpr) -> str:
 
 def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
     """Evaluate the expression pointwise over the market's price paths."""
-    prices, bond = market.prices.values, market.bond
+    lattice, bond = market.lattice, market.bond
     space = market.space
 
     def ev(node: PayoffExpr) -> np.ndarray:
@@ -325,7 +325,8 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
             return np.full(space.num_paths, node.value)
         if isinstance(node, PriceRef):
             time = market.N if node.time is None else node.time
-            return prices[time][:, node.asset - 1]
+            column = lattice.atom_prices(time)[:, node.asset - 1]
+            return np.repeat(column, space.atom_size(time))
         if isinstance(node, BondRef):
             return np.full(space.num_paths, float(bond[node.time]))
         if isinstance(node, Neg):

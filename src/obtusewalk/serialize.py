@@ -263,23 +263,20 @@ def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     that atom and its value at formation, so the first row's value is the
     claim price.
     """
-    space = market.space
-    prices = market.prices.values
     v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
     header = "time,atom,beta," + ",".join(
         f"gamma_{j}" for j in range(1, market.d + 1)
     ) + ",V"
     lines = [header]
     for n in range(market.N + 1):
-        block = space.atom_size(n - 1)
-        beta = strategy.beta[n][::block]
-        gamma = strategy.gamma[n][::block]
+        beta, gamma = strategy.rows(n)
         if n == 0:
             values = [v_init]
         else:
             # stacked 1x1 matmul: the same BLAS dot per atom as gamma_row @ price_row,
             # which an elementwise sum would not reproduce bit for bit
-            dots = np.matmul(gamma[:, None, :], prices[n - 1][::block][:, :, None])[:, 0, 0]
+            prices = market.lattice.atom_prices(n - 1)
+            dots = np.matmul(gamma[:, None, :], prices[:, :, None])[:, 0, 0]
             values = (beta * market.bond[n - 1] + dots).tolist()
         rows = zip(_atom_prefixes(market.d, n), beta.tolist(), gamma.tolist(), values)
         lines.extend(

@@ -232,12 +232,18 @@ def construct_obtuse(
     """Build a walk carrying the given per-step outcome probabilities.
 
     Every step is the canonical step of its probabilities, so the result
-    always validates.
+    always validates. Steps with the same probabilities share one StepLaw,
+    built (and checked) at the first of them.
     """
     steps = []
+    laws: dict[tuple, StepLaw] = {}
     d = None
     for n, p in enumerate(probabilities):
-        step = canonical_step(p, n)
+        row = np.asarray(p, dtype=float)
+        key = (row.shape, row.tobytes())
+        step = laws.get(key)
+        if step is None:
+            step = laws[key] = canonical_step(row, n)
         if d is None:
             d = step.d
         elif step.d != d:

@@ -5,12 +5,16 @@ loops that `find_emm` and `hedge_replicate` replace with per-node and
 batched work. They check and solve every atom separately, in canonical
 order, so the first failing atom raises. `oracle_prices` and `oracle_measure` build
 the price and probability tables path by path from the outcome matrix,
-where the library builds them prefix by prefix. `oracle_hedge_clark_ocone`
-takes the path-wise gradient of the claim and averages it back onto atoms,
-and `oracle_verify_strategy` checks every identity on every path at every
-step; the library works on the atoms of the filtration instead. Tests
-compare the engine against them byte for byte, or within rounding for the
-closed-form hedge.
+where the library builds them on the price lattice and prefix by prefix;
+`_distinct` groups the atoms of a time by the bytes of their prices, as
+the lattice's nodes should. `oracle_hedge_clark_ocone` takes the path-wise
+gradient of the claim and averages it back onto atoms, and
+`oracle_verify_strategy` checks every identity on every path at every
+step; the library works on the atoms of the filtration instead. The oracle
+hedges fill path-indexed arrays and hand them to `Strategy.from_paths`;
+`strategy_paths` broadcasts a strategy back to paths. Tests compare the
+engine against them byte for byte, or within rounding for the closed-form
+hedge.
 """
 import numpy as np
 
@@ -24,10 +28,33 @@ from obtusewalk.market import (
     StateDependentMeasureError,
     StrategyReport,
     _hedge_ratios,
-    _prev_prices,
-    strategy_values,
 )
 from obtusewalk.omega import atom_average, atom_deviation, expectation
+
+
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row, by exact bytes."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
+    return np.unique(keys, return_index=True)[1]
+
+
+def _prev_prices(market: MarketSpec, n: int) -> np.ndarray:
+    """(num_paths, d) prices S_{n-1} before step n; S_{-1} is the initial vector."""
+    if n == 0:
+        return np.broadcast_to(market.s_init, (market.space.num_paths, market.d))
+    return market.prices.values[n - 1]
+
+
+def strategy_paths(strategy: Strategy) -> tuple[np.ndarray, np.ndarray]:
+    """(N+1, num_paths) bond units and (N+1, num_paths, d) share counts, per path."""
+    space = strategy.space
+    rows = [strategy.rows(n) for n in range(space.N + 1)]
+    beta = np.stack([np.repeat(b, space.atom_size(n - 1)) for n, (b, _) in enumerate(rows)])
+    gamma = np.stack(
+        [np.repeat(g, space.atom_size(n - 1), axis=0) for n, (_, g) in enumerate(rows)]
+    )
+    return beta, gamma
 
 
 def oracle_prices(market: MarketSpec) -> np.ndarray:
@@ -119,7 +146,7 @@ def oracle_hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> St
             sol = np.linalg.solve(mat, rhs)
             beta[n][start : start + block] = sol[0]
             gamma[n][start : start + block] = sol[1:]
-    return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+    return Strategy.from_paths(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
 
 
 def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
@@ -154,7 +181,7 @@ def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> 
                 "use hedge_replicate"
             )
     v_init = expectation(wq, claim) / float(market.bond[market.N])
-    return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+    return Strategy.from_paths(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
 
 
 def oracle_verify_strategy(
@@ -165,12 +192,17 @@ def oracle_verify_strategy(
         raise ValueError("strategy and claim must live on the market's path space")
     space = market.space
     prices, bond = market.prices.values, market.bond
-    values, v_init = strategy_values(market, strategy)
-
-    predict = 0.0
+    beta, gamma = strategy_paths(strategy)
+    values = np.empty((market.N + 1, space.num_paths))
     for n in range(market.N + 1):
-        predict = max(predict, atom_deviation(strategy.beta[n], space, n - 1))
-        predict = max(predict, atom_deviation(strategy.gamma[n], space, n - 1))
+        values[n] = beta[n] * bond[n] + np.einsum("pj,pj->p", gamma[n], prices[n])
+    v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
+
+    # the defect from_paths measured, and the (zero) deviation of the broadcast rows
+    predict = strategy.predictability_defect
+    for n in range(market.N + 1):
+        predict = max(predict, atom_deviation(beta[n], space, n - 1))
+        predict = max(predict, atom_deviation(gamma[n], space, n - 1))
 
     # self-financing at n = -1..N-1: rebalancing at time n conserves value
     self_fin = 0.0
@@ -178,12 +210,12 @@ def oracle_verify_strategy(
     gamma_prev = np.broadcast_to(strategy.gamma_init, (space.num_paths, market.d))
     bond_prev = 1.0
     for n in range(market.N + 1):
-        res = bond_prev * (strategy.beta[n] - beta_prev) + np.einsum(
-            "pj,pj->p", _prev_prices(market, n), strategy.gamma[n] - gamma_prev
+        res = bond_prev * (beta[n] - beta_prev) + np.einsum(
+            "pj,pj->p", _prev_prices(market, n), gamma[n] - gamma_prev
         )
         self_fin = max(self_fin, float(np.max(np.abs(res))))
-        beta_prev = strategy.beta[n]
-        gamma_prev = strategy.gamma[n]
+        beta_prev = beta[n]
+        gamma_prev = gamma[n]
         bond_prev = float(bond[n])
 
     # telescoping: V_n = V_{-1} + sum_{k<=n} beta_k dB + <gamma_k, dS>
@@ -191,8 +223,8 @@ def oracle_verify_strategy(
     gains = np.full(space.num_paths, v_init)
     for n in range(market.N + 1):
         b_prev = 1.0 if n == 0 else float(bond[n - 1])
-        gains = gains + strategy.beta[n] * (float(bond[n]) - b_prev) + np.einsum(
-            "pj,pj->p", strategy.gamma[n], prices[n] - _prev_prices(market, n)
+        gains = gains + beta[n] * (float(bond[n]) - b_prev) + np.einsum(
+            "pj,pj->p", gamma[n], prices[n] - _prev_prices(market, n)
         )
         telescoping = max(telescoping, float(np.max(np.abs(values[n] - gains))))
 
@@ -204,7 +236,7 @@ def oracle_verify_strategy(
         disc_val = values[n] / float(bond[n])
         s_bar = prices[n] / float(bond[n])
         res = disc_val - disc_prev - np.einsum(
-            "pj,pj->p", strategy.gamma[n], s_bar - s_bar_prev
+            "pj,pj->p", gamma[n], s_bar - s_bar_prev
         )
         discounted = max(discounted, float(np.max(np.abs(res))))
         disc_prev = disc_val
@@ -224,7 +256,7 @@ def oracle_verify_strategy(
                 (space.atom_count(n - 1), 1),
             )  # (P, d)
             acc = (1.0 + rate) * acc + np.einsum(
-                "pj,pj->p", excess * strategy.gamma[n], _prev_prices(market, n)
+                "pj,pj->p", excess * gamma[n], _prev_prices(market, n)
             )
             expected = (1.0 + rate) ** (n + 1) * v_init + acc
             decomposition = max(

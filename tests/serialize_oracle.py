@@ -12,6 +12,7 @@ import numpy as np
 
 from obtusewalk.market import MarketSpec, Strategy, strategy_values
 from obtusewalk.serialize import fmt_float
+from market_oracle import strategy_paths
 
 
 def oracle_dump_json(obj, indent: int = 0) -> str:
@@ -74,6 +75,7 @@ def oracle_strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     """One row per atom, its prefix read off the path outcome table."""
     space = market.space
     prices = market.prices.values
+    beta, gamma = strategy_paths(strategy)
     _, v_init = strategy_values(market, strategy)
     header = "time,atom,beta," + ",".join(
         f"gamma_{j}" for j in range(1, market.d + 1)
@@ -88,12 +90,12 @@ def oracle_strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
                 value = v_init
             else:
                 value = float(
-                    strategy.beta[n][start] * market.bond[n - 1]
-                    + strategy.gamma[n][start] @ prices[n - 1][start]
+                    beta[n][start] * market.bond[n - 1]
+                    + gamma[n][start] @ prices[n - 1][start]
                 )
-            fields = [str(n), prefix, fmt_float(float(strategy.beta[n][start]))]
+            fields = [str(n), prefix, fmt_float(float(beta[n][start]))]
             fields += [
-                fmt_float(float(strategy.gamma[n][start][j])) for j in range(market.d)
+                fmt_float(float(gamma[n][start][j])) for j in range(market.d)
             ]
             fields.append(fmt_float(value))
             lines.append(",".join(fields))

@@ -511,6 +511,28 @@ def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
     assert seen == [_fresh_process(argv, env) for argv, env in runs]
 
 
+#: one-asset markets from S0 = 1e300 whose prices overflow: at step 0 itself,
+#: or only after a step 0 that is singular on its own
+_OVERFLOWING = {
+    "overflow at step 0": [[{"lambda": [1e20]}, {"lambda": [-0.5]}]] * 10,
+    "overflow after a singular step 0": [[{"lambda": [0.5]}, {"lambda": [0.5]}]]
+    + [[{"lambda": [1e20]}, {"lambda": [-0.5]}]] * 9,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+@pytest.mark.parametrize("command", [["emm"], ["price", "--payoff", "S(1)"]])
+def test_overflowing_market_is_one_error_line(tmp_path, name, command):
+    """No overflow warning joins the error line, outside pytest's warning capture too."""
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(
+        {"d": 1, "N": 9, "S0": [1e300], "r": 0.0, "scenarios": _OVERFLOWING[name]}
+    ))
+    code, out, err = _fresh_process(["market", command[0], str(path), *command[1:]], {})
+    assert (code, out) == (1, "")
+    assert err == "error: incomplete market: scenario system at step 0 is singular\n"
+
+
 def test_output_is_independent_of_the_blas_thread_count(rng, tmp_path):
     """The per-axis and per-atom contractions give the same bytes on one and two BLAS threads."""
     probs = rng.uniform(0.2, 1.0, size=(7, 4))

@@ -29,7 +29,20 @@ from helpers import (
     random_table,
     random_walk,
 )
+from obtusewalk import malliavin
 from malliavin_oracle import product_rule_residual
+
+
+def _record_integrands(monkeypatch):
+    """Spy on the arrays malliavin hands to VectorProcess."""
+    handed = []
+
+    def record(space, values):
+        handed.append(values)
+        return VectorProcess(space, values)
+
+    monkeypatch.setattr(malliavin, "VectorProcess", record)
+    return handed
 
 
 def _reconstructs(walk, mean, xi, table, atol=1e-10):
@@ -229,6 +242,13 @@ class TestClarkOconeFrom:
         with pytest.raises(ValueError):
             clark_ocone_from(walk, random_table(rng, walk.space), 2)
 
+    def test_integrand_is_not_copied(self, rng, monkeypatch):
+        handed = _record_integrands(monkeypatch)
+        walk = random_walk(rng, 2, 3)
+        _, xi = clark_ocone_from(walk, random_table(rng, walk.space), 0)
+        assert xi.values is handed[-1]
+        assert not xi.values.flags.writeable
+
 
 class TestPredictableRepresentation:
     def test_conditional_martingale(self):
@@ -276,6 +296,15 @@ class TestPredictableRepresentation:
         ]
         with pytest.raises(MartingaleError):
             predictable_representation(walk, bad)
+
+    def test_integrand_is_not_copied(self, rng, monkeypatch):
+        handed = _record_integrands(monkeypatch)
+        walk = random_walk(rng, 2, 2)
+        target = random_table(rng, walk.space)
+        mart = [conditional_expectation(walk, target, n) for n in range(3)]
+        _, xi = predictable_representation(walk, mart)
+        assert xi.values is handed[-1]
+        assert not xi.values.flags.writeable
 
     def test_rejects_non_adapted(self, rng):
         walk = bernoulli(1)

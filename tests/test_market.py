@@ -22,6 +22,7 @@ from obtusewalk import (
 from obtusewalk.market import HedgeFormulaError, MarketModelError, strategy_values
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2
+from market_oracle import strategy_paths
 
 
 def crr1():
@@ -169,8 +170,9 @@ class TestHedgeReplicate:
     def test_one_period_call(self):
         market = crr1()
         strategy = hedge_replicate(market, find_emm(market), call(market))
-        assert np.allclose(strategy.gamma[0][:, 0], 0.5, atol=1e-10)
-        assert np.allclose(strategy.beta[0], -45.0, atol=1e-8)
+        beta, gamma = strategy.rows(0)
+        assert np.allclose(gamma[:, 0], 0.5, atol=1e-10)
+        assert np.allclose(beta, -45.0, atol=1e-8)
         assert strategy.beta_init == pytest.approx(5.0, abs=1e-10)
 
     def test_cash_claim(self):
@@ -187,7 +189,7 @@ class TestHedgeReplicate:
         assert v_init == pytest.approx(5.25, abs=1e-10)
         assert values[0][0] == pytest.approx(10.5, abs=1e-10)  # up atom
         assert values[0][-1] == pytest.approx(0.0, abs=1e-10)  # down atom
-        assert strategy.gamma[1][0, 0] == pytest.approx(21.0 / 22.0, abs=1e-10)
+        assert strategy.rows(1)[1][0, 0] == pytest.approx(21.0 / 22.0, abs=1e-10)
 
     def test_replicates_terminal_claim(self):
         market = d2_market()
@@ -212,8 +214,9 @@ class TestHedgeClarkOcone:
     def test_one_period_call(self):
         market = crr1()
         strategy = hedge_clark_ocone(market, find_emm(market), call(market))
-        assert np.allclose(strategy.gamma[0][:, 0], 0.5, atol=1e-10)
-        assert np.allclose(strategy.beta[0], -45.0, atol=1e-8)
+        beta, gamma = strategy.rows(0)
+        assert np.allclose(gamma[:, 0], 0.5, atol=1e-10)
+        assert np.allclose(beta, -45.0, atol=1e-8)
 
     def test_cash_claim_has_no_shares(self):
         market = crr2()
@@ -273,11 +276,12 @@ class TestVerifyStrategy:
         emm = find_emm(market)
         claim = call(market)
         strategy = hedge_replicate(market, emm, claim)
-        bad_gamma = np.array(strategy.gamma)
+        beta, gamma = strategy_paths(strategy)
+        bad_gamma = gamma.copy()
         bad_gamma[0] += 0.1
-        bad = Strategy(
+        bad = Strategy.from_paths(
             strategy.space,
-            strategy.beta,
+            beta,
             bad_gamma,
             beta_init=strategy.beta_init,
             gamma_init=strategy.gamma_init,
@@ -290,7 +294,7 @@ class TestVerifyStrategy:
         market = crr2()
         claim = PathTable.constant(market.space, 4.0)
         space = market.space
-        strategy = Strategy(
+        strategy = Strategy.from_paths(
             space,
             np.full((2, space.num_paths), 4.0),
             np.zeros((2, space.num_paths, 1)),

@@ -24,17 +24,20 @@ from obtusewalk import (
     price_claim,
     verify_strategy,
 )
-from obtusewalk import malliavin
+from obtusewalk import malliavin, serialize
 from obtusewalk import market as market_mod
-from obtusewalk.market import MarketModelError, StateDependentMeasureError, _distinct
+from obtusewalk.market import MarketModelError, StateDependentMeasureError
+from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2, random_walk
 from market_oracle import (
+    _distinct,
     oracle_find_emm,
     oracle_hedge_clark_ocone,
     oracle_hedge_replicate,
     oracle_measure,
     oracle_prices,
     oracle_verify_strategy,
+    strategy_paths,
 )
 
 V = np.array([[SQ2, 1.0], [-SQ2, 1.0], [0.0, -1.0]])
@@ -151,7 +154,7 @@ class TestAgainstOracle:
 
 
 class TestPredictabilityOnPaths:
-    """The verifier reads the F_n identities at one path per atom, but predictability on all."""
+    """Path-indexed input keeps its path-wise predictability defect through from_paths."""
 
     @pytest.mark.parametrize("where", ["one path", "one sub-atom"])
     @pytest.mark.parametrize("hedge", [hedge_replicate, hedge_clark_ocone])
@@ -161,6 +164,7 @@ class TestPredictabilityOnPaths:
         claim = PathTable(market.space, np.linspace(0.0, 1.0, space.num_paths) ** 2)
         emm = find_emm(market)
         strategy = hedge(market, emm, claim)
+        assert verify_strategy(market, strategy, claim).predictability == 0.0
         n = 3
         start = 5 * space.atom_size(n - 1)  # atom 5 of F_{n-1}
         # a path that is not the first of an F_n atom, or the whole last sub-atom
@@ -169,14 +173,27 @@ class TestPredictabilityOnPaths:
             if where == "one path"
             else slice(start + space.atom_size(n), start + space.atom_size(n - 1))
         )
-        gamma = strategy.gamma.copy()
+        beta, gamma = strategy_paths(strategy)
         gamma[n, rows] += 1e-3
-        bent = Strategy(space, strategy.beta, gamma, strategy.beta_init, strategy.gamma_init)
+        bent = Strategy.from_paths(space, beta, gamma, strategy.beta_init, strategy.gamma_init)
         report = verify_strategy(market, bent, claim)
         assert report.predictability == pytest.approx(1e-3)
         assert report.predictability > report.tol
         assert not report.passed
         assert report.predictability == oracle_verify_strategy(market, bent, claim).predictability
+
+    def test_atom_rows_round_trip_through_paths(self):
+        market = crr_market(100.0, 0.1, -0.08, 0.01, 5)
+        claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
+        strategy = hedge_replicate(market, find_emm(market), claim)
+        again = Strategy.from_paths(
+            market.space, *strategy_paths(strategy), strategy.beta_init, strategy.gamma_init
+        )
+        assert again.beta.tobytes() == strategy.beta.tobytes()
+        assert again.gamma.tobytes() == strategy.gamma.tobytes()
+        assert again.predictability_defect == 0.0
+        with pytest.raises(ValueError, match="beta has shape"):
+            Strategy(market.space, strategy.beta[1:], strategy.gamma[1:])
 
 
 class TestNoPathSurgery:
@@ -295,8 +312,7 @@ class TestMultiAtomErrors:
             rates=np.zeros(3),
             scenarios=np.array([diag, diag, _calibrated_step(at_atom0)]),
         )
-        s_prev = market.prices.values[1][:: market.space.atom_size(1)]
-        assert len(_distinct(s_prev)) < len(s_prev)
+        assert len(market.lattice.nodes[1]) < market.space.atom_count(1)
         want = _outcome(oracle_find_emm, market)
         assert want[0] is error
         assert _outcome(find_emm, market) == want
@@ -312,13 +328,107 @@ class TestMultiAtomErrors:
 class TestNodes:
     def test_recombining_tree_shares_nodes(self):
         market = crr_market(100.0, 0.1, -0.08, 0.01, 12)
-        s_prev = market.prices.values[10][:: market.space.atom_size(10)]
-        assert len(_distinct(s_prev)) * 8 < len(s_prev)
+        assert len(market.lattice.nodes[10]) * 8 < market.space.atom_count(10)
 
     def test_stepwise_returns_never_recombine(self):
         market = _stepwise_crr(np.random.default_rng(3), 0.01, 8)
-        s_prev = market.prices.values[6][:: market.space.atom_size(6)]
-        assert len(_distinct(s_prev)) == len(s_prev)
+        assert len(market.lattice.nodes[6]) == market.space.atom_count(6)
+
+
+def _recombining_d2():
+    diag = [np.diag(lam) for lam in RECOMBINING_LAMS]
+    return MarketSpec(
+        d=2, N=4, s_init=np.array([80.0, 64.0]), rates=np.zeros(5), scenarios=np.array([diag] * 5)
+    )
+
+
+def _random_d3():
+    rng = np.random.default_rng(7)
+    return MarketSpec(
+        d=3,
+        N=4,
+        s_init=rng.uniform(50.0, 150.0, size=3),
+        rates=np.zeros(5),
+        scenarios=_random_scenarios(rng, 3, 4),
+    )
+
+
+LATTICE_MARKETS = {
+    "crr12": lambda: crr_market(100.0, 0.1, -0.08, 0.01, 12),
+    "stepwise": lambda: _stepwise_crr(np.random.default_rng(3), 0.01, 8),
+    "recombining_d2": _recombining_d2,
+    "random_d3": _random_d3,
+}
+
+
+class TestLattice:
+    """The lattice's nodes against the path-by-path prices and the byte grouping of atoms."""
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_MARKETS))
+    def test_nodes_are_the_prices_at_their_first_atoms(self, name):
+        market = LATTICE_MARKETS[name]()
+        lattice, want = market.lattice, oracle_prices(market)
+        for n in range(market.N + 1):
+            first = np.unique(lattice.owner[n], return_index=True)[1]  # first atom per node
+            rows = want[n][:: market.space.atom_size(n)]  # one row per atom of F_n
+            assert lattice.nodes[n].tobytes() == rows[first].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_MARKETS))
+    def test_owner_groups_atoms_as_distinct_does(self, name):
+        market = LATTICE_MARKETS[name]()
+        lattice, want = market.lattice, oracle_prices(market)
+        for n in range(market.N + 1):
+            rows = want[n][:: market.space.atom_size(n)]
+            first = np.unique(lattice.owner[n], return_index=True)[1]
+            assert np.array_equal(first, np.sort(_distinct(rows)))
+            assert lattice.nodes[n][lattice.owner[n]].tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(LATTICE_MARKETS))
+    def test_node_ids_increase_with_first_atom(self, name):
+        market = LATTICE_MARKETS[name]()
+        lattice = market.lattice
+        for n in range(market.N + 1):
+            ids, first = np.unique(lattice.owner[n], return_index=True)
+            assert np.array_equal(ids, np.arange(len(lattice.nodes[n])))
+            assert np.all(np.diff(first) > 0)
+            assert first[0] == 0  # node 0 is the node of atom 0
+            # atom a*(d+1)+i of F_n is node owner[n-1][a] followed by scenario i
+            assert np.array_equal(
+                lattice.owner[n].reshape(-1, market.d + 1),
+                lattice.children[n][lattice.prior_owner(n)],
+            )
+
+
+class TestNoPricePaths:
+    def test_market_job_reads_no_price_paths(self, monkeypatch):
+        """Load, payoff, EMM, price, both hedges, CSV and verify never read path prices."""
+
+        def forbidden(self):
+            raise AssertionError("path-indexed prices read")
+
+        monkeypatch.setattr(MarketSpec, "prices", property(forbidden))
+        specs = [
+            ({"d": 1, "N": 9, "S0": [100.0], "r": 0.01,
+              "scenarios": [[{"lambda": [0.1]}, {"lambda": [-0.08]}]] * 10},
+             "max((S(1,3)+S(1,6)+S(1))/3-100,0)"),
+            ({"d": 2, "N": 4, "S0": [100.0, 90.0], "r": 0.0,
+              "scenarios": [[{"lambda": list(lam)} for lam in RECOMBINING_LAMS]] * 5},
+             "max(0.5*(S(1)+S(2))-95,0)+S(2,1)/B(2)"),
+        ]
+        for spec, source in specs:
+            market = serialize.market_from_json(spec)
+            claim = eval_payoff(parse_payoff(source, market.d, market.N), market)
+            emm = find_emm(market)
+            price = price_claim(market, emm, claim)
+            for hedge in (hedge_replicate, hedge_clark_ocone):
+                strategy = hedge(market, emm, claim)
+                assert serialize.strategy_to_csv(market, strategy).startswith("time,atom,beta")
+                report = verify_strategy(market, strategy, claim)
+                assert report.passed and report.value_initial == pytest.approx(price)
+            walk = emm_walk(market, emm)
+            assert "increments" not in walk.__dict__
+            for space in (market.space, walk.space):
+                assert "outcomes" not in space.__dict__
 
 
 def _random_scenarios(rng, d, N):
@@ -421,8 +531,8 @@ class TestMarketSize:
 class TestArrayOwnership:
     def test_caller_array_stays_writable(self):
         space = PathSpace(1, 1)
-        beta = np.ones((2, space.num_paths))
-        gamma = np.zeros((2, space.num_paths, 1))
+        beta = np.ones(3)  # one row at step 0, two at step 1
+        gamma = np.zeros((3, 1))
         values = np.zeros((2, space.num_paths, 1))
         strategy = Strategy(space, beta, gamma)
         process = VectorProcess(space, values)

@@ -9,6 +9,7 @@ from itertools import combinations, product
 from obtusewalk import (
     StepLaw,
     WalkSpec,
+    bernoulli_walk,
     construct_obtuse,
     expectation,
     increment_rv,
@@ -17,6 +18,7 @@ from obtusewalk import (
     structure_tensor,
     validate,
 )
+from obtusewalk.walk import canonical_step
 from helpers import SQ2, bernoulli, biased, d2_fixture, random_walk
 
 
@@ -102,6 +104,20 @@ class TestConstructObtuse:
         a = construct_obtuse([[0.3, 0.2, 0.5]])
         b = construct_obtuse([[0.3, 0.2, 0.5]])
         assert np.array_equal(a.steps[0].v, b.steps[0].v)
+
+    def test_identical_steps_share_one_law(self):
+        walk = bernoulli_walk(9)
+        assert len({id(step) for step in walk.steps}) == 1
+        separate = WalkSpec(
+            d=1, N=9, steps=tuple(canonical_step([0.5, 0.5], n) for n in range(10))
+        )
+        assert walk.measure.tobytes() == separate.measure.tobytes()
+        mixed = construct_obtuse([[0.3, 0.7], [0.5, 0.5], [0.3, 0.7]])
+        assert mixed.steps[0] is mixed.steps[2] and mixed.steps[1] is not mixed.steps[0]
+
+    def test_repeated_bad_row_names_its_first_step(self):
+        with pytest.raises(ValueError, match="^step 1: probabilities must be strictly positive"):
+            construct_obtuse([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
 
     @given(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4))
     @settings(max_examples=60, deadline=None)

@@ -139,7 +139,7 @@ def test_strategy_csv_prefixes_with_multi_digit_outcomes(rng):
         ),
     )
     paths = market.space.num_paths
-    strategy = Strategy(
+    strategy = Strategy.from_paths(
         market.space,
         rng.uniform(-1.0, 1.0, size=(N + 1, paths)),
         rng.uniform(-1.0, 1.0, size=(N + 1, paths, d)),
