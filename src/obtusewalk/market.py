@@ -18,13 +18,21 @@ when something asks for it, and no market routine here does.
 
 The risk-neutral and the replication systems depend only on the node, so
 both are set up once per node. `find_emm` stacks the systems of every node
-of every step and conditions and solves them in one call each; the first
-failing (step, node) decides the error, and since nodes are numbered by
-first atom this is the first failing atom of the one-atom-at-a-time loop.
+of every step, conditions them in one batch and solves them in one call;
+the first failing (step, node) decides the error, and since nodes are
+numbered by first atom this is the first failing atom of the
+one-atom-at-a-time loop.
 A system with a non-finite entry counts as singular. `hedge_replicate`
 conditions one replication matrix per node, for all steps at once, and
 then solves each atom's system against the claim. The one-atom-at-a-time
 loops survive only as the test suite's oracle.
+
+Conditioning (`_singular`) screens before it takes an SVD: the bound
+||A||_F^n / |det A| >= cond(A) costs one LU determinant, and a system
+whose bound is at most 1e10, 100x below the 1e12 limit, is regular
+without one. Only the others reach `np.linalg.cond`, so every
+singular/regular decision is the one the SVD alone would make, and a
+market whose systems are all well conditioned takes no SVD at all.
 
 Every adapted quantity is computed on the atoms of the filtration, one row
 per atom: an atom of F_n is a contiguous block of atom_size(n) paths, and
@@ -57,6 +65,7 @@ from .omega import (
 from .walk import WalkSpec, construct_obtuse
 
 _COND_LIMIT = 1e12
+_SCREEN_LIMIT = 1e10  # condition bound that clears a system without an SVD
 
 
 class MarketModelError(ObtuseWalkError):
@@ -174,22 +183,25 @@ class MarketSpec:
 
 
 def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct rows, by exact bytes, in order of first occurrence.
+    """Number the distinct (n, d) float64 rows, by exact bytes, in order of first occurrence.
 
     Returns the number of every row and the index of each number's first row.
+    Rows are compared through their uint64 view, so NaN rows match NaN rows of
+    the same bits and 0.0 and -0.0 differ.
     """
-    width = rows.shape[1] * rows.itemsize
-    buf = np.ascontiguousarray(rows).tobytes()
-    seen: dict[bytes, int] = {}
-    head = np.fromiter(
-        (seen.setdefault(buf[i * width : (i + 1) * width], i) for i in range(len(rows))),
-        dtype=np.intp,
-        count=len(rows),
-    )
-    first = np.flatnonzero(head == np.arange(len(rows)))
-    number = np.empty(len(rows), dtype=np.intp)
-    number[first] = np.arange(len(first))
-    return number[head], first
+    keys = np.ascontiguousarray(rows).view(np.uint64)
+    order = np.lexsort(keys.T)  # stable: equal rows keep their index order
+    ranked = keys[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[:1] = True
+    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    heads = order[starts]  # each group's first row, in sorted-row order
+    by_first = np.argsort(heads)
+    number = np.empty(len(heads), dtype=np.intp)
+    number[by_first] = np.arange(len(heads))
+    out = np.empty(len(rows), dtype=np.intp)
+    out[order] = number[np.cumsum(starts) - 1]
+    return out, heads[by_first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,9 +357,28 @@ def build_prices(market: MarketSpec) -> tuple[VectorProcess, np.ndarray]:
 
 
 def _singular(mats: np.ndarray) -> np.ndarray:
-    """Which systems of the stack are singular: non-finite or conditioned above the limit."""
+    """Which (k, n, n) systems are singular: non-finite or conditioned above the limit.
+
+    A non-finite system is singular outright. A finite one whose cheap bound
+    ||A||_F^n / |det A| on its condition number is at most _SCREEN_LIMIT is
+    regular without an SVD; every other one (bound above the screen,
+    infinite or NaN, det A = 0) gets `np.linalg.cond` as before. The screen
+    sits 100x below _COND_LIMIT, so every decision equals the SVD's.
+    """
     singular = ~np.isfinite(mats).all(axis=(1, 2))
-    singular[~singular] = np.linalg.cond(mats[~singular]) > _COND_LIMIT
+    rest = np.flatnonzero(~singular)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        # kappa_2 = s_1 / s_n <= s_1^n / |det A| <= ||A||_F^n / |det A|. For a
+        # cleared system the LU determinant is off by a relative O(n^2 eps
+        # kappa) <= ~1e-5 and LAPACK's s_1 / s_n by O(eps kappa), so the SVD
+        # would read at most about 1e10, 100x below _COND_LIMIT = 1e12: it
+        # would call the system regular too.
+        finite = mats[rest]
+        frob2 = np.einsum("kij,kij->k", finite, finite)
+        bound = frob2 ** (mats.shape[-1] / 2) / np.abs(np.linalg.det(finite))
+    rest = rest[~(bound <= _SCREEN_LIMIT)]  # NaN bounds go to the SVD too
+    if rest.size:
+        singular[rest] = np.linalg.cond(mats[rest]) > _COND_LIMIT
     return singular
 
 
@@ -465,25 +496,27 @@ def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
 
 
 def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
-    """(N+1, d) ratios v_i^j / (lambda^{j,i} - r), which must not depend on i."""
-    lam = market.lambdas  # (N+1, d+1, d)
-    ratio_const = np.empty((market.N + 1, market.d))
-    for n in range(market.N + 1):
-        v = wq.steps[n].v  # (d+1, d)
-        for j in range(market.d):
-            excess = lam[n, :, j] - rate  # (d+1,)
-            cross = np.abs(
-                v[:, j][:, None] * excess[None, :] - v[:, j][None, :] * excess[:, None]
-            )
-            scale = max(1.0, float(np.max(np.abs(v[:, j]))) * float(np.max(np.abs(excess))))
-            if float(np.max(cross)) > 1e-9 * scale or np.all(excess == 0.0):
-                raise HedgeFormulaError(
-                    f"hedge ratio for asset {j + 1} at step {n} is scenario-dependent; "
-                    "use hedge_replicate"
-                )
-            i_star = int(np.argmax(np.abs(excess)))
-            ratio_const[n, j] = v[i_star, j] / excess[i_star]
-    return ratio_const
+    """(N+1, d) ratios v_i^j / (lambda^{j,i} - r), which must not depend on i.
+
+    Computed for every (n, j) at once; the first failing (n, j), n before j,
+    raises.
+    """
+    v = np.stack([step.v for step in wq.steps])  # (N+1, d+1, d)
+    excess = market.lambdas - rate  # (N+1, d+1, d)
+    # cross[n, i, k, j] = v_i^j excess_k^j - v_k^j excess_i^j
+    cross = np.abs(v[:, :, None] * excess[:, None] - v[:, None] * excess[:, :, None])
+    scale = np.maximum(1.0, np.max(np.abs(v), axis=1) * np.max(np.abs(excess), axis=1))
+    failing = (np.max(cross, axis=(1, 2)) > 1e-9 * scale) | np.all(excess == 0.0, axis=1)
+    if failing.any():
+        n, j = np.argwhere(failing)[0]
+        raise HedgeFormulaError(
+            f"hedge ratio for asset {j + 1} at step {n} is scenario-dependent; "
+            "use hedge_replicate"
+        )
+    i_star = np.argmax(np.abs(excess), axis=1)[:, None]  # (N+1, 1, d)
+    return (
+        np.take_along_axis(v, i_star, axis=1) / np.take_along_axis(excess, i_star, axis=1)
+    )[:, 0]
 
 
 def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:

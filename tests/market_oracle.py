@@ -7,8 +7,11 @@ order, so the first failing atom raises. `oracle_prices` and `oracle_measure` bu
 the price and probability tables path by path from the outcome matrix,
 where the library builds them on the price lattice and prefix by prefix;
 `_distinct` groups the atoms of a time by the bytes of their prices, as
-the lattice's nodes should. `oracle_hedge_clark_ocone` takes the path-wise
-gradient of the claim and averages it back onto atoms, and
+the lattice's nodes should, and `oracle_first_occurrence` numbers rows by
+first occurrence with a dict, as the lattice's sort-based numbering should.
+`oracle_hedge_clark_ocone` takes the path-wise gradient of the claim and
+averages it back onto atoms, with the closed-form ratios computed one
+(n, j) at a time by `oracle_hedge_ratios`, and
 `oracle_verify_strategy` checks every identity on every path at every
 step; the library works on the atoms of the filtration instead. The oracle
 hedges fill path-indexed arrays and hand them to `Strategy.from_paths`;
@@ -27,7 +30,6 @@ from obtusewalk.market import (
     IncompleteMarketError,
     StateDependentMeasureError,
     StrategyReport,
-    _hedge_ratios,
 )
 from obtusewalk.omega import atom_average, atom_deviation, expectation
 
@@ -37,6 +39,47 @@ def _distinct(rows: np.ndarray) -> np.ndarray:
     flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
     keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
     return np.unique(keys, return_index=True)[1]
+
+
+def oracle_first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows, by exact bytes, in order of first occurrence, with a dict.
+
+    Returns the number of every row and the index of each number's first row.
+    """
+    width = rows.shape[1] * rows.itemsize
+    buf = np.ascontiguousarray(rows).tobytes()
+    seen: dict[bytes, int] = {}
+    head = np.fromiter(
+        (seen.setdefault(buf[i * width : (i + 1) * width], i) for i in range(len(rows))),
+        dtype=np.intp,
+        count=len(rows),
+    )
+    first = np.flatnonzero(head == np.arange(len(rows)))
+    number = np.empty(len(rows), dtype=np.intp)
+    number[first] = np.arange(len(first))
+    return number[head], first
+
+
+def oracle_hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
+    """(N+1, d) closed-form hedge ratios, one (n, j) at a time; the first failing raises."""
+    lam = market.lambdas  # (N+1, d+1, d)
+    ratio_const = np.empty((market.N + 1, market.d))
+    for n in range(market.N + 1):
+        v = wq.steps[n].v  # (d+1, d)
+        for j in range(market.d):
+            excess = lam[n, :, j] - rate  # (d+1,)
+            cross = np.abs(
+                v[:, j][:, None] * excess[None, :] - v[:, j][None, :] * excess[:, None]
+            )
+            scale = max(1.0, float(np.max(np.abs(v[:, j]))) * float(np.max(np.abs(excess))))
+            if float(np.max(cross)) > 1e-9 * scale or np.all(excess == 0.0):
+                raise HedgeFormulaError(
+                    f"hedge ratio for asset {j + 1} at step {n} is scenario-dependent; "
+                    "use hedge_replicate"
+                )
+            i_star = int(np.argmax(np.abs(excess)))
+            ratio_const[n, j] = v[i_star, j] / excess[i_star]
+    return ratio_const
 
 
 def _prev_prices(market: MarketSpec, n: int) -> np.ndarray:
@@ -161,7 +204,7 @@ def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> 
     space = market.space
     wq = emm_walk(market, emm)
     prices = market.prices.values
-    ratio_const = _hedge_ratios(market, wq, rate)
+    ratio_const = oracle_hedge_ratios(market, wq, rate)
     grad = gradient(wq, claim)
 
     beta = np.empty((market.N + 1, space.num_paths))
