@@ -11,8 +11,9 @@ reconstruct are one per-step contraction each (integrals.along_axes); every
 other operation is a slice of the tensor.
 
 Symmetric kernels (integrals.Kernel) are the view at the user boundary
-only: JSON files and multiple_integral. from_kernels fills r! times each
-tuple's component tensor into that tuple's block of the tensor, and
+only: multiple_integral and kernel(r). from_kernels fills r! times each
+tuple's component tensor into that tuple's block of the tensor (through
+from_blocks, which JSON files use without building Kernel objects), and
 kernel(r) reads a block back divided by r!.
 """
 from __future__ import annotations
@@ -64,22 +65,40 @@ class ChaosCoefficients:
 
         An order-0 kernel adds to the mean.
         """
-        coef = np.zeros((d + 1,) * (N + 1))
-        coef[(0,) * (N + 1)] = float(mean)
-        for kernel in kernels:
+
+        def blocks(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
             if kernel.d != d:
                 raise ValueError(
                     f"kernel of order {kernel.order} has dimension {kernel.d}, expected {d}"
                 )
-            if kernel.max_time() > N:
+            shape = (len(kernel.entries), kernel.order)
+            times = np.array(list(kernel.entries), dtype=np.int64).reshape(shape)
+            tensors = [t.ravel() for t in kernel.entries.values()]
+            return times, np.array(tensors).reshape(shape[0], d**kernel.order)
+
+        return ChaosCoefficients.from_blocks(d, N, mean, map(blocks, kernels))
+
+    @staticmethod
+    def from_blocks(
+        d: int, N: int, mean: float, kernels: Iterable[tuple[np.ndarray, np.ndarray]]
+    ) -> "ChaosCoefficients":
+        """from_kernels with each kernel given as arrays: its (U, r) increasing
+        time tuples and the (U, d**r) flattened component tensor at each."""
+        coef = np.zeros((d + 1,) * (N + 1))
+        coef[(0,) * (N + 1)] = float(mean)
+        flat = coef.reshape(-1)
+        for times, tensors in kernels:
+            order = times.shape[1]
+            last = times[:, -1] if order else np.full(len(times), -1)
+            worst = last[np.any(tensors != 0.0, axis=1)].max(initial=-1)
+            if worst > N:
                 raise ValueError(
-                    f"kernel of order {kernel.order} uses time {kernel.max_time()}, "
-                    f"beyond horizon {N}"
+                    f"kernel of order {order} uses time {worst}, beyond horizon {N}"
                 )
-            fact = math.factorial(kernel.order)
-            for times, tensor in kernel.entries.items():
-                if not times or times[-1] <= N:  # entries beyond the horizon are zero
-                    coef[_block(times, N)] += fact * tensor
+            inside = last <= N  # entries beyond the horizon are zero
+            weights = (d + 1) ** (N - times[inside])
+            digits = np.indices((d,) * order).reshape(order, d**order) + 1
+            flat[weights @ digits] += math.factorial(order) * tensors[inside]
         return ChaosCoefficients(d, N, coef)
 
     @property

@@ -98,7 +98,7 @@ def _emit_table(args, table) -> None:
     if args.format == "csv":
         _emit(args, serialize.table_to_csv(table.values))
     else:
-        _emit(args, serialize.dump_json(serialize.table_to_json(table)))
+        _emit(args, serialize.dump_json(table.values))
 
 
 def _market_claim(args, market):
@@ -151,7 +151,7 @@ def _cmd_gradient(args) -> int:
     table = _load_table(args, walk.space)
     grad = malliavin.gradient(walk, table)
     if args.format == "json":
-        _emit(args, serialize.dump_json(grad.values.tolist()))
+        _emit(args, serialize.dump_json(grad.values))
     else:
         _emit(args, serialize.gradient_to_csv(grad.values))
     return 0
@@ -162,16 +162,10 @@ def _cmd_clark_ocone(args) -> int:
     table = _load_table(args, walk.space)
     if args.start is not None:
         head, xi = malliavin.clark_ocone_from(walk, table, args.start)
-        payload = {
-            "head": serialize.table_to_json(head),
-            "integrand": serialize.process_to_json(xi)["values"],
-        }
+        payload = {"head": head.values, "integrand": xi.values}
     else:
         mean, xi = malliavin.clark_ocone(walk, table)
-        payload = {
-            "mean": mean,
-            "integrand": serialize.process_to_json(xi)["values"],
-        }
+        payload = {"mean": mean, "integrand": xi.values}
     _emit(args, serialize.dump_json(payload))
     return 0
 
@@ -218,7 +212,7 @@ def _cmd_deviation(args) -> int:
 def _cmd_market_emm(args) -> int:
     market = _load_market(args)
     emm = market_mod.find_emm(market, tol=args.tol)
-    _emit(args, serialize.dump_json({"q": emm.q.tolist()}))
+    _emit(args, serialize.dump_json({"q": emm.q}))
     return 0
 
 

@@ -82,23 +82,16 @@ class Kernel:
             return np.zeros((self.d,) * self.order)
         return out
 
-    def max_time(self) -> int:
-        """Largest time index carrying a nonzero component (-1 if none)."""
-        worst = -1
-        for times, tensor in self.entries.items():
-            if times and np.any(tensor != 0.0):
-                worst = max(worst, times[-1])
-        return worst
-
 
 def symmetrize(raw: Iterable[RawEntry], order: int, d: int) -> Kernel:
     """Symmetrize a raw assignment given on arbitrary distinct-time tuples.
 
     Each raw value contributes value/r! to the component obtained by sorting
     its time tuple and carrying the coordinate indices along. Entries on the
-    same ordered tuple accumulate; already-symmetric input (all orderings
-    present) is reproduced unchanged.
+    same ordered tuple accumulate in input order; already-symmetric input
+    (all orderings present) is reproduced unchanged.
     """
+    raw = list(raw)
     if order == 0:
         total = 0.0
         for times, coords, value in raw:
@@ -106,27 +99,78 @@ def symmetrize(raw: Iterable[RawEntry], order: int, d: int) -> Kernel:
                 raise ValueError("order-0 entries must have empty times and coords")
             total += float(value)
         return Kernel.scalar(total, d)
+    times, tensors = _symmetrize_blocks(raw, order, d)
+    shape = (d,) * order
+    entries = {tuple(t): row.reshape(shape) for t, row in zip(times.tolist(), tensors)}
+    return Kernel(order, d, entries)
 
+
+def _symmetrize_blocks(raw: list, order: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """symmetrize's order >= 1 kernel as arrays: its (U, order) increasing time
+    tuples in sorted order and the (U, d**order) flattened tensor at each.
+
+    All values accumulate through one np.add.at in input order, which gives
+    the sums of adding them one entry at a time.
+    """
     fact = math.factorial(order)
-    acc: dict[tuple[int, ...], np.ndarray] = {}
-    for times, coords, value in raw:
-        times = tuple(int(t) for t in times)
-        coords = tuple(int(k) for k in coords)
-        if len(times) != order or len(coords) != order:
-            raise ValueError(f"entry at {times} must carry {order} times and coords")
-        if len(set(times)) != order:
-            raise ValueError(f"time tuple {times} has repeated indices")
-        if any(k < 1 or k > d for k in coords):
-            raise ValueError(f"coordinates {coords} outside [1, {d}]")
-        key = tuple(sorted(times))
-        # position of each original time inside the sorted tuple
-        perm = [key.index(t) for t in times]
-        comp = [0] * order
-        for m, pos in enumerate(perm):
-            comp[pos] = coords[m] - 1
-        tensor = acc.setdefault(key, np.zeros((d,) * order))
-        tensor[tuple(comp)] += float(value) / fact
-    return Kernel(order, d, acc)
+    if not raw:
+        return np.zeros((0, order), dtype=np.int64), np.zeros((0, d**order))
+    times, coords, values = _raw_arrays(raw, order, d)
+    perm = np.argsort(times, axis=1)
+    keys, slots = np.unique(np.take_along_axis(times, perm, axis=1), axis=0, return_inverse=True)
+    if keys[0, 0] < 0:  # the first tuple in sorted order with a negative time
+        raise ValueError(f"negative time index in {tuple(keys[0].tolist())}")
+    # the coordinate at each sorted position is the one carried by that time
+    comps = np.take_along_axis(coords, perm, axis=1) - 1
+    tensors = np.zeros((len(keys), d**order))
+    np.add.at(tensors, (slots.ravel(), np.ravel_multi_index(tuple(comps.T), (d,) * order)),
+              values / float(fact))
+    return keys, tensors
+
+
+def _int_rows(rows: tuple) -> np.ndarray:
+    """Rows of numbers as an int64 matrix, each number through int()."""
+    arr = np.array(rows)
+    if arr.dtype.kind != "i":
+        arr = np.array([list(map(int, row)) for row in rows], dtype=np.int64)
+    return arr
+
+
+def _raw_arrays(raw: list, order: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E, order) times and coords and (E,) values of raw entries, checked.
+
+    The first malformed entry raises what _check_entry says of it.
+    """
+    try:
+        times, coords, values = zip(*[(t, c, v) for t, c, v in raw])
+        times, coords = _int_rows(times), _int_rows(coords)
+        values = np.fromiter(map(float, values), dtype=float, count=len(raw))
+    except (TypeError, ValueError, OverflowError) as exc:
+        failure: Exception | None = exc
+    else:
+        failure = None
+        if times.shape == coords.shape == (len(raw), order):
+            ordered = np.sort(times, axis=1)
+            repeated = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+            outside = np.any((coords < 1) | (coords > d), axis=1)
+            if not np.any(repeated | outside):
+                return times, coords, values
+    for entry_times, entry_coords, value in raw:
+        _check_entry(entry_times, entry_coords, value, order, d)
+    raise failure  # every entry passes _check_entry, so the array conversion failed
+
+
+def _check_entry(times, coords, value, order: int, d: int) -> None:
+    """Raise the error of a malformed raw entry, checking one entry at a time."""
+    times = tuple(int(t) for t in times)
+    coords = tuple(int(k) for k in coords)
+    if len(times) != order or len(coords) != order:
+        raise ValueError(f"entry at {times} must carry {order} times and coords")
+    if len(set(times)) != order:
+        raise ValueError(f"time tuple {times} has repeated indices")
+    if any(k < 1 or k > d for k in coords):
+        raise ValueError(f"coordinates {coords} outside [1, {d}]")
+    float(value)
 
 
 def monomial_kernel(times: Sequence[int], coords: Sequence[int], d: int) -> Kernel:

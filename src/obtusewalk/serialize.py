@@ -2,59 +2,198 @@
 
 All numeric output is rendered with 17 significant digits so that values
 round-trip exactly and identical inputs always produce byte-identical
-output. Writers read arrays through `ndarray.tolist()` and format every
-number once, so output costs time linear in its size.
+output. Each distinct value is formatted once; arrays render without
+per-element recursion. Every writer formats through one primitive,
+`_float_texts`, which checks a whole array for finiteness at once; formatting
+each distinct value once pays because the paper's objects repeat values (a
+gradient d+1 times, a Clark-Ocone integrand once per path of an atom). A
+float64 ndarray or a nest of float lists is rendered bottom-up one axis at a
+time, and a list of same-keyed dicts one key at a time.
 """
 from __future__ import annotations
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_string  # what json.dumps does for a str
 from typing import Any
 
 import numpy as np
 
-from .chaos import ChaosCoefficients
-from .integrals import Kernel, VectorProcess, symmetrize
+from .chaos import ChaosCoefficients, chaos_order
+from .integrals import Kernel, VectorProcess, _symmetrize_blocks, symmetrize
 from .market import MarketSpec, Strategy, _check_market_size
 from .omega import DEFAULT_CAP, PathSpace, PathTable
 from .walk import StepLaw, WalkSpec, canonical_step
+
+_FORMAT = "%.17g"
+#: Below this many values, Python loops over them cost less than numpy's
+#: fixed cost per call: a dict finds the distinct ones instead of a sort, and
+#: rows are joined one by one.
+_SHORT = 64
+
+
+def _format_distinct(values) -> list[str]:
+    """Texts of values that are pairwise distinct: the one place numbers are formatted."""
+    return list(map(_FORMAT.__mod__, values))
 
 
 def fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite number {x!r}")
-    return f"{x:.17g}"
+    return _format_distinct((x,))[0]
+
+
+def _float_texts(values) -> list[str]:
+    """Texts of an array's entries in C order, each distinct value formatted once.
+
+    Finiteness is checked once for the whole array; the first non-finite
+    entry raises fmt_float's error. Values are distinct by their bytes (by
+    their exact hex forms in a short array), so 0.0 and -0.0 keep their own
+    texts.
+    """
+    if isinstance(values, np.ndarray) and values.size < _SHORT:
+        values = values.ravel().tolist()
+    if isinstance(values, list) and len(values) < _SHORT:
+        keys = list(map(float.hex, values))
+        by_key = dict(zip(keys, values))
+        if not all(map(math.isfinite, by_key.values())):
+            fmt_float(next(x for x in values if not math.isfinite(x)))
+        texts = dict(zip(by_key, _format_distinct(by_key.values())))
+        return list(map(texts.__getitem__, keys))
+    arr = np.asarray(values, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        fmt_float(float(arr.ravel()[np.argmin(finite.ravel())]))
+    distinct, where = np.unique(arr.view(np.uint64).ravel(), return_inverse=True)
+    texts = np.array(_format_distinct(distinct.view(np.float64).tolist()), dtype=object)
+    return texts[where.ravel()].tolist()
+
+
+def _join_list(parts: list[str], pad: str) -> str:
+    """A list of rendered items: on one line when that holds no newline and
+    at most 100 characters, else one item per line."""
+    if not parts:
+        return "[]"
+    if sum(map(len, parts)) + 2 * len(parts) <= 100:  # the length of the flat form
+        flat = "[" + ", ".join(parts) + "]"
+        if "\n" not in flat:
+            return flat
+    return f"[\n{pad}  " + f",\n{pad}  ".join(parts) + f"\n{pad}]"
+
+
+def _array_items(arr: np.ndarray, indent: int) -> list[str]:
+    """Texts of a float64 array's items along its first axis, each rendered
+    at indent as the nested lists of its tolist().
+
+    Rendering goes bottom-up one axis at a time. Each axis's rows are joined
+    through one of two templates: the flat form when the row's items span
+    no line and it fits in 100 characters, else one item per line. An
+    item's text does not depend on its indent unless it spans lines, so each
+    is rendered once.
+    """
+    if arr.size == 0:
+        return [dump_json(item, indent) for item in arr.tolist()]
+    items = _float_texts(arr)
+    if arr.size < _SHORT:
+        for axis in range(arr.ndim - 1, 0, -1):
+            pad = " " * (indent + 2 * (axis - 1))
+            items = [_join_list(row, pad) for row in zip(*[iter(items)] * arr.shape[axis])]
+        return items
+    lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
+    spans = np.zeros(len(items), dtype=bool)  # which items span lines
+    for axis in range(arr.ndim - 1, 0, -1):
+        size, pad = arr.shape[axis], " " * (indent + 2 * (axis - 1))
+        lengths = lengths.reshape(-1, size).sum(axis=1) + 2 * size  # of the flat forms
+        flat = (lengths <= 100) & ~spans.reshape(-1, size).any(axis=1)
+        flat_form = "[" + ", ".join(["%s"] * size) + "]"
+        open_form = f"[\n{pad}  " + f",\n{pad}  ".join(["%s"] * size) + f"\n{pad}]"
+        rows = zip(*[iter(items)] * size)
+        if flat.all():
+            items = list(map(flat_form.__mod__, rows))
+        elif not flat.any():
+            items = list(map(open_form.__mod__, rows))
+        else:
+            items = [(flat_form if f else open_form) % row for f, row in zip(flat.tolist(), rows)]
+        spans = ~flat
+    return items
+
+
+def _float_nest(items: list) -> np.ndarray | None:
+    """The lists as one float64 array if they nest equally deep and evenly
+    down to floats, else None."""
+    level = items
+    while True:
+        level = list(chain.from_iterable(level))
+        kinds = set(map(type, level))
+        if kinds != {list}:
+            break
+    if not kinds <= {float, np.float64}:
+        return None
+    try:
+        return np.array(items, dtype=np.float64)
+    except ValueError:  # rows of unequal length
+        return None
+
+
+def _item_texts(items, indent: int) -> list[str]:
+    """Texts of a list's items, each rendered at indent.
+
+    Floats, ints and lists of either render in one pass over the list; a
+    list of dicts that share their keys renders one key at a time through a
+    row template.
+    """
+    kinds = set(map(type, items))
+    if kinds <= {float, np.float64}:
+        return _float_texts(items)
+    if kinds == {int}:
+        return list(map(str, items))
+    if kinds == {list}:
+        if set(map(type, chain.from_iterable(items))) <= {int}:
+            # a list of ints prints as its flat JSON form
+            texts = list(map(repr, items))
+            if max(map(len, texts)) <= 100:
+                return texts
+            return [_join_list(list(map(str, item)), " " * indent) for item in items]
+        nest = _float_nest(items)
+        if nest is not None:
+            return _array_items(nest, indent)
+    if kinds == {dict}:
+        keys = list(items[0])
+        if keys and all(map(keys.__eq__, map(list, items))):
+            pad = " " * indent
+            columns = [_item_texts([item[key] for item in items], indent + 2) for key in keys]
+            heads = [f"{pad}  {_json_string(str(key))}: ".replace("%", "%%") for key in keys]
+            template = "{\n" + ",\n".join(head + "%s" for head in heads) + f"\n{pad}}}"
+            return list(map(template.__mod__, zip(*columns)))
+    return [dump_json(item, indent) for item in items]
 
 
 def dump_json(obj: Any, indent: int = 0) -> str:
-    """Serialize nested dict/list/str/number structures deterministically.
+    """Serialize nested dict/list/ndarray/str/number structures deterministically.
 
     A list is written on one line when that line holds no newline and at
-    most 100 characters, else one item per line. Every value is rendered
-    once: an item's text is the same at any indent unless it spans lines,
-    so the text rendered for the expanded form also decides the flat one.
+    most 100 characters, else one item per line; a float64 ndarray is
+    written as the nested lists of its tolist().
     """
     if type(obj) is float:
         return fmt_float(obj)
     if type(obj) is int:
         return str(obj)
-    pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        pad = " " * indent
         items = [
             f"{pad}  {_json_string(str(key))}: {dump_json(val, indent + 2)}"
             for key, val in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [dump_json(val, indent + 2) for val in obj]
-        flat = "[" + ", ".join(parts) + "]"
-        if len(flat) <= 100 and "\n" not in flat:
-            return flat
-        return f"[\n{pad}  " + f",\n{pad}  ".join(parts) + f"\n{pad}]"
+        return _join_list(_item_texts(obj, indent + 2), " " * indent) if obj else "[]"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim == 0:
+            return dump_json(obj.tolist(), indent)
+        return _join_list(_array_items(obj, indent + 2), " " * indent)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -102,54 +241,94 @@ def walk_from_json(obj: dict, cap: int = DEFAULT_CAP) -> WalkSpec:
 
 # -- kernels and chaos coefficients -----------------------------------------
 
+def _entries(times: np.ndarray, coords: np.ndarray, values: np.ndarray) -> list[dict]:
+    """Raw entry dicts from (E, order) times and 1-based coords and (E,) values."""
+    return [
+        {"times": t, "coords": c, "value": v}
+        for t, c, v in zip(times.tolist(), coords.tolist(), values.tolist())
+    ]
+
+
 def kernel_to_json(kernel: Kernel) -> dict:
     """Emit the kernel in the raw entry convention.
 
     Entries are written on increasing tuples only, scaled by order!, so that
     symmetrization on load reproduces the stored kernel exactly; the written
     value is then also the coefficient of the matching increment monomial.
+    Zero components are left out.
     """
-    fact = math.factorial(kernel.order)
-    entries = []
-    for times in sorted(kernel.entries):
-        tensor = kernel.entries[times]
-        if kernel.order == 0:
-            entries.append({"times": [], "coords": [], "value": float(tensor)})
-            continue
-        for coords in np.ndindex(*tensor.shape):
-            value = float(tensor[coords])
-            if value != 0.0:
-                entries.append(
-                    {
-                        "times": list(times),
-                        "coords": [c + 1 for c in coords],
-                        "value": fact * value,
-                    }
-                )
-    return {"order": kernel.order, "entries": entries}
+    if kernel.order == 0:
+        entries = [
+            {"times": [], "coords": [], "value": float(tensor)}
+            for tensor in kernel.entries.values()
+        ]
+        return {"order": 0, "entries": entries}
+    fact = float(math.factorial(kernel.order))
+    times, coords, values = [], [], []
+    for key in sorted(kernel.entries):
+        tensor = kernel.entries[key]
+        found = np.argwhere(tensor != 0.0)  # C order, as np.ndindex walks
+        times.append(np.broadcast_to(key, found.shape))
+        coords.append(found + 1)
+        values.append(tensor[tuple(found.T)] * fact)
+    if not times:
+        return {"order": kernel.order, "entries": []}
+    return {
+        "order": kernel.order,
+        "entries": _entries(np.concatenate(times), np.concatenate(coords), np.concatenate(values)),
+    }
+
+
+def _raw_entries(obj: dict) -> list:
+    """The (times, coords, value) entries of a kernel's JSON object."""
+    return [
+        (tuple(e["times"]), tuple(e["coords"]), float(e["value"]))
+        for e in obj.get("entries", [])
+    ]
 
 
 def kernel_from_json(obj: dict, d: int) -> Kernel:
     """Load raw kernel entries and symmetrize them."""
-    order = int(obj["order"])
-    raw = [
-        (tuple(e["times"]), tuple(e["coords"]), float(e["value"]))
-        for e in obj.get("entries", [])
-    ]
-    return symmetrize(raw, order, d)
+    return symmetrize(_raw_entries(obj), int(obj["order"]), d)
 
 
 def chaos_to_json(coeffs: ChaosCoefficients) -> dict:
-    return {
-        "d": coeffs.d,
-        "N": coeffs.N,
-        "mean": coeffs.mean,
-        "kernels": {str(r): kernel_to_json(coeffs.kernel(r)) for r in range(1, coeffs.N + 2)},
-    }
+    """Kernels of orders 1..N+1 in the raw entry convention, read off the tensor.
+
+    An entry at times t_1 < ... < t_r with coordinates k_1..k_r is the
+    coefficient whose digits are k_m at t_m and 0 elsewhere, written as
+    r! * (coefficient / r!) just as kernel_to_json(coeffs.kernel(r)) does.
+    Entries of one order go by times, then coordinates; zeros are left out.
+    """
+    N = coeffs.N
+    digits = np.indices(coeffs.coef.shape, dtype=np.min_scalar_type(coeffs.d))
+    digits = digits.reshape(N + 1, -1).T  # one row of digits per coefficient, in C order
+    flat = coeffs.coef.ravel()
+    orders = chaos_order(coeffs.d, N).ravel()
+    kernels = {}
+    for r in range(1, N + 2):
+        fact = math.factorial(r)
+        at = np.flatnonzero(orders == r)
+        scaled = flat[at] / fact  # the components of coeffs.kernel(r)
+        kept = scaled != 0.0
+        rows = digits[at[kept]]
+        times = np.nonzero(rows)[1].reshape(-1, r)
+        coords = rows[rows != 0].reshape(-1, r)
+        by_entry = np.lexsort(np.hstack([times, coords]).T[::-1])  # times first
+        values = scaled[kept][by_entry] * float(fact)
+        kernels[str(r)] = {
+            "order": r,
+            "entries": _entries(times[by_entry], coords[by_entry], values),
+        }
+    return {"d": coeffs.d, "N": N, "mean": coeffs.mean, "kernels": kernels}
 
 
 def chaos_from_json(obj: dict, cap: int = DEFAULT_CAP) -> ChaosCoefficients:
-    """Load coefficients; their path space must fit the cap, which bounds every order read."""
+    """Load coefficients; their path space must fit the cap, which bounds every order read.
+
+    Each order's raw entries are symmetrized as arrays straight into the
+    coefficient tensor.
+    """
     d = int(obj["d"])
     N = int(obj["N"])
     PathSpace(d, N, cap)
@@ -159,8 +338,8 @@ def chaos_from_json(obj: dict, cap: int = DEFAULT_CAP) -> ChaosCoefficients:
         if raw and int(raw["order"]) != r:  # checked before any d^order tensor is built
             raise ValueError(f"kernel {r} declares order {raw['order']}")
         if raw:
-            kernels.append(kernel_from_json(raw, d))
-    return ChaosCoefficients.from_kernels(d, N, float(obj["mean"]), kernels)
+            kernels.append(_symmetrize_blocks(_raw_entries(raw), r, d))
+    return ChaosCoefficients.from_blocks(d, N, float(obj["mean"]), kernels)
 
 
 # -- tables and processes ----------------------------------------------------
@@ -267,47 +446,44 @@ def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     header = "time,atom,beta," + ",".join(
         f"gamma_{j}" for j in range(1, market.d + 1)
     ) + ",V"
-    lines = [header]
+    heads, values = [], [np.array([v_init])]
     for n in range(market.N + 1):
-        beta, gamma = strategy.rows(n)
-        if n == 0:
-            values = [v_init]
-        else:
+        heads += [f"{n},{prefix}," for prefix in _atom_prefixes(market.d, n)]
+        if n:
+            beta, gamma = strategy.rows(n)
             # stacked 1x1 matmul: the same BLAS dot per atom as gamma_row @ price_row,
             # which an elementwise sum would not reproduce bit for bit
             prices = market.lattice.atom_prices(n - 1)
             dots = np.matmul(gamma[:, None, :], prices[:, :, None])[:, 0, 0]
-            values = (beta * market.bond[n - 1] + dots).tolist()
-        rows = zip(_atom_prefixes(market.d, n), beta.tolist(), gamma.tolist(), values)
-        lines.extend(
-            f"{n},{prefix},{fmt_float(b)},{','.join(map(fmt_float, g))},{fmt_float(v)}"
-            for prefix, b, g, v in rows
-        )
-    return "\n".join(lines) + "\n"
+            values.append(beta * market.bond[n - 1] + dots)
+    table = np.column_stack([strategy.beta, strategy.gamma, np.concatenate(values)])
+    return header + "\n" + _csv_rows(heads, table) + "\n"
+
+
+def _csv_rows(heads: list[str], table: np.ndarray) -> str:
+    """One line per row of a 2-D table: its head, then its entries comma-separated."""
+    row = ",".join(["%s"] * table.shape[1])
+    return "\n".join([head + row for head in heads]) % tuple(_float_texts(table))
 
 
 def table_to_csv(values: np.ndarray) -> str:
     """Table CSV: columns path index, value."""
-    rows = np.asarray(values, dtype=float).tolist()
-    lines = ["path,value"]
-    lines.extend(f"{p},{fmt_float(x)}" for p, x in enumerate(rows))
-    return "\n".join(lines) + "\n"
+    column = np.asarray(values, dtype=float).reshape(-1, 1)
+    return "path,value\n" + _csv_rows([f"{p}," for p in range(len(column))], column) + "\n"
 
 
 def matrix_to_csv(values: np.ndarray) -> str:
     """Dense matrix CSV: one row per target path, entries in path order."""
-    rows = np.asarray(values, dtype=float).tolist()
-    return "\n".join(",".join(map(fmt_float, row)) for row in rows) + "\n"
+    values = np.asarray(values, dtype=float)
+    return _csv_rows([""] * len(values), values) + "\n"
 
 
 def gradient_to_csv(values: np.ndarray) -> str:
     """Gradient field CSV: columns time k, coordinate j, path index, value."""
-    lines = ["k,j,path,value"]
     steps, num_paths, d = values.shape
-    columns = np.asarray(values, dtype=float).transpose(0, 2, 1).tolist()  # [k][j][p]
-    paths = [f",{p}," for p in range(num_paths)]
-    for k in range(steps):
-        for j in range(d):
-            head = f"{k},{j + 1}"
-            lines += [head + path + fmt_float(x) for path, x in zip(paths, columns[k][j])]
-    return "\n".join(lines) + "\n"
+    texts = _float_texts(np.asarray(values, dtype=float).transpose(0, 2, 1))  # [k][j][p]
+    block = "\n".join([f"\0{p},%s" for p in range(num_paths)])  # \0 stands for "k,j,"
+    template = "\n".join(
+        block.replace("\0", f"{k},{j + 1},") for k in range(steps) for j in range(d)
+    )
+    return "k,j,path,value\n" + template % tuple(texts) + "\n"

@@ -1,12 +1,15 @@
-"""Reference writers: the straightforward recursive JSON renderer and the
-element-by-element CSV loops that the single-pass writers in
-`obtusewalk.serialize` must reproduce byte for byte.
+"""Reference writers and readers: the straightforward recursive JSON
+renderer, the element-by-element CSV loops and kernel entry loops, and the
+entry-by-entry symmetrization, which the array code in `obtusewalk.serialize`
+and `obtusewalk.integrals` must reproduce byte for byte and bit for bit.
 
 The JSON renderer formats a list's items once at the list's own indent to
 try the flat form, and again at indent + 2 for the expanded form, so a
 value under k expanded lists is formatted up to 2^k times.
 """
 import json
+import math
+from itertools import combinations
 
 import numpy as np
 
@@ -100,3 +103,69 @@ def oracle_strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
             fields.append(fmt_float(value))
             lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
+
+
+def oracle_kernel_entries(coeffs, order: int) -> list:
+    """Raw entries of one order: each increasing tuple's block, component by component."""
+    fact = math.factorial(order)
+    entries = []
+    for times in combinations(range(coeffs.N + 1), order):
+        index = tuple(slice(1, None) if n in times else 0 for n in range(coeffs.N + 1))
+        tensor = coeffs.coef[index] / fact
+        for coords in np.ndindex(*tensor.shape):
+            value = float(tensor[coords])
+            if value != 0.0:
+                entries.append(
+                    {"times": list(times), "coords": [c + 1 for c in coords], "value": fact * value}
+                )
+    return entries
+
+
+def oracle_chaos_to_json(coeffs) -> dict:
+    return {
+        "d": coeffs.d,
+        "N": coeffs.N,
+        "mean": coeffs.mean,
+        "kernels": {
+            str(r): {"order": r, "entries": oracle_kernel_entries(coeffs, r)}
+            for r in range(1, coeffs.N + 2)
+        },
+    }
+
+
+def oracle_symmetrize(raw, order: int, d: int) -> dict:
+    """Symmetrized components accumulated one entry at a time, by sorted tuple."""
+    fact = math.factorial(order)
+    acc = {}
+    for times, coords, value in raw:
+        times = tuple(int(t) for t in times)
+        coords = tuple(int(k) for k in coords)
+        if len(times) != order or len(coords) != order:
+            raise ValueError(f"entry at {times} must carry {order} times and coords")
+        if len(set(times)) != order:
+            raise ValueError(f"time tuple {times} has repeated indices")
+        if any(k < 1 or k > d for k in coords):
+            raise ValueError(f"coordinates {coords} outside [1, {d}]")
+        key = tuple(sorted(times))
+        comp = [0] * order
+        for m, t in enumerate(times):
+            comp[key.index(t)] = coords[m] - 1
+        tensor = acc.setdefault(key, np.zeros((d,) * order))
+        tensor[tuple(comp)] += float(value) / fact
+    return acc
+
+
+def oracle_chaos_coef(obj: dict) -> np.ndarray:
+    """The coefficient tensor of a chaos JSON object, filled one tuple block at a time."""
+    d, N = obj["d"], obj["N"]
+    coef = np.zeros((d + 1,) * (N + 1))
+    coef[(0,) * (N + 1)] = float(obj["mean"])
+    for r in range(1, N + 2):
+        raw = [
+            (e["times"], e["coords"], e["value"])
+            for e in obj["kernels"].get(str(r), {}).get("entries", [])
+        ]
+        for times, tensor in oracle_symmetrize(raw, r, d).items():
+            index = tuple(slice(1, None) if n in times else 0 for n in range(N + 1))
+            coef[index] += math.factorial(r) * tensor
+    return coef

@@ -1,32 +1,46 @@
-"""Single-pass JSON and CSV writers against the reference writers in
-serialize_oracle.py: byte-equal output, each number formatted once."""
-from collections import Counter
+"""Single-pass JSON and CSV writers and array-based kernel reading against
+the reference code in serialize_oracle.py: byte-equal output at realistic
+sizes, each distinct number formatted once, bit-equal kernels."""
+import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from obtusewalk import (
+    ChaosCoefficients,
     MarketSpec,
     PathTable,
     Strategy,
     clark_ocone,
+    clark_ocone_from,
     crr_market,
     decompose,
+    divergence,
     find_emm,
     gradient,
     hedge_clark_ocone,
     hedge_replicate,
+    ou_apply_chaos,
+    reconstruct,
+    symmetrize,
 )
 from obtusewalk import serialize
+from obtusewalk.cli import main
 from obtusewalk.ou import ou_kernel_matrix
 from obtusewalk.payoff import eval_payoff, parse_payoff
-from helpers import SQ2, random_table, random_walk
+from helpers import SQ2, random_process, random_table, random_walk
 from serialize_oracle import (
+    oracle_chaos_coef,
+    oracle_chaos_to_json,
     oracle_dump_json,
     oracle_gradient_to_csv,
+    oracle_kernel_entries,
     oracle_matrix_to_csv,
     oracle_strategy_to_csv,
+    oracle_symmetrize,
     oracle_table_to_csv,
 )
 
@@ -42,6 +56,18 @@ _LEAF = st.one_of(
 )
 # short items in lists of 20 to 40 land on both sides of the 100-character flat limit
 _SHORT = st.one_of(st.integers(-99, 99), st.booleans(), st.none())
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# lists of same-keyed dicts, rendered one key at a time; int lists past 100 characters
+_RECORDS = st.lists(
+    st.fixed_dictionaries(
+        {"times": st.lists(st.integers(0, 40), max_size=40), "%s": _FINITE, "coords": _SHORT}
+    ),
+    min_size=1,
+    max_size=4,
+)
+_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6), elements=_FINITE
+)
 
 
 def _json_value(depth: int):
@@ -55,21 +81,39 @@ def _json_value(depth: int):
         st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=7),
         st.lists(_SHORT, min_size=20, max_size=40),
         st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        _RECORDS,
+        _ARRAYS,
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(_json_value(5), st.sampled_from([0, 2, 6]))
 def test_dump_json_matches_recursive_renderer(obj, indent):
-    assert serialize.dump_json(obj, indent) == oracle_dump_json(obj, indent)
+    assert serialize.dump_json(obj, indent) == oracle_dump_json(_lists(obj), indent)
 
 
-def _floats_in(obj) -> list:
+def _lists(obj):
+    """The payload with every ndarray replaced by its tolist()."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, dict):
-        return [x for val in obj.values() for x in _floats_in(val)]
+        return {key: _lists(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [x for val in obj for x in _floats_in(val)]
-    return [obj] if isinstance(obj, float) else []
+        return [_lists(val) for val in obj]
+    return obj
+
+
+def _float_bits(obj) -> list:
+    """Bytes (as uint64) of every float in the payload, arrays included."""
+    if isinstance(obj, np.ndarray):
+        return obj.ravel().view(np.uint64).tolist()
+    if isinstance(obj, dict):
+        return [x for val in obj.values() for x in _float_bits(val)]
+    if isinstance(obj, (list, tuple)):
+        return [x for val in obj for x in _float_bits(val)]
+    if isinstance(obj, float):
+        return np.array([obj]).view(np.uint64).tolist()
+    return []
 
 
 def test_each_float_is_formatted_once(rng, monkeypatch):
@@ -77,24 +121,28 @@ def test_each_float_is_formatted_once(rng, monkeypatch):
     table = random_table(rng, walk.space)
     mean, xi = clark_ocone(walk, table)
     payloads = [
-        {"mean": mean, "integrand": serialize.process_to_json(xi)["values"]},
+        {"mean": mean, "integrand": xi.values},
         serialize.chaos_to_json(decompose(walk, table)),
-        gradient(walk, table).values.tolist(),
-        [[[[0.25] * 6] * 2] * 2] * 2,  # four list levels, every one expanded
+        gradient(walk, table).values,
+        np.full((2, 2, 2, 16), 0.25),  # four axes, the outer two expanded
+        [[[[0.25] * 16] * 2] * 2] * 2,  # the same as nested lists
+        [{"p": [0.5, 0.25], "v": [[1.0], [-1.0]]}] * 3,  # walk steps: one key at a time
     ]
-    seen = Counter()
-    format_once = serialize.fmt_float
+    formatted = []
+    format_distinct = serialize._format_distinct
 
-    def counting(x):
-        seen[x] += 1
-        return format_once(x)
+    def counting(values):
+        values = list(values)
+        formatted.extend(np.array(values, dtype=float).view(np.uint64).tolist())
+        return format_distinct(values)
 
-    monkeypatch.setattr(serialize, "fmt_float", counting)
+    monkeypatch.setattr(serialize, "_format_distinct", counting)
     for payload in payloads:
-        seen.clear()
+        formatted.clear()
         text = serialize.dump_json(payload)
-        assert seen == Counter(_floats_in(payload))
-        assert text == oracle_dump_json(payload)
+        # every distinct value once, and nothing else: no per-entry or per-indent repeats
+        assert sorted(formatted) == sorted(set(_float_bits(payload)))
+        assert text == oracle_dump_json(_lists(payload))
 
 
 def _basket_market(rng, periods: int) -> MarketSpec:
@@ -171,3 +219,218 @@ def test_json_views_equal_per_element_conversion(rng):
     assert serialize.process_to_json(xi)["values"] == [
         [list(map(float, row)) for row in t] for t in xi.values
     ]
+
+
+# -- realistic sizes: every writer and every CLI form against the reference writers
+
+#: 0.0 next to -0.0, subnormals and the far ends of the exponent range
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300]
+
+
+def _special_values(rng, shape) -> np.ndarray:
+    """Values drawn with repeats from the special ones and a few random ones."""
+    pool = np.concatenate([_SPECIAL, rng.uniform(-1.0, 1.0, size=12)])
+    return pool[rng.integers(0, len(pool), size=shape)]
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 4), (3, 40), (3, 4, 2), (2, 3, 2, 5), (6, 729, 2)])
+def test_arrays_render_as_their_lists(rng, shape):
+    values = _special_values(rng, shape)
+    for indent in (0, 2, 6):
+        text = serialize.dump_json(values, indent)
+        assert text == serialize.dump_json(values.tolist(), indent)
+        assert text == oracle_dump_json(values.tolist(), indent)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 0), (0, 3)])
+def test_scalar_and_empty_arrays_render_as_their_lists(shape):
+    values = np.full(shape, -0.0)
+    assert serialize.dump_json(values) == oracle_dump_json(values.tolist())
+
+
+def test_rows_at_the_flat_limit():
+    # flat forms of exactly 100 and 101 characters: 20 items of "0.5", then one "0.25"
+    rows = np.array([[0.5] * 20, [0.5] * 19 + [0.25]])
+    flat = ["[" + ", ".join(["0.5"] * 20) + "]", "[" + ", ".join(["0.5"] * 19 + ["0.25"]) + "]"]
+    assert [len(row) for row in flat] == [100, 101]
+    assert serialize.dump_json(rows[0]) == flat[0]
+    assert serialize.dump_json(rows[1]) == oracle_dump_json(rows[1].tolist())
+    assert "\n" in serialize.dump_json(rows[1])
+    text = serialize.dump_json(rows)
+    assert text == oracle_dump_json(rows.tolist())
+    assert f"  {flat[0]},\n" in text and flat[1] not in text
+    assert serialize.dump_json(rows.tolist()) == text
+    many = np.tile(rows, (3, 2, 1))  # 240 values: the array path rather than the short one
+    text = serialize.dump_json(many)
+    assert text == oracle_dump_json(many.tolist())
+    assert text.count(flat[0]) == 6 and flat[1] not in text
+
+
+def test_special_values_in_csv_writers(rng):
+    table = _special_values(rng, 729)
+    assert serialize.table_to_csv(table) == oracle_table_to_csv(table)
+    matrix = _special_values(rng, (81, 81))
+    assert serialize.matrix_to_csv(matrix) == oracle_matrix_to_csv(matrix)
+    grad = _special_values(rng, (6, 729, 2))
+    assert serialize.gradient_to_csv(grad) == oracle_gradient_to_csv(grad)
+
+
+def _message(write, values) -> str:
+    with pytest.raises(ValueError) as info:
+        write(values)
+    return str(info.value)
+
+
+def test_non_finite_raises_for_the_first_entry_in_writing_order():
+    values = np.zeros((2, 3, 2))
+    values[0, 1, 1] = np.inf  # first in C order
+    values[0, 2, 0] = np.nan  # first in the gradient CSV's (k, j, path) order
+    assert _message(serialize.dump_json, values) == "cannot serialize non-finite number inf"
+    assert _message(serialize.dump_json, values) == _message(oracle_dump_json, values.tolist())
+    assert _message(serialize.gradient_to_csv, values) == "cannot serialize non-finite number nan"
+    assert _message(serialize.gradient_to_csv, values) == _message(oracle_gradient_to_csv, values)
+    flat = values.reshape(3, 4)
+    assert _message(serialize.matrix_to_csv, flat) == _message(oracle_matrix_to_csv, flat)
+    assert _message(serialize.table_to_csv, flat[1]) == "cannot serialize non-finite number nan"
+    assert _message(serialize.dump_json, {"mean": -np.inf, "values": flat}) == (
+        "cannot serialize non-finite number -inf"
+    )
+
+
+def _write(tmp_path, name, obj) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+def _run(tmp_path, argv) -> str:
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("d, N", [(1, 8), (2, 5), (3, 3)])
+def test_cli_forms_match_reference_writers(rng, tmp_path, d, N):
+    w = _write(tmp_path, "walk", serialize.walk_to_json(random_walk(rng, d, N)))
+    # the walk as the CLI reads it: BLAS may sign a zero sum by where its arrays lie
+    walk = serialize.walk_from_json(json.loads(open(w, encoding="utf-8").read()))
+    values = rng.uniform(-1.0, 1.0, size=walk.space.num_paths)
+    values[:4] = [1e-300, -1e-300, 1e300, -1e300]
+    table = PathTable(walk.space, values)
+    process = random_process(rng, walk)
+    tab = _write(tmp_path, "table", values.tolist())
+    proc = _write(tmp_path, "process", {"values": process.values.tolist()})
+
+    mean, xi = clark_ocone(walk, table)
+    expected = {"mean": mean, "integrand": xi.values.tolist()}
+    assert _run(tmp_path, ["clark-ocone", w, "--table", tab]) == oracle_dump_json(expected) + "\n"
+    head, xi = clark_ocone_from(walk, table, 1)
+    expected = {"head": head.values.tolist(), "integrand": xi.values.tolist()}
+    text = _run(tmp_path, ["clark-ocone", w, "--table", tab, "--from", "1"])
+    assert text == oracle_dump_json(expected) + "\n"
+
+    grad = gradient(walk, table).values
+    assert _run(tmp_path, ["gradient", w, "--table", tab]) == oracle_gradient_to_csv(grad)
+    text = _run(tmp_path, ["gradient", w, "--table", tab, "--format", "json"])
+    assert text == oracle_dump_json(grad.tolist()) + "\n"
+
+    coeffs = decompose(walk, table)
+    text = _run(tmp_path, ["chaos", "decompose", w, "--table", tab])
+    assert text == oracle_dump_json(oracle_chaos_to_json(coeffs)) + "\n"
+    coeffs_file = tmp_path / "coeffs.json"
+    coeffs_file.write_text(text, encoding="utf-8")
+    coef = oracle_chaos_coef(json.loads(text))
+    assert np.array_equal(
+        serialize.chaos_from_json(json.loads(text)).coef.view(np.uint64), coef.view(np.uint64)
+    )
+    rebuilt = reconstruct(walk, ChaosCoefficients(d, N, coef)).values
+    text = _run(tmp_path, ["chaos", "reconstruct", w, "--coeffs", str(coeffs_file)])
+    assert text == oracle_dump_json(rebuilt.tolist()) + "\n"
+
+    text = _run(tmp_path, ["divergence", w, "--process", proc])
+    assert text == oracle_dump_json(divergence(walk, process).values.tolist()) + "\n"
+    text = _run(tmp_path, ["ou", w, "--table", tab, "--t", "0.5"])
+    assert text == oracle_dump_json(ou_apply_chaos(walk, table, 0.5).values.tolist()) + "\n"
+    text = _run(tmp_path, ["ou", w, "--t", "0.5", "--kernel-matrix"])
+    assert text == oracle_matrix_to_csv(ou_kernel_matrix(walk, 0.5).values)
+
+
+@pytest.mark.parametrize("method", ["replicate", "clark-ocone"])
+def test_cli_market_hedge_matches_reference_writer(tmp_path, method):
+    basket = _basket_market(np.random.default_rng(7), 6)
+    spec = {
+        "d": 2,
+        "N": 5,
+        "S0": basket.s_init.tolist(),
+        "r": 0.01,
+        "scenarios": [
+            [{"lambda": np.diag(scenario).tolist()} for scenario in step]
+            for step in basket.scenarios
+        ],
+    }
+    market = serialize.market_from_json(spec)
+    payoff = "max(0.5*(S(1)+S(2))-100,0)"
+    claim = eval_payoff(parse_payoff(payoff, market.d, market.N), market)
+    hedge = hedge_replicate if method == "replicate" else hedge_clark_ocone
+    strategy = hedge(market, find_emm(market, tol=1e-9), claim)
+    market_file = _write(tmp_path, "market", spec)
+    text = _run(tmp_path, ["market", "hedge", market_file, "--payoff", payoff, "--method", method])
+    assert text == oracle_strategy_to_csv(market, strategy)
+
+
+@pytest.mark.parametrize("d, N", [(1, 8), (2, 5), (3, 3)])
+def test_kernel_entries_match_component_loop(rng, d, N):
+    coef = _special_values(rng, (d + 1,) * (N + 1))
+    coef[rng.random(coef.shape) < 0.3] = 0.0  # zero components are left out, -0.0 too
+    coeffs = ChaosCoefficients(d, N, coef)
+    assert serialize.dump_json(serialize.chaos_to_json(coeffs)) == oracle_dump_json(
+        oracle_chaos_to_json(coeffs)
+    )
+    for r in range(N + 2):
+        expected = {"order": r, "entries": oracle_kernel_entries(coeffs, r)}
+        if r == 0:
+            expected["entries"] = [{"times": [], "coords": [], "value": coeffs.mean}]
+        text = serialize.dump_json(serialize.kernel_to_json(coeffs.kernel(r)))
+        assert text == oracle_dump_json(expected)
+
+
+def _raw_entries(rng, d: int, N: int, order: int, count: int) -> list:
+    """Entries on shuffled distinct times, with repeats, as a JSON file gives them."""
+    raw = []
+    for _ in range(count):
+        times = rng.permutation(N + 1)[:order].tolist()
+        coords = rng.integers(1, d + 1, size=order).tolist()
+        raw.append((tuple(times), tuple(coords), float(rng.uniform(-1.0, 1.0))))
+    return raw
+
+
+@pytest.mark.parametrize("d, N, order", [(1, 8, 3), (2, 5, 2), (3, 3, 4)])
+def test_symmetrize_matches_entry_loop(rng, d, N, order):
+    raw = _raw_entries(rng, d, N, order, 300)
+    expected = oracle_symmetrize(raw, order, d)
+    kernel = symmetrize(raw, order, d)
+    assert sorted(kernel.entries) == sorted(expected)
+    for times, tensor in expected.items():
+        assert np.array_equal(kernel.entries[times].view(np.uint64), tensor.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ((0, 1, 2), (1, 1), 1.0),
+        ((1, 1), (1, 2), 1.0),
+        ((0, 3), (1, 3), 1.0),
+        ((0, 3), (0, 1), 1.0),
+        ((0, "x"), (1, 1), 1.0),
+        ((0, 1), (1, None), 1.0),
+        ((0, 1), (1, 1), "abc"),
+        ((0, 1), (1, 1)),
+        (5, (1, 1), 1.0),
+    ],
+)
+def test_symmetrize_reports_the_first_bad_entry(rng, bad):
+    raw = _raw_entries(rng, 2, 4, 2, 5) + [bad] + [((0, 0), (3, 3), 1.0)]
+    with pytest.raises((ValueError, TypeError)) as expected:
+        oracle_symmetrize(raw, 2, 2)
+    with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+        symmetrize(raw, 2, 2)
