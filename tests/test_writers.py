@@ -242,6 +242,12 @@ def test_arrays_render_as_their_lists(rng, shape):
         assert text == oracle_dump_json(values.tolist(), indent)
 
 
+def test_strided_arrays_render_as_their_lists(rng):
+    values = _special_values(rng, (7, 30, 4))
+    for view in (values.transpose(2, 0, 1), values[:, ::3, 1:], values[::-1, :, ::2]):
+        assert serialize.dump_json(view) == oracle_dump_json(view.tolist())
+
+
 @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (0, 3)])
 def test_scalar_and_empty_arrays_render_as_their_lists(shape):
     values = np.full(shape, -0.0)
