@@ -13,7 +13,7 @@ other operation is a slice of the tensor.
 Symmetric kernels (integrals.Kernel) are the view at the user boundary
 only: multiple_integral and kernel(r). from_kernels fills r! times each
 tuple's component tensor into that tuple's block of the tensor (through
-from_blocks, which JSON files use without building Kernel objects), and
+_from_blocks, which JSON files use without building Kernel objects), and
 kernel(r) reads a block back divided by r!.
 """
 from __future__ import annotations
@@ -76,14 +76,19 @@ class ChaosCoefficients:
             tensors = [t.ravel() for t in kernel.entries.values()]
             return times, np.array(tensors).reshape(shape[0], d**kernel.order)
 
-        return ChaosCoefficients.from_blocks(d, N, mean, map(blocks, kernels))
+        return ChaosCoefficients._from_blocks(d, N, mean, map(blocks, kernels))
 
     @staticmethod
-    def from_blocks(
+    def _from_blocks(
         d: int, N: int, mean: float, kernels: Iterable[tuple[np.ndarray, np.ndarray]]
     ) -> "ChaosCoefficients":
-        """from_kernels with each kernel given as arrays: its (U, r) increasing
-        time tuples and the (U, d**r) flattened component tensor at each."""
+        """from_kernels with each kernel given as arrays: its (U, r) time tuples
+        and the (U, d**r) flattened component tensor at each.
+
+        The tuples must be distinct, increasing and non-negative, as Kernel and
+        integrals._symmetrize_blocks make them: the fill adds each block once,
+        so a repeated tuple would keep only one of its rows.
+        """
         coef = np.zeros((d + 1,) * (N + 1))
         coef[(0,) * (N + 1)] = float(mean)
         flat = coef.reshape(-1)

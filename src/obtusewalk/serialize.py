@@ -5,7 +5,7 @@ round-trip exactly and identical inputs always produce byte-identical
 output. Each distinct value is formatted once; arrays render without
 per-element recursion. Every writer formats through one primitive,
 `_float_texts`, which checks a whole array for finiteness at once; formatting
-each distinct value once pays because the paper's objects repeat values (a
+each distinct value of an array once pays because the paper's objects repeat values (a
 gradient d+1 times, a Clark-Ocone integrand once per path of an atom). A
 float64 ndarray or a nest of float lists is rendered bottom-up one axis at a
 time, and a list of same-keyed dicts one key at a time.
@@ -26,10 +26,6 @@ from .omega import DEFAULT_CAP, PathSpace, PathTable
 from .walk import StepLaw, WalkSpec, canonical_step
 
 _FORMAT = "%.17g"
-#: Below this many values, Python loops over them cost less than numpy's
-#: fixed cost per call: a dict finds the distinct ones instead of a sort, and
-#: rows are joined one by one.
-_SHORT = 64
 
 
 def _format_distinct(values) -> list[str]:
@@ -47,19 +43,9 @@ def _float_texts(values) -> list[str]:
     """Texts of an array's entries in C order, each distinct value formatted once.
 
     Finiteness is checked once for the whole array; the first non-finite
-    entry raises fmt_float's error. Values are distinct by their bytes (by
-    their exact hex forms in a short array), so 0.0 and -0.0 keep their own
-    texts.
+    entry raises fmt_float's error. Values are distinct by their bytes, so
+    0.0 and -0.0 keep their own texts.
     """
-    if isinstance(values, np.ndarray) and values.size < _SHORT:
-        values = values.ravel().tolist()
-    if isinstance(values, list) and len(values) < _SHORT:
-        keys = list(map(float.hex, values))
-        by_key = dict(zip(keys, values))
-        if not all(map(math.isfinite, by_key.values())):
-            fmt_float(next(x for x in values if not math.isfinite(x)))
-        texts = dict(zip(by_key, _format_distinct(by_key.values())))
-        return list(map(texts.__getitem__, keys))
     arr = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(arr)
     if not finite.all():
@@ -94,11 +80,6 @@ def _array_items(arr: np.ndarray, indent: int) -> list[str]:
     if arr.size == 0:
         return [dump_json(item, indent) for item in arr.tolist()]
     items = _float_texts(arr)
-    if arr.size < _SHORT:
-        for axis in range(arr.ndim - 1, 0, -1):
-            pad = " " * (indent + 2 * (axis - 1))
-            items = [_join_list(row, pad) for row in zip(*[iter(items)] * arr.shape[axis])]
-        return items
     lengths = np.fromiter(map(len, items), dtype=np.int64, count=len(items))
     spans = np.zeros(len(items), dtype=bool)  # which items span lines
     for axis in range(arr.ndim - 1, 0, -1):
@@ -255,28 +236,25 @@ def kernel_to_json(kernel: Kernel) -> dict:
     Entries are written on increasing tuples only, scaled by order!, so that
     symmetrization on load reproduces the stored kernel exactly; the written
     value is then also the coefficient of the matching increment monomial.
-    Zero components are left out.
     """
-    if kernel.order == 0:
-        entries = [
-            {"times": [], "coords": [], "value": float(tensor)}
-            for tensor in kernel.entries.values()
-        ]
-        return {"order": 0, "entries": entries}
-    fact = float(math.factorial(kernel.order))
-    times, coords, values = [], [], []
-    for key in sorted(kernel.entries):
-        tensor = kernel.entries[key]
-        found = np.argwhere(tensor != 0.0)  # C order, as np.ndindex walks
-        times.append(np.broadcast_to(key, found.shape))
-        coords.append(found + 1)
-        values.append(tensor[tuple(found.T)] * fact)
-    if not times:
-        return {"order": kernel.order, "entries": []}
-    return {
-        "order": kernel.order,
-        "entries": _entries(np.concatenate(times), np.concatenate(coords), np.concatenate(values)),
-    }
+    fact = math.factorial(kernel.order)
+    entries = []
+    for times in sorted(kernel.entries):
+        tensor = kernel.entries[times]
+        if kernel.order == 0:
+            entries.append({"times": [], "coords": [], "value": float(tensor)})
+            continue
+        for coords in np.ndindex(*tensor.shape):
+            value = float(tensor[coords])
+            if value != 0.0:
+                entries.append(
+                    {
+                        "times": list(times),
+                        "coords": [c + 1 for c in coords],
+                        "value": fact * value,
+                    }
+                )
+    return {"order": kernel.order, "entries": entries}
 
 
 def _raw_entries(obj: dict) -> list:
@@ -339,7 +317,7 @@ def chaos_from_json(obj: dict, cap: int = DEFAULT_CAP) -> ChaosCoefficients:
             raise ValueError(f"kernel {r} declares order {raw['order']}")
         if raw:
             kernels.append(_symmetrize_blocks(_raw_entries(raw), r, d))
-    return ChaosCoefficients.from_blocks(d, N, float(obj["mean"]), kernels)
+    return ChaosCoefficients._from_blocks(d, N, float(obj["mean"]), kernels)
 
 
 # -- tables and processes ----------------------------------------------------

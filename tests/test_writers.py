@@ -116,12 +116,24 @@ def _float_bits(obj) -> list:
     return []
 
 
+def _formatted_once_each(obj) -> list:
+    """Bytes of the values dump_json should format for a payload: each
+    distinct value once per float array, nest of float lists or column of
+    same-keyed dicts, and each lone float once."""
+    if isinstance(obj, dict):
+        return [x for val in obj.values() for x in _formatted_once_each(val)]
+    if isinstance(obj, list) and obj and all(isinstance(item, dict) for item in obj):
+        return [x for key in obj[0] for x in _formatted_once_each([item[key] for item in obj])]
+    return sorted(set(_float_bits(obj))) if isinstance(obj, (list, np.ndarray)) else _float_bits(obj)
+
+
 def test_each_float_is_formatted_once(rng, monkeypatch):
     walk = random_walk(rng, 2, 3)
     table = random_table(rng, walk.space)
     mean, xi = clark_ocone(walk, table)
     payloads = [
         {"mean": mean, "integrand": xi.values},
+        {"mean": float(xi.values[1, 0, 0]), "integrand": xi.values},  # a value in two places
         serialize.chaos_to_json(decompose(walk, table)),
         gradient(walk, table).values,
         np.full((2, 2, 2, 16), 0.25),  # four axes, the outer two expanded
@@ -140,8 +152,8 @@ def test_each_float_is_formatted_once(rng, monkeypatch):
     for payload in payloads:
         formatted.clear()
         text = serialize.dump_json(payload)
-        # every distinct value once, and nothing else: no per-entry or per-indent repeats
-        assert sorted(formatted) == sorted(set(_float_bits(payload)))
+        # once per array or column, and nothing else: no per-entry or per-indent repeats
+        assert sorted(formatted) == sorted(_formatted_once_each(payload))
         assert text == oracle_dump_json(_lists(payload))
 
 
@@ -266,7 +278,7 @@ def test_rows_at_the_flat_limit():
     assert text == oracle_dump_json(rows.tolist())
     assert f"  {flat[0]},\n" in text and flat[1] not in text
     assert serialize.dump_json(rows.tolist()) == text
-    many = np.tile(rows, (3, 2, 1))  # 240 values: the array path rather than the short one
+    many = np.tile(rows, (3, 2, 1))  # three axes, flat and one-item-per-line rows together
     text = serialize.dump_json(many)
     assert text == oracle_dump_json(many.tolist())
     assert text.count(flat[0]) == 6 and flat[1] not in text
