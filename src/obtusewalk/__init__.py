@@ -28,7 +28,6 @@ from .integrals import (
     symmetrize,
 )
 from .malliavin import (
-    GradientField,
     clark_ocone,
     clark_ocone_from,
     divergence,
@@ -43,7 +42,6 @@ from .market import (
     IncompleteMarketError,
     MarketSpec,
     Strategy,
-    build_prices,
     crr_market,
     emm_walk,
     find_emm,

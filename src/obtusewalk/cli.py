@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import chaos as chaos_mod
 from . import malliavin, ou, serialize
@@ -26,31 +25,6 @@ from . import walk as walk_mod
 from .errors import ObtuseWalkError
 from .omega import DEFAULT_CAP
 from .payoff import eval_payoff, parse_payoff
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run options shared by all subcommands."""
-
-    out: str | None
-    fmt: str
-    tol: float
-    cap: int
-
-    def __post_init__(self) -> None:
-        if self.cap < 1:
-            raise ObtuseWalkError(f"enumeration cap must be >= 1, got {self.cap}")
-        if not self.tol > 0.0:
-            raise ObtuseWalkError(f"tolerance must be > 0, got {self.tol}")
-
-
-def _config_from(args) -> RunConfig:
-    cap = DEFAULT_CAP if args.cap is None else args.cap
-    return RunConfig(out=args.out, fmt=args.format, tol=args.tol, cap=cap)
-
-
-def _cap_from(args) -> int:
-    return _config_from(args).cap
 
 
 def _load_json(path: str):
@@ -82,11 +56,11 @@ def _emit(args, text: str) -> None:
 
 
 def _load_walk(args) -> walk_mod.WalkSpec:
-    return _load(args.walk, serialize.walk_from_json, cap=_cap_from(args))
+    return _load(args.walk, serialize.walk_from_json, cap=args.cap)
 
 
 def _load_market(args) -> market_mod.MarketSpec:
-    return _load(args.market, serialize.market_from_json, cap=_cap_from(args))
+    return _load(args.market, serialize.market_from_json, cap=args.cap)
 
 
 def _load_table(args, space):
@@ -141,7 +115,7 @@ def _cmd_chaos_decompose(args) -> int:
 
 def _cmd_chaos_reconstruct(args) -> int:
     walk = _load_walk(args)
-    coeffs = _load(args.coeffs, serialize.chaos_from_json, cap=_cap_from(args))
+    coeffs = _load(args.coeffs, serialize.chaos_from_json, cap=args.cap)
     _emit_table(args, chaos_mod.reconstruct(walk, coeffs))
     return 0
 
@@ -390,7 +364,13 @@ def main(argv: list[str] | None = None) -> int:
             args.cap = int(env_cap)
         except ValueError:
             parser.error(f"environment variable OBTUSE_CAP: invalid int value: {env_cap!r}")
+    if args.cap is None:
+        args.cap = DEFAULT_CAP
     try:
+        if args.cap < 1:
+            raise ObtuseWalkError(f"enumeration cap must be >= 1, got {args.cap}")
+        if not args.tol > 0.0:
+            raise ObtuseWalkError(f"tolerance must be > 0, got {args.tol}")
         return args.func(args)
     except (ObtuseWalkError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

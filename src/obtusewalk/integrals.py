@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PredictabilityError
-from .omega import PathSpace, PathTable, _frozen_float, atom_deviation
+from .omega import PathSpace, PathTable, _frozen_float, predictable_deviation
 from .walk import WalkSpec
 
 #: raw kernel entry: (times, coords, value) with 1-based coordinates
@@ -216,7 +216,7 @@ def _synthesize(walk: WalkSpec, coef: np.ndarray) -> PathTable:
 
 @dataclass(frozen=True, eq=False)
 class VectorProcess:
-    """Time-indexed family of R^d-valued tables (U_0, ..., U_N)."""
+    """Time-indexed family of R^d-valued tables (U_0, ..., U_N): a gradient or an integrand."""
 
     space: PathSpace
     values: np.ndarray  # (N+1, num_paths, d)
@@ -242,11 +242,8 @@ class VectorProcess:
         return PathTable(self.space, self.values[n][:, j - 1])
 
     def predictability_defect(self) -> float:
-        """Worst deviation of any U_n from F_{n-1}-measurability."""
-        worst = 0.0
-        for n in range(self.space.N + 1):
-            worst = max(worst, atom_deviation(self.values[n], self.space, n - 1))
-        return worst
+        """Worst deviation of any U_n from F_{n-1}-measurability (NaN if any entry is)."""
+        return predictable_deviation(self.values, self.space)
 
     def is_predictable(self, tol: float = 1e-10) -> bool:
         return self.predictability_defect() <= tol
@@ -259,7 +256,7 @@ def integrate_predictable(
     if process.space != walk.space:
         raise ValueError("process is not defined on the walk's path space")
     defect = process.predictability_defect()
-    if defect > tol:
+    if not defect <= tol:
         raise PredictabilityError(
             f"process is not predictable (atom deviation {defect:.3e} > {tol:.0e})"
         )

@@ -8,7 +8,6 @@ the stochastic integral to any integrand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,9 +16,7 @@ from .chaos import ChaosCoefficients, _on_walk
 from .errors import MartingaleError
 from .integrals import VectorProcess, _stochastic_sum, _synthesize
 from .omega import (
-    PathSpace,
     PathTable,
-    _frozen_float,
     atom_average,
     atom_deviation,
     covariance,
@@ -28,36 +25,8 @@ from .omega import (
 from .walk import WalkSpec
 
 
-@dataclass(frozen=True, eq=False)
-class GradientField:
-    """All gradient tables D_k^j F, indexed by time k and coordinate j."""
-
-    space: PathSpace
-    values: np.ndarray  # (N+1, num_paths, d)
-
-    def __post_init__(self) -> None:
-        vals = _frozen_float(self.values)
-        expected = (self.space.N + 1, self.space.num_paths, self.space.d)
-        if vals.shape != expected:
-            raise ValueError(f"gradient field has shape {vals.shape}, expected {expected}")
-        object.__setattr__(self, "values", vals)
-
-    def table(self, k: int, j: int) -> PathTable:
-        if not 0 <= k <= self.space.N:
-            raise ValueError(f"time {k} outside [0, {self.space.N}]")
-        if not 1 <= j <= self.space.d:
-            raise ValueError(f"coordinate {j} outside [1, {self.space.d}]")
-        return PathTable(self.space, self.values[k][:, j - 1])
-
-    def squared_norm_table(self) -> PathTable:
-        """Pathwise sum_k ||D_k F||^2."""
-        return PathTable(
-            self.space, np.einsum("kpj,kpj->p", self.values, self.values)
-        )
-
-
-def gradient(walk: WalkSpec, table: PathTable) -> GradientField:
-    """Gradient of a table at every time and coordinate."""
+def gradient(walk: WalkSpec, table: PathTable) -> VectorProcess:
+    """Gradient of a table at every time and coordinate: the process (D_0 F, ..., D_N F)."""
     if table.space != walk.space:
         raise ValueError("table is not defined on the walk's path space")
     space = walk.space
@@ -65,7 +34,7 @@ def gradient(walk: WalkSpec, table: PathTable) -> GradientField:
     for k in range(space.N + 1):
         _step_gradient(walk, table.values, k, out[k])
     out.setflags(write=False)
-    return GradientField(space, out)
+    return VectorProcess(space, out)
 
 
 def _step_gradient(walk: WalkSpec, values: np.ndarray, k: int, out: np.ndarray) -> None:
@@ -152,7 +121,7 @@ def predictable_representation(
         if m.space != walk.space:
             raise ValueError(f"table {n} is not on the walk's path space")
         defect = atom_deviation(m.values, walk.space, n)
-        if defect > tol:
+        if not defect <= tol:
             raise MartingaleError(
                 f"M_{n} is not measurable at time {n} (deviation {defect:.3e})"
             )
@@ -162,7 +131,7 @@ def predictable_representation(
     for n, m in enumerate(martingale):
         projected = atom_average(walk, m.values, n - 1)
         defect = float(np.max(np.abs(projected - prev)))
-        if defect > tol:
+        if not defect <= tol:
             raise MartingaleError(
                 f"martingale property fails at step {n} (deviation {defect:.3e})"
             )
@@ -176,5 +145,6 @@ def predictable_representation(
 def poincare_check(walk: WalkSpec, table: PathTable) -> tuple[float, float]:
     """Variance of the table and its gradient-energy upper bound."""
     variance = covariance(walk, table, table)
-    bound = expectation(walk, gradient(walk, table).squared_norm_table())
+    grad = gradient(walk, table).values
+    bound = expectation(walk, PathTable(walk.space, np.einsum("kpj,kpj->p", grad, grad)))
     return variance, bound

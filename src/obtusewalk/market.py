@@ -13,8 +13,8 @@ each time n the distinct price vectors (nodes), numbered by their first
 atom, and the node of every atom of F_n. Step n+1 grows only the nodes of
 time n, d+1 children each, and merges children with the same bytes, so a
 recombining model such as CRR keeps far fewer nodes than atoms. An atom's
-prices are its node's row. The path-indexed `prices` view is built only
-when something asks for it, and no market routine here does.
+prices are its node's row; nothing here builds prices path by path (the
+test suite's path-by-path price oracle is in tests/market_oracle.py).
 
 The risk-neutral and the replication systems depend only on the node, so
 both are set up once per node. `find_emm` stacks the systems of every node
@@ -52,15 +52,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ObtuseWalkError, SizeCapError
-from .integrals import VectorProcess
 from .omega import (
     DEFAULT_CAP,
     PathSpace,
     PathTable,
     _frozen_float,
-    atom_deviation,
     atom_means,
     expectation,
+    predictable_deviation,
 )
 from .walk import WalkSpec, construct_obtuse
 
@@ -170,16 +169,6 @@ class MarketSpec:
         """Price nodes of every time, built once per market."""
         growth = np.eye(self.d)[None, None] + self.scenarios  # (N+1, d+1, d, d)
         return PriceLattice.build(self.s_init, growth)
-
-    @cached_property
-    def prices(self) -> VectorProcess:
-        """Price tables S_n along every path: the lattice's path view, built on first use."""
-        space = self.space
-        values = np.empty((self.N + 1, space.num_paths, self.d))
-        for n in range(self.N + 1):
-            values[n] = np.repeat(self.lattice.atom_prices(n), space.atom_size(n), axis=0)
-        values.setflags(write=False)
-        return VectorProcess(space, values)
 
 
 def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,8 +307,8 @@ class Strategy:
         """Strategy from (N+1, num_paths) bond units and (N+1, num_paths, d) share counts.
 
         Keeps the first path of each atom of F_{n-1} at step n and records
-        the largest deviation from it within the atom as the strategy's
-        predictability defect.
+        the largest deviation from it within the atom, NaN if any entry is
+        NaN, as the strategy's predictability defect.
         """
         beta = np.asarray(beta, dtype=float)
         gamma = np.asarray(gamma, dtype=float)
@@ -328,10 +317,7 @@ class Strategy:
             raise ValueError(f"beta has shape {beta.shape}, expected ({steps}, {num})")
         if gamma.shape != (steps, num, d):
             raise ValueError(f"gamma has shape {gamma.shape}, expected ({steps}, {num}, {d})")
-        defect = 0.0
-        for n in range(steps):
-            defect = max(defect, atom_deviation(beta[n], space, n - 1))
-            defect = max(defect, atom_deviation(gamma[n], space, n - 1))
+        defect = predictable_deviation(np.concatenate([beta[..., None], gamma], axis=2), space)
         firsts = [space.atom_size(n - 1) for n in range(steps)]
         return Strategy(
             space,
@@ -349,11 +335,6 @@ class Strategy:
         start = _row_start(self.space, n)
         stop = start + self.space.atom_count(n - 1)
         return self.beta[start:stop], self.gamma[start:stop]
-
-
-def build_prices(market: MarketSpec) -> tuple[VectorProcess, np.ndarray]:
-    """Price tables S_n along every path and the deterministic bond curve."""
-    return market.prices, market.bond.copy()
 
 
 def _singular(mats: np.ndarray) -> np.ndarray:
@@ -489,10 +470,9 @@ def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
         rows = slice(_row_start(space, n), _row_start(space, n + 1))
         beta[rows] = sol[:, 0]
         gamma[rows] = sol[:, 1:]
-    v_init = expectation(wq, claim) / float(bond[market.N])
     beta.setflags(write=False)
     gamma.setflags(write=False)
-    return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(d))
+    return Strategy(space, beta, gamma, beta_init=price_claim(market, emm, claim))
 
 
 def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
@@ -562,10 +542,9 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
         beta[rows] = bet
         gamma[rows] = gam
         s_prev = s_now
-    v_init = expectation(wq, claim) / float(market.bond[market.N])
     beta.setflags(write=False)
     gamma.setflags(write=False)
-    return Strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(d))
+    return Strategy(space, beta, gamma, beta_init=price_claim(market, emm, claim))
 
 
 @dataclass(frozen=True)
@@ -593,20 +572,6 @@ class StrategyReport:
         if self.decomposition is not None:
             checks.append(self.decomposition)
         return all(res <= self.tol for res in checks)
-
-
-def strategy_values(market: MarketSpec, strategy: Strategy) -> tuple[np.ndarray, float]:
-    """Post-rebalance portfolio values V_n = beta_n B_n + <gamma_n, S_n> along every path."""
-    space, d, lattice = market.space, market.d, market.lattice
-    values = np.empty((market.N + 1, space.num_paths))
-    for n in range(market.N + 1):
-        beta, gamma = strategy.rows(n)
-        on_atoms = np.repeat(beta, d + 1) * market.bond[n] + np.einsum(
-            "aj,aj->a", np.repeat(gamma, d + 1, axis=0), lattice.atom_prices(n)
-        )
-        values[n] = np.repeat(on_atoms, space.atom_size(n))
-    v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
-    return values, v_init
 
 
 def verify_strategy(

@@ -22,8 +22,8 @@ import numpy as np
 from .chaos import chaos_order
 from .errors import SizeCapError
 from .integrals import along_axes
-from .malliavin import gradient
-from .omega import PathTable, _check_space, atom_average, expectation
+from .malliavin import clark_ocone, gradient
+from .omega import PathTable, _check_space, expectation
 from .walk import WalkSpec
 
 
@@ -90,13 +90,12 @@ def ou_kernel_matrix(walk: WalkSpec, t: float) -> OUKernelMatrix:
 
 
 def cov_gradient(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
-    """Covariance via sum_k E[<E[D_k F | F_{k-1}], D_k G>]."""
-    grad_f = gradient(walk, f)
+    """Covariance via sum_k E[<xi_k, D_k G>], xi the Clark-Ocone integrand E[D_k F | F_{k-1}]."""
+    xi = clark_ocone(walk, f)[1]
     grad_g = gradient(walk, g)
     total = 0.0
     for k in range(walk.N + 1):
-        xi = atom_average(walk, grad_f.values[k], k - 1)  # (P, d)
-        inner = np.einsum("pj,pj->p", xi, grad_g.values[k])
+        inner = np.einsum("pj,pj->p", xi.values[k], grad_g.values[k])
         total += float(np.add.reduce(walk.measure * inner))
     return total
 

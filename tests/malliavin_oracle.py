@@ -14,7 +14,7 @@ gradient and are used by tests only.
 """
 import numpy as np
 
-from obtusewalk import GradientField, PathTable, WalkSpec, gradient, ou_apply_kernel
+from obtusewalk import PathTable, VectorProcess, WalkSpec, gradient, ou_apply_kernel
 from obtusewalk.omega import PathSpace, atom_average
 
 
@@ -133,7 +133,7 @@ def product_rule_residual(
 
 
 def semigroup_gradient_contraction(
-    walk: WalkSpec, grad: GradientField, t: float
+    walk: WalkSpec, grad: VectorProcess, t: float
 ) -> float:
     """max over paths of sum_k max_j |P_t(D_k^j F)| for the given gradient."""
     damped = np.empty_like(grad.values)

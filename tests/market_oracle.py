@@ -13,11 +13,13 @@ first occurrence with a dict, as the lattice's sort-based numbering should.
 averages it back onto atoms, with the closed-form ratios computed one
 (n, j) at a time by `oracle_hedge_ratios`, and
 `oracle_verify_strategy` checks every identity on every path at every
-step; the library works on the atoms of the filtration instead. The oracle
-hedges fill path-indexed arrays and hand them to `Strategy.from_paths`;
-`strategy_paths` broadcasts a strategy back to paths. Tests compare the
-engine against them byte for byte, or within rounding for the closed-form
-hedge.
+step; the library works on the atoms of the filtration instead. The oracles
+read prices path by path from `oracle_prices`, never from the lattice they
+check. The oracle hedges fill path-indexed arrays and hand them to
+`Strategy.from_paths`; `strategy_paths` broadcasts a strategy back to paths,
+and `oracle_strategy_values` gives its portfolio value along them. Tests
+compare the engine against them byte for byte, or within rounding for the
+closed-form hedge.
 """
 import numpy as np
 
@@ -82,11 +84,11 @@ def oracle_hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.nda
     return ratio_const
 
 
-def _prev_prices(market: MarketSpec, n: int) -> np.ndarray:
+def _prev_prices(market: MarketSpec, prices: np.ndarray, n: int) -> np.ndarray:
     """(num_paths, d) prices S_{n-1} before step n; S_{-1} is the initial vector."""
     if n == 0:
         return np.broadcast_to(market.s_init, (market.space.num_paths, market.d))
-    return market.prices.values[n - 1]
+    return prices[n - 1]
 
 
 def strategy_paths(strategy: Strategy) -> tuple[np.ndarray, np.ndarray]:
@@ -98,6 +100,17 @@ def strategy_paths(strategy: Strategy) -> tuple[np.ndarray, np.ndarray]:
         [np.repeat(g, space.atom_size(n - 1), axis=0) for n, (_, g) in enumerate(rows)]
     )
     return beta, gamma
+
+
+def oracle_strategy_values(market: MarketSpec, strategy: Strategy) -> tuple[np.ndarray, float]:
+    """(N+1, num_paths) post-rebalance values V_n = beta_n B_n + <gamma_n, S_n>, and V_{-1}."""
+    beta, gamma = strategy_paths(strategy)
+    prices = oracle_prices(market)
+    values = np.stack([
+        beta[n] * market.bond[n] + np.einsum("pj,pj->p", gamma[n], prices[n])
+        for n in range(market.N + 1)
+    ])
+    return values, strategy.beta_init + float(strategy.gamma_init @ market.s_init)
 
 
 def oracle_prices(market: MarketSpec) -> np.ndarray:
@@ -123,7 +136,7 @@ def oracle_measure(walk: WalkSpec) -> np.ndarray:
 
 def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
     """Risk-neutral weights from one (d+1)x(d+1) solve per step and prior atom."""
-    prices = market.prices.values
+    prices = oracle_prices(market)
     space = market.space
     out = np.empty((market.N + 1, market.d + 1))
     for k in range(market.N + 1):
@@ -159,7 +172,7 @@ def oracle_hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> St
     """Backward replication with one (d+1)x(d+1) solve per step and prior atom."""
     space = market.space
     wq = emm_walk(market, emm)
-    prices = market.prices.values
+    prices = oracle_prices(market)
     bond = market.bond
     values = np.empty((market.N + 1, space.num_paths))
     for n in range(market.N + 1):
@@ -203,7 +216,7 @@ def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> 
     rate = market.uniform_rate()
     space = market.space
     wq = emm_walk(market, emm)
-    prices = market.prices.values
+    prices = oracle_prices(market)
     ratio_const = oracle_hedge_ratios(market, wq, rate)
     grad = gradient(wq, claim)
 
@@ -211,7 +224,8 @@ def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> 
     gamma = np.empty((market.N + 1, space.num_paths, market.d))
     for n in range(market.N + 1):
         xi = atom_average(wq, grad.values[n], n - 1)  # (P, d)
-        gamma[n] = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / _prev_prices(market, n)
+        s_prev = _prev_prices(market, prices, n)
+        gamma[n] = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / s_prev
         cond = atom_average(wq, claim.values, n)
         raw_beta = (1.0 + rate) ** (-market.N - 1) * cond - (1.0 + rate) ** (
             -n - 1
@@ -234,12 +248,9 @@ def oracle_verify_strategy(
     if strategy.space != market.space or claim.space != market.space:
         raise ValueError("strategy and claim must live on the market's path space")
     space = market.space
-    prices, bond = market.prices.values, market.bond
+    prices, bond = oracle_prices(market), market.bond
     beta, gamma = strategy_paths(strategy)
-    values = np.empty((market.N + 1, space.num_paths))
-    for n in range(market.N + 1):
-        values[n] = beta[n] * bond[n] + np.einsum("pj,pj->p", gamma[n], prices[n])
-    v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
+    values, v_init = oracle_strategy_values(market, strategy)
 
     # the defect from_paths measured, and the (zero) deviation of the broadcast rows
     predict = strategy.predictability_defect
@@ -254,7 +265,7 @@ def oracle_verify_strategy(
     bond_prev = 1.0
     for n in range(market.N + 1):
         res = bond_prev * (beta[n] - beta_prev) + np.einsum(
-            "pj,pj->p", _prev_prices(market, n), gamma[n] - gamma_prev
+            "pj,pj->p", _prev_prices(market, prices, n), gamma[n] - gamma_prev
         )
         self_fin = max(self_fin, float(np.max(np.abs(res))))
         beta_prev = beta[n]
@@ -267,7 +278,7 @@ def oracle_verify_strategy(
     for n in range(market.N + 1):
         b_prev = 1.0 if n == 0 else float(bond[n - 1])
         gains = gains + beta[n] * (float(bond[n]) - b_prev) + np.einsum(
-            "pj,pj->p", gamma[n], prices[n] - _prev_prices(market, n)
+            "pj,pj->p", gamma[n], prices[n] - _prev_prices(market, prices, n)
         )
         telescoping = max(telescoping, float(np.max(np.abs(values[n] - gains))))
 
@@ -299,7 +310,7 @@ def oracle_verify_strategy(
                 (space.atom_count(n - 1), 1),
             )  # (P, d)
             acc = (1.0 + rate) * acc + np.einsum(
-                "pj,pj->p", excess * gamma[n], _prev_prices(market, n)
+                "pj,pj->p", excess * gamma[n], _prev_prices(market, prices, n)
             )
             expected = (1.0 + rate) ** (n + 1) * v_init + acc
             decomposition = max(

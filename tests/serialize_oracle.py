@@ -13,9 +13,9 @@ from itertools import combinations
 
 import numpy as np
 
-from obtusewalk.market import MarketSpec, Strategy, strategy_values
+from obtusewalk.market import MarketSpec, Strategy
 from obtusewalk.serialize import fmt_float
-from market_oracle import strategy_paths
+from market_oracle import oracle_prices, oracle_strategy_values, strategy_paths
 
 
 def oracle_dump_json(obj, indent: int = 0) -> str:
@@ -77,9 +77,9 @@ def oracle_gradient_to_csv(values: np.ndarray) -> str:
 def oracle_strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     """One row per atom, its prefix read off the path outcome table."""
     space = market.space
-    prices = market.prices.values
+    prices = oracle_prices(market)
     beta, gamma = strategy_paths(strategy)
-    _, v_init = strategy_values(market, strategy)
+    _, v_init = oracle_strategy_values(market, strategy)
     header = "time,atom,beta," + ",".join(
         f"gamma_{j}" for j in range(1, market.d + 1)
     ) + ",V"

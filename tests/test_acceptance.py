@@ -44,7 +44,6 @@ from obtusewalk import (
     verify_strategy,
 )
 from obtusewalk.cli import main as cli_main
-from obtusewalk.market import strategy_values
 from obtusewalk.payoff import (
     BinOp,
     BondRef,
@@ -65,6 +64,7 @@ from helpers import (
     random_table,
     random_walk,
 )
+from market_oracle import oracle_strategy_values
 
 HERE = os.path.dirname(__file__)
 
@@ -291,7 +291,7 @@ def test_criterion_9_market():
             parse_payoff("max(0.5*(S(1)+S(2))-100,0)", 2, 1), basket
         )
         s3 = hedge_replicate(basket, emm3, claim3)
-        values, _ = strategy_values(basket, s3)
+        values, _ = oracle_strategy_values(basket, s3)
         assert np.max(np.abs(values[basket.N] - claim3.values)) < 1e-8
         s3c = hedge_clark_ocone(basket, emm3, claim3)
         assert np.max(np.abs(s3.gamma - s3c.gamma)) < 1e-8

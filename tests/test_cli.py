@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import obtusewalk
-from obtusewalk import price_claim, find_emm, serialize
+from obtusewalk import cli, find_emm, price_claim, serialize
 from obtusewalk.cli import main
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from obtusewalk.serialize import market_from_json
@@ -198,14 +198,29 @@ class TestClarkOconeFrom:
         assert captured.err == "error: conditioning time 3 outside [-1, 1]\n"
 
 
-class TestExitCodes:
-    def test_bad_tolerance_is_one(self, capsys):
-        code, _ = run_cli(COMMANDS["walk-validate"] + ["--tol", "0"], capsys)
-        assert code == 1
+def _assert_rejected_before_loading(monkeypatch, capsys, flags, message):
+    """Every command form exits 1 with the one-line message and reads no file."""
 
-    def test_bad_cap_is_one(self, capsys):
-        code, _ = run_cli(COMMANDS["walk-validate"] + ["--cap", "0"], capsys)
-        assert code == 1
+    def forbidden(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "_load_json", forbidden)
+    for name, argv in COMMANDS.items():
+        code = main(argv + flags)
+        captured = capsys.readouterr()
+        assert (name, code, captured.out, captured.err) == (name, 1, "", message)
+
+
+class TestExitCodes:
+    def test_bad_tolerance_is_one(self, capsys, monkeypatch):
+        _assert_rejected_before_loading(
+            monkeypatch, capsys, ["--tol", "0"], "error: tolerance must be > 0, got 0.0\n"
+        )
+
+    def test_bad_cap_is_one(self, capsys, monkeypatch):
+        _assert_rejected_before_loading(
+            monkeypatch, capsys, ["--cap", "0"], "error: enumeration cap must be >= 1, got 0\n"
+        )
 
     def test_validation_failure_is_one(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ from obtusewalk import (
     Kernel,
     PredictabilityError,
     VectorProcess,
+    bernoulli_walk,
     conditional_expectation,
     expectation,
     increment_rv,
@@ -221,3 +222,13 @@ class TestVectorProcess:
         walk = bernoulli(1)
         proc = random_process(rng, walk)
         assert np.array_equal(proc.table(1, 1).values, proc.values[1][:, 0])
+
+    def test_nan_is_not_predictable(self):
+        walk = bernoulli_walk(2)
+        vals = np.zeros((3, walk.space.num_paths, 1))
+        vals[1, 1, 0] = np.nan  # path 1 is not the first of its F_0 atom
+        proc = VectorProcess(walk.space, vals)
+        assert np.isnan(proc.predictability_defect())
+        assert not proc.is_predictable()
+        with pytest.raises(PredictabilityError, match="nan"):
+            integrate_predictable(walk, proc)

@@ -6,6 +6,7 @@ from obtusewalk import (
     MartingaleError,
     PathTable,
     VectorProcess,
+    bernoulli_walk,
     clark_ocone,
     clark_ocone_from,
     conditional_expectation,
@@ -311,6 +312,14 @@ class TestPredictableRepresentation:
         y1 = increment_rv(walk, 1, 1)
         with pytest.raises(MartingaleError):
             predictable_representation(walk, [y1, y1])
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_rejects_nan(self, n):
+        walk = bernoulli_walk(2)
+        mart = [PathTable.constant(walk.space, 0.0)] * 3
+        mart[n] = PathTable(walk.space, np.where(np.arange(8) == 1, np.nan, 0.0))
+        with pytest.raises(MartingaleError, match="nan"):
+            predictable_representation(walk, mart)
 
 
 class TestPoincare:

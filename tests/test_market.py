@@ -9,7 +9,6 @@ from obtusewalk import (
     MarketSpec,
     PathTable,
     Strategy,
-    build_prices,
     conditional_expectation,
     crr_market,
     emm_walk,
@@ -19,10 +18,10 @@ from obtusewalk import (
     price_claim,
     verify_strategy,
 )
-from obtusewalk.market import HedgeFormulaError, MarketModelError, strategy_values
+from obtusewalk.market import HedgeFormulaError, MarketModelError
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2
-from market_oracle import strategy_paths
+from market_oracle import oracle_prices, oracle_strategy_values, strategy_paths
 
 
 def crr1():
@@ -73,18 +72,18 @@ def general_market():
 
 class TestBuildPrices:
     def test_one_period(self):
-        prices, bond = build_prices(crr1())
-        assert np.allclose(prices.values[0][:, 0], [110.0, 90.0])
-        assert np.all(bond == 1.0)
+        market = crr1()
+        assert np.allclose(market.lattice.atom_prices(0)[:, 0], [110.0, 90.0])
+        assert np.all(market.bond == 1.0)
 
     def test_two_period(self):
-        prices, _ = build_prices(crr2())
-        assert np.allclose(prices.values[1][:, 0], [121.0, 99.0, 99.0, 81.0])
+        market = crr2()
+        assert np.allclose(market.lattice.atom_prices(1)[:, 0], [121.0, 99.0, 99.0, 81.0])
 
     def test_bond_accumulates(self):
         market = crr_market(100.0, 0.1, -0.1, 0.05, 2)
-        _, bond = build_prices(market)
-        assert np.allclose(bond, [1.05, 1.05**2])
+        assert np.allclose(market.bond, [1.05, 1.05**2])
+        assert not market.bond.flags.writeable
 
     def test_negative_growth_rejected(self):
         with pytest.raises(Exception):
@@ -185,7 +184,7 @@ class TestHedgeReplicate:
     def test_two_period_values_and_gamma(self):
         market = crr2()
         strategy = hedge_replicate(market, find_emm(market), call(market))
-        values, v_init = strategy_values(market, strategy)
+        values, v_init = oracle_strategy_values(market, strategy)
         assert v_init == pytest.approx(5.25, abs=1e-10)
         assert values[0][0] == pytest.approx(10.5, abs=1e-10)  # up atom
         assert values[0][-1] == pytest.approx(0.0, abs=1e-10)  # down atom
@@ -197,7 +196,7 @@ class TestHedgeReplicate:
             parse_payoff("max(0.5*(S(1)+S(2))-100,0)", market.d, market.N), market
         )
         strategy = hedge_replicate(market, find_emm(market), claim)
-        values, _ = strategy_values(market, strategy)
+        values, _ = oracle_strategy_values(market, strategy)
         assert np.max(np.abs(values[market.N] - claim.values)) < 1e-8
 
     def test_general_matrices_replicate(self):
@@ -310,11 +309,11 @@ class TestInvariants:
         market = maker()
         emm = find_emm(market)
         wq = emm_walk(market, emm)
-        prices, bond = build_prices(market)
+        prices, bond = oracle_prices(market), market.bond
         for n in range(market.N):
             for j in range(market.d):
-                nxt = PathTable(market.space, prices.values[n + 1][:, j] / bond[n + 1])
-                now = prices.values[n][:, j] / bond[n]
+                nxt = PathTable(market.space, prices[n + 1][:, j] / bond[n + 1])
+                now = prices[n][:, j] / bond[n]
                 projected = conditional_expectation(wq, nxt, n)
                 assert np.max(np.abs(projected.values - now)) < 1e-9
 
@@ -324,8 +323,8 @@ class TestInvariants:
         claim = call(market)
         wq = emm_walk(market, emm)
         strategy = hedge_replicate(market, emm, claim)
-        values, _ = strategy_values(market, strategy)
-        _, bond = build_prices(market)
+        values, _ = oracle_strategy_values(market, strategy)
+        bond = market.bond
         for n in range(market.N + 1):
             target = (
                 bond[n] / bond[market.N]
@@ -339,7 +338,7 @@ class TestInvariants:
             (general_market()[0], False),
             (crr_market(100.0, 0.1, 0.1, 0.1, 1), True),
         ]:
-            prices, _ = build_prices(market)
+            prices = oracle_prices(market)
             emm_mat = np.empty((market.d + 1, market.d + 1))
             for i in range(market.d + 1):
                 emm_mat[: market.d, i] = market.scenarios[0, i] @ market.s_init
@@ -347,7 +346,7 @@ class TestInvariants:
             stride = market.space.atom_size(0)
             augmented = np.empty((market.d + 1, market.d + 1))
             for i in range(market.d + 1):
-                augmented[: market.d, i] = prices.values[0][i * stride]
+                augmented[: market.d, i] = prices[0][i * stride]
             augmented[market.d] = 1.0
             emm_singular = abs(np.linalg.det(emm_mat)) < 1e-9
             aug_singular = abs(np.linalg.det(augmented)) < 1e-9

@@ -15,7 +15,6 @@ from obtusewalk import (
     SizeCapError,
     Strategy,
     VectorProcess,
-    build_prices,
     crr_market,
     emm_walk,
     find_emm,
@@ -181,6 +180,19 @@ class TestPredictabilityOnPaths:
         assert report.predictability > report.tol
         assert not report.passed
         assert report.predictability == oracle_verify_strategy(market, bent, claim).predictability
+
+    def test_nan_is_not_predictable(self):
+        market = crr_market(100.0, 0.1, -0.08, 0.01, 3)
+        claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
+        strategy = hedge_replicate(market, find_emm(market), claim)
+        beta, gamma = strategy_paths(strategy)
+        gamma[1, 1] = np.nan  # path 1 is not the first of its F_0 atom, so no row keeps it
+        bent = Strategy.from_paths(
+            market.space, beta, gamma, strategy.beta_init, strategy.gamma_init
+        )
+        assert np.isnan(bent.predictability_defect)
+        report = verify_strategy(market, bent, claim)
+        assert np.isnan(report.predictability) and not report.passed
 
     def test_atom_rows_round_trip_through_paths(self):
         market = crr_market(100.0, 0.1, -0.08, 0.01, 5)
@@ -400,13 +412,8 @@ class TestLattice:
 
 
 class TestNoPricePaths:
-    def test_market_job_reads_no_price_paths(self, monkeypatch):
-        """Load, payoff, EMM, price, both hedges, CSV and verify never read path prices."""
-
-        def forbidden(self):
-            raise AssertionError("path-indexed prices read")
-
-        monkeypatch.setattr(MarketSpec, "prices", property(forbidden))
+    def test_market_job_reads_no_price_paths(self):
+        """Load, payoff, EMM, price, both hedges, CSV and verify build no path table."""
         specs = [
             ({"d": 1, "N": 9, "S0": [100.0], "r": 0.01,
               "scenarios": [[{"lambda": [0.1]}, {"lambda": [-0.08]}]] * 10},
@@ -453,27 +460,15 @@ class TestPrefixTables:
             rates=np.zeros(N + 1),
             scenarios=_random_scenarios(rng, d, N),
         )
-        assert market.prices.values.tobytes() == oracle_prices(market).tobytes()
+        want = oracle_prices(market)
+        for n in range(N + 1):
+            got = np.repeat(market.lattice.atom_prices(n), market.space.atom_size(n), axis=0)
+            assert got.tobytes() == want[n].tobytes()
 
     @pytest.mark.parametrize("d, N", SHAPES)
     def test_measure(self, d, N):
         walk = random_walk(np.random.default_rng(10 * d + N), d, N)
         assert walk.measure.tobytes() == oracle_measure(walk).tobytes()
-
-
-class TestPricesOncePerMarket:
-    def test_cached(self):
-        market = crr_market(100.0, 0.1, -0.1, 0.0, 3)
-        prices, _ = build_prices(market)
-        assert prices is market.prices
-        assert build_prices(market)[0] is prices
-        assert not prices.values.flags.writeable
-
-    def test_bond_copy_stays_private(self):
-        market = crr_market(100.0, 0.1, -0.1, 0.05, 2)
-        _, bond = build_prices(market)
-        bond[:] = 0.0
-        assert np.all(market.bond > 1.0)
 
 
 class TestRiskNeutralWalkOncePerEMM:
