@@ -75,13 +75,17 @@ def _emit_table(args, table) -> None:
         _emit(args, serialize.dump_json(table.values))
 
 
-def _market_claim(args, market):
+def _market_job(args):
+    """Market, risk-neutral measure and claim: the model is checked before any payoff reads it."""
+    market = _load_market(args)
+    emm = market_mod.find_emm(market, tol=args.tol)
     if getattr(args, "payoff", None):
-        expr = parse_payoff(args.payoff, market.d, market.N)
-        return eval_payoff(expr, market)
-    if getattr(args, "payoff_table", None):
-        return _load(args.payoff_table, serialize.table_from_json, market.space)
-    raise ObtuseWalkError("provide --payoff or --payoff-table")
+        claim = eval_payoff(parse_payoff(args.payoff, market.d, market.N), market)
+    elif getattr(args, "payoff_table", None):
+        claim = _load(args.payoff_table, serialize.table_from_json, market.space)
+    else:
+        raise ObtuseWalkError("provide --payoff or --payoff-table")
+    return market, emm, claim
 
 
 def _cmd_walk_validate(args) -> int:
@@ -191,33 +195,28 @@ def _cmd_market_emm(args) -> int:
 
 
 def _cmd_market_price(args) -> int:
-    market = _load_market(args)
-    claim = _market_claim(args, market)
-    emm = market_mod.find_emm(market, tol=args.tol)
+    market, emm, claim = _market_job(args)
     price = market_mod.price_claim(market, emm, claim)
     _emit(args, serialize.dump_json({"price": price}))
     return 0
 
 
-def _hedge(args, market, claim):
-    emm = market_mod.find_emm(market, tol=args.tol)
+def _hedge(args, market, emm, claim):
     if args.method == "clark-ocone":
         return market_mod.hedge_clark_ocone(market, emm, claim)
     return market_mod.hedge_replicate(market, emm, claim)
 
 
 def _cmd_market_hedge(args) -> int:
-    market = _load_market(args)
-    claim = _market_claim(args, market)
-    strategy = _hedge(args, market, claim)
+    market, emm, claim = _market_job(args)
+    strategy = _hedge(args, market, emm, claim)
     _emit(args, serialize.strategy_to_csv(market, strategy))
     return 0
 
 
 def _cmd_market_verify(args) -> int:
-    market = _load_market(args)
-    claim = _market_claim(args, market)
-    strategy = _hedge(args, market, claim)
+    market, emm, claim = _market_job(args)
+    strategy = _hedge(args, market, emm, claim)
     report = market_mod.verify_strategy(market, strategy, claim, tol=args.tol_verify)
     payload = {
         "passed": report.passed,

@@ -1,10 +1,10 @@
 """Gradient, divergence, Clark-Ocone representation, and related identities.
 
-Each operator acts on the outcome-k axis of the table (PathSpace.axis_view):
-D_k^j F(w) = sum_i c_i^j(k) F(w with outcome k set to i) contracts it with
-c_k, and the chaos-lowering form is a cross-check. The divergence, adjoint
-of the gradient, integrates the outcome at time k out of X_k and extends
-the stochastic integral to any integrand.
+Gradient and divergence act on the outcome-k axis of the table
+(PathSpace.axis_view): D_k^j F(w) = sum_i c_i^j(k) F(w, outcome k set to i)
+contracts it with c_k; the divergence, adjoint of the gradient, integrates
+the outcome at k out of X_k. The Clark-Ocone integrand E[D_k F | F_{k-1}] =
+sum_i c_i(k) E[F | F_{k-1}, w_k = i] needs only the means of F on atoms.
 """
 from __future__ import annotations
 
@@ -17,8 +17,9 @@ from .errors import MartingaleError
 from .integrals import VectorProcess, _stochastic_sum, _synthesize
 from .omega import (
     PathTable,
-    atom_average,
     atom_deviation,
+    atom_means,
+    conditional_expectation,
     covariance,
     expectation,
 )
@@ -31,18 +32,17 @@ def gradient(walk: WalkSpec, table: PathTable) -> VectorProcess:
         raise ValueError("table is not defined on the walk's path space")
     space = walk.space
     out = np.empty((space.N + 1, space.num_paths, walk.d))
-    for k in range(space.N + 1):
-        _step_gradient(walk, table.values, k, out[k])
+    for k, step in enumerate(walk.steps):
+        view = space.axis_view(table.values, k)  # (atoms, d+1, stride)
+        grad = view.transpose(0, 2, 1).reshape(-1, walk.d + 1) @ step.c  # constant along w_k
+        space.axis_view(out[k], k)[...] = grad.reshape(len(view), 1, -1, walk.d)
     out.setflags(write=False)
     return VectorProcess(space, out)
 
 
-def _step_gradient(walk: WalkSpec, values: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Write D_k F, constant along the outcome-k axis, into the (num_paths, d) array out."""
-    view = walk.space.axis_view(values, k)  # (atoms, d+1, stride)
-    rows = view.transpose(0, 2, 1).reshape(-1, walk.d + 1)
-    grad = rows @ walk.steps[k].c  # (atoms * stride, d)
-    walk.space.axis_view(out, k)[...] = grad.reshape(len(view), 1, -1, walk.d)
+def atom_integrand(walk: WalkSpec, means: np.ndarray, k: int) -> np.ndarray:
+    """sum_i c_i(k) E[F | F_{k-1}, w_k = i] per atom of F_{k-1}, from the means on atoms of F_k."""
+    return means.reshape(-1, walk.d + 1) @ walk.steps[k].c
 
 
 def gradient_chaos(
@@ -92,15 +92,15 @@ def clark_ocone(walk: WalkSpec, table: PathTable) -> tuple[float, VectorProcess]
 def clark_ocone_from(
     walk: WalkSpec, table: PathTable, n: int
 ) -> tuple[PathTable, VectorProcess]:
-    """Representation from an intermediate time n in [-1, N] (checked by atom_average):
+    """Representation from an intermediate time n in [-1, N]:
 
     F = E[F | F_n] + sum_{k > n} <E[D_k F | F_{k-1}], Y_k>.
     """
-    head = PathTable(walk.space, atom_average(walk, table.values, n))
-    grad = gradient(walk, table)
-    xi = np.zeros_like(grad.values)
+    head = conditional_expectation(walk, table, n)
+    xi = np.zeros((walk.N + 1, walk.space.num_paths, walk.d))
     for k in range(n + 1, walk.N + 1):
-        xi[k] = atom_average(walk, grad.values[k], k - 1)
+        rows = atom_integrand(walk, atom_means(walk, table.values, k), k)
+        xi[k].reshape(len(rows), -1, walk.d)[...] = rows[:, None]  # to the atom's paths
     xi.setflags(write=False)
     return head, VectorProcess(walk.space, xi)
 
@@ -113,7 +113,7 @@ def predictable_representation(
     The input is the scalar martingale (M_0, ..., M_N); its deterministic
     initial value is E[M_0]. Vector-valued martingales are handled one
     component at a time. Raises MartingaleError when adaptedness or the
-    martingale property fails beyond tol.
+    martingale property (on the atom means of M_n and M_{n-1}) fails beyond tol.
     """
     if len(martingale) != walk.N + 1:
         raise ValueError(f"need {walk.N + 1} tables, got {len(martingale)}")
@@ -126,18 +126,18 @@ def predictable_representation(
                 f"M_{n} is not measurable at time {n} (deviation {defect:.3e})"
             )
     m_init = expectation(walk, martingale[0])
-    prev = np.full(walk.space.num_paths, m_init)
+    prev = np.array([m_init])
     xi = np.zeros((walk.N + 1, walk.space.num_paths, walk.d))
-    for n, m in enumerate(martingale):
-        projected = atom_average(walk, m.values, n - 1)
-        defect = float(np.max(np.abs(projected - prev)))
+    for n, (m, step) in enumerate(zip(martingale, walk.steps)):
+        means = atom_means(walk, m.values, n)
+        defect = float(np.max(np.abs(means.reshape(-1, walk.d + 1) @ step.p - prev)))
         if not defect <= tol:
             raise MartingaleError(
                 f"martingale property fails at step {n} (deviation {defect:.3e})"
             )
-        _step_gradient(walk, m.values, n, xi[n])
-        xi[n] = atom_average(walk, xi[n], n - 1)
-        prev = m.values
+        rows = atom_integrand(walk, means, n)
+        xi[n].reshape(len(rows), -1, walk.d)[...] = rows[:, None]
+        prev = means
     xi.setflags(write=False)
     return m_init, VectorProcess(walk.space, xi)
 

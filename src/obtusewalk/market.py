@@ -38,7 +38,9 @@ Every adapted quantity is computed on the atoms of the filtration, one row
 per atom: an atom of F_n is a contiguous block of atom_size(n) paths, and
 its d+1 sub-atoms of F_{n+1} follow it scenario by scenario. Both hedges
 read the claim only through its conditional means on the atoms of F_n
-(`omega.atom_means`); neither builds the path-wise gradient. A `Strategy`
+(`omega.atom_means`); neither builds the path-wise gradient. The
+closed-form share count is the Clark-Ocone integrand of those means,
+`malliavin.atom_integrand`, as `clark_ocone` computes it. A `Strategy`
 holds one row per atom of F_{n-1} for each n, so it is predictable by
 construction; path-indexed input comes in through `Strategy.from_paths`,
 which records how far it was from predictable. `verify_strategy` evaluates
@@ -52,6 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ObtuseWalkError, SizeCapError
+from .malliavin import atom_integrand
 from .omega import (
     DEFAULT_CAP,
     PathSpace,
@@ -430,6 +433,17 @@ def price_claim(market: MarketSpec, emm: EMM, claim: PathTable) -> float:
     return expectation(wq, claim) / float(market.bond[market.N])
 
 
+def _check_claim(market: MarketSpec, claim: PathTable) -> None:
+    """A hedge needs a claim on the market's paths, finite on every one."""
+    if claim.space != market.space:
+        raise ValueError("claim is not defined on the market's path space")
+    bad = np.flatnonzero(~np.isfinite(claim.values))
+    if bad.size:
+        idx = int(bad[0])
+        path = market.space.path_at(idx)
+        raise ValueError(f"claim is {claim.values[idx]} at path {idx} = {path}")
+
+
 def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
     """Backward atom-wise replication of the claim.
 
@@ -440,8 +454,7 @@ def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
     step are conditioned before any atom is solved; the singular step with
     the largest n raises.
     """
-    if claim.space != market.space:
-        raise ValueError("claim is not defined on the market's path space")
+    _check_claim(market, claim)
     space, d, lattice, bond = market.space, market.d, market.lattice, market.bond
     wq = emm_walk(market, emm)
     # row i for a node of time n-1: the bond, then the prices of its child in scenario i
@@ -508,8 +521,7 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
     ratio must be scenario-independent. On an atom of F_{n-1}, xi_n is the
     (d+1)-term sum  sum_i c_i(n) E[F | atom, w_n = i]  over its F_n atoms.
     """
-    if claim.space != market.space:
-        raise ValueError("claim is not defined on the market's path space")
+    _check_claim(market, claim)
     if not market.diagonal:
         raise HedgeFormulaError(
             "closed-form hedge needs diagonal scenario matrices; use hedge_replicate"
@@ -525,7 +537,7 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
     for n in range(market.N + 1):
         s_now = lattice.atom_prices(n)
         cond = atom_means(wq, claim.values, n)  # E_Q[F | F_n], one entry per atom
-        xi = cond.reshape(-1, d + 1) @ wq.steps[n].c  # (atoms of F_{n-1}, d)
+        xi = atom_integrand(wq, cond, n)  # (atoms of F_{n-1}, d)
         gam = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / s_prev
         raw_beta = (1.0 + rate) ** (-market.N - 1) * cond - (1.0 + rate) ** (
             -n - 1
@@ -533,7 +545,7 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
         raw_beta = raw_beta.reshape(-1, d + 1)
         bet = (raw_beta * wq.steps[n].p).sum(axis=1)  # E_Q[raw | F_{n-1}]
         defect = float(np.max(np.abs(raw_beta - bet[:, None])))
-        if defect > 1e-6 * max(1.0, float(np.max(np.abs(bet)))):
+        if not defect <= 1e-6 * max(1.0, float(np.max(np.abs(bet)))):
             raise HedgeFormulaError(
                 f"bond position at step {n} is not predictable (defect {defect:.3e}); "
                 "use hedge_replicate"

@@ -81,6 +81,9 @@ PayoffExpr = Union[Num, PriceRef, BondRef, Neg, BinOp, FuncCall]
 
 _FUNCTIONS = ("max", "min", "abs")
 
+#: Deepest nesting of parentheses, function calls and unary minus a payoff may use
+_MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -157,6 +160,7 @@ class _Parser:
         self.pos = 0
         self.d = d
         self.N = N
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -170,6 +174,15 @@ class _Parser:
         tok = self.peek()
         found = tok.text or "end of input"
         return PayoffSyntaxError(f"{message}, found {found!r}", tok.line, tok.col, expected)
+
+    def nested(self, parse) -> PayoffExpr:
+        """Run the sub-parse one nesting level deeper; too deep is a syntax error."""
+        if self.depth == _MAX_NESTING:
+            raise self.fail(f"expression nested more than {_MAX_NESTING} levels deep")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def expect(self, kind: str, expected: str) -> _Token:
         if self.peek().kind != kind:
@@ -199,7 +212,7 @@ class _Parser:
     def unary(self) -> PayoffExpr:
         if self.peek().kind == "OP" and self.peek().text == "-":
             self.advance()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         return self.atom()
 
     def int_literal(self, what: str) -> int:
@@ -218,7 +231,7 @@ class _Parser:
             return Num(float(tok.text))
         if tok.kind == "LPAREN":
             self.advance()
-            inner = self.expr()
+            inner = self.nested(self.expr)
             self.expect("RPAREN", "')'")
             return inner
         if tok.kind == "IDENT":
@@ -251,10 +264,10 @@ class _Parser:
                 return BondRef(time)
             if name in _FUNCTIONS:
                 self.expect("LPAREN", "'('")
-                args = [self.expr()]
+                args = [self.nested(self.expr)]
                 while self.peek().kind == "COMMA":
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.nested(self.expr))
                 self.expect("RPAREN", "')'")
                 if name == "abs" and len(args) != 1:
                     raise PayoffSyntaxError(
@@ -316,9 +329,28 @@ def to_source(node: PayoffExpr) -> str:
 
 
 def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
-    """Evaluate the expression pointwise over the market's price paths."""
+    """Evaluate the expression pointwise over the market's price paths.
+
+    A chain of binary operators is evaluated along its left spine without
+    recursion, so a long sum costs no stack; the parser bounds the rest of
+    the depth. A division by zero, or a payoff that is not finite on some
+    path (an overflow, say), raises PayoffEvalError naming the first such path.
+    """
     lattice, bond = market.lattice, market.bond
     space = market.space
+
+    def binop(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+        zeros = np.nonzero(right == 0.0)[0]
+        if zeros.size:
+            idx = int(zeros[0])
+            raise PayoffEvalError(f"division by zero at path {idx} = {space.path_at(idx)}")
+        return left / right
 
     def ev(node: PayoffExpr) -> np.ndarray:
         if isinstance(node, Num):
@@ -332,20 +364,14 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
         if isinstance(node, Neg):
             return -ev(node.operand)
         if isinstance(node, BinOp):
-            left, right = ev(node.left), ev(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            zeros = np.nonzero(right == 0.0)[0]
-            if zeros.size:
-                idx = int(zeros[0])
-                raise PayoffEvalError(
-                    f"division by zero at path {idx} = {space.path_at(idx)}"
-                )
-            return left / right
+            spine = []
+            while isinstance(node, BinOp):
+                spine.append(node)
+                node = node.left
+            out = ev(node)
+            for op_node in reversed(spine):
+                out = binop(op_node.op, out, ev(op_node.right))
+            return out
         if isinstance(node, FuncCall):
             args = [ev(a) for a in node.args]
             if node.name == "abs":
@@ -357,4 +383,10 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
             return out
         raise TypeError(f"not a payoff expression: {node!r}")
 
-    return PathTable(space, ev(expr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = ev(expr)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        idx = int(bad[0])
+        raise PayoffEvalError(f"payoff is {values[idx]} at path {idx} = {space.path_at(idx)}")
+    return PathTable(space, values)

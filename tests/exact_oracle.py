@@ -1,0 +1,101 @@
+"""Exact rational results of the Clark-Ocone operators on their float inputs.
+
+Every float input (the step probabilities p_k, the outcome vectors v_k and
+the table values) is read as the exact dyadic rational it stores
+(`fractions.Fraction`), and everything after that is computed without
+rounding. `exact_means` gives E[F | F_n] on the atoms of F_n, one backward
+sweep from time N; in exact arithmetic the tower property holds, so the
+sweep is the conditional mean itself. `exact_integrand` gives the
+Clark-Ocone integrand sum_i p_i v_i E[F | F_{k-1}, w_k = i] on the atoms of
+F_{k-1}, for every k.
+
+`Comparison` applies the rule for replacing one float form by another: on
+a fixed corpus, the new form's largest error against the exact result is
+no larger, and it is the farther from exact on fewer entries. An error is
+scaled by the largest exact entry of the same result (one walk, all k).
+Sizes stay small (d <= 3, N <= 5): the rationals grow with every step.
+"""
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+
+def _exact(values) -> list[Fraction]:
+    return [Fraction(float(x)) for x in np.ravel(values)]
+
+
+def exact_means(walk, values, n: int) -> list[Fraction]:
+    """E[F | F_n] on each atom of F_n, in atom order, for the path-indexed values."""
+    level = _exact(values)
+    for step in reversed(walk.steps[n + 1:]):
+        p = _exact(step.p)
+        total = sum(p)
+        level = [
+            sum(pi * x for pi, x in zip(p, level[a:a + len(p)])) / total
+            for a in range(0, len(level), len(p))
+        ]
+    return level
+
+
+def exact_integrand(walk, tables) -> list[list[Fraction]]:
+    """E[D_k F_k | F_{k-1}] for k = 0..N, F_k the k-th path-indexed table.
+
+    Entry k lists the d coordinates of each atom of F_{k-1} in turn.
+    """
+    out = []
+    for k, (step, values) in enumerate(zip(walk.steps, tables)):
+        c = [[pi * vij for vij in _exact(vi)] for pi, vi in zip(_exact(step.p), step.v)]
+        means = exact_means(walk, values, k)
+        out.append([
+            sum(c[i][j] * means[a + i] for i in range(walk.d + 1))
+            for a in range(0, len(means), walk.d + 1)
+            for j in range(walk.d)
+        ])
+    return out
+
+
+def atom_entries(walk, xi: np.ndarray) -> list[np.ndarray]:
+    """The (N+1, P, d) predictable process laid out as exact_integrand's result."""
+    out = []
+    for k in range(walk.N + 1):
+        rows = xi[k].reshape(walk.space.atom_count(k - 1), -1, walk.d)
+        if np.any(rows != rows[:, :1]):
+            raise ValueError(f"xi[{k}] is not constant on the atoms of F_{k - 1}")
+        out.append(rows[:, 0].ravel())
+    return out
+
+
+def scaled_errors(got, exact) -> np.ndarray:
+    """|got - exact| entry by entry over the largest exact entry (1 if all are 0).
+
+    Both arguments are laid out k by k as exact_integrand's result.
+    """
+    exact = [e for row in exact for e in row]
+    scale = max(abs(e) for e in exact) or 1
+    got = np.concatenate([np.ravel(row) for row in got])
+    return np.array([float(abs(Fraction(float(g)) - e) / scale) for g, e in zip(got, exact)])
+
+
+@dataclass
+class Comparison:
+    """Two float forms against the exact results of one corpus."""
+
+    max_new: float = 0.0
+    max_old: float = 0.0
+    farther_new: int = 0  # entries where the new form is strictly farther from exact
+    farther_old: int = 0
+    entries: int = 0
+
+    def add(self, new, old, exact) -> None:
+        err_new, err_old = scaled_errors(new, exact), scaled_errors(old, exact)
+        self.max_new = max(self.max_new, float(err_new.max()))
+        self.max_old = max(self.max_old, float(err_old.max()))
+        self.farther_new += int(np.sum(err_new > err_old))
+        self.farther_old += int(np.sum(err_old > err_new))
+        self.entries += len(err_new)
+
+    @property
+    def passes(self) -> bool:
+        """The rule: no larger max error, and farther from exact on fewer entries."""
+        return self.max_new <= self.max_old and self.farther_new < self.farther_old

@@ -548,6 +548,24 @@ def test_overflowing_market_is_one_error_line(tmp_path, name, command):
     assert err == "error: incomplete market: scenario system at step 0 is singular\n"
 
 
+@pytest.mark.parametrize("payoff,message", [
+    ("S(1)*1e308*1e308-S(1)*1e308*1e308", "error: payoff is nan at path 0 = (0,)\n"),
+    ("(" * 1200 + "S(1)" + ")" * 1200,
+     "error: 1:102: expression nested more than 100 levels deep, found '('\n"),
+], ids=["overflow", "deep nesting"])
+def test_bad_payoff_is_one_error_line(payoff, message):
+    """No numpy warning or traceback joins the error line, outside pytest's capture too."""
+    argv = ["market", "price", f"{FIX}/crr25.json", f"--payoff={payoff}"]
+    assert _fresh_process(argv, {}) == (1, "", message)
+
+
+def test_long_payoff_sum_is_priced(capsys):
+    argv = ["market", "price", f"{FIX}/crr25.json", "--payoff", "+".join(["S(1)"] * 3000)]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out) == {"price": 300000}
+
+
 def test_output_is_independent_of_the_blas_thread_count(rng, tmp_path):
     """The per-axis and per-atom contractions give the same bytes on one and two BLAS threads."""
     probs = rng.uniform(0.2, 1.0, size=(7, 4))

@@ -1,4 +1,6 @@
 """Market model: prices, risk-neutral measure, pricing, hedging, verification."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,17 @@ class TestHedgeClarkOcone:
         claim = PathTable.constant(market.space, 1.0)
         with pytest.raises(HedgeFormulaError, match="hedge_replicate"):
             hedge_clark_ocone(market, find_emm(market), claim)
+
+
+@pytest.mark.parametrize("hedge", [hedge_replicate, hedge_clark_ocone])
+def test_hedges_reject_a_non_finite_claim(hedge):
+    market = crr_market(100.0, 0.1, -0.1, 0.0, 3)
+    values = np.ones(market.space.num_paths)
+    values[3] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"^claim is inf at path 3 = \(0, 1, 1\)$"):
+            hedge(market, find_emm(market), PathTable(market.space, values))
 
 
 class TestVerifyStrategy:

@@ -1,4 +1,6 @@
 """Payoff expression parsing, printing round trips, and evaluation."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,15 @@ class TestParse:
         with pytest.raises(PayoffSyntaxError, match="max"):
             parse_payoff("max(1)", 1, 0)
 
+    @pytest.mark.parametrize("opener,closer", [("(", ")"), ("-", ""), ("abs(", ")")])
+    def test_nesting_is_bounded(self, opener, closer):
+        deepest = opener * 100 + "S(1)" + closer * 100
+        parse_payoff(deepest, 1, 0)
+        with pytest.raises(PayoffSyntaxError, match="nested more than 100 levels deep"):
+            parse_payoff(opener + deepest + closer, 1, 0)
+        with pytest.raises(PayoffSyntaxError, match=r"^1:\d+: expression nested"):
+            parse_payoff(opener * 1200 + "S(1)" + closer * 1200, 1, 0)
+
     def test_fractional_index_rejected(self):
         with pytest.raises(PayoffSyntaxError, match="integer"):
             parse_payoff("S(1.5)", 2, 1)
@@ -138,6 +149,21 @@ class TestEval:
         market = crr_market(100.0, 0.1, -0.1, 0.0, 2)
         with pytest.raises(PayoffEvalError, match=r"path 0 = \(0, 0\)"):
             eval_payoff(parse_payoff("1/(B(0)-1)", 1, 1), market)
+
+    def test_overflow_names_the_first_path(self):
+        market = crr_market(100.0, 0.1, -0.1, 0.0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PayoffEvalError, match=r"^payoff is nan at path 0 = \(0, 0\)$"):
+                eval_payoff(parse_payoff("S(1)*1e308*1e308-S(1)*1e308*1e308", 1, 1), market)
+            with pytest.raises(PayoffEvalError, match=r"^payoff is inf at path 0 = \(0, 0\)$"):
+                eval_payoff(parse_payoff("max(S(1)*1e308, 0) * 10", 1, 1), market)
+
+    def test_long_sum_evaluates(self):
+        market = crr_market(100.0, 0.1, -0.1, 0.0, 2)
+        tree = parse_payoff("+".join(["S(1)"] * 3000), 1, 1)
+        want = eval_payoff(parse_payoff("3000*S(1)", 1, 1), market)
+        assert np.array_equal(eval_payoff(tree, market).values, want.values)
 
     def test_terminal_default(self):
         market = crr_market(100.0, 0.1, -0.1, 0.0, 2)
