@@ -22,6 +22,7 @@ from .errors import (
 )
 from .integrals import (
     Kernel,
+    PredictableProcess,
     VectorProcess,
     integrate_predictable,
     monomial_kernel,

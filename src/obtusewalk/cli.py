@@ -140,10 +140,10 @@ def _cmd_clark_ocone(args) -> int:
     table = _load_table(args, walk.space)
     if args.start is not None:
         head, xi = malliavin.clark_ocone_from(walk, table, args.start)
-        payload = {"head": head.values, "integrand": xi.values}
+        payload = {"head": head.values, "integrand": xi.on_paths()}
     else:
         mean, xi = malliavin.clark_ocone(walk, table)
-        payload = {"mean": mean, "integrand": xi.values}
+        payload = {"mean": mean, "integrand": xi.on_paths()}
     _emit(args, serialize.dump_json(payload))
     return 0
 

@@ -15,8 +15,10 @@ read and write (JSON files, chaos.multiple_integral); the library computes
 on the tensor, contracted with the per-step bases [1 | v] one axis at a
 time (along_axes).
 
-The stochastic integral of a predictable process U is sum_n <U_n, Y_n>,
-Y_n being v_n along the outcome-n axis of PathSpace.axis_view.
+A PredictableProcess keeps step n once per atom of F_{n-1}, and only it
+knows how those rows are laid out. Its stochastic integral sum_n <U_n, Y_n>
+takes one inner product per atom and outcome at n; path-indexed input
+(VectorProcess) comes in through PredictableProcess.from_paths.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PredictabilityError
-from .omega import PathSpace, PathTable, _frozen_float, predictable_deviation
+from .omega import PathSpace, PathTable, _frozen_float, atom_deviation
 from .walk import WalkSpec
 
 #: raw kernel entry: (times, coords, value) with 1-based coordinates
@@ -228,12 +230,6 @@ class VectorProcess:
             raise ValueError(f"process has shape {vals.shape}, expected {expected}")
         object.__setattr__(self, "values", vals)
 
-    @staticmethod
-    def zero(space: PathSpace) -> "VectorProcess":
-        return VectorProcess(
-            space, np.zeros((space.N + 1, space.num_paths, space.d))
-        )
-
     def table(self, n: int, j: int) -> PathTable:
         if not 0 <= n <= self.space.N:
             raise ValueError(f"time {n} outside [0, {self.space.N}]")
@@ -241,32 +237,87 @@ class VectorProcess:
             raise ValueError(f"coordinate {j} outside [1, {self.space.d}]")
         return PathTable(self.space, self.values[n][:, j - 1])
 
-    def predictability_defect(self) -> float:
-        """Worst deviation of any U_n from F_{n-1}-measurability (NaN if any entry is)."""
-        return predictable_deviation(self.values, self.space)
 
-    def is_predictable(self, tol: float = 1e-10) -> bool:
-        return self.predictability_defect() <= tol
+@dataclass(frozen=True, eq=False)
+class PredictableProcess:
+    """A process whose step n is constant on the atoms of F_{n-1}, kept once per atom.
+
+    rows stacks the steps 0..N in level order, step n one row per atom of
+    F_{n-1} in canonical order: d entries for a Clark-Ocone integrand,
+    [beta | gamma] for a hedging portfolio. `defect` is how far path-indexed
+    input was from predictable (see from_paths); a process built on atoms has none.
+    """
+
+    space: PathSpace
+    rows: np.ndarray  # (sum over n of atoms of F_{n-1}, width)
+    defect: float = 0.0
+
+    def __post_init__(self) -> None:
+        rows = _frozen_float(self.rows)
+        count = self._start(self.space.N + 1)
+        if rows.ndim != 2 or len(rows) != count:
+            raise ValueError(f"process rows have shape {rows.shape}, expected ({count}, width)")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "defect", float(self.defect))
+
+    def _start(self, n: int) -> int:
+        """Rows of the steps before n: the atoms of F_{-1}..F_{n-2}."""
+        return (self.space.atom_count(n - 1) - 1) // self.space.d
+
+    def at(self, n: int) -> np.ndarray:
+        """(atoms of F_{n-1}, width) rows of step n."""
+        if not 0 <= n <= self.space.N:
+            raise ValueError(f"step {n} outside [0, {self.space.N}]")
+        return self.rows[self._start(n) : self._start(n + 1)]
+
+    @staticmethod
+    def from_steps(space: PathSpace, steps: Sequence, defect: float = 0.0) -> "PredictableProcess":
+        """Process from the (atoms of F_{n-1}, width) rows of each step n = 0..N."""
+        rows = np.concatenate(steps)
+        rows.setflags(write=False)
+        return PredictableProcess(space, rows, defect)
+
+    @staticmethod
+    def from_paths(space: PathSpace, values: np.ndarray) -> "PredictableProcess":
+        """Process from (N+1, num_paths, width) values on paths.
+
+        Keeps the first path of each atom of F_{n-1} at step n and records
+        the largest deviation from it within the atom, NaN if any entry is
+        NaN, as the defect.
+        """
+        values = np.asarray(values, dtype=float)
+        defect = np.max([atom_deviation(u, space, n - 1) for n, u in enumerate(values)])
+        steps = [u[:: space.atom_size(n - 1)] for n, u in enumerate(values)]
+        return PredictableProcess.from_steps(space, steps, defect)
+
+    def on_paths(self) -> np.ndarray:
+        """(N+1, num_paths, width) values: each row repeated over its atom's paths."""
+        out = np.empty((self.space.N + 1, self.space.num_paths, self.rows.shape[1]))
+        for n, u in enumerate(out):
+            rows = self.at(n)
+            u.reshape(len(rows), -1, rows.shape[1])[...] = rows[:, None]
+        return out
 
 
 def integrate_predictable(
-    walk: WalkSpec, process: VectorProcess, tol: float = 1e-10
+    walk: WalkSpec, process: PredictableProcess | VectorProcess, tol: float = 1e-10
 ) -> PathTable:
-    """Stochastic integral sum_n <U_n, Y_n> of a predictable process."""
-    if process.space != walk.space:
-        raise ValueError("process is not defined on the walk's path space")
-    defect = process.predictability_defect()
-    if not defect <= tol:
+    """Stochastic integral sum_n <U_n, Y_n> of a predictable process.
+
+    A VectorProcess comes in through PredictableProcess.from_paths, and a
+    defect above tol raises. Each atom of F_{n-1} and outcome i at n gives
+    one sum <U_n, v_n^i>, repeated along the stride(n) paths that share them.
+    """
+    if isinstance(process, VectorProcess):
+        process = PredictableProcess.from_paths(process.space, process.values)
+    if process.space != walk.space or process.rows.shape[1] != walk.d:
+        raise ValueError("process is not an R^d-valued process on the walk's path space")
+    if not process.defect <= tol:
         raise PredictabilityError(
-            f"process is not predictable (atom deviation {defect:.3e} > {tol:.0e})"
+            f"process is not predictable (atom deviation {process.defect:.3e} > {tol:.0e})"
         )
-    views = [walk.space.axis_view(u, n) for n, u in enumerate(process.values)]
-    return PathTable(walk.space, _stochastic_sum(walk, views))
-
-
-def _stochastic_sum(walk: WalkSpec, views: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_n <U_n, Y_n> per path; views[n] is U_n on, or broadcast to, axis_view(., n)."""
     total = np.zeros(walk.space.num_paths)
-    for view, step in zip(views, walk.steps):
-        total += np.einsum("aisj,ij->ais", view, step.v).ravel()
-    return total
+    for n, step in enumerate(walk.steps):
+        sums = np.einsum("aj,ij->ai", process.at(n), step.v).ravel()
+        total += np.repeat(sums, walk.space.stride(n))
+    return PathTable(walk.space, total)

@@ -4,7 +4,10 @@ Gradient and divergence act on the outcome-k axis of the table
 (PathSpace.axis_view): D_k^j F(w) = sum_i c_i^j(k) F(w, outcome k set to i)
 contracts it with c_k; the divergence, adjoint of the gradient, integrates
 the outcome at k out of X_k. The Clark-Ocone integrand E[D_k F | F_{k-1}] =
-sum_i c_i(k) E[F | F_{k-1}, w_k = i] needs only the means of F on atoms.
+sum_i c_i(k) E[F | F_{k-1}, w_k = i] needs only the means of F on atoms,
+and is returned one row per atom of F_{k-1} (integrals.PredictableProcess).
+Both products with c_k add 0.0, since BLAS may sign an exact-zero sum by
+where its operands lie; -0.0 + 0.0 is +0.0.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ import numpy as np
 
 from .chaos import ChaosCoefficients, _on_walk
 from .errors import MartingaleError
-from .integrals import VectorProcess, _stochastic_sum, _synthesize
+from .integrals import PredictableProcess, VectorProcess, _synthesize
 from .omega import (
     PathTable,
     atom_deviation,
@@ -34,7 +37,7 @@ def gradient(walk: WalkSpec, table: PathTable) -> VectorProcess:
     out = np.empty((space.N + 1, space.num_paths, walk.d))
     for k, step in enumerate(walk.steps):
         view = space.axis_view(table.values, k)  # (atoms, d+1, stride)
-        grad = view.transpose(0, 2, 1).reshape(-1, walk.d + 1) @ step.c  # constant along w_k
+        grad = view.transpose(0, 2, 1).reshape(-1, walk.d + 1) @ step.c + 0.0  # constant along w_k
         space.axis_view(out[k], k)[...] = grad.reshape(len(view), 1, -1, walk.d)
     out.setflags(write=False)
     return VectorProcess(space, out)
@@ -42,7 +45,7 @@ def gradient(walk: WalkSpec, table: PathTable) -> VectorProcess:
 
 def atom_integrand(walk: WalkSpec, means: np.ndarray, k: int) -> np.ndarray:
     """sum_i c_i(k) E[F | F_{k-1}, w_k = i] per atom of F_{k-1}, from the means on atoms of F_k."""
-    return means.reshape(-1, walk.d + 1) @ walk.steps[k].c
+    return means.reshape(-1, walk.d + 1) @ walk.steps[k].c + 0.0
 
 
 def gradient_chaos(
@@ -75,39 +78,38 @@ def divergence(walk: WalkSpec, process: VectorProcess) -> PathTable:
     """
     if process.space != walk.space:
         raise ValueError("process is not defined on the walk's path space")
-    views = []
+    total = np.zeros(walk.space.num_paths)
     for k, step in enumerate(walk.steps):
         view = walk.space.axis_view(process.values[k], k)  # (atoms, d+1, stride, d)
         if np.any(view != view[:, :1]):
             view = np.einsum("i,aisj->asj", step.p, view)[:, None]
-        views.append(view)
-    return PathTable(walk.space, _stochastic_sum(walk, views))
+        total += np.einsum("aisj,ij->ais", view, step.v).ravel()
+    return PathTable(walk.space, total)
 
 
-def clark_ocone(walk: WalkSpec, table: PathTable) -> tuple[float, VectorProcess]:
+def clark_ocone(walk: WalkSpec, table: PathTable) -> tuple[float, PredictableProcess]:
     """Predictable representation F = E[F] + sum_k <E[D_k F | F_{k-1}], Y_k>."""
     return expectation(walk, table), clark_ocone_from(walk, table, -1)[1]
 
 
 def clark_ocone_from(
     walk: WalkSpec, table: PathTable, n: int
-) -> tuple[PathTable, VectorProcess]:
+) -> tuple[PathTable, PredictableProcess]:
     """Representation from an intermediate time n in [-1, N]:
 
-    F = E[F | F_n] + sum_{k > n} <E[D_k F | F_{k-1}], Y_k>.
+    F = E[F | F_n] + sum_{k > n} <E[D_k F | F_{k-1}], Y_k>; the steps k <= n
+    of the integrand are zero.
     """
     head = conditional_expectation(walk, table, n)
-    xi = np.zeros((walk.N + 1, walk.space.num_paths, walk.d))
+    steps = [np.zeros((walk.space.atom_count(k - 1), walk.d)) for k in range(n + 1)]
     for k in range(n + 1, walk.N + 1):
-        rows = atom_integrand(walk, atom_means(walk, table.values, k), k)
-        xi[k].reshape(len(rows), -1, walk.d)[...] = rows[:, None]  # to the atom's paths
-    xi.setflags(write=False)
-    return head, VectorProcess(walk.space, xi)
+        steps.append(atom_integrand(walk, atom_means(walk, table.values, k), k))
+    return head, PredictableProcess.from_steps(walk.space, steps)
 
 
 def predictable_representation(
     walk: WalkSpec, martingale: Sequence[PathTable], tol: float = 1e-9
-) -> tuple[float, VectorProcess]:
+) -> tuple[float, PredictableProcess]:
     """Integrand gamma with M_n = M_init + sum_{k<=n} <gamma_k, Y_k>.
 
     The input is the scalar martingale (M_0, ..., M_N); its deterministic
@@ -127,7 +129,7 @@ def predictable_representation(
             )
     m_init = expectation(walk, martingale[0])
     prev = np.array([m_init])
-    xi = np.zeros((walk.N + 1, walk.space.num_paths, walk.d))
+    steps = []
     for n, (m, step) in enumerate(zip(martingale, walk.steps)):
         means = atom_means(walk, m.values, n)
         defect = float(np.max(np.abs(means.reshape(-1, walk.d + 1) @ step.p - prev)))
@@ -135,11 +137,9 @@ def predictable_representation(
             raise MartingaleError(
                 f"martingale property fails at step {n} (deviation {defect:.3e})"
             )
-        rows = atom_integrand(walk, means, n)
-        xi[n].reshape(len(rows), -1, walk.d)[...] = rows[:, None]
+        steps.append(atom_integrand(walk, means, n))
         prev = means
-    xi.setflags(write=False)
-    return m_init, VectorProcess(walk.space, xi)
+    return m_init, PredictableProcess.from_steps(walk.space, steps)
 
 
 def poincare_check(walk: WalkSpec, table: PathTable) -> tuple[float, float]:

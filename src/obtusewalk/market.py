@@ -40,11 +40,11 @@ its d+1 sub-atoms of F_{n+1} follow it scenario by scenario. Both hedges
 read the claim only through its conditional means on the atoms of F_n
 (`omega.atom_means`); neither builds the path-wise gradient. The
 closed-form share count is the Clark-Ocone integrand of those means,
-`malliavin.atom_integrand`, as `clark_ocone` computes it. A `Strategy`
-holds one row per atom of F_{n-1} for each n, so it is predictable by
-construction; path-indexed input comes in through `Strategy.from_paths`,
-which records how far it was from predictable. `verify_strategy` evaluates
-the remaining identities once per atom of F_n.
+`malliavin.atom_integrand`, as `clark_ocone` computes it. A `Strategy` is
+one `integrals.PredictableProcess` of [beta | gamma] rows, one per atom of
+F_{n-1} for each n, like the Clark-Ocone integrand, so it is predictable by
+construction. `verify_strategy` evaluates the remaining identities once per
+atom of F_n.
 """
 from __future__ import annotations
 
@@ -54,6 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ObtuseWalkError, SizeCapError
+from .integrals import PredictableProcess
 from .malliavin import atom_integrand
 from .omega import (
     DEFAULT_CAP,
@@ -62,7 +63,6 @@ from .omega import (
     _frozen_float,
     atom_means,
     expectation,
-    predictable_deviation,
 )
 from .walk import WalkSpec, construct_obtuse
 
@@ -259,85 +259,43 @@ class EMM:
         object.__setattr__(self, "q", q)
 
 
-def _row_start(space: PathSpace, n: int) -> int:
-    """Number of strategy rows of the steps before n: the atoms of F_{-1}..F_{n-2}."""
-    return (space.atom_count(n - 1) - 1) // space.d
-
-
 @dataclass(frozen=True, eq=False)
 class Strategy:
     """Predictable portfolio: bond units beta_n and share counts gamma_n.
 
-    The position formed at time n-1 and carried into time n has one row per
-    atom of F_{n-1}; `beta` and `gamma` stack these rows for n = 0..N in
-    level order, and rows(n) reads those of step n. beta_init/gamma_init
-    are the deterministic values at index -1. `predictability_defect` is
-    how far path-indexed input was from constant on the atoms of F_{n-1}
-    (see from_paths); a strategy built per atom has none.
+    `positions` holds the row [beta | gamma] of the position formed at time
+    n-1 and carried into time n, one per atom of F_{n-1}; `beta`, `gamma`
+    and `predictability_defect` read it. Path-indexed input comes in through
+    `PredictableProcess.from_paths`. beta_init/gamma_init are the
+    deterministic values at index -1.
     """
 
-    space: PathSpace
-    beta: np.ndarray  # (rows,)
-    gamma: np.ndarray  # (rows, d)
+    positions: PredictableProcess
     beta_init: float = 0.0
     gamma_init: np.ndarray | None = None
-    predictability_defect: float = 0.0
 
     def __post_init__(self) -> None:
-        beta = _frozen_float(self.beta)
-        gamma = _frozen_float(self.gamma)
-        rows, d = _row_start(self.space, self.space.N + 1), self.space.d
-        if beta.shape != (rows,):
-            raise ValueError(f"beta has shape {beta.shape}, expected ({rows},)")
-        if gamma.shape != (rows, d):
-            raise ValueError(f"gamma has shape {gamma.shape}, expected ({rows}, {d})")
+        d = self.space.d
         init = _frozen_float(np.zeros(d) if self.gamma_init is None else self.gamma_init)
         if init.shape != (d,):
             raise ValueError(f"gamma_init has shape {init.shape}, expected ({d},)")
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_init", init)
-        object.__setattr__(self, "predictability_defect", float(self.predictability_defect))
 
-    @staticmethod
-    def from_paths(
-        space: PathSpace,
-        beta: np.ndarray,
-        gamma: np.ndarray,
-        beta_init: float = 0.0,
-        gamma_init: np.ndarray | None = None,
-    ) -> "Strategy":
-        """Strategy from (N+1, num_paths) bond units and (N+1, num_paths, d) share counts.
+    @property
+    def space(self) -> PathSpace:
+        return self.positions.space
 
-        Keeps the first path of each atom of F_{n-1} at step n and records
-        the largest deviation from it within the atom, NaN if any entry is
-        NaN, as the strategy's predictability defect.
-        """
-        beta = np.asarray(beta, dtype=float)
-        gamma = np.asarray(gamma, dtype=float)
-        steps, num, d = space.N + 1, space.num_paths, space.d
-        if beta.shape != (steps, num):
-            raise ValueError(f"beta has shape {beta.shape}, expected ({steps}, {num})")
-        if gamma.shape != (steps, num, d):
-            raise ValueError(f"gamma has shape {gamma.shape}, expected ({steps}, {num}, {d})")
-        defect = predictable_deviation(np.concatenate([beta[..., None], gamma], axis=2), space)
-        firsts = [space.atom_size(n - 1) for n in range(steps)]
-        return Strategy(
-            space,
-            np.concatenate([beta[n][::block] for n, block in enumerate(firsts)]),
-            np.concatenate([gamma[n][::block] for n, block in enumerate(firsts)]),
-            beta_init,
-            gamma_init,
-            defect,
-        )
+    @property
+    def beta(self) -> np.ndarray:
+        return self.positions.rows[:, 0]
 
-    def rows(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(atoms of F_{n-1},) bond units and (atoms of F_{n-1}, d) share counts of step n."""
-        if not 0 <= n <= self.space.N:
-            raise ValueError(f"step {n} outside [0, {self.space.N}]")
-        start = _row_start(self.space, n)
-        stop = start + self.space.atom_count(n - 1)
-        return self.beta[start:stop], self.gamma[start:stop]
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.positions.rows[:, 1:]
+
+    @property
+    def predictability_defect(self) -> float:
+        return self.positions.defect
 
 
 def _singular(mats: np.ndarray) -> np.ndarray:
@@ -428,7 +386,8 @@ def emm_walk(market: MarketSpec, emm: EMM) -> WalkSpec:
 
 
 def price_claim(market: MarketSpec, emm: EMM, claim: PathTable) -> float:
-    """Initial price: discounted risk-neutral expectation of the claim."""
+    """Initial price: discounted risk-neutral expectation of the claim, checked first."""
+    _check_claim(market, claim)
     wq = emm_walk(market, emm)
     return expectation(wq, claim) / float(market.bond[market.N])
 
@@ -445,7 +404,7 @@ def _check_claim(market: MarketSpec, claim: PathTable) -> None:
 
 
 def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
-    """Backward atom-wise replication of the claim.
+    """Atom-wise replication of the claim.
 
     At each time and prior atom, the bond row and the d+1 scenario prices
     determine the portfolio matching the replication values in every
@@ -454,8 +413,8 @@ def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
     step are conditioned before any atom is solved; the singular step with
     the largest n raises.
     """
-    _check_claim(market, claim)
-    space, d, lattice, bond = market.space, market.d, market.lattice, market.bond
+    price = price_claim(market, emm, claim)  # checks the claim before any other arithmetic
+    d, lattice, bond = market.d, market.lattice, market.bond
     wq = emm_walk(market, emm)
     # row i for a node of time n-1: the bond, then the prices of its child in scenario i
     mats = []
@@ -471,21 +430,14 @@ def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
             f"incomplete market: replication system at step {int(step[singular].max())} is singular"
         )
 
-    beta = np.empty(_row_start(space, market.N + 1))
-    gamma = np.empty((len(beta), d))
-    for n in range(market.N, -1, -1):
-        # row i of atom a of F_{n-1} is atom a*(d+1)+i of F_n: a followed by scenario i
-        shape = (space.atom_count(n - 1), d + 1)
-        # replication values V_n = B_n / B_N E_Q[F | F_n] on the atoms of F_n
+    steps = []
+    for n in range(market.N + 1):
+        # replication values V_n = B_n / B_N E_Q[F | F_n] on the atoms of F_n; row i
+        # of atom a of F_{n-1} is atom a*(d+1)+i of F_n: a followed by scenario i
         values = (float(bond[n]) / float(bond[market.N])) * atom_means(wq, claim.values, n)
         atom_mats = np.take(mats[n], lattice.prior_owner(n), axis=0)
-        sol = np.linalg.solve(atom_mats, values.reshape(shape)[..., None])[..., 0]
-        rows = slice(_row_start(space, n), _row_start(space, n + 1))
-        beta[rows] = sol[:, 0]
-        gamma[rows] = sol[:, 1:]
-    beta.setflags(write=False)
-    gamma.setflags(write=False)
-    return Strategy(space, beta, gamma, beta_init=price_claim(market, emm, claim))
+        steps.append(np.linalg.solve(atom_mats, values.reshape(-1, d + 1, 1))[..., 0])
+    return Strategy(PredictableProcess.from_steps(market.space, steps), beta_init=price)
 
 
 def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
@@ -521,18 +473,17 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
     ratio must be scenario-independent. On an atom of F_{n-1}, xi_n is the
     (d+1)-term sum  sum_i c_i(n) E[F | atom, w_n = i]  over its F_n atoms.
     """
-    _check_claim(market, claim)
+    price = price_claim(market, emm, claim)  # checks the claim before any other arithmetic
     if not market.diagonal:
         raise HedgeFormulaError(
             "closed-form hedge needs diagonal scenario matrices; use hedge_replicate"
         )
     rate = market.uniform_rate()
-    space, d, lattice = market.space, market.d, market.lattice
+    d, lattice = market.d, market.lattice
     wq = emm_walk(market, emm)
     ratio_const = _hedge_ratios(market, wq, rate)
 
-    beta = np.empty(_row_start(space, market.N + 1))
-    gamma = np.empty((len(beta), d))
+    steps = []
     s_prev = lattice.atom_prices(-1)
     for n in range(market.N + 1):
         s_now = lattice.atom_prices(n)
@@ -550,13 +501,9 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
                 f"bond position at step {n} is not predictable (defect {defect:.3e}); "
                 "use hedge_replicate"
             )
-        rows = slice(_row_start(space, n), _row_start(space, n + 1))
-        beta[rows] = bet
-        gamma[rows] = gam
+        steps.append(np.column_stack([bet, gam]))
         s_prev = s_now
-    beta.setflags(write=False)
-    gamma.setflags(write=False)
-    return Strategy(space, beta, gamma, beta_init=price_claim(market, emm, claim))
+    return Strategy(PredictableProcess.from_steps(market.space, steps), beta_init=price)
 
 
 @dataclass(frozen=True)
@@ -593,8 +540,8 @@ def verify_strategy(
 
     All checks are reported as max residuals. A strategy holds one position
     per atom of F_{n-1}, so it is predictable by construction; the report
-    carries the defect that `Strategy.from_paths` measured on path-indexed
-    input. The self-financing, telescoping, discounted increment and (for
+    carries the defect that `PredictableProcess.from_paths` measured on
+    path-indexed input. The self-financing, telescoping, discounted increment and (for
     diagonal uniform-rate models) value-decomposition identities and
     replication involve only F_n-measurable quantities at time n, so they
     are evaluated once per atom of F_n: the position of an atom of F_{n-1}
@@ -620,7 +567,8 @@ def verify_strategy(
     disc_prev = np.array([v_init])
     acc = np.zeros(1)
     for n in range(market.N + 1):
-        beta, gamma = (np.repeat(rows, d + 1, axis=0) for rows in strategy.rows(n))
+        rows = strategy.positions.at(n)
+        beta, gamma = np.repeat(rows[:, 0], d + 1), np.repeat(rows[:, 1:], d + 1, axis=0)
         s_now = lattice.atom_prices(n)
         s_before = np.repeat(s_prev, d + 1, axis=0)
         values = beta * bond[n] + np.einsum("aj,aj->a", gamma, s_now)

@@ -272,15 +272,6 @@ def atom_deviation(values: np.ndarray, space: PathSpace, n: int) -> float:
     return float(np.max(np.abs(v - v[:, :1])))
 
 
-def predictable_deviation(values: np.ndarray, space: PathSpace) -> float:
-    """Largest deviation of values[n] from F_{n-1}-measurability over n = 0..N.
-
-    values has shape (N+1, num_paths, ...). The result is NaN when any
-    deviation is, so a NaN entry never reads as predictable.
-    """
-    return float(np.max([atom_deviation(u, space, n - 1) for n, u in enumerate(values)]))
-
-
 def is_measurable(table: PathTable, n: int, tol: float = 1e-10) -> bool:
     """Whether the table is F_n-measurable (constant on prefix atoms)."""
     return atom_deviation(table.values, table.space, max(n, -1)) <= tol

@@ -91,11 +91,11 @@ def ou_kernel_matrix(walk: WalkSpec, t: float) -> OUKernelMatrix:
 
 def cov_gradient(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
     """Covariance via sum_k E[<xi_k, D_k G>], xi the Clark-Ocone integrand E[D_k F | F_{k-1}]."""
-    xi = clark_ocone(walk, f)[1]
+    xi = clark_ocone(walk, f)[1].on_paths()
     grad_g = gradient(walk, g)
     total = 0.0
     for k in range(walk.N + 1):
-        inner = np.einsum("pj,pj->p", xi.values[k], grad_g.values[k])
+        inner = np.einsum("pj,pj->p", xi[k], grad_g.values[k])
         total += float(np.add.reduce(walk.measure * inner))
     return total
 

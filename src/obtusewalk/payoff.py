@@ -64,11 +64,31 @@ class Neg:
     operand: "PayoffExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinOp:
+    """A binary operation; a chain of them is compared and hashed along its
+    left spine without recursion, so a long sum costs no stack."""
+
     op: str  # one of + - * /
     left: "PayoffExpr"
     right: "PayoffExpr"
+
+    def _spine(self) -> tuple["PayoffExpr", list[tuple[str, "PayoffExpr"]]]:
+        """The first non-BinOp left operand and the (op, right) pairs above it, top first."""
+        node, pairs = self, []
+        while isinstance(node, BinOp):
+            pairs.append((node.op, node.right))
+            node = node.left
+        return node, pairs
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinOp):
+            return NotImplemented
+        return self._spine() == other._spine()
+
+    def __hash__(self) -> int:
+        leaf, pairs = self._spine()
+        return hash((leaf, tuple(pairs)))
 
 
 @dataclass(frozen=True)
@@ -316,13 +336,20 @@ def to_source(node: PayoffExpr) -> str:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, BinOp):
-        left = to_source(node.left)
-        if _precedence(node.left) < _precedence(node):
-            left = f"({left})"
-        right = to_source(node.right)
-        if _precedence(node.right) <= _precedence(node):
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
+        # walk down the left operands that print without parentheses
+        spine, left = [node], node.left
+        while isinstance(left, BinOp) and _precedence(left) >= _precedence(spine[-1]):
+            spine.append(left)
+            left = left.left
+        text = to_source(left)
+        if _precedence(left) < _precedence(spine[-1]):
+            text = f"({text})"
+        for op_node in reversed(spine):
+            right = to_source(op_node.right)
+            if _precedence(op_node.right) <= _precedence(op_node):
+                right = f"({right})"
+            text = f"{text} {op_node.op} {right}"
+        return text
     if isinstance(node, FuncCall):
         return f"{node.name}({', '.join(to_source(a) for a in node.args)})"
     raise TypeError(f"not a payoff expression: {node!r}")

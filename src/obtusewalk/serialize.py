@@ -428,13 +428,13 @@ def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     for n in range(market.N + 1):
         heads += [f"{n},{prefix}," for prefix in _atom_prefixes(market.d, n)]
         if n:
-            beta, gamma = strategy.rows(n)
+            rows = strategy.positions.at(n)
             # stacked 1x1 matmul: the same BLAS dot per atom as gamma_row @ price_row,
             # which an elementwise sum would not reproduce bit for bit
             prices = market.lattice.atom_prices(n - 1)
-            dots = np.matmul(gamma[:, None, :], prices[:, :, None])[:, 0, 0]
-            values.append(beta * market.bond[n - 1] + dots)
-    table = np.column_stack([strategy.beta, strategy.gamma, np.concatenate(values)])
+            dots = np.matmul(rows[:, None, 1:], prices[:, :, None])[:, 0, 0]
+            values.append(rows[:, 0] * market.bond[n - 1] + dots)
+    table = np.column_stack([strategy.positions.rows, np.concatenate(values)])
     return header + "\n" + _csv_rows(heads, table) + "\n"
 
 

@@ -29,7 +29,7 @@ class StepLaw:
 
     def __post_init__(self) -> None:
         p = np.array(self.p, dtype=float)
-        v = np.array(self.v, dtype=float)
+        v = np.array(self.v, dtype=float, order="C")  # one layout however v was built
         if p.ndim != 1 or v.ndim != 2:
             raise ValueError("step law needs a probability vector and a vector matrix")
         if v.shape != (p.shape[0], p.shape[0] - 1):

@@ -55,15 +55,9 @@ def exact_integrand(walk, tables) -> list[list[Fraction]]:
     return out
 
 
-def atom_entries(walk, xi: np.ndarray) -> list[np.ndarray]:
-    """The (N+1, P, d) predictable process laid out as exact_integrand's result."""
-    out = []
-    for k in range(walk.N + 1):
-        rows = xi[k].reshape(walk.space.atom_count(k - 1), -1, walk.d)
-        if np.any(rows != rows[:, :1]):
-            raise ValueError(f"xi[{k}] is not constant on the atoms of F_{k - 1}")
-        out.append(rows[:, 0].ravel())
-    return out
+def atom_entries(xi) -> list[np.ndarray]:
+    """The rows of a PredictableProcess laid out as exact_integrand's result."""
+    return [xi.at(k).ravel() for k in range(xi.space.N + 1)]
 
 
 def scaled_errors(got, exact) -> np.ndarray:

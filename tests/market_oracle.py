@@ -16,14 +16,23 @@ averages it back onto atoms, with the closed-form ratios computed one
 step; the library works on the atoms of the filtration instead. The oracles
 read prices path by path from `oracle_prices`, never from the lattice they
 check. The oracle hedges fill path-indexed arrays and hand them to
-`Strategy.from_paths`; `strategy_paths` broadcasts a strategy back to paths,
+`path_strategy`, which goes through `PredictableProcess.from_paths`;
+`strategy_paths` broadcasts a strategy back to paths,
 and `oracle_strategy_values` gives its portfolio value along them. Tests
 compare the engine against them byte for byte, or within rounding for the
 closed-form hedge.
 """
 import numpy as np
 
-from obtusewalk import EMM, MarketSpec, PathTable, Strategy, WalkSpec, emm_walk
+from obtusewalk import (
+    EMM,
+    MarketSpec,
+    PathTable,
+    PredictableProcess,
+    Strategy,
+    WalkSpec,
+    emm_walk,
+)
 from obtusewalk.malliavin import gradient
 from obtusewalk.market import (
     _COND_LIMIT,
@@ -93,13 +102,14 @@ def _prev_prices(market: MarketSpec, prices: np.ndarray, n: int) -> np.ndarray:
 
 def strategy_paths(strategy: Strategy) -> tuple[np.ndarray, np.ndarray]:
     """(N+1, num_paths) bond units and (N+1, num_paths, d) share counts, per path."""
-    space = strategy.space
-    rows = [strategy.rows(n) for n in range(space.N + 1)]
-    beta = np.stack([np.repeat(b, space.atom_size(n - 1)) for n, (b, _) in enumerate(rows)])
-    gamma = np.stack(
-        [np.repeat(g, space.atom_size(n - 1), axis=0) for n, (_, g) in enumerate(rows)]
-    )
-    return beta, gamma
+    positions = strategy.positions.on_paths()
+    return positions[..., 0], positions[..., 1:]
+
+
+def path_strategy(space, beta, gamma, beta_init=0.0, gamma_init=None) -> Strategy:
+    """Strategy from (N+1, num_paths) bond units and (N+1, num_paths, d) share counts."""
+    positions = np.concatenate([np.asarray(beta)[..., None], gamma], axis=2)
+    return Strategy(PredictableProcess.from_paths(space, positions), beta_init, gamma_init)
 
 
 def oracle_strategy_values(market: MarketSpec, strategy: Strategy) -> tuple[np.ndarray, float]:
@@ -202,7 +212,7 @@ def oracle_hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> St
             sol = np.linalg.solve(mat, rhs)
             beta[n][start : start + block] = sol[0]
             gamma[n][start : start + block] = sol[1:]
-    return Strategy.from_paths(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+    return path_strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
 
 
 def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
@@ -238,7 +248,7 @@ def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> 
                 "use hedge_replicate"
             )
     v_init = expectation(wq, claim) / float(market.bond[market.N])
-    return Strategy.from_paths(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+    return path_strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
 
 
 def oracle_verify_strategy(

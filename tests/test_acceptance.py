@@ -210,7 +210,7 @@ def test_criterion_6_clark_ocone():
                     energy = expectation(walk, head * head) + float(
                         np.add.reduce(
                             walk.measure
-                            * np.einsum("kpj,kpj->p", tail.values, tail.values)
+                            * np.einsum("kpj,kpj->p", tail.on_paths(), tail.on_paths())
                         )
                     )
                     assert abs(energy - expectation(walk, table * table)) < 1e-9

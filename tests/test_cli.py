@@ -184,7 +184,7 @@ class TestClarkOconeFrom:
                 head, xi = obtusewalk.clark_ocone_from(walk, table, start)
                 payload = {
                     "head": serialize.table_to_json(head),
-                    "integrand": serialize.process_to_json(xi)["values"],
+                    "integrand": xi.on_paths().tolist(),
                 }
                 assert out == serialize.dump_json(payload) + "\n"
                 if start == walk.N:

@@ -3,6 +3,7 @@ import numpy as np
 
 from obtusewalk import (
     PathTable,
+    PredictableProcess,
     clark_ocone,
     conditional_expectation,
     predictable_representation,
@@ -23,7 +24,7 @@ def test_exact_on_a_walk_whose_arithmetic_is_exact():
     for n in range(-1, walk.N + 1):
         assert exact_means(walk, table.values, n) == list(atom_means(walk, table.values, n))
     exact = exact_integrand(walk, [table.values] * (walk.N + 1))
-    got = atom_entries(walk, clark_ocone(walk, table)[1].values)
+    got = atom_entries(clark_ocone(walk, table)[1])
     assert [list(row) for row in got] == exact
     assert exact[0] == [-60]  # c = (1/2, -1/2) on the means 10.5 and 130.5 of the two halves
 
@@ -38,14 +39,20 @@ def test_atom_means_form_passes_the_exact_rule(rng):
             walk = random_walk(rng, d, N)
             table = random_table(rng, walk.space)
             integrand.add(
-                atom_entries(walk, clark_ocone(walk, table)[1].values),
-                atom_entries(walk, oracle_integrand(walk, table)),
+                atom_entries(clark_ocone(walk, table)[1]),
+                atom_entries(
+                    PredictableProcess.from_paths(walk.space, oracle_integrand(walk, table))
+                ),
                 exact_integrand(walk, [table.values] * (N + 1)),
             )
             martingale = [conditional_expectation(walk, table, n) for n in range(N + 1)]
             representation.add(
-                atom_entries(walk, predictable_representation(walk, martingale)[1].values),
-                atom_entries(walk, oracle_predictable_integrand(walk, martingale)),
+                atom_entries(predictable_representation(walk, martingale)[1]),
+                atom_entries(
+                    PredictableProcess.from_paths(
+                        walk.space, oracle_predictable_integrand(walk, martingale)
+                    )
+                ),
                 exact_integrand(walk, [m.values for m in martingale]),
             )
     for comparison in (integrand, representation):

@@ -7,9 +7,12 @@ import pytest
 from obtusewalk import (
     Kernel,
     PredictabilityError,
+    PredictableProcess,
     VectorProcess,
     bernoulli_walk,
+    clark_ocone,
     conditional_expectation,
+    divergence,
     expectation,
     increment_rv,
     integrate_predictable,
@@ -215,8 +218,9 @@ class TestMonomialKernel:
 class TestVectorProcess:
     def test_predictability_flag(self, rng):
         walk = random_walk(rng, 2, 2)
-        assert random_predictable(rng, walk).is_predictable()
-        assert not random_process(rng, walk).is_predictable()
+        for process, predictable in ((random_predictable, True), (random_process, False)):
+            defect = PredictableProcess.from_paths(walk.space, process(rng, walk).values).defect
+            assert (defect <= 1e-10) == predictable
 
     def test_table_access(self, rng):
         walk = bernoulli(1)
@@ -228,7 +232,42 @@ class TestVectorProcess:
         vals = np.zeros((3, walk.space.num_paths, 1))
         vals[1, 1, 0] = np.nan  # path 1 is not the first of its F_0 atom
         proc = VectorProcess(walk.space, vals)
-        assert np.isnan(proc.predictability_defect())
-        assert not proc.is_predictable()
+        assert np.isnan(PredictableProcess.from_paths(walk.space, proc.values).defect)
         with pytest.raises(PredictabilityError, match="nan"):
             integrate_predictable(walk, proc)
+
+
+class TestPredictableProcess:
+    def test_from_paths_then_on_paths_is_the_input(self, rng):
+        walk = random_walk(rng, 2, 3)
+        values = random_predictable(rng, walk).values
+        process = PredictableProcess.from_paths(walk.space, values)
+        assert process.defect == 0.0
+        assert np.array_equal(process.on_paths().view(np.uint64), values.view(np.uint64))
+        for n in range(walk.N + 1):
+            assert process.at(n).shape == (walk.space.atom_count(n - 1), walk.d)
+
+    def test_nan_entry_is_a_nan_defect(self):
+        walk = bernoulli_walk(2)
+        values = np.zeros((3, walk.space.num_paths, 1))
+        values[2, 3, 0] = np.nan  # path 3 is the second of its F_1 atom
+        process = PredictableProcess.from_paths(walk.space, values)
+        assert np.isnan(process.defect)
+        with pytest.raises(PredictabilityError, match="nan"):
+            integrate_predictable(walk, process)
+
+    def test_wrong_row_count_raises(self):
+        walk = bernoulli_walk(2)  # 1 + 2 + 4 rows
+        with pytest.raises(ValueError, match=r"shape \(6, 1\), expected \(7, width\)"):
+            PredictableProcess(walk.space, np.zeros((6, 1)))
+        with pytest.raises(ValueError, match=r"expected \(7, width\)"):
+            PredictableProcess.from_paths(walk.space, np.zeros((2, 8, 1)))
+
+    @pytest.mark.parametrize("d,N", [(1, 4), (2, 3), (3, 2), (3, 6)])
+    def test_integral_on_atoms_has_the_bits_of_the_path_forms(self, rng, d, N):
+        walk = random_walk(rng, d, N)
+        xi = clark_ocone(walk, random_table(rng, walk.space))[1]
+        on_paths = VectorProcess(walk.space, xi.on_paths())
+        got = integrate_predictable(walk, xi).values.view(np.uint64)
+        assert np.array_equal(got, integrate_predictable(walk, on_paths).values.view(np.uint64))
+        assert np.array_equal(got, divergence(walk, on_paths).values.view(np.uint64))

@@ -1,15 +1,19 @@
 """Gradient forms, divergence, adjointness, Clark-Ocone, Poincare."""
+import json
+
 import numpy as np
 import pytest
 
 from obtusewalk import (
     MartingaleError,
     PathTable,
+    PredictableProcess,
     VectorProcess,
     bernoulli_walk,
     clark_ocone,
     clark_ocone_from,
     conditional_expectation,
+    construct_obtuse,
     covariance,
     decompose,
     divergence,
@@ -30,19 +34,20 @@ from helpers import (
     random_table,
     random_walk,
 )
-from obtusewalk import malliavin
+from obtusewalk import serialize
 from malliavin_oracle import product_rule_residual
 
 
 def _record_integrands(monkeypatch):
-    """Spy on the arrays malliavin hands to VectorProcess."""
+    """Spy on the row arrays handed to PredictableProcess."""
     handed = []
+    check = PredictableProcess.__post_init__
 
-    def record(space, values):
-        handed.append(values)
-        return VectorProcess(space, values)
+    def record(process):
+        handed.append(process.rows)
+        check(process)
 
-    monkeypatch.setattr(malliavin, "VectorProcess", record)
+    monkeypatch.setattr(PredictableProcess, "__post_init__", record)
     return handed
 
 
@@ -96,6 +101,19 @@ class TestGradient:
         adjusted = conditional_expectation(walk, table, n)
         assert np.max(np.abs(gradient(walk, adjusted).values[n + 1 :])) < 1e-10
         assert is_measurable(adjusted, n)
+
+
+def test_zero_sums_have_one_sign_however_the_walk_was_built(rng):
+    """A constructed walk and the same walk read back from its JSON give the
+    same bits on tables of signed zeros and the smallest subnormals."""
+    for _ in range(20):
+        walk = construct_obtuse(list(rng.dirichlet(np.ones(3), size=6) * 0.7 + 0.1))
+        text = serialize.dump_json(serialize.walk_to_json(walk))
+        again = serialize.walk_from_json(json.loads(text))
+        values = rng.choice([0.0, -0.0, 5e-324, -5e-324], size=walk.space.num_paths)
+        table = PathTable(walk.space, values)
+        for op in (lambda w: gradient(w, table).values, lambda w: clark_ocone(w, table)[1].rows):
+            assert np.array_equal(op(walk).view(np.uint64), op(again).view(np.uint64))
 
 
 class TestGradientChaos:
@@ -163,14 +181,14 @@ class TestClarkOcone:
         y0, y1 = increment_rv(walk, 0, 1), increment_rv(walk, 1, 1)
         mean, xi = clark_ocone(walk, y0 * y1)
         assert mean == pytest.approx(0.0, abs=1e-15)
-        assert np.max(np.abs(xi.values[0])) < 1e-12
-        assert np.max(np.abs(xi.values[1][:, 0] - y0.values)) < 1e-12
+        assert np.max(np.abs(xi.on_paths()[0])) < 1e-12
+        assert np.max(np.abs(xi.on_paths()[1][:, 0] - y0.values)) < 1e-12
 
     def test_constant(self):
         walk = bernoulli(1)
         mean, xi = clark_ocone(walk, PathTable.constant(walk.space, 3.0))
         assert mean == 3.0
-        assert np.max(np.abs(xi.values)) < 1e-12
+        assert np.max(np.abs(xi.on_paths())) < 1e-12
 
     def test_indicator(self):
         walk = bernoulli(1)
@@ -178,16 +196,16 @@ class TestClarkOcone:
         values[0] = 1.0
         mean, xi = clark_ocone(walk, PathTable(walk.space, values))
         assert mean == pytest.approx(0.25)
-        assert np.max(np.abs(xi.values[0] - 0.25)) < 1e-14
+        assert np.max(np.abs(xi.on_paths()[0] - 0.25)) < 1e-14
         y0 = increment_rv(walk, 0, 1)
-        assert np.max(np.abs(xi.values[1][:, 0] - (1.0 + y0.values) / 4.0)) < 1e-14
+        assert np.max(np.abs(xi.on_paths()[1][:, 0] - (1.0 + y0.values) / 4.0)) < 1e-14
 
     def test_reconstruction_and_predictability(self, rng):
         walk = random_walk(rng, 2, 2)
         for _ in range(10):
             table = random_table(rng, walk.space)
             mean, xi = clark_ocone(walk, table)
-            assert xi.is_predictable()
+            assert xi.defect == 0.0
             assert _reconstructs(walk, mean, xi, table)
 
     def test_operator_norm_identity(self, rng):
@@ -197,7 +215,7 @@ class TestClarkOcone:
             _, xi = clark_ocone(walk, table)
             energy = float(
                 np.add.reduce(
-                    walk.measure * np.einsum("kpj,kpj->p", xi.values, xi.values)
+                    walk.measure * np.einsum("kpj,kpj->p", xi.on_paths(), xi.on_paths())
                 )
             )
             variance = covariance(walk, table, table)
@@ -211,7 +229,7 @@ class TestClarkOconeFrom:
         table = random_table(rng, walk.space)
         head, xi = clark_ocone_from(walk, table, 1)
         assert head.max_abs_diff(table) == 0.0
-        assert np.max(np.abs(xi.values)) == 0.0
+        assert np.max(np.abs(xi.on_paths())) == 0.0
 
     def test_start_reduces_to_plain_form(self, rng):
         walk = random_walk(rng, 1, 2)
@@ -219,7 +237,7 @@ class TestClarkOconeFrom:
         head, xi = clark_ocone_from(walk, table, -1)
         mean, xi_plain = clark_ocone(walk, table)
         assert head.allclose(mean, atol=1e-12)
-        assert np.max(np.abs(xi.values - xi_plain.values)) < 1e-14
+        assert np.max(np.abs(xi.on_paths() - xi_plain.on_paths())) < 1e-14
 
     def test_reconstruction_and_energy(self, rng):
         walk = random_walk(rng, 2, 2)
@@ -231,7 +249,7 @@ class TestClarkOconeFrom:
                 assert total.max_abs_diff(table) < 1e-10
                 energy = expectation(walk, head * head) + float(
                     np.add.reduce(
-                        walk.measure * np.einsum("kpj,kpj->p", xi.values, xi.values)
+                        walk.measure * np.einsum("kpj,kpj->p", xi.on_paths(), xi.on_paths())
                     )
                 )
                 assert energy == pytest.approx(
@@ -247,8 +265,8 @@ class TestClarkOconeFrom:
         handed = _record_integrands(monkeypatch)
         walk = random_walk(rng, 2, 3)
         _, xi = clark_ocone_from(walk, random_table(rng, walk.space), 0)
-        assert xi.values is handed[-1]
-        assert not xi.values.flags.writeable
+        assert xi.rows is handed[-1]
+        assert not xi.rows.flags.writeable
 
 
 class TestPredictableRepresentation:
@@ -259,14 +277,14 @@ class TestPredictableRepresentation:
         mart = [conditional_expectation(walk, target, n) for n in range(2)]
         m_init, xi = predictable_representation(walk, mart)
         assert m_init == pytest.approx(0.0, abs=1e-15)
-        assert np.max(np.abs(xi.values[1][:, 0] - y0.values)) < 1e-12
+        assert np.max(np.abs(xi.on_paths()[1][:, 0] - y0.values)) < 1e-12
 
     def test_constant_martingale(self):
         walk = bernoulli(1)
         mart = [PathTable.constant(walk.space, 2.5)] * 2
         m_init, xi = predictable_representation(walk, mart)
         assert m_init == 2.5
-        assert np.max(np.abs(xi.values)) < 1e-12
+        assert np.max(np.abs(xi.on_paths())) < 1e-12
 
     def test_partial_sums(self, rng):
         walk = random_walk(rng, 1, 2)
@@ -277,7 +295,7 @@ class TestPredictableRepresentation:
             partial.append(acc)
         m_init, xi = predictable_representation(walk, partial)
         assert m_init == pytest.approx(0.0, abs=1e-12)
-        assert np.max(np.abs(xi.values[:, :, 0] - 1.0)) < 1e-10
+        assert np.max(np.abs(xi.on_paths()[:, :, 0] - 1.0)) < 1e-10
 
     def test_reconstruction_per_time(self, rng):
         walk = random_walk(rng, 2, 2)
@@ -286,7 +304,7 @@ class TestPredictableRepresentation:
         m_init, xi = predictable_representation(walk, mart)
         acc = np.full(walk.space.num_paths, m_init)
         for n in range(3):
-            acc = acc + np.einsum("pj,pj->p", xi.values[n], walk.increments[n])
+            acc = acc + np.einsum("pj,pj->p", xi.on_paths()[n], walk.increments[n])
             assert np.max(np.abs(acc - mart[n].values)) < 1e-10
 
     def test_rejects_non_martingale(self, rng):
@@ -304,8 +322,8 @@ class TestPredictableRepresentation:
         target = random_table(rng, walk.space)
         mart = [conditional_expectation(walk, target, n) for n in range(3)]
         _, xi = predictable_representation(walk, mart)
-        assert xi.values is handed[-1]
-        assert not xi.values.flags.writeable
+        assert xi.rows is handed[-1]
+        assert not xi.rows.flags.writeable
 
     def test_rejects_non_adapted(self, rng):
         walk = bernoulli(1)

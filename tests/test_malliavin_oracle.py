@@ -4,6 +4,7 @@ import pytest
 
 from obtusewalk import (
     PathTable,
+    PredictableProcess,
     clark_ocone,
     clark_ocone_from,
     conditional_expectation,
@@ -40,16 +41,18 @@ def _scaled_gap(a, b) -> float:
 def _no_farther_from_exact(walk, got, old, tables, start=-1) -> bool:
     """Whether the integrand got is at worst as far from the exact one as old.
 
-    The exact integrand reads the k-th table at step k and is zero up to
-    time start. Where exact arithmetic is too slow (N > 5), got need only be
+    got is a PredictableProcess and old its path-surgery form on paths. The
+    exact integrand reads the k-th table at step k and is zero up to time
+    start. Where exact arithmetic is too slow (N > 5), got need only be
     within rounding of old.
     """
     if walk.N > 5:
-        return _scaled_gap(got, old) <= 1e-15
+        return _scaled_gap(got.on_paths(), old) <= 1e-15
     exact = exact_integrand(walk, tables)
     exact = [[0] * len(row) if k <= start else row for k, row in enumerate(exact)]
-    err_got = scaled_errors(atom_entries(walk, got), exact).max()
-    return err_got <= scaled_errors(atom_entries(walk, old), exact).max()
+    err_got = scaled_errors(atom_entries(got), exact).max()
+    old = PredictableProcess.from_paths(walk.space, old)
+    return err_got <= scaled_errors(atom_entries(old), exact).max()
 
 
 @pytest.mark.parametrize("d,N", SIZES)
@@ -58,15 +61,15 @@ def test_gradient_and_representations_equal_the_path_surgery_forms(rng, d, N):
     table = random_table(rng, walk.space)
     assert np.array_equal(gradient(walk, table).values, oracle_gradient(walk, table))
     tables = [table.values] * (N + 1)
-    xi = clark_ocone(walk, table)[1].values
+    xi = clark_ocone(walk, table)[1]
     assert _no_farther_from_exact(walk, xi, oracle_integrand(walk, table), tables)
     for n in range(-1, N + 1):
         _, xi = clark_ocone_from(walk, table, n)
-        assert _no_farther_from_exact(walk, xi.values, oracle_integrand(walk, table, n), tables, n)
+        assert _no_farther_from_exact(walk, xi, oracle_integrand(walk, table, n), tables, n)
     martingale = [conditional_expectation(walk, table, n) for n in range(N + 1)]
     _, gamma = predictable_representation(walk, martingale)
     old = oracle_predictable_integrand(walk, martingale)
-    assert _no_farther_from_exact(walk, gamma.values, old, [m.values for m in martingale])
+    assert _no_farther_from_exact(walk, gamma, old, [m.values for m in martingale])
 
 
 @pytest.mark.parametrize("d,N", SIZES)

@@ -10,7 +10,6 @@ from obtusewalk import (
     IncompleteMarketError,
     MarketSpec,
     PathTable,
-    Strategy,
     conditional_expectation,
     crr_market,
     emm_walk,
@@ -20,10 +19,11 @@ from obtusewalk import (
     price_claim,
     verify_strategy,
 )
+from obtusewalk import market as market_mod
 from obtusewalk.market import HedgeFormulaError, MarketModelError
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2
-from market_oracle import oracle_prices, oracle_strategy_values, strategy_paths
+from market_oracle import oracle_prices, oracle_strategy_values, path_strategy, strategy_paths
 
 
 def crr1():
@@ -171,7 +171,7 @@ class TestHedgeReplicate:
     def test_one_period_call(self):
         market = crr1()
         strategy = hedge_replicate(market, find_emm(market), call(market))
-        beta, gamma = strategy.rows(0)
+        beta, gamma = strategy.positions.at(0)[:, 0], strategy.positions.at(0)[:, 1:]
         assert np.allclose(gamma[:, 0], 0.5, atol=1e-10)
         assert np.allclose(beta, -45.0, atol=1e-8)
         assert strategy.beta_init == pytest.approx(5.0, abs=1e-10)
@@ -190,7 +190,7 @@ class TestHedgeReplicate:
         assert v_init == pytest.approx(5.25, abs=1e-10)
         assert values[0][0] == pytest.approx(10.5, abs=1e-10)  # up atom
         assert values[0][-1] == pytest.approx(0.0, abs=1e-10)  # down atom
-        assert strategy.rows(1)[1][0, 0] == pytest.approx(21.0 / 22.0, abs=1e-10)
+        assert strategy.positions.at(1)[0, 1] == pytest.approx(21.0 / 22.0, abs=1e-10)
 
     def test_replicates_terminal_claim(self):
         market = d2_market()
@@ -215,7 +215,7 @@ class TestHedgeClarkOcone:
     def test_one_period_call(self):
         market = crr1()
         strategy = hedge_clark_ocone(market, find_emm(market), call(market))
-        beta, gamma = strategy.rows(0)
+        beta, gamma = strategy.positions.at(0)[:, 0], strategy.positions.at(0)[:, 1:]
         assert np.allclose(gamma[:, 0], 0.5, atol=1e-10)
         assert np.allclose(beta, -45.0, atol=1e-8)
 
@@ -272,6 +272,24 @@ def test_hedges_reject_a_non_finite_claim(hedge):
             hedge(market, find_emm(market), PathTable(market.space, values))
 
 
+def test_price_rejects_a_non_finite_claim():
+    market = crr_market(100.0, 0.1, -0.1, 0.0, 3)
+    values = np.ones(market.space.num_paths)
+    values[3] = np.inf
+    with pytest.raises(ValueError, match=r"^claim is inf at path 3 = \(0, 1, 1\)$"):
+        price_claim(market, find_emm(market), PathTable(market.space, values))
+
+
+@pytest.mark.parametrize("hedge", [hedge_replicate, hedge_clark_ocone])
+def test_hedges_check_the_claim_once(hedge, monkeypatch):
+    checked = []
+    check = market_mod._check_claim
+    monkeypatch.setattr(market_mod, "_check_claim", lambda m, c: checked.append(c) or check(m, c))
+    market = crr2()
+    hedge(market, find_emm(market), call(market))
+    assert len(checked) == 1
+
+
 class TestVerifyStrategy:
     def test_hedge_passes_all_checks(self):
         market = crr2()
@@ -291,7 +309,7 @@ class TestVerifyStrategy:
         beta, gamma = strategy_paths(strategy)
         bad_gamma = gamma.copy()
         bad_gamma[0] += 0.1
-        bad = Strategy.from_paths(
+        bad = path_strategy(
             strategy.space,
             beta,
             bad_gamma,
@@ -306,7 +324,7 @@ class TestVerifyStrategy:
         market = crr2()
         claim = PathTable.constant(market.space, 4.0)
         space = market.space
-        strategy = Strategy.from_paths(
+        strategy = path_strategy(
             space,
             np.full((2, space.num_paths), 4.0),
             np.zeros((2, space.num_paths, 1)),

@@ -12,6 +12,7 @@ from obtusewalk import (
     MarketSpec,
     PathSpace,
     PathTable,
+    PredictableProcess,
     SizeCapError,
     Strategy,
     VectorProcess,
@@ -36,6 +37,7 @@ from market_oracle import (
     oracle_measure,
     oracle_prices,
     oracle_verify_strategy,
+    path_strategy,
     strategy_paths,
 )
 
@@ -153,7 +155,8 @@ class TestAgainstOracle:
 
 
 class TestPredictabilityOnPaths:
-    """Path-indexed input keeps its path-wise predictability defect through from_paths."""
+    """Path-indexed input keeps its path-wise predictability defect through
+    PredictableProcess.from_paths."""
 
     @pytest.mark.parametrize("where", ["one path", "one sub-atom"])
     @pytest.mark.parametrize("hedge", [hedge_replicate, hedge_clark_ocone])
@@ -174,7 +177,7 @@ class TestPredictabilityOnPaths:
         )
         beta, gamma = strategy_paths(strategy)
         gamma[n, rows] += 1e-3
-        bent = Strategy.from_paths(space, beta, gamma, strategy.beta_init, strategy.gamma_init)
+        bent = path_strategy(space, beta, gamma, strategy.beta_init, strategy.gamma_init)
         report = verify_strategy(market, bent, claim)
         assert report.predictability == pytest.approx(1e-3)
         assert report.predictability > report.tol
@@ -187,7 +190,7 @@ class TestPredictabilityOnPaths:
         strategy = hedge_replicate(market, find_emm(market), claim)
         beta, gamma = strategy_paths(strategy)
         gamma[1, 1] = np.nan  # path 1 is not the first of its F_0 atom, so no row keeps it
-        bent = Strategy.from_paths(
+        bent = path_strategy(
             market.space, beta, gamma, strategy.beta_init, strategy.gamma_init
         )
         assert np.isnan(bent.predictability_defect)
@@ -198,14 +201,14 @@ class TestPredictabilityOnPaths:
         market = crr_market(100.0, 0.1, -0.08, 0.01, 5)
         claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
         strategy = hedge_replicate(market, find_emm(market), claim)
-        again = Strategy.from_paths(
+        again = path_strategy(
             market.space, *strategy_paths(strategy), strategy.beta_init, strategy.gamma_init
         )
         assert again.beta.tobytes() == strategy.beta.tobytes()
         assert again.gamma.tobytes() == strategy.gamma.tobytes()
         assert again.predictability_defect == 0.0
-        with pytest.raises(ValueError, match="beta has shape"):
-            Strategy(market.space, strategy.beta[1:], strategy.gamma[1:])
+        with pytest.raises(ValueError, match="process rows have shape"):
+            PredictableProcess(market.space, strategy.positions.rows[1:])
 
 
 class TestNoPathSurgery:
@@ -526,14 +529,14 @@ class TestMarketSize:
 class TestArrayOwnership:
     def test_caller_array_stays_writable(self):
         space = PathSpace(1, 1)
-        beta = np.ones(3)  # one row at step 0, two at step 1
-        gamma = np.zeros((3, 1))
+        # [beta | gamma]: one row at step 0, two at step 1
+        rows = np.column_stack([np.ones(3), np.zeros(3)])
         values = np.zeros((2, space.num_paths, 1))
-        strategy = Strategy(space, beta, gamma)
+        strategy = Strategy(PredictableProcess(space, rows))
         process = VectorProcess(space, values)
-        for arr in (beta, gamma, values):
+        for arr in (rows, values):
             assert arr.flags.writeable
-        beta[:] = 7.0
+        rows[:] = 7.0
         values[:] = 7.0
         assert np.all(strategy.beta == 1.0)
         assert np.all(process.values == 0.0)

@@ -129,6 +129,13 @@ class TestRoundTrip:
             assert parse_payoff(to_source(tree), 2, 1) == tree
 
 
+    def test_long_sum(self):
+        tree = parse_payoff("+".join(["S(1)"] * 3000), 1, 2)
+        assert parse_payoff(to_source(tree), 1, 2) == tree
+        assert hash(parse_payoff(to_source(tree), 1, 2)) == hash(tree)
+        assert tree != parse_payoff("+".join(["S(1)"] * 2999) + "-S(1)", 1, 2)
+
+
 class TestEval:
     def test_call_payoff(self):
         market = crr_market(100.0, 0.1, -0.1, 0.0, 1)

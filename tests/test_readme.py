@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from obtusewalk import VectorProcess, integrate_predictable
+from obtusewalk import PredictableProcess, integrate_predictable
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,7 +15,7 @@ def test_quick_example_runs():
     scope: dict = {}
     exec(blocks[0], scope)
     walk, f, mean, xi = scope["walk"], scope["f"], scope["mean"], scope["xi"]
-    assert isinstance(xi, VectorProcess)
+    assert isinstance(xi, PredictableProcess)
     rebuilt = mean + integrate_predictable(walk, xi).values
     assert np.max(np.abs(rebuilt - f.values)) < 1e-12
     assert abs(scope["coeffs"].mean - mean) < 1e-15

@@ -13,7 +13,7 @@ from obtusewalk import (
     ChaosCoefficients,
     MarketSpec,
     PathTable,
-    Strategy,
+    VectorProcess,
     clark_ocone,
     clark_ocone_from,
     crr_market,
@@ -32,6 +32,7 @@ from obtusewalk.cli import main
 from obtusewalk.ou import ou_kernel_matrix
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2, random_process, random_table, random_walk
+from market_oracle import path_strategy
 from serialize_oracle import (
     oracle_chaos_coef,
     oracle_chaos_to_json,
@@ -131,9 +132,10 @@ def test_each_float_is_formatted_once(rng, monkeypatch):
     walk = random_walk(rng, 2, 3)
     table = random_table(rng, walk.space)
     mean, xi = clark_ocone(walk, table)
+    xi = xi.on_paths()
     payloads = [
-        {"mean": mean, "integrand": xi.values},
-        {"mean": float(xi.values[1, 0, 0]), "integrand": xi.values},  # a value in two places
+        {"mean": mean, "integrand": xi},
+        {"mean": float(xi[1, 0, 0]), "integrand": xi},  # a value in two places
         serialize.chaos_to_json(decompose(walk, table)),
         gradient(walk, table).values,
         np.full((2, 2, 2, 16), 0.25),  # four axes, the outer two expanded
@@ -199,7 +201,7 @@ def test_strategy_csv_prefixes_with_multi_digit_outcomes(rng):
         ),
     )
     paths = market.space.num_paths
-    strategy = Strategy.from_paths(
+    strategy = path_strategy(
         market.space,
         rng.uniform(-1.0, 1.0, size=(N + 1, paths)),
         rng.uniform(-1.0, 1.0, size=(N + 1, paths, d)),
@@ -226,7 +228,7 @@ def test_table_gradient_and_matrix_csv_match_loops(rng, d, N):
 def test_json_views_equal_per_element_conversion(rng):
     walk = random_walk(rng, 2, 3)
     table = PathTable(walk.space, rng.standard_normal(walk.space.num_paths))
-    xi = clark_ocone(walk, table)[1]
+    xi = VectorProcess(walk.space, clark_ocone(walk, table)[1].on_paths())
     assert serialize.table_to_json(table) == [float(x) for x in table.values]
     assert serialize.process_to_json(xi)["values"] == [
         [list(map(float, row)) for row in t] for t in xi.values
@@ -329,9 +331,8 @@ def _run(tmp_path, argv) -> str:
 
 @pytest.mark.parametrize("d, N", [(1, 8), (2, 5), (3, 3)])
 def test_cli_forms_match_reference_writers(rng, tmp_path, d, N):
-    w = _write(tmp_path, "walk", serialize.walk_to_json(random_walk(rng, d, N)))
-    # the walk as the CLI reads it: BLAS may sign a zero sum by where its arrays lie
-    walk = serialize.walk_from_json(json.loads(open(w, encoding="utf-8").read()))
+    walk = random_walk(rng, d, N)
+    w = _write(tmp_path, "walk", serialize.walk_to_json(walk))
     values = rng.uniform(-1.0, 1.0, size=walk.space.num_paths)
     values[:4] = [1e-300, -1e-300, 1e300, -1e300]
     table = PathTable(walk.space, values)
@@ -340,10 +341,10 @@ def test_cli_forms_match_reference_writers(rng, tmp_path, d, N):
     proc = _write(tmp_path, "process", {"values": process.values.tolist()})
 
     mean, xi = clark_ocone(walk, table)
-    expected = {"mean": mean, "integrand": xi.values.tolist()}
+    expected = {"mean": mean, "integrand": xi.on_paths().tolist()}
     assert _run(tmp_path, ["clark-ocone", w, "--table", tab]) == oracle_dump_json(expected) + "\n"
     head, xi = clark_ocone_from(walk, table, 1)
-    expected = {"head": head.values.tolist(), "integrand": xi.values.tolist()}
+    expected = {"head": head.values.tolist(), "integrand": xi.on_paths().tolist()}
     text = _run(tmp_path, ["clark-ocone", w, "--table", tab, "--from", "1"])
     assert text == oracle_dump_json(expected) + "\n"
 
