@@ -11,17 +11,17 @@ reconstruct are one per-step contraction each (integrals.along_axes); every
 other operation is a slice of the tensor.
 
 Symmetric kernels (integrals.Kernel) are the view at the user boundary
-only: multiple_integral and kernel(r). from_kernels fills r! times each
-tuple's component tensor into that tuple's block of the tensor (through
-_from_blocks, which JSON files use without building Kernel objects), and
-kernel(r) reads a block back divided by r!.
+only: multiple_integral, kernel(r) and the JSON files. One index map takes
+a kernel's (U, r) time tuples to the flat positions of their blocks:
+from_kernels adds r! times each tuple's component tensor there, and
+kernel(r) gathers the blocks back divided by r!.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -37,9 +37,13 @@ def chaos_order(d: int, N: int) -> np.ndarray:
     return reduce(np.add.outer, [nonzero] * (N + 1))
 
 
-def _block(times: tuple[int, ...], N: int) -> tuple:
-    """Index of a time tuple's coefficient block: digits 1..d at its times, 0 elsewhere."""
-    return tuple(slice(1, None) if n in times else 0 for n in range(N + 1))
+def _block_index(d: int, N: int, times: np.ndarray) -> np.ndarray:
+    """(U, d**r) flat indices into the (d+1,)*(N+1) tensor of the blocks of
+    (U, r) time tuples within the horizon: row u holds the coefficients with
+    digits 1..d at times[u] and 0 elsewhere, digits in C order."""
+    order = times.shape[1]
+    digits = np.arange(d**order) // d ** np.arange(order - 1, -1, -1)[:, None] % d + 1
+    return (d + 1) ** (N - times) @ digits
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,45 +69,20 @@ class ChaosCoefficients:
 
         An order-0 kernel adds to the mean.
         """
-
-        def blocks(kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-            if kernel.d != d:
-                raise ValueError(
-                    f"kernel of order {kernel.order} has dimension {kernel.d}, expected {d}"
-                )
-            shape = (len(kernel.entries), kernel.order)
-            times = np.array(list(kernel.entries), dtype=np.int64).reshape(shape)
-            tensors = [t.ravel() for t in kernel.entries.values()]
-            return times, np.array(tensors).reshape(shape[0], d**kernel.order)
-
-        return ChaosCoefficients._from_blocks(d, N, mean, map(blocks, kernels))
-
-    @staticmethod
-    def _from_blocks(
-        d: int, N: int, mean: float, kernels: Iterable[tuple[np.ndarray, np.ndarray]]
-    ) -> "ChaosCoefficients":
-        """from_kernels with each kernel given as arrays: its (U, r) time tuples
-        and the (U, d**r) flattened component tensor at each.
-
-        The tuples must be distinct, increasing and non-negative, as Kernel and
-        integrals._symmetrize_blocks make them: the fill adds each block once,
-        so a repeated tuple would keep only one of its rows.
-        """
         coef = np.zeros((d + 1,) * (N + 1))
         coef[(0,) * (N + 1)] = float(mean)
         flat = coef.reshape(-1)
-        for times, tensors in kernels:
-            order = times.shape[1]
+        for kernel in kernels:
+            order, times, tensors = kernel.order, kernel.times, kernel.tensors
+            if kernel.d != d:
+                raise ValueError(f"kernel of order {order} has dimension {kernel.d}, expected {d}")
             last = times[:, -1] if order else np.full(len(times), -1)
             worst = last[np.any(tensors != 0.0, axis=1)].max(initial=-1)
             if worst > N:
-                raise ValueError(
-                    f"kernel of order {order} uses time {worst}, beyond horizon {N}"
-                )
+                raise ValueError(f"kernel of order {order} uses time {worst}, beyond horizon {N}")
             inside = last <= N  # entries beyond the horizon are zero
-            weights = (d + 1) ** (N - times[inside])
-            digits = np.indices((d,) * order).reshape(order, d**order) + 1
-            flat[weights @ digits] += math.factorial(order) * tensors[inside]
+            if inside.any():  # orders above N + 1 have none and would size digits by d**order
+                flat[_block_index(d, N, times[inside])] += math.factorial(order) * tensors[inside]
         return ChaosCoefficients(d, N, coef)
 
     @property
@@ -115,12 +94,13 @@ class ChaosCoefficients:
 
         Order 0 is the mean; orders beyond N+1 have no tuples and are zero.
         """
-        fact = math.factorial(order)
-        entries = {
-            times: self.coef[_block(times, self.N)] / fact
-            for times in combinations(range(self.N + 1), order)
-        }
-        return Kernel(order, self.d, entries)
+        count = math.comb(self.N + 1, order)
+        if not count:
+            return Kernel.zero(order, self.d)
+        tuples = chain.from_iterable(combinations(range(self.N + 1), order))
+        times = np.fromiter(tuples, dtype=np.int64, count=count * order).reshape(count, order)
+        blocks = self.coef.reshape(-1)[_block_index(self.d, self.N, times)]
+        return Kernel(order, self.d, times, blocks / math.factorial(order))
 
     def max_order(self) -> int:
         """Largest order carrying a nonzero component (0 if purely constant)."""

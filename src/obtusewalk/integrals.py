@@ -1,19 +1,19 @@
 """Symmetric kernels, the per-axis engine, and stochastic integrals.
 
-An order-r kernel is stored only on strictly increasing time tuples, one
-dense d^r component tensor per tuple; the symmetric extension to arbitrary
-distinct tuples permutes component indices along with the times. The
-multiple integral is then
+An order-r kernel is stored only on strictly increasing time tuples, as a
+sorted (U, r) array of tuples and a (U, d^r) array of their flattened
+component tensors; the symmetric extension to arbitrary distinct tuples
+permutes component indices along with the times. The multiple integral is then
 
     I^r(f) = r! * sum over increasing tuples, components of
              f^{k_1..k_r}(t_1..t_r) Y_{t_1}^{k_1} ... Y_{t_r}^{k_r},
 
 so r! times a tuple's component tensor is the block of basis coefficients
 with digits 1..d at its times and 0 elsewhere in the (d+1,)*(N+1)
-coefficient tensor of chaos.ChaosCoefficients. Kernels are the view users
-read and write (JSON files, chaos.multiple_integral); the library computes
-on the tensor, contracted with the per-step bases [1 | v] one axis at a
-time (along_axes).
+coefficient tensor of chaos.ChaosCoefficients, which fills and reads those
+blocks through one index map. Kernels are the view users read and write
+(JSON files, chaos.multiple_integral); the library computes on the tensor,
+contracted with the per-step bases [1 | v] one axis at a time (along_axes).
 
 A PredictableProcess keeps step n once per atom of F_{n-1}, and only it
 knows how those rows are laid out. Its stochastic integral sum_n <U_n, Y_n>
@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,49 +42,96 @@ RawEntry = tuple[Sequence[int], Sequence[int], float]
 class Kernel:
     """Symmetric order-r kernel stored on increasing time tuples.
 
-    entries maps each increasing tuple to a (d,)*order component tensor;
-    missing tuples are zero. Order 0 is a single scalar stored at the
-    empty tuple.
+    times holds the distinct strictly increasing tuples, sorted, as a
+    (U, order) int64 array; tensors holds the (d,)*order component tensor
+    at each, flattened in C order, as a (U, d**order) array. Missing tuples
+    are zero. Order 0 is a single scalar at the empty tuple. Mapping input
+    comes in through from_entries.
     """
 
     order: int
     d: int
-    entries: Mapping[tuple[int, ...], np.ndarray]
+    times: np.ndarray  # (U, order) int64
+    tensors: np.ndarray  # (U, d**order)
 
     def __post_init__(self) -> None:
         if self.order < 0:
             raise ValueError("kernel order must be >= 0")
-        clean: dict[tuple[int, ...], np.ndarray] = {}
-        shape = (self.d,) * self.order
-        for times, tensor in sorted(self.entries.items()):
-            times = tuple(int(t) for t in times)
-            if len(times) != self.order:
-                raise ValueError(f"tuple {times} has length != order {self.order}")
-            if any(t < 0 for t in times):
-                raise ValueError(f"negative time index in {times}")
-            if any(a >= b for a, b in zip(times, times[1:])):
-                raise ValueError(f"time tuple {times} is not strictly increasing")
+        times = np.asarray(self.times)
+        if times.ndim != 2 or times.shape[1] != self.order or times.dtype.kind not in "iu":
+            raise ValueError(f"tuples are {times.dtype} {times.shape}, not int (U, {self.order})")
+        times = times.astype(np.int64)
+        times.setflags(write=False)
+        tensors, shape = _frozen_float(self.tensors), (len(times), self.d**self.order)
+        if tensors.shape != shape:
+            raise ValueError(f"tensors have shape {tensors.shape}, expected {shape}")
+        _check_tuples(times)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "tensors", tensors)
+
+    @staticmethod
+    def from_entries(order: int, d: int, entries: Mapping[tuple[int, ...], object]) -> "Kernel":
+        """Kernel from a mapping of increasing tuples to (d,)*order component tensors."""
+        if order < 0:
+            raise ValueError("kernel order must be >= 0")
+        shape = (d,) * order
+        times, tensors = [], []
+        for key, tensor in sorted(entries.items()):
+            key = tuple(int(t) for t in key)
+            if len(key) != order:
+                raise ValueError(f"tuple {key} has length != order {order}")
             arr = np.array(tensor, dtype=float)
             if arr.shape != shape:
-                raise ValueError(f"tensor at {times} has shape {arr.shape}, expected {shape}")
-            arr.setflags(write=False)
-            clean[times] = arr
-        object.__setattr__(self, "entries", clean)
+                raise ValueError(f"tensor at {key} has shape {arr.shape}, expected {shape}")
+            times.append(key)
+            tensors.append(arr.ravel())
+        times = np.array(times, dtype=np.int64).reshape(len(times), order)
+        return Kernel(order, d, times, np.array(tensors).reshape(len(times), d**order))
 
     @staticmethod
     def zero(order: int, d: int) -> "Kernel":
-        return Kernel(order, d, {})
+        return Kernel(order, d, np.zeros((0, order), dtype=np.int64), np.zeros((0, d**order)))
 
     @staticmethod
     def scalar(value: float, d: int) -> "Kernel":
-        return Kernel(0, d, {(): np.array(float(value))})
+        return Kernel(0, d, np.zeros((1, 0), dtype=np.int64), np.array([[float(value)]]))
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        """Read-only view: each stored tuple's (d,)*order component tensor."""
+        tensors = self.tensors.reshape((len(self.times),) + (self.d,) * self.order)
+        return MappingProxyType(dict(zip(map(tuple, self.times.tolist()), tensors)))
 
     def tensor(self, times: tuple[int, ...]) -> np.ndarray:
         """Component tensor at an increasing tuple (zeros if unset)."""
-        out = self.entries.get(tuple(times))
-        if out is None:
-            return np.zeros((self.d,) * self.order)
-        return out
+        return self.entries.get(tuple(times), np.zeros((self.d,) * self.order))
+
+
+def _check_tuples(times: np.ndarray) -> None:
+    """Raise on the first row of (U, r) times that is not a kernel tuple: one
+    with a negative time, not strictly increasing, or not after the row before."""
+    increasing = times[:, 1:] > times[:, :-1]
+    step = times[1:] - times[:-1]
+    # the step between consecutive rows at the first time where they differ
+    if times.shape[1]:
+        step = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+    else:
+        step = step.sum(axis=1)
+    # sorted rows that increase have their least time first
+    if increasing.all() and (step > 0).all() and (not times.size or times[0, 0] >= 0):
+        return
+    negative = np.any(times < 0, axis=1)
+    bad = negative | ~increasing.all(axis=1) | np.concatenate([[False], step <= 0])
+    row = int(np.argmax(bad))
+    tup = tuple(times[row].tolist())
+    if negative[row]:
+        raise ValueError(f"negative time index in {tup}")
+    if not increasing[row].all():
+        raise ValueError(f"time tuple {tup} is not strictly increasing")
+    previous = tuple(times[row - 1].tolist())
+    if tup == previous:
+        raise ValueError(f"time tuple {tup} is repeated")
+    raise ValueError(f"time tuple {tup} comes after {previous}, out of sorted order")
 
 
 def symmetrize(raw: Iterable[RawEntry], order: int, d: int) -> Kernel:
@@ -90,8 +139,9 @@ def symmetrize(raw: Iterable[RawEntry], order: int, d: int) -> Kernel:
 
     Each raw value contributes value/r! to the component obtained by sorting
     its time tuple and carrying the coordinate indices along. Entries on the
-    same ordered tuple accumulate in input order; already-symmetric input
-    (all orderings present) is reproduced unchanged.
+    same ordered tuple accumulate in input order through one np.add.at, which
+    gives the sums of adding them one entry at a time; already-symmetric
+    input (all orderings present) is reproduced unchanged.
     """
     raw = list(raw)
     if order == 0:
@@ -101,33 +151,23 @@ def symmetrize(raw: Iterable[RawEntry], order: int, d: int) -> Kernel:
                 raise ValueError("order-0 entries must have empty times and coords")
             total += float(value)
         return Kernel.scalar(total, d)
-    times, tensors = _symmetrize_blocks(raw, order, d)
-    shape = (d,) * order
-    entries = {tuple(t): row.reshape(shape) for t, row in zip(times.tolist(), tensors)}
-    return Kernel(order, d, entries)
-
-
-def _symmetrize_blocks(raw: list, order: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """symmetrize's order >= 1 kernel as arrays: its (U, order) increasing time
-    tuples in sorted order and the (U, d**order) flattened tensor at each.
-
-    All values accumulate through one np.add.at in input order, which gives
-    the sums of adding them one entry at a time.
-    """
-    fact = math.factorial(order)
     if not raw:
-        return np.zeros((0, order), dtype=np.int64), np.zeros((0, d**order))
+        return Kernel.zero(order, d)
     times, coords, values = _raw_arrays(raw, order, d)
     perm = np.argsort(times, axis=1)
-    keys, slots = np.unique(np.take_along_axis(times, perm, axis=1), axis=0, return_inverse=True)
-    if keys[0, 0] < 0:  # the first tuple in sorted order with a negative time
-        raise ValueError(f"negative time index in {tuple(keys[0].tolist())}")
     # the coordinate at each sorted position is the one carried by that time
     comps = np.take_along_axis(coords, perm, axis=1) - 1
-    tensors = np.zeros((len(keys), d**order))
-    np.add.at(tensors, (slots.ravel(), np.ravel_multi_index(tuple(comps.T), (d,) * order)),
-              values / float(fact))
-    return keys, tensors
+    # the sorted tuples in lexicographic order, the first of each kind, each entry's slot
+    ordered = np.take_along_axis(times, perm, axis=1)
+    by_tuple = np.lexsort(ordered.T[::-1])
+    ordered = ordered[by_tuple]
+    first = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
+    slots = np.empty(len(raw), dtype=np.intp)
+    slots[by_tuple] = np.cumsum(first) - 1
+    tensors = np.zeros((np.count_nonzero(first), d**order))
+    np.add.at(tensors, (slots, np.ravel_multi_index(tuple(comps.T), (d,) * order)),
+              values / float(math.factorial(order)))
+    return Kernel(order, d, ordered[first], tensors)
 
 
 def _int_rows(rows: tuple) -> np.ndarray:
@@ -181,18 +221,12 @@ def monomial_kernel(times: Sequence[int], coords: Sequence[int], d: int) -> Kern
     coords = tuple(int(k) for k in coords)
     if len(times) != len(coords):
         raise ValueError("times and coords must have equal length")
-    if any(a >= b for a, b in zip(times, times[1:])):
-        raise ValueError(f"time tuple {times} is not strictly increasing")
-    if any(t < 0 for t in times):
-        raise ValueError(f"negative time index in {times}")
     if any(k < 1 or k > d for k in coords):
         raise ValueError(f"coordinates {coords} outside [1, {d}]")
     r = len(times)
-    if r == 0:
-        return Kernel.scalar(1.0, d)
     tensor = np.zeros((d,) * r)
     tensor[tuple(k - 1 for k in coords)] = 1.0 / math.factorial(r)
-    return Kernel(r, d, {times: tensor})
+    return Kernel(r, d, np.array(times, dtype=np.int64).reshape(1, r), tensor.reshape(1, -1))
 
 
 def along_axes(walk: WalkSpec, values: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:

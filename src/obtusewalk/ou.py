@@ -59,9 +59,12 @@ def _scale_chaos(walk: WalkSpec, table: PathTable, factors: Sequence[float]) -> 
 
 
 def ou_apply_chaos(walk: WalkSpec, table: PathTable, t: float) -> PathTable:
-    """Apply the semigroup by damping the chaos expansion."""
+    """Apply the semigroup by damping the chaos expansion.
+
+    The mean keeps the factor 1.0 exactly, also at t = inf, where exp(-0 * t) is NaN.
+    """
     t = _check_time(t)
-    return _scale_chaos(walk, table, [math.exp(-r * t) for r in range(walk.N + 2)])
+    return _scale_chaos(walk, table, [1.0] + [math.exp(-r * t) for r in range(1, walk.N + 2)])
 
 
 def _step_kernels(walk: WalkSpec, t: float) -> list[np.ndarray]:
@@ -153,8 +156,8 @@ def deviation_bound(
     rejected explicitly.
     """
     x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"deviation threshold must be > 0, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"deviation threshold must be finite and > 0, got {x}")
     if table.space != walk.space:
         raise ValueError("table is not defined on the walk's path space")
 
@@ -181,7 +184,8 @@ def deviation_bound(
 
     u = x / scale
     g_u = (1.0 + u) * math.log1p(u) - u
-    bound_bennett = math.exp(-(scale / spread) * g_u)
+    # as u grows, g(u) grows without bound and the bound tends to 0; at u = inf, g_u is NaN
+    bound_bennett = 0.0 if math.isinf(u) else math.exp(-(scale / spread) * g_u)
     bound_log = math.exp(-(x / (2.0 * spread)) * math.log1p(u))
     return DeviationBound(
         x=x,

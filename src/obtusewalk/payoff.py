@@ -66,8 +66,8 @@ class Neg:
 
 @dataclass(frozen=True, eq=False)
 class BinOp:
-    """A binary operation; a chain of them is compared and hashed along its
-    left spine without recursion, so a long sum costs no stack."""
+    """A binary operation; a chain of them is compared, hashed and printed
+    along its left spine without recursion, so a long sum costs no stack."""
 
     op: str  # one of + - * /
     left: "PayoffExpr"
@@ -89,6 +89,13 @@ class BinOp:
     def __hash__(self) -> int:
         leaf, pairs = self._spine()
         return hash((leaf, tuple(pairs)))
+
+    def __repr__(self) -> str:
+        leaf, pairs = self._spine()
+        text = repr(leaf)
+        for op, right in reversed(pairs):
+            text = f"BinOp(op={op!r}, left={text}, right={right!r})"
+        return text
 
 
 @dataclass(frozen=True)

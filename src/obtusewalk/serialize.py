@@ -19,8 +19,8 @@ from typing import Any
 
 import numpy as np
 
-from .chaos import ChaosCoefficients, chaos_order
-from .integrals import Kernel, VectorProcess, _symmetrize_blocks, symmetrize
+from .chaos import ChaosCoefficients
+from .integrals import Kernel, VectorProcess, symmetrize
 from .market import MarketSpec, Strategy, _check_market_size
 from .omega import DEFAULT_CAP, PathSpace, PathTable
 from .walk import StepLaw, WalkSpec, canonical_step
@@ -222,102 +222,47 @@ def walk_from_json(obj: dict, cap: int = DEFAULT_CAP) -> WalkSpec:
 
 # -- kernels and chaos coefficients -----------------------------------------
 
-def _entries(times: np.ndarray, coords: np.ndarray, values: np.ndarray) -> list[dict]:
-    """Raw entry dicts from (E, order) times and 1-based coords and (E,) values."""
-    return [
-        {"times": t, "coords": c, "value": v}
-        for t, c, v in zip(times.tolist(), coords.tolist(), values.tolist())
-    ]
-
-
 def kernel_to_json(kernel: Kernel) -> dict:
     """Emit the kernel in the raw entry convention.
 
     Entries are written on increasing tuples only, scaled by order!, so that
     symmetrization on load reproduces the stored kernel exactly; the written
     value is then also the coefficient of the matching increment monomial.
+    Entries go by tuple, then coordinates; zero components are left out,
+    except the scalar of order 0.
     """
-    fact = math.factorial(kernel.order)
-    entries = []
-    for times in sorted(kernel.entries):
-        tensor = kernel.entries[times]
-        if kernel.order == 0:
-            entries.append({"times": [], "coords": [], "value": float(tensor)})
-            continue
-        for coords in np.ndindex(*tensor.shape):
-            value = float(tensor[coords])
-            if value != 0.0:
-                entries.append(
-                    {
-                        "times": list(times),
-                        "coords": [c + 1 for c in coords],
-                        "value": fact * value,
-                    }
-                )
-    return {"order": kernel.order, "entries": entries}
-
-
-def _raw_entries(obj: dict) -> list:
-    """The (times, coords, value) entries of a kernel's JSON object."""
-    return [
-        (tuple(e["times"]), tuple(e["coords"]), float(e["value"]))
-        for e in obj.get("entries", [])
-    ]
+    order, d = kernel.order, kernel.d
+    rows, comps = np.nonzero((kernel.tensors != 0.0) | (order == 0))
+    coords = comps[:, None] // d ** np.arange(order - 1, -1, -1) % d + 1
+    values = kernel.tensors[rows, comps] * float(math.factorial(order))
+    entries = zip(kernel.times[rows].tolist(), coords.tolist(), values.tolist())
+    entries = [{"times": t, "coords": c, "value": v} for t, c, v in entries]
+    return {"order": order, "entries": entries}
 
 
 def kernel_from_json(obj: dict, d: int) -> Kernel:
     """Load raw kernel entries and symmetrize them."""
-    return symmetrize(_raw_entries(obj), int(obj["order"]), d)
+    raw = [(e["times"], e["coords"], float(e["value"])) for e in obj.get("entries", [])]
+    return symmetrize(raw, int(obj["order"]), d)
 
 
 def chaos_to_json(coeffs: ChaosCoefficients) -> dict:
-    """Kernels of orders 1..N+1 in the raw entry convention, read off the tensor.
-
-    An entry at times t_1 < ... < t_r with coordinates k_1..k_r is the
-    coefficient whose digits are k_m at t_m and 0 elsewhere, written as
-    r! * (coefficient / r!) just as kernel_to_json(coeffs.kernel(r)) does.
-    Entries of one order go by times, then coordinates; zeros are left out.
-    """
-    N = coeffs.N
-    digits = np.indices(coeffs.coef.shape, dtype=np.min_scalar_type(coeffs.d))
-    digits = digits.reshape(N + 1, -1).T  # one row of digits per coefficient, in C order
-    flat = coeffs.coef.ravel()
-    orders = chaos_order(coeffs.d, N).ravel()
-    kernels = {}
-    for r in range(1, N + 2):
-        fact = math.factorial(r)
-        at = np.flatnonzero(orders == r)
-        scaled = flat[at] / fact  # the components of coeffs.kernel(r)
-        kept = scaled != 0.0
-        rows = digits[at[kept]]
-        times = np.nonzero(rows)[1].reshape(-1, r)
-        coords = rows[rows != 0].reshape(-1, r)
-        by_entry = np.lexsort(np.hstack([times, coords]).T[::-1])  # times first
-        values = scaled[kept][by_entry] * float(fact)
-        kernels[str(r)] = {
-            "order": r,
-            "entries": _entries(times[by_entry], coords[by_entry], values),
-        }
-    return {"d": coeffs.d, "N": N, "mean": coeffs.mean, "kernels": kernels}
+    """The mean and the kernels of orders 1..N+1 in the raw entry convention."""
+    kernels = {str(r): kernel_to_json(coeffs.kernel(r)) for r in range(1, coeffs.N + 2)}
+    return {"d": coeffs.d, "N": coeffs.N, "mean": coeffs.mean, "kernels": kernels}
 
 
 def chaos_from_json(obj: dict, cap: int = DEFAULT_CAP) -> ChaosCoefficients:
-    """Load coefficients; their path space must fit the cap, which bounds every order read.
-
-    Each order's raw entries are symmetrized as arrays straight into the
-    coefficient tensor.
-    """
+    """Load coefficients; their path space must fit the cap, which bounds every order read."""
     d = int(obj["d"])
     N = int(obj["N"])
     PathSpace(d, N, cap)
-    kernels = []
-    for r in range(1, N + 2):
-        raw = obj.get("kernels", {}).get(str(r))
+    raws = {r: obj.get("kernels", {}).get(str(r)) for r in range(1, N + 2)}
+    for r, raw in raws.items():
         if raw and int(raw["order"]) != r:  # checked before any d^order tensor is built
             raise ValueError(f"kernel {r} declares order {raw['order']}")
-        if raw:
-            kernels.append(_symmetrize_blocks(_raw_entries(raw), r, d))
-    return ChaosCoefficients._from_blocks(d, N, float(obj["mean"]), kernels)
+    kernels = [kernel_from_json(raw, d) for raw in raws.values() if raw]
+    return ChaosCoefficients.from_kernels(d, N, float(obj["mean"]), kernels)
 
 
 # -- tables and processes ----------------------------------------------------

@@ -31,7 +31,7 @@ ROW_BLOCK = 4096
 def kernel_truncate(kernel: Kernel, horizon: int) -> Kernel:
     """Drop every entry with a time index beyond the horizon."""
     kept = {t: arr for t, arr in kernel.entries.items() if not t or t[-1] <= horizon}
-    return Kernel(kernel.order, kernel.d, kept)
+    return Kernel.from_entries(kernel.order, kernel.d, kept)
 
 
 def kernel_dot(f: Kernel, g: Kernel) -> float:
@@ -70,7 +70,7 @@ def kernel_time_slice(kernel: Kernel, coord: int, time: int) -> Kernel:
             continue
         pos = times.index(time)
         out[times[:pos] + times[pos + 1 :]] = np.take(tensor, coord - 1, axis=pos)
-    return Kernel(kernel.order - 1, kernel.d, out)
+    return Kernel.from_entries(kernel.order - 1, kernel.d, out)
 
 
 def kernel_head_slice(kernel: Kernel, coord: int, time: int) -> Kernel:
@@ -92,7 +92,7 @@ def oracle_decompose(walk: WalkSpec, table: PathTable) -> tuple[float, list[Kern
         for times in combinations(range(walk.N + 1), r):
             operands = [weighted] + [walk.increments[t] for t in times]
             entries[times] = np.einsum(subscripts, *operands) / fact
-        kernels.append(Kernel(r, walk.d, entries))
+        kernels.append(Kernel.from_entries(r, walk.d, entries))
     return expectation(walk, table), kernels
 
 
@@ -110,7 +110,7 @@ def oracle_kernel_view(walk: WalkSpec, table: PathTable) -> tuple[float, list[Ke
         for times in combinations(range(walk.N + 1), r):
             block = tuple(slice(1, None) if n in times else 0 for n in range(walk.N + 1))
             entries[times] = coef[block] / fact
-        kernels.append(Kernel(r, walk.d, entries))
+        kernels.append(Kernel.from_entries(r, walk.d, entries))
     return expectation(walk, table), kernels
 
 
@@ -150,7 +150,7 @@ def oracle_ou_apply_chaos(walk: WalkSpec, table: PathTable, t: float) -> np.ndar
     """Damp every stored component of order r by exp(-r t) and sum back."""
     mean, kernels = oracle_decompose(walk, table)
     damped = [
-        Kernel(k.order, k.d, {ts: math.exp(-k.order * t) * arr for ts, arr in k.entries.items()})
+        Kernel.from_entries(k.order, k.d, {ts: math.exp(-k.order * t) * arr for ts, arr in k.entries.items()})
         for k in kernels
     ]
     return oracle_reconstruct(walk, mean, damped)

@@ -50,7 +50,7 @@ def random_kernel(rng: np.random.Generator, d: int, N: int, order: int) -> Kerne
         times: rng.uniform(-1.0, 1.0, size=(d,) * order)
         for times in combinations(range(N + 1), order)
     }
-    return Kernel(order, d, entries)
+    return Kernel.from_entries(order, d, entries)
 
 
 def random_predictable(rng: np.random.Generator, walk: WalkSpec) -> VectorProcess:

@@ -76,7 +76,7 @@ class TestReconstruct:
             ChaosCoefficients.from_kernels(1, 1, 0.0, [monomial_kernel((2,), (1,), 1)])
 
     def test_zero_entries_beyond_the_horizon_are_dropped(self):
-        kernel = Kernel(1, 2, {(0,): [1.0, 2.0], (3,): [0.0, 0.0]})
+        kernel = Kernel.from_entries(1, 2, {(0,): [1.0, 2.0], (3,): [0.0, 0.0]})
         coeffs = ChaosCoefficients.from_kernels(2, 1, 0.5, [kernel])
         assert coeffs.coef[:, 0].tolist() == [0.5, 1.0, 2.0]
         assert coeffs.max_time() == 0
@@ -85,6 +85,12 @@ class TestReconstruct:
         coeffs = ChaosCoefficients.from_kernels(1, 1, 5.0, [])
         assert coeffs.kernel(0).entries[()] == 5.0
         assert coeffs.kernel(3).entries == {}
+
+    def test_orders_above_the_horizon_build_no_digit_table(self):
+        # 2**40 components per tuple: only an empty kernel of this order fits in memory
+        coeffs = ChaosCoefficients.from_kernels(2, 3, 1.5, [Kernel.zero(40, 2)])
+        assert coeffs.mean == 1.5 and coeffs.max_order() == 0
+        assert coeffs.kernel(40).tensors.shape == (0, 2**40)
 
     def test_tensor_shape_is_checked(self):
         with pytest.raises(ValueError, match="shape"):

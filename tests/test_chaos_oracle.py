@@ -142,6 +142,16 @@ def test_chaos_json_text_matches_the_kernel_view(rng, d, N):
     assert dump_json(chaos_to_json(decompose(walk, table))) == dump_json(want)
 
 
+def test_kernel_view_matches_the_per_tuple_oracle_bit_for_bit(rng):
+    walk = random_walk(rng, 1, 12)
+    table = random_table(rng, walk.space)
+    coeffs = decompose(walk, table)
+    for want in oracle_kernel_view(walk, table)[1]:
+        got = coeffs.kernel(want.order)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.tensors.view(np.uint64), want.tensors.view(np.uint64))
+
+
 def test_tensor_operators_build_no_kernel_and_no_path_tables(rng, monkeypatch):
     def refuse(self):
         raise AssertionError("a Kernel was built")

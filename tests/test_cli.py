@@ -105,6 +105,22 @@ class TestSemantics:
         _, out = run_cli(COMMANDS["deviation"], capsys)
         assert json.loads(out)["bound_log"] == pytest.approx(3.0 ** -0.25, abs=1e-15)
 
+    @pytest.mark.parametrize("method", ["chaos", "kernel"])
+    def test_ou_at_infinite_time_prints_the_mean(self, capsys, method):
+        argv = ["ou", f"{FIX}/bernoulli.json", "--table", f"{FIX}/indicator_table.json"]
+        code, out = run_cli(argv + ["--t", "inf", "--method", method], capsys)
+        assert code == 0
+        assert json.loads(out) == [0.25] * 4
+
+    def test_deviation_at_an_overflowing_threshold(self, capsys):
+        code, out = run_cli(COMMANDS["deviation"][:-1] + ["1e308"], capsys)
+        assert code == 0
+        assert json.loads(out)["bound_bennett"] == 0.0
+        assert main(COMMANDS["deviation"][:-1] + ["inf"]) == 1
+        assert capsys.readouterr().err == (
+            "error: deviation threshold must be finite and > 0, got inf\n"
+        )
+
     def test_out_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out = run_cli(

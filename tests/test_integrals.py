@@ -1,5 +1,6 @@
 """Stochastic integrals, symmetrization, isometry, and the recurrence."""
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -76,6 +77,72 @@ class TestIntegratePredictable:
                 assert lhs.max_abs_diff(rhs) < 1e-10
 
 
+ONES = np.ones((2, 2))
+
+
+class TestKernel:
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([[0, 1], [-1, 2]], r"negative time index in \(-1, 2\)"),
+            ([[0, 1], [2, 2], [-1, 0]], r"time tuple \(2, 2\) is not strictly increasing"),
+            ([[0, 2], [1, 0]], r"time tuple \(1, 0\) is not strictly increasing"),
+            ([[0, 1], [0, 1], [1, 0]], r"time tuple \(0, 1\) is repeated"),
+            ([[1, 2], [0, 3], [-1, 4]], r"time tuple \(0, 3\) comes after \(1, 2\), out of"),
+            ([[0, 2], [1, 2], [1, 3], [0, 4]], r"time tuple \(0, 4\) comes after \(1, 3\)"),
+        ],
+    )
+    def test_first_bad_tuple_is_named(self, times, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Kernel(2, 2, np.array(times), np.zeros((len(times), 4)))
+
+    def test_shapes_and_orders_are_checked(self):
+        with pytest.raises(ValueError, match=r"^tensors have shape \(1, 2\), expected \(1, 4\)$"):
+            Kernel(2, 2, np.array([[0, 1]]), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match=r"^tensors have shape \(2, 4\), expected \(1, 4\)$"):
+            Kernel(2, 2, np.array([[0, 1]]), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match=r"^tuples are int64 \(1, 3\), not int \(U, 2\)$"):
+            Kernel(2, 2, np.array([[0, 1, 2]]), np.zeros((1, 4)))
+        with pytest.raises(ValueError, match=r"^tuples are float64 \(1, 2\), not int \(U, 2\)$"):
+            Kernel(2, 2, np.array([[0.0, 1.0]]), np.zeros((1, 4)))
+        with pytest.raises(ValueError, match=r"^time tuple \(\) is repeated$"):
+            Kernel(0, 2, np.zeros((2, 0), dtype=np.int64), np.ones((2, 1)))
+        with pytest.raises(ValueError, match=r"^kernel order must be >= 0$"):
+            Kernel(-1, 2, np.zeros((0, 1), dtype=np.int64), np.zeros((0, 1)))
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(0, 1, 2): ONES}, r"tuple \(0, 1, 2\) has length != order 2"),
+            ({(0, 1): np.ones(2)}, r"tensor at \(0, 1\) has shape \(2,\), expected \(2, 2\)"),
+            ({(0, 1): ONES, (-1, 3): ONES}, r"negative time index in \(-1, 3\)"),
+            ({(2, 1): ONES}, r"time tuple \(2, 1\) is not strictly increasing"),
+            ({(0, 1): ONES, (0.5, 1): ONES}, r"time tuple \(0, 1\) is repeated"),
+        ],
+    )
+    def test_from_entries_keeps_the_mapping_messages(self, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Kernel.from_entries(2, 2, entries)
+        with pytest.raises(ValueError, match=r"^kernel order must be >= 0$"):
+            Kernel.from_entries(-1, 2, {})
+
+    def test_arrays_and_entries_are_read_only_views_of_one_layout(self, rng):
+        kernel = random_kernel(rng, 2, 3, 2)
+        assert kernel.times.tolist() == [list(t) for t in combinations(range(4), 2)]
+        assert kernel.tensors.shape == (6, 4)
+        for times, tensor in zip(kernel.times.tolist(), kernel.tensors):
+            assert np.array_equal(kernel.entries[tuple(times)], tensor.reshape(2, 2))
+        assert not kernel.times.flags.writeable and not kernel.tensors.flags.writeable
+        with pytest.raises(TypeError):
+            kernel.entries[(0, 1)] = np.zeros((2, 2))
+        again = Kernel.from_entries(2, 2, kernel.entries)
+        assert np.array_equal(again.times, kernel.times)
+        assert np.array_equal(again.tensors, kernel.tensors)
+        assert np.array_equal(kernel.tensor((0, 5)), np.zeros((2, 2)))
+        assert Kernel.scalar(2.5, 3).entries == {(): 2.5}
+        assert Kernel.zero(3, 2).entries == {}
+
+
 class TestSymmetrize:
     def test_symmetric_input_is_fixed_point(self):
         raw = [
@@ -133,7 +200,7 @@ class TestMultipleIntegral:
 
     def test_order_above_horizon_is_zero(self):
         walk = bernoulli(0)
-        kernel = Kernel(2, 1, {})
+        kernel = Kernel.from_entries(2, 1, {})
         assert np.all(multiple_integral(walk, kernel).values == 0.0)
 
     def test_horizon_error(self):

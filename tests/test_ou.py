@@ -63,6 +63,15 @@ class TestSemigroupChaos:
             assert once.max_abs_diff(twice) < 1e-10
 
 
+    def test_infinite_time_gives_the_mean_on_both_routes(self, rng):
+        for d, N in [(1, 3), (2, 2)]:
+            walk = random_walk(rng, d, N)
+            table = random_table(rng, walk.space)
+            mean = expectation(walk, table)
+            assert ou_apply_chaos(walk, table, math.inf).allclose(mean, atol=1e-12)
+            assert ou_apply_kernel(walk, table, math.inf).allclose(mean, atol=1e-12)
+
+
 class TestSemigroupKernel:
     def test_preserves_constants(self, rng):
         walk = random_walk(rng, 2, 2)
@@ -180,6 +189,22 @@ class TestDeviationBound:
         walk = bernoulli(1)
         with pytest.raises(ValueError):
             deviation_bound(walk, random_table(rng, walk.space), 0.0)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, x):
+        walk = bernoulli(1)
+        message = rf"^deviation threshold must be finite and > 0, got {x}$"
+        with pytest.raises(ValueError, match=message):
+            deviation_bound(walk, increment_rv(walk, 0, 1), x)
+
+    def test_overflowing_ratio_gives_the_limit_zero(self):
+        walk = bernoulli(1)
+        y0 = increment_rv(walk, 0, 1)
+        bound = deviation_bound(walk, y0, 1e308)  # x / scale overflows to inf
+        assert bound.scale == 0.5
+        assert bound.bound_bennett == 0.0 and bound.bound_log == 0.0
+        finite = math.exp(-0.25 * (3.0 * math.log1p(2.0) - 2.0))  # scale / spread = 1/4, u = 2
+        assert deviation_bound(walk, y0, 1.0).bound_bennett == finite
 
     def test_override_validation(self):
         walk = bernoulli(1)

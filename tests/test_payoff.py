@@ -134,6 +134,10 @@ class TestRoundTrip:
         assert parse_payoff(to_source(tree), 1, 2) == tree
         assert hash(parse_payoff(to_source(tree), 1, 2)) == hash(tree)
         assert tree != parse_payoff("+".join(["S(1)"] * 2999) + "-S(1)", 1, 2)
+        want = "PriceRef(asset=1, time=None)"
+        for _ in range(2999):
+            want = f"BinOp(op='+', left={want}, right=PriceRef(asset=1, time=None))"
+        assert repr(tree) == want
 
 
 class TestEval:
