@@ -57,11 +57,8 @@ from .omega import (
     PathTable,
     conditional_expectation,
     covariance,
-    enumerate_paths,
     expectation,
     is_measurable,
-    mutate_path,
-    path_probability,
 )
 from .ou import (
     DeviationBound,
@@ -76,13 +73,10 @@ from .ou import (
 from .payoff import eval_payoff, parse_payoff, to_source
 from .walk import (
     StepLaw,
-    StructureTensor,
     ValidationReport,
     WalkSpec,
-    bernoulli_walk,
     construct_obtuse,
     increment_rv,
-    monomial_table,
     structure_residual,
     structure_tensor,
     validate,

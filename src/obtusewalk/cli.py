@@ -158,8 +158,7 @@ def _cmd_divergence(args) -> int:
 def _cmd_ou(args) -> int:
     walk = _load_walk(args)
     if args.kernel_matrix:
-        matrix = ou.ou_kernel_matrix(walk, args.t)
-        _emit(args, serialize.matrix_to_csv(matrix.values))
+        _emit(args, serialize.matrix_to_csv(ou.ou_kernel_matrix(walk, args.t)))
         return 0
     if args.table is None:
         raise ObtuseWalkError("provide --table (or --kernel-matrix)")
@@ -370,6 +369,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ObtuseWalkError(f"enumeration cap must be >= 1, got {args.cap}")
         if not args.tol > 0.0:
             raise ObtuseWalkError(f"tolerance must be > 0, got {args.tol}")
+        if not getattr(args, "tol_verify", 1.0) > 0.0:
+            raise ObtuseWalkError(f"verification tolerance must be > 0, got {args.tol_verify}")
         return args.func(args)
     except (ObtuseWalkError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

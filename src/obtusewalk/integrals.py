@@ -55,14 +55,13 @@ class Kernel:
     tensors: np.ndarray  # (U, d**order)
 
     def __post_init__(self) -> None:
-        if self.order < 0:
-            raise ValueError("kernel order must be >= 0")
+        width = _width(self.order, self.d)
         times = np.asarray(self.times)
         if times.ndim != 2 or times.shape[1] != self.order or times.dtype.kind not in "iu":
             raise ValueError(f"tuples are {times.dtype} {times.shape}, not int (U, {self.order})")
         times = times.astype(np.int64)
         times.setflags(write=False)
-        tensors, shape = _frozen_float(self.tensors), (len(times), self.d**self.order)
+        tensors, shape = _frozen_float(self.tensors), (len(times), width)
         if tensors.shape != shape:
             raise ValueError(f"tensors have shape {tensors.shape}, expected {shape}")
         _check_tuples(times)
@@ -72,8 +71,7 @@ class Kernel:
     @staticmethod
     def from_entries(order: int, d: int, entries: Mapping[tuple[int, ...], object]) -> "Kernel":
         """Kernel from a mapping of increasing tuples to (d,)*order component tensors."""
-        if order < 0:
-            raise ValueError("kernel order must be >= 0")
+        width = _width(order, d)
         shape = (d,) * order
         times, tensors = [], []
         for key, tensor in sorted(entries.items()):
@@ -86,11 +84,12 @@ class Kernel:
             times.append(key)
             tensors.append(arr.ravel())
         times = np.array(times, dtype=np.int64).reshape(len(times), order)
-        return Kernel(order, d, times, np.array(tensors).reshape(len(times), d**order))
+        return Kernel(order, d, times, np.array(tensors).reshape(len(times), width))
 
     @staticmethod
     def zero(order: int, d: int) -> "Kernel":
-        return Kernel(order, d, np.zeros((0, order), dtype=np.int64), np.zeros((0, d**order)))
+        times = np.zeros((0, order), dtype=np.int64)
+        return Kernel(order, d, times, np.zeros((0, _width(order, d))))
 
     @staticmethod
     def scalar(value: float, d: int) -> "Kernel":
@@ -105,6 +104,19 @@ class Kernel:
     def tensor(self, times: tuple[int, ...]) -> np.ndarray:
         """Component tensor at an increasing tuple (zeros if unset)."""
         return self.entries.get(tuple(times), np.zeros((self.d,) * self.order))
+
+
+def _width(order: int, d: int) -> int:
+    """d**order, the flat size of one component tensor, if an array dimension holds it."""
+    if order < 0:
+        raise ValueError("kernel order must be >= 0")
+    # numpy needs the byte size of a float64 array to fit an intp; d**64 is beyond
+    # it for every d >= 2, so a huge order never builds a huge power
+    if d ** min(order, 64) > np.iinfo(np.intp).max // 8:
+        raise ValueError(
+            f"an order-{order} kernel on d = {d} has more components than an array holds"
+        )
+    return d**order
 
 
 def _check_tuples(times: np.ndarray) -> None:
@@ -144,6 +156,7 @@ def symmetrize(raw: Iterable[RawEntry], order: int, d: int) -> Kernel:
     input (all orderings present) is reproduced unchanged.
     """
     raw = list(raw)
+    width = _width(order, d)
     if order == 0:
         total = 0.0
         for times, coords, value in raw:
@@ -164,7 +177,7 @@ def symmetrize(raw: Iterable[RawEntry], order: int, d: int) -> Kernel:
     first = np.concatenate([[True], np.any(ordered[1:] != ordered[:-1], axis=1)])
     slots = np.empty(len(raw), dtype=np.intp)
     slots[by_tuple] = np.cumsum(first) - 1
-    tensors = np.zeros((np.count_nonzero(first), d**order))
+    tensors = np.zeros((np.count_nonzero(first), width))
     np.add.at(tensors, (slots, np.ravel_multi_index(tuple(comps.T), (d,) * order)),
               values / float(math.factorial(order)))
     return Kernel(order, d, ordered[first], tensors)

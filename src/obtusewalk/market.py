@@ -60,7 +60,7 @@ from .omega import (
     DEFAULT_CAP,
     PathSpace,
     PathTable,
-    _frozen_float,
+    _check_finite,
     atom_means,
     expectation,
 )
@@ -266,20 +266,12 @@ class Strategy:
     `positions` holds the row [beta | gamma] of the position formed at time
     n-1 and carried into time n, one per atom of F_{n-1}; `beta`, `gamma`
     and `predictability_defect` read it. Path-indexed input comes in through
-    `PredictableProcess.from_paths`. beta_init/gamma_init are the
-    deterministic values at index -1.
+    `PredictableProcess.from_paths`. beta_init is the value at index -1,
+    held in the bond: no shares are held before the first rebalancing.
     """
 
     positions: PredictableProcess
     beta_init: float = 0.0
-    gamma_init: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        d = self.space.d
-        init = _frozen_float(np.zeros(d) if self.gamma_init is None else self.gamma_init)
-        if init.shape != (d,):
-            raise ValueError(f"gamma_init has shape {init.shape}, expected ({d},)")
-        object.__setattr__(self, "gamma_init", init)
 
     @property
     def space(self) -> PathSpace:
@@ -396,11 +388,7 @@ def _check_claim(market: MarketSpec, claim: PathTable) -> None:
     """A hedge needs a claim on the market's paths, finite on every one."""
     if claim.space != market.space:
         raise ValueError("claim is not defined on the market's path space")
-    bad = np.flatnonzero(~np.isfinite(claim.values))
-    if bad.size:
-        idx = int(bad[0])
-        path = market.space.path_at(idx)
-        raise ValueError(f"claim is {claim.values[idx]} at path {idx} = {path}")
+    _check_finite(claim, "claim")
 
 
 def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
@@ -533,6 +521,7 @@ class StrategyReport:
         return all(res <= self.tol for res in checks)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_strategy(
     market: MarketSpec, strategy: Strategy, claim: PathTable, tol: float = 1e-8
 ) -> StrategyReport:
@@ -548,6 +537,8 @@ def verify_strategy(
     and the running sums over F_{n-1} are repeated to its d+1 sub-atoms.
     Each residual equals its maximum over all paths bit for bit. Prices
     come from the market, so the check stays independent of the hedge.
+    Non-finite positions give an inf or NaN residual, which fails the
+    report; the running maxima keep a NaN, as max() would not.
     """
     if strategy.space != market.space or claim.space != market.space:
         raise ValueError("strategy and claim must live on the market's path space")
@@ -555,12 +546,12 @@ def verify_strategy(
 
     decomposable = market.diagonal and bool(np.all(market.rates == market.rates[0]))
     rate = float(market.rates[0])
-    v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
+    v_init = float(strategy.beta_init)
     self_fin = telescoping = discounted = 0.0
     decomposition = 0.0 if decomposable else None
     # positions, prices and running sums on the atoms of F_{n-1}; F_{-1} has one atom
     beta_prev = np.array([strategy.beta_init])
-    gamma_prev = strategy.gamma_init[None]
+    gamma_prev = np.zeros((1, d))
     s_prev = lattice.atom_prices(-1)
     bond_prev = 1.0
     gains = np.array([v_init])
@@ -577,20 +568,20 @@ def verify_strategy(
         res = bond_prev * (beta - np.repeat(beta_prev, d + 1)) + np.einsum(
             "aj,aj->a", s_before, gamma - np.repeat(gamma_prev, d + 1, axis=0)
         )
-        self_fin = max(self_fin, float(np.max(np.abs(res))))
+        self_fin = np.maximum(self_fin, np.max(np.abs(res)))
 
         # telescoping: V_n = V_{-1} + sum_{k<=n} beta_k dB + <gamma_k, dS>
         gains = np.repeat(gains, d + 1) + beta * (float(bond[n]) - bond_prev) + np.einsum(
             "aj,aj->a", gamma, s_now - s_before
         )
-        telescoping = max(telescoping, float(np.max(np.abs(values - gains))))
+        telescoping = np.maximum(telescoping, np.max(np.abs(values - gains)))
 
         # discounted increments: dV~_n = <gamma_n, dS~_n>
         disc_val = values / float(bond[n])
         res = disc_val - np.repeat(disc_prev, d + 1) - np.einsum(
             "aj,aj->a", gamma, s_now / float(bond[n]) - s_before / bond_prev
         )
-        discounted = max(discounted, float(np.max(np.abs(res))))
+        discounted = np.maximum(discounted, np.max(np.abs(res)))
         disc_prev = disc_val
 
         if decomposable:
@@ -600,16 +591,16 @@ def verify_strategy(
                 "aj,aj->a", excess * gamma, s_before
             )
             expected = (1.0 + rate) ** (n + 1) * v_init + acc
-            decomposition = max(decomposition, float(np.max(np.abs(values - expected))))
+            decomposition = np.maximum(decomposition, np.max(np.abs(values - expected)))
         beta_prev, gamma_prev, s_prev, bond_prev = beta, gamma, s_now, float(bond[n])
 
     replication = float(np.max(np.abs(values - claim.values)))  # F_N atoms are paths
     return StrategyReport(
         predictability=strategy.predictability_defect,
-        self_financing=self_fin,
-        telescoping=telescoping,
-        discounted_increment=discounted,
-        decomposition=decomposition,
+        self_financing=float(self_fin),
+        telescoping=float(telescoping),
+        discounted_increment=float(discounted),
+        decomposition=None if decomposition is None else float(decomposition),
         replication=replication,
         value_initial=v_init,
         tol=tol,

@@ -1,16 +1,16 @@
-"""Finite path space, exact measure, and expectation oracles.
+"""Finite path space, path tables, and exact (conditional) expectations.
 
-Everything here enumerates the full outcome space {0,...,d}^(N+1) and
-computes probabilities and (conditional) expectations by brute force.
-These routines are the ground truth the rest of the library is tested
-against, so they stay deliberately simple: dense tables, fixed
-lexicographic summation order, no sampling.
+The outcome space {0,...,d}^(N+1) is enumerated in lexicographic order, so
+a path is an index and the atoms of the natural filtration are contiguous
+index blocks. Expectations are probability-weighted sums in that fixed
+order and conditional expectations are means over atoms: dense tables, no
+sampling, the same bits on every run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -76,16 +76,6 @@ class PathSpace:
     def atom_size(self, n: int) -> int:
         return self.num_paths // self.atom_count(n)
 
-    def index_of(self, path: Sequence[int]) -> int:
-        if len(path) != self.N + 1:
-            raise ValueError(f"path length {len(path)} != horizon {self.N + 1}")
-        idx = 0
-        for w in path:
-            if not 0 <= w <= self.d:
-                raise ValueError(f"outcome {w} outside [0, {self.d}]")
-            idx = idx * (self.d + 1) + int(w)
-        return idx
-
     def path_at(self, index: int) -> Path:
         """Outcomes of the path at the index: its base-(d+1) digits, time 0 first."""
         index = int(index)
@@ -147,9 +137,6 @@ class PathTable:
     def constant(space: PathSpace, value: float) -> "PathTable":
         return PathTable(space, np.full(space.num_paths, float(value)))
 
-    def __call__(self, path: Sequence[int]) -> float:
-        return float(self.values[self.space.index_of(path)])
-
     def _coerce(self, other) -> np.ndarray:
         if isinstance(other, PathTable):
             if other.space != self.space:
@@ -183,36 +170,6 @@ class PathTable:
         return bool(np.max(np.abs(self.values - self._coerce(other))) <= atol)
 
 
-def enumerate_paths(d: int, N: int, cap: int = DEFAULT_CAP) -> list[Path]:
-    """All paths over {0,...,d}^(N+1) in lexicographic order."""
-    space = PathSpace(d, N, cap)
-    return [tuple(int(w) for w in row) for row in space.outcomes]
-
-
-def mutate_path(path: Sequence[int], k: int, i: int, d: int | None = None) -> Path:
-    """Copy of the path with the outcome at time k replaced by i."""
-    if not 0 <= k < len(path):
-        raise ValueError(f"time index {k} outside [0, {len(path) - 1}]")
-    if i < 0 or (d is not None and i > d):
-        raise ValueError(f"outcome {i} outside [0, {d}]")
-    out = list(path)
-    out[k] = int(i)
-    return tuple(out)
-
-
-def path_probability(walk: "WalkSpec", path: Sequence[int]) -> float:
-    """Product of per-step outcome probabilities along the path."""
-    space = walk.space
-    if len(path) != space.N + 1:
-        raise ValueError(f"path length {len(path)} != horizon {space.N + 1}")
-    prob = 1.0
-    for n, w in enumerate(path):
-        if not 0 <= w <= space.d:
-            raise ValueError(f"outcome {w} outside [0, {space.d}]")
-        prob *= float(walk.steps[n].p[w])
-    return prob
-
-
 def expectation(walk: "WalkSpec", table: PathTable) -> float:
     """Exact expectation: probability-weighted sum in canonical path order.
 
@@ -242,19 +199,14 @@ def atom_means(walk: "WalkSpec", values: np.ndarray, n: int) -> np.ndarray:
     return (w * v).sum(axis=1) / w.sum(axis=1)
 
 
-def atom_average(walk: "WalkSpec", values: np.ndarray, n: int) -> np.ndarray:
-    """Probability-weighted average over F_n-atoms, broadcast back to paths."""
-    means = atom_means(walk, values, n)
-    return np.repeat(means, walk.space.atom_size(n), axis=0)
-
-
 def conditional_expectation(walk: "WalkSpec", table: PathTable, n: int) -> PathTable:
     """E[F | F_n] as a table, constant on each prefix atom.
 
     n = -1 yields the constant E[F]; n = N yields F itself.
     """
     _check_space(walk, table)
-    return PathTable(walk.space, atom_average(walk, table.values, n))
+    means = atom_means(walk, table.values, n)
+    return PathTable(walk.space, np.repeat(means, walk.space.atom_size(n)))
 
 
 def covariance(walk: "WalkSpec", f: PathTable, g: PathTable) -> float:
@@ -280,3 +232,12 @@ def is_measurable(table: PathTable, n: int, tol: float = 1e-10) -> bool:
 def _check_space(walk: "WalkSpec", table: PathTable) -> None:
     if table.space != walk.space:
         raise ValueError("table is not defined on the walk's path space")
+
+
+def _check_finite(table: PathTable, name: str) -> None:
+    """Raise one line naming the first path on which the table is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(table.values))
+    if bad.size:
+        idx = int(bad[0])
+        path = table.space.path_at(idx)
+        raise ValueError(f"{name} is {table.values[idx]} at path {idx} = {path}")

@@ -23,23 +23,8 @@ from .chaos import chaos_order
 from .errors import SizeCapError
 from .integrals import along_axes
 from .malliavin import clark_ocone, gradient
-from .omega import PathTable, _check_space, expectation
+from .omega import PathTable, _check_finite, _check_space, expectation
 from .walk import WalkSpec
-
-
-@dataclass(frozen=True, eq=False)
-class OUKernelMatrix:
-    """Dense transition kernel q_t over path pairs, for inspection and tests."""
-
-    t: float
-    values: np.ndarray  # (num_paths, num_paths); rows indexed by the target path
-
-    def row_defect(self, walk: WalkSpec) -> float:
-        """Worst deviation of any probability-weighted row sum from one."""
-        return float(np.max(np.abs(self.values @ walk.measure - 1.0)))
-
-    def min_entry(self) -> float:
-        return float(np.min(self.values))
 
 
 def _check_time(t: float) -> float:
@@ -81,15 +66,15 @@ def ou_apply_kernel(walk: WalkSpec, table: PathTable, t: float) -> PathTable:
     return PathTable(walk.space, along_axes(walk, table.values, mats).ravel())
 
 
-def ou_kernel_matrix(walk: WalkSpec, t: float) -> OUKernelMatrix:
-    """Materialize the full kernel matrix (guarded by the enumeration cap)."""
+def ou_kernel_matrix(walk: WalkSpec, t: float) -> np.ndarray:
+    """The dense (P, P) kernel q_t, rows indexed by the target path (guarded by the cap)."""
     t = _check_time(t)
     num = walk.space.num_paths
     if num * num > walk.space.cap:
         raise SizeCapError(
             f"kernel matrix would need {num * num} entries, above the cap of {walk.space.cap}"
         )
-    return OUKernelMatrix(t, reduce(np.kron, _step_kernels(walk, t)))
+    return reduce(np.kron, _step_kernels(walk, t))
 
 
 def cov_gradient(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
@@ -153,13 +138,13 @@ def deviation_bound(
 
     User-supplied constants are accepted only when at least as large as the
     computed minimal ones. Constant tables admit no bound for x > 0 and are
-    rejected explicitly.
+    rejected explicitly, as is a table that is NaN or infinite on some path.
     """
     x = float(x)
     if not 0.0 < x < math.inf:
         raise ValueError(f"deviation threshold must be finite and > 0, got {x}")
-    if table.space != walk.space:
-        raise ValueError("table is not defined on the walk's path space")
+    _check_space(walk, table)
+    _check_finite(table, "table")
 
     k_min = 0.0
     for k in range(walk.N + 1):

@@ -365,7 +365,7 @@ def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     that atom and its value at formation, so the first row's value is the
     claim price.
     """
-    v_init = strategy.beta_init + float(strategy.gamma_init @ market.s_init)
+    v_init = float(strategy.beta_init)
     header = "time,atom,beta," + ",".join(
         f"gamma_{j}" for j in range(1, market.d + 1)
     ) + ",V"

@@ -114,23 +114,6 @@ class ValidationReport:
     worst_moment: tuple[int, int, int] | None  # (step, j, l)
 
 
-@dataclass(frozen=True, eq=False)
-class StructureTensor:
-    """Per-step tensor linking squared increments back to the increments.
-
-    phi[i, j, k] multiplies the k-th increment coordinate in the pointwise
-    identity Y^i Y^j = delta^{ij} + sum_k phi[i, j, k] Y^k.
-    """
-
-    step: int
-    phi: np.ndarray  # (d, d, d)
-
-    def __post_init__(self) -> None:
-        phi = np.array(self.phi, dtype=float)
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def validate(walk: WalkSpec, tol: float = 1e-10) -> ValidationReport:
     """Check the centering and covariance identities at every step.
@@ -254,19 +237,22 @@ def construct_obtuse(
     return WalkSpec(d=d, N=len(steps) - 1, steps=tuple(steps), cap=cap)
 
 
-def structure_tensor(walk: WalkSpec, n: int) -> StructureTensor:
-    """Tensor phi[i,j,k] = sum_m p_m v_m^i v_m^j v_m^k for the given step."""
+def structure_tensor(walk: WalkSpec, n: int) -> np.ndarray:
+    """(d, d, d) tensor phi[i,j,k] = sum_m p_m v_m^i v_m^j v_m^k of the given step.
+
+    phi[i, j, k] multiplies the k-th increment coordinate in the pointwise
+    identity Y^i Y^j = delta^{ij} + sum_k phi[i, j, k] Y^k.
+    """
     if not 0 <= n <= walk.N:
         raise ValueError(f"step {n} outside [0, {walk.N}]")
     step = walk.steps[n]
-    phi = np.einsum("m,mi,mj,mk->ijk", step.p, step.v, step.v, step.v)
-    return StructureTensor(step=n, phi=phi)
+    return np.einsum("m,mi,mj,mk->ijk", step.p, step.v, step.v, step.v)
 
 
 def structure_residual(walk: WalkSpec, n: int) -> float:
     """Worst pointwise defect of Y^i Y^j = delta^{ij} + sum_k phi[i,j,k] Y^k."""
     step = walk.steps[n]
-    phi = structure_tensor(walk, n).phi
+    phi = structure_tensor(walk, n)
     lhs = np.einsum("mi,mj->mij", step.v, step.v)
     rhs = np.eye(walk.d)[None] + np.einsum("ijk,mk->mij", phi, step.v)
     return float(np.max(np.abs(lhs - rhs)))
@@ -282,19 +268,3 @@ def increment_rv(walk: WalkSpec, n: int, j: int) -> PathTable:
     column = np.repeat(walk.steps[n].v[:, j - 1], space.stride(n))
     return PathTable(space, np.tile(column, space.atom_count(n - 1)))
 
-
-def monomial_table(
-    walk: WalkSpec, times: Sequence[int], coords: Sequence[int]
-) -> PathTable:
-    """Pointwise product of increment coordinates Y_{t_1}^{k_1} ... Y_{t_r}^{k_r}."""
-    if len(times) != len(coords):
-        raise ValueError("times and coords must have equal length")
-    values = np.ones(walk.space.num_paths)
-    for t, k in zip(times, coords):
-        values *= increment_rv(walk, t, k).values
-    return PathTable(walk.space, values)
-
-
-def bernoulli_walk(N: int, p_up: float = 0.5, cap: int = DEFAULT_CAP) -> WalkSpec:
-    """One-dimensional walk with P(up) = p_up at every step (outcome 0 = up)."""
-    return construct_obtuse([[p_up, 1.0 - p_up]] * (N + 1), cap=cap)

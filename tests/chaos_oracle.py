@@ -8,7 +8,8 @@ integrals over every order, time and coordinate. They cost O(P^2) or more,
 where the library applies one small per-step operator along each axis of
 the coefficient tensor (`integrals.along_axes`). `oracle_kernel_view` is
 the per-tuple `Kernel` view the JSON writer must reproduce. The per-tuple
-kernel helpers (truncate, inner product, slices) are used by tests only.
+kernel helpers (truncate, inner product, slices) and `monomial_table`, the
+path table of one product of increment coordinates, are used by tests only.
 Tests compare the two sides on random walks.
 """
 import math
@@ -16,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from obtusewalk import Kernel, PathTable, WalkSpec, expectation, gradient
+from obtusewalk import Kernel, PathTable, WalkSpec, expectation, gradient, increment_rv
 from obtusewalk.integrals import along_axes
 
 #: einsum subscripts for the kernel axes of an order-r term: every ASCII
@@ -24,6 +25,16 @@ from obtusewalk.integrals import along_axes
 LETTERS = "abcdefghijklmnopqrstuvwxyABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 ROW_BLOCK = 4096
+
+
+def monomial_table(walk: WalkSpec, times, coords) -> PathTable:
+    """Pointwise product of increment coordinates Y_{t_1}^{k_1} ... Y_{t_r}^{k_r}."""
+    if len(times) != len(coords):
+        raise ValueError("times and coords must have equal length")
+    values = np.ones(walk.space.num_paths)
+    for t, k in zip(times, coords):
+        values *= increment_rv(walk, t, k).values
+    return PathTable(walk.space, values)
 
 
 # -- per-tuple kernel helpers ------------------------------------------------

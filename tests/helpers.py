@@ -3,7 +3,7 @@ import numpy as np
 from itertools import combinations
 
 from obtusewalk import Kernel, StepLaw, VectorProcess, WalkSpec, construct_obtuse
-from obtusewalk.omega import PathTable
+from obtusewalk.omega import PathTable, atom_means
 
 SQ2 = np.sqrt(2.0)
 
@@ -39,6 +39,11 @@ def random_walk(rng: np.random.Generator, d: int, N: int) -> WalkSpec:
         raw = rng.uniform(0.2, 1.0, size=d + 1)
         ps.append(raw / raw.sum())
     return construct_obtuse(ps)
+
+
+def atom_average(walk: WalkSpec, values: np.ndarray, n: int) -> np.ndarray:
+    """Probability-weighted average over F_n-atoms, broadcast back to paths."""
+    return np.repeat(atom_means(walk, values, n), walk.space.atom_size(n), axis=0)
 
 
 def random_table(rng: np.random.Generator, space) -> PathTable:

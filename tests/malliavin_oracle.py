@@ -15,7 +15,8 @@ gradient and are used by tests only.
 import numpy as np
 
 from obtusewalk import PathTable, VectorProcess, WalkSpec, gradient, ou_apply_kernel
-from obtusewalk.omega import PathSpace, atom_average
+from obtusewalk.omega import PathSpace
+from helpers import atom_average
 
 
 def mutated_indices(space: PathSpace, k: int) -> np.ndarray:

@@ -42,7 +42,8 @@ from obtusewalk.market import (
     StateDependentMeasureError,
     StrategyReport,
 )
-from obtusewalk.omega import atom_average, atom_deviation, expectation
+from obtusewalk.omega import atom_deviation, expectation
+from helpers import atom_average
 
 
 def _distinct(rows: np.ndarray) -> np.ndarray:
@@ -106,10 +107,10 @@ def strategy_paths(strategy: Strategy) -> tuple[np.ndarray, np.ndarray]:
     return positions[..., 0], positions[..., 1:]
 
 
-def path_strategy(space, beta, gamma, beta_init=0.0, gamma_init=None) -> Strategy:
+def path_strategy(space, beta, gamma, beta_init=0.0) -> Strategy:
     """Strategy from (N+1, num_paths) bond units and (N+1, num_paths, d) share counts."""
     positions = np.concatenate([np.asarray(beta)[..., None], gamma], axis=2)
-    return Strategy(PredictableProcess.from_paths(space, positions), beta_init, gamma_init)
+    return Strategy(PredictableProcess.from_paths(space, positions), beta_init)
 
 
 def oracle_strategy_values(market: MarketSpec, strategy: Strategy) -> tuple[np.ndarray, float]:
@@ -120,7 +121,7 @@ def oracle_strategy_values(market: MarketSpec, strategy: Strategy) -> tuple[np.n
         beta[n] * market.bond[n] + np.einsum("pj,pj->p", gamma[n], prices[n])
         for n in range(market.N + 1)
     ])
-    return values, strategy.beta_init + float(strategy.gamma_init @ market.s_init)
+    return values, float(strategy.beta_init)
 
 
 def oracle_prices(market: MarketSpec) -> np.ndarray:
@@ -212,7 +213,7 @@ def oracle_hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> St
             sol = np.linalg.solve(mat, rhs)
             beta[n][start : start + block] = sol[0]
             gamma[n][start : start + block] = sol[1:]
-    return path_strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+    return path_strategy(space, beta, gamma, beta_init=v_init)
 
 
 def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
@@ -248,13 +249,17 @@ def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> 
                 "use hedge_replicate"
             )
     v_init = expectation(wq, claim) / float(market.bond[market.N])
-    return path_strategy(space, beta, gamma, beta_init=v_init, gamma_init=np.zeros(market.d))
+    return path_strategy(space, beta, gamma, beta_init=v_init)
 
 
 def oracle_verify_strategy(
     market: MarketSpec, strategy: Strategy, claim: PathTable, tol: float = 1e-8
 ) -> StrategyReport:
-    """Every strategy identity evaluated on every path at every step."""
+    """Every strategy identity evaluated on every path at every step.
+
+    The running maxima go through np.maximum, so a NaN residual at any step
+    stays NaN in the report.
+    """
     if strategy.space != market.space or claim.space != market.space:
         raise ValueError("strategy and claim must live on the market's path space")
     space = market.space
@@ -271,13 +276,13 @@ def oracle_verify_strategy(
     # self-financing at n = -1..N-1: rebalancing at time n conserves value
     self_fin = 0.0
     beta_prev = np.full(space.num_paths, strategy.beta_init)
-    gamma_prev = np.broadcast_to(strategy.gamma_init, (space.num_paths, market.d))
+    gamma_prev = np.zeros((space.num_paths, market.d))  # no shares before time 0
     bond_prev = 1.0
     for n in range(market.N + 1):
         res = bond_prev * (beta[n] - beta_prev) + np.einsum(
             "pj,pj->p", _prev_prices(market, prices, n), gamma[n] - gamma_prev
         )
-        self_fin = max(self_fin, float(np.max(np.abs(res))))
+        self_fin = np.maximum(self_fin, np.max(np.abs(res)))
         beta_prev = beta[n]
         gamma_prev = gamma[n]
         bond_prev = float(bond[n])
@@ -290,7 +295,7 @@ def oracle_verify_strategy(
         gains = gains + beta[n] * (float(bond[n]) - b_prev) + np.einsum(
             "pj,pj->p", gamma[n], prices[n] - _prev_prices(market, prices, n)
         )
-        telescoping = max(telescoping, float(np.max(np.abs(values[n] - gains))))
+        telescoping = np.maximum(telescoping, np.max(np.abs(values[n] - gains)))
 
     # discounted increments: dV~_n = <gamma_{n+1}, dS~_n> for n = -1..N-1
     discounted = 0.0
@@ -302,7 +307,7 @@ def oracle_verify_strategy(
         res = disc_val - disc_prev - np.einsum(
             "pj,pj->p", gamma[n], s_bar - s_bar_prev
         )
-        discounted = max(discounted, float(np.max(np.abs(res))))
+        discounted = np.maximum(discounted, np.max(np.abs(res)))
         disc_prev = disc_val
         s_bar_prev = s_bar
 
@@ -323,17 +328,15 @@ def oracle_verify_strategy(
                 "pj,pj->p", excess * gamma[n], _prev_prices(market, prices, n)
             )
             expected = (1.0 + rate) ** (n + 1) * v_init + acc
-            decomposition = max(
-                decomposition, float(np.max(np.abs(values[n] - expected)))
-            )
+            decomposition = np.maximum(decomposition, np.max(np.abs(values[n] - expected)))
 
     replication = float(np.max(np.abs(values[market.N] - claim.values)))
     return StrategyReport(
         predictability=predict,
-        self_financing=self_fin,
-        telescoping=telescoping,
-        discounted_increment=discounted,
-        decomposition=decomposition,
+        self_financing=float(self_fin),
+        telescoping=float(telescoping),
+        discounted_increment=float(discounted),
+        decomposition=None if decomposition is None else float(decomposition),
         replication=replication,
         value_initial=v_init,
         tol=tol,

@@ -18,12 +18,13 @@ from obtusewalk import (
     increment_rv,
     is_measurable,
     monomial_kernel,
-    monomial_table,
     multiple_integral,
     parseval_energy,
     project_horizon,
     reconstruct,
 )
+from obtusewalk.serialize import kernel_from_json
+from chaos_oracle import monomial_table
 from helpers import bernoulli, d2_fixture, random_kernel, random_table, random_walk
 
 
@@ -85,6 +86,19 @@ class TestReconstruct:
         coeffs = ChaosCoefficients.from_kernels(1, 1, 5.0, [])
         assert coeffs.kernel(0).entries[()] == 5.0
         assert coeffs.kernel(3).entries == {}
+
+    def test_order_beyond_an_array_is_one_error_line(self):
+        coeffs = ChaosCoefficients.from_kernels(2, 3, 1.5, [])
+        message = r"^an order-63 kernel on d = 2 has more components than an array holds$"
+        with pytest.raises(ValueError, match=message):
+            coeffs.kernel(63)
+        with pytest.raises(ValueError, match=message):
+            kernel_from_json({"order": 63, "entries": []}, 2)
+        entry = {"times": list(range(63)), "coords": [1] * 63, "value": 1.0}
+        with pytest.raises(ValueError, match=message):
+            kernel_from_json({"order": 63, "entries": [entry]}, 2)
+        assert coeffs.kernel(59).tensors.shape == (0, 2**59)  # the largest that fits
+        assert ChaosCoefficients.from_kernels(1, 3, 1.5, []).kernel(10**6).tensors.shape == (0, 1)
 
     def test_orders_above_the_horizon_build_no_digit_table(self):
         # 2**40 components per tuple: only an empty kernel of this order fits in memory

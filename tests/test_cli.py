@@ -233,6 +233,14 @@ class TestExitCodes:
             monkeypatch, capsys, ["--tol", "0"], "error: tolerance must be > 0, got 0.0\n"
         )
 
+    @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("-1", "-1.0"), ("0", "0.0")])
+    def test_bad_verify_tolerance_is_one(self, capsys, monkeypatch, value, shown):
+        monkeypatch.setattr(cli, "_load_json", lambda path: pytest.fail(f"read {path}"))
+        code = main(COMMANDS["market-verify"] + ["--tol-verify", value])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: verification tolerance must be > 0, got {shown}\n"
+
     def test_bad_cap_is_one(self, capsys, monkeypatch):
         _assert_rejected_before_loading(
             monkeypatch, capsys, ["--cap", "0"], "error: enumeration cap must be >= 1, got 0\n"

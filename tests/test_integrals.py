@@ -10,19 +10,18 @@ from obtusewalk import (
     PredictabilityError,
     PredictableProcess,
     VectorProcess,
-    bernoulli_walk,
     clark_ocone,
     conditional_expectation,
+    construct_obtuse,
     divergence,
     expectation,
     increment_rv,
     integrate_predictable,
     monomial_kernel,
-    monomial_table,
     multiple_integral,
     symmetrize,
 )
-from chaos_oracle import kernel_dot, kernel_head_slice, kernel_truncate
+from chaos_oracle import kernel_dot, kernel_head_slice, kernel_truncate, monomial_table
 from helpers import (
     bernoulli,
     d2_fixture,
@@ -295,7 +294,7 @@ class TestVectorProcess:
         assert np.array_equal(proc.table(1, 1).values, proc.values[1][:, 0])
 
     def test_nan_is_not_predictable(self):
-        walk = bernoulli_walk(2)
+        walk = construct_obtuse([[0.5, 0.5]] * 3)
         vals = np.zeros((3, walk.space.num_paths, 1))
         vals[1, 1, 0] = np.nan  # path 1 is not the first of its F_0 atom
         proc = VectorProcess(walk.space, vals)
@@ -315,7 +314,7 @@ class TestPredictableProcess:
             assert process.at(n).shape == (walk.space.atom_count(n - 1), walk.d)
 
     def test_nan_entry_is_a_nan_defect(self):
-        walk = bernoulli_walk(2)
+        walk = construct_obtuse([[0.5, 0.5]] * 3)
         values = np.zeros((3, walk.space.num_paths, 1))
         values[2, 3, 0] = np.nan  # path 3 is the second of its F_1 atom
         process = PredictableProcess.from_paths(walk.space, values)
@@ -324,7 +323,7 @@ class TestPredictableProcess:
             integrate_predictable(walk, process)
 
     def test_wrong_row_count_raises(self):
-        walk = bernoulli_walk(2)  # 1 + 2 + 4 rows
+        walk = construct_obtuse([[0.5, 0.5]] * 3)  # 1 + 2 + 4 rows
         with pytest.raises(ValueError, match=r"shape \(6, 1\), expected \(7, width\)"):
             PredictableProcess(walk.space, np.zeros((6, 1)))
         with pytest.raises(ValueError, match=r"expected \(7, width\)"):

@@ -9,7 +9,6 @@ from obtusewalk import (
     PathTable,
     PredictableProcess,
     VectorProcess,
-    bernoulli_walk,
     clark_ocone,
     clark_ocone_from,
     conditional_expectation,
@@ -333,7 +332,7 @@ class TestPredictableRepresentation:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_rejects_nan(self, n):
-        walk = bernoulli_walk(2)
+        walk = construct_obtuse([[0.5, 0.5]] * 3)
         mart = [PathTable.constant(walk.space, 0.0)] * 3
         mart[n] = PathTable(walk.space, np.where(np.arange(8) == 1, np.nan, 0.0))
         with pytest.raises(MartingaleError, match="nan"):

@@ -10,6 +10,8 @@ from obtusewalk import (
     IncompleteMarketError,
     MarketSpec,
     PathTable,
+    PredictableProcess,
+    Strategy,
     conditional_expectation,
     crr_market,
     emm_walk,
@@ -23,7 +25,13 @@ from obtusewalk import market as market_mod
 from obtusewalk.market import HedgeFormulaError, MarketModelError
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2
-from market_oracle import oracle_prices, oracle_strategy_values, path_strategy, strategy_paths
+from market_oracle import (
+    oracle_prices,
+    oracle_strategy_values,
+    oracle_verify_strategy,
+    path_strategy,
+    strategy_paths,
+)
 
 
 def crr1():
@@ -314,11 +322,30 @@ class TestVerifyStrategy:
             beta,
             bad_gamma,
             beta_init=strategy.beta_init,
-            gamma_init=strategy.gamma_init,
         )
         report = verify_strategy(market, bad, claim)
         assert not report.passed
         assert max(report.self_financing, report.replication) > 0.01
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_at_a_middle_step_fail(self, bad):
+        market = crr_market(100.0, 0.09, -0.07, 0.01, 4)
+        emm = find_emm(market)
+        claim = call(market)
+        strategy = hedge_replicate(market, emm, claim)
+        rows = strategy.positions.rows.copy()
+        rows[strategy.positions._start(2)] = bad  # one atom's position at step 2
+        broken = Strategy(PredictableProcess(market.space, rows), strategy.beta_init)
+        report = verify_strategy(market, broken, claim)
+        assert report.passed is False
+        # a NaN at one step stays NaN in the running maximum over the steps
+        residuals = [report.telescoping, report.discounted_increment, report.decomposition]
+        assert np.isnan(residuals).all()
+        assert not np.isfinite(report.self_financing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle = oracle_verify_strategy(market, broken, claim)
+        assert np.isnan([oracle.telescoping, oracle.discounted_increment, oracle.decomposition]).all()
+        assert not oracle.passed
 
     def test_all_cash_strategy_for_cash_claim(self):
         market = crr2()

@@ -177,7 +177,7 @@ class TestPredictabilityOnPaths:
         )
         beta, gamma = strategy_paths(strategy)
         gamma[n, rows] += 1e-3
-        bent = path_strategy(space, beta, gamma, strategy.beta_init, strategy.gamma_init)
+        bent = path_strategy(space, beta, gamma, strategy.beta_init)
         report = verify_strategy(market, bent, claim)
         assert report.predictability == pytest.approx(1e-3)
         assert report.predictability > report.tol
@@ -190,9 +190,7 @@ class TestPredictabilityOnPaths:
         strategy = hedge_replicate(market, find_emm(market), claim)
         beta, gamma = strategy_paths(strategy)
         gamma[1, 1] = np.nan  # path 1 is not the first of its F_0 atom, so no row keeps it
-        bent = path_strategy(
-            market.space, beta, gamma, strategy.beta_init, strategy.gamma_init
-        )
+        bent = path_strategy(market.space, beta, gamma, strategy.beta_init)
         assert np.isnan(bent.predictability_defect)
         report = verify_strategy(market, bent, claim)
         assert np.isnan(report.predictability) and not report.passed
@@ -201,9 +199,7 @@ class TestPredictabilityOnPaths:
         market = crr_market(100.0, 0.1, -0.08, 0.01, 5)
         claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
         strategy = hedge_replicate(market, find_emm(market), claim)
-        again = path_strategy(
-            market.space, *strategy_paths(strategy), strategy.beta_init, strategy.gamma_init
-        )
+        again = path_strategy(market.space, *strategy_paths(strategy), strategy.beta_init)
         assert again.beta.tobytes() == strategy.beta.tobytes()
         assert again.gamma.tobytes() == strategy.gamma.tobytes()
         assert again.predictability_defect == 0.0

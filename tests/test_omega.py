@@ -1,7 +1,6 @@
-"""Path-space enumeration, measure, and conditional-expectation oracles."""
+"""Path-space enumeration, the path measure, and (conditional) expectations."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from obtusewalk import (
     PathSpace,
@@ -9,37 +8,40 @@ from obtusewalk import (
     SizeCapError,
     conditional_expectation,
     covariance,
-    enumerate_paths,
     expectation,
     increment_rv,
     is_measurable,
-    mutate_path,
-    path_probability,
 )
 from helpers import bernoulli, biased, d2_fixture, random_table, random_walk
 from malliavin_oracle import mutated_indices
+from market_oracle import oracle_measure
+
+
+def _paths(d, N):
+    """Every path of the space as a tuple, in index order."""
+    return [tuple(row) for row in PathSpace(d, N).outcomes.tolist()]
 
 
 class TestEnumeration:
     def test_single_step_binary(self):
-        assert enumerate_paths(1, 0) == [(0,), (1,)]
+        assert _paths(1, 0) == [(0,), (1,)]
 
     def test_two_step_binary_lexicographic(self):
-        assert enumerate_paths(1, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert _paths(1, 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_d2_counts_and_extremes(self):
-        paths = enumerate_paths(2, 1)
-        assert len(paths) == 9
-        assert paths[0] == (0, 0)
-        assert paths[-1] == (2, 2)
+        space = PathSpace(2, 1)
+        assert space.num_paths == 9
+        assert space.path_at(0) == (0, 0)
+        assert space.path_at(8) == (2, 2)
 
     def test_no_duplicates(self):
-        paths = enumerate_paths(2, 2)
+        paths = _paths(2, 2)
         assert len(set(paths)) == len(paths) == 27
 
     def test_cap_error_names_count(self):
         with pytest.raises(SizeCapError, match="1024"):
-            enumerate_paths(1, 9, cap=1000)
+            PathSpace(1, 9, cap=1000)
 
     def test_cap_check_never_builds_a_huge_count(self):
         # (d+1)^(N+1) here has about 3e11 digits; the check stops at 2^11
@@ -47,9 +49,10 @@ class TestEnumeration:
             PathSpace(1, 10**12, cap=1000)
 
     def test_index_round_trip(self):
+        # a path's index is the base-(d+1) number of its outcomes, time 0 first
         space = PathSpace(2, 2)
-        for idx, path in enumerate(enumerate_paths(2, 2)):
-            assert space.index_of(path) == idx
+        for idx, path in enumerate(_paths(2, 2)):
+            assert int("".join(map(str, path)), 3) == idx
             assert space.path_at(idx) == path
 
     @pytest.mark.parametrize("d,N", [(2, 2), (1, 3), (3, 1)])
@@ -69,15 +72,15 @@ class TestEnumeration:
 
 class TestPathProbability:
     def test_symmetric_bernoulli(self):
-        assert path_probability(bernoulli(1), (0, 1)) == pytest.approx(0.25, abs=1e-15)
+        assert bernoulli(1).measure[1] == pytest.approx(0.25, abs=1e-15)  # path (0, 1)
 
     def test_d2_fixture(self):
-        assert path_probability(d2_fixture(1), (2, 2)) == pytest.approx(0.25, abs=1e-15)
+        assert d2_fixture(1).measure[8] == pytest.approx(0.25, abs=1e-15)  # path (2, 2)
 
     def test_normalization(self, rng):
         for d, N in [(1, 3), (2, 2), (3, 1)]:
             walk = random_walk(rng, d, N)
-            total = sum(path_probability(walk, p) for p in enumerate_paths(d, N))
+            total = sum(oracle_measure(walk).tolist())  # one product per path, summed in order
             assert total == pytest.approx(1.0, abs=1e-12)
             assert np.add.reduce(walk.measure) == pytest.approx(1.0, abs=1e-12)
 
@@ -160,39 +163,17 @@ class TestConditionalExpectation:
 
 
 class TestMutatePath:
-    def test_examples(self):
-        assert mutate_path((0, 1), 0, 1) == (1, 1)
-        assert mutate_path((0, 1), 1, 1) == (0, 1)
-        assert mutate_path((2, 0), 1, 2) == (2, 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mutate_path((0, 1), 2, 0)
-        with pytest.raises(ValueError):
-            mutate_path((0, 1), 0, 3, d=2)
-
-    @given(
-        st.lists(st.integers(0, 2), min_size=1, max_size=5),
-        st.integers(0, 4),
-        st.integers(0, 2),
-    )
-    def test_round_trip(self, path, k, i):
-        path = tuple(path)
-        k = k % len(path)
-        mutated = mutate_path(path, k, i)
-        assert mutate_path(mutated, k, path[k]) == path
-        assert mutate_path(path, k, path[k]) == path
-
     def test_mutated_indices_consistent(self):
         for d, N in [(2, 2), (1, 3), (3, 1)]:
             space = PathSpace(d, N)
+            index = {path: idx for idx, path in enumerate(_paths(d, N))}
             for k in range(N + 1):
                 mut = mutated_indices(space, k)
                 for idx in range(space.num_paths):
                     for i in range(d + 1):
-                        assert mut[idx, i] == space.index_of(
-                            mutate_path(space.path_at(idx), k, i)
-                        )
+                        mutated = list(space.path_at(idx))
+                        mutated[k] = i
+                        assert mut[idx, i] == index[tuple(mutated)]
 
 
 class TestCovariance:

@@ -99,14 +99,16 @@ class TestSemigroupKernel:
         for maker in (bernoulli, d2_fixture):
             walk = maker(2)
             for t in (0.0, 0.3, 1.0):
-                assert ou_kernel_matrix(walk, t).row_defect(walk) < 1e-10
+                matrix = ou_kernel_matrix(walk, t)
+                assert matrix.shape == (walk.space.num_paths,) * 2
+                assert np.max(np.abs(matrix @ walk.measure - 1.0)) < 1e-10
 
     def test_matrix_nonnegative_on_fixtures(self):
         # checked and reported on fixtures; not asserted for arbitrary walks
         for maker in (bernoulli, biased, d2_fixture):
             walk = maker(1)
             for t in (0.1, 1.0):
-                assert ou_kernel_matrix(walk, t).min_entry() >= -1e-12
+                assert np.min(ou_kernel_matrix(walk, t)) >= -1e-12
 
     def test_gradient_contraction(self, rng):
         walk = random_walk(rng, 2, 2)
@@ -157,6 +159,15 @@ class TestExpGradientIdentity:
 
 
 class TestDeviationBound:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_table_names_its_first_path(self, bad):
+        walk = bernoulli(2)
+        values = np.linspace(-1.0, 1.0, walk.space.num_paths)
+        values[[5, 6]] = bad
+        table = PathTable(walk.space, values)
+        with pytest.raises(ValueError, match=rf"^table is {bad} at path 5 = \(1, 0, 1\)$"):
+            deviation_bound(walk, table, 0.5)
+
     def test_bernoulli_constants(self):
         walk = bernoulli(1)
         bound = deviation_bound(walk, increment_rv(walk, 0, 1), 1.0)

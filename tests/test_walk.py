@@ -9,16 +9,15 @@ from itertools import combinations, product
 from obtusewalk import (
     StepLaw,
     WalkSpec,
-    bernoulli_walk,
     construct_obtuse,
     expectation,
     increment_rv,
-    monomial_table,
     structure_residual,
     structure_tensor,
     validate,
 )
 from obtusewalk.walk import canonical_step
+from chaos_oracle import monomial_table
 from helpers import SQ2, bernoulli, biased, d2_fixture, random_walk
 
 
@@ -106,7 +105,7 @@ class TestConstructObtuse:
         assert np.array_equal(a.steps[0].v, b.steps[0].v)
 
     def test_identical_steps_share_one_law(self):
-        walk = bernoulli_walk(9)
+        walk = construct_obtuse([[0.5, 0.5]] * 10)
         assert len({id(step) for step in walk.steps}) == 1
         separate = WalkSpec(
             d=1, N=9, steps=tuple(canonical_step([0.5, 0.5], n) for n in range(10))
@@ -130,16 +129,17 @@ class TestConstructObtuse:
 
 class TestStructureTensor:
     def test_symmetric_bernoulli_square_is_one(self):
-        phi = structure_tensor(bernoulli(0), 0).phi
+        phi = structure_tensor(bernoulli(0), 0)
         assert phi[0, 0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_biased_closed_form(self):
         p, q = 0.25, 0.75
-        phi = structure_tensor(biased(0, p=p), 0).phi
+        phi = structure_tensor(biased(0, p=p), 0)
         assert phi[0, 0, 0] == pytest.approx((q - p) / np.sqrt(p * q), abs=1e-12)
 
     def test_d2_fixture_components(self):
-        phi = structure_tensor(d2_fixture(0), 0).phi
+        phi = structure_tensor(d2_fixture(0), 0)
+        assert phi.shape == (2, 2, 2)
         assert phi[0, 0, 0] == pytest.approx(0.0, abs=1e-12)
         assert phi[0, 0, 1] == pytest.approx(1.0, abs=1e-12)
         # (Y^1)^2 = 1 + Y^2 pointwise: outcome 0 gives 2 = 1 + 1, outcome 2 gives 0 = 1 - 1
@@ -149,7 +149,7 @@ class TestStructureTensor:
 
     def test_symmetry_in_ij(self, rng):
         walk = random_walk(rng, 3, 0)
-        phi = structure_tensor(walk, 0).phi
+        phi = structure_tensor(walk, 0)
         assert np.max(np.abs(phi - phi.transpose(1, 0, 2))) < 1e-12
 
     def test_pointwise_identity_on_random_walks(self, rng):

@@ -221,7 +221,7 @@ def test_table_gradient_and_matrix_csv_match_loops(rng, d, N):
     grad = gradient(walk, table).values
     assert serialize.gradient_to_csv(grad) == oracle_gradient_to_csv(grad)
     small = random_walk(rng, d, 2)
-    matrix = ou_kernel_matrix(small, 0.5).values
+    matrix = ou_kernel_matrix(small, 0.5)
     assert serialize.matrix_to_csv(matrix) == oracle_matrix_to_csv(matrix)
 
 
@@ -371,7 +371,7 @@ def test_cli_forms_match_reference_writers(rng, tmp_path, d, N):
     text = _run(tmp_path, ["ou", w, "--table", tab, "--t", "0.5"])
     assert text == oracle_dump_json(ou_apply_chaos(walk, table, 0.5).values.tolist()) + "\n"
     text = _run(tmp_path, ["ou", w, "--t", "0.5", "--kernel-matrix"])
-    assert text == oracle_matrix_to_csv(ou_kernel_matrix(walk, 0.5).values)
+    assert text == oracle_matrix_to_csv(ou_kernel_matrix(walk, 0.5))
 
 
 @pytest.mark.parametrize("method", ["replicate", "clark-ocone"])
