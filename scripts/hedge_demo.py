@@ -23,16 +23,16 @@ from obtusewalk.serialize import strategy_to_csv
 
 def report(title, market, payoff_text):
     print(f"=== {title}")
-    emm = find_emm(market)
+    wq = find_emm(market)
     print("risk-neutral q per step:")
-    for k, row in enumerate(emm.q):
-        print(f"  step {k}: {np.round(row, 6)}")
+    for k, step in enumerate(wq.steps):
+        print(f"  step {k}: {np.round(step.p, 6)}")
     claim = eval_payoff(parse_payoff(payoff_text, market.d, market.N), market)
     print(f"claim: {payoff_text}")
-    print(f"price: {price_claim(market, emm, claim):.6f}")
+    print(f"price: {price_claim(market, wq, claim):.6f}")
 
-    replicated = hedge_replicate(market, emm, claim)
-    closed_form = hedge_clark_ocone(market, emm, claim)
+    replicated = hedge_replicate(market, wq, claim)
+    closed_form = hedge_clark_ocone(market, wq, claim)
     gap = max(
         float(np.max(np.abs(replicated.gamma - closed_form.gamma))),
         float(np.max(np.abs(replicated.beta - closed_form.beta))),

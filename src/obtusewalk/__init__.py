@@ -38,13 +38,11 @@ from .malliavin import (
     predictable_representation,
 )
 from .market import (
-    EMM,
     ArbitrageError,
     IncompleteMarketError,
     MarketSpec,
     Strategy,
     crr_market,
-    emm_walk,
     find_emm,
     hedge_clark_ocone,
     hedge_replicate,

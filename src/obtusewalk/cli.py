@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import chaos as chaos_mod
 from . import malliavin, ou, serialize
 from . import market as market_mod
@@ -76,16 +78,16 @@ def _emit_table(args, table) -> None:
 
 
 def _market_job(args):
-    """Market, risk-neutral measure and claim: the model is checked before any payoff reads it."""
+    """Market, risk-neutral walk and claim: the model is checked before any payoff reads it."""
     market = _load_market(args)
-    emm = market_mod.find_emm(market, tol=args.tol)
+    walk = market_mod.find_emm(market, tol=args.tol)
     if getattr(args, "payoff", None):
         claim = eval_payoff(parse_payoff(args.payoff, market.d, market.N), market)
     elif getattr(args, "payoff_table", None):
         claim = _load(args.payoff_table, serialize.table_from_json, market.space)
     else:
         raise ObtuseWalkError("provide --payoff or --payoff-table")
-    return market, emm, claim
+    return market, walk, claim
 
 
 def _cmd_walk_validate(args) -> int:
@@ -188,34 +190,34 @@ def _cmd_deviation(args) -> int:
 
 def _cmd_market_emm(args) -> int:
     market = _load_market(args)
-    emm = market_mod.find_emm(market, tol=args.tol)
-    _emit(args, serialize.dump_json({"q": emm.q}))
+    walk = market_mod.find_emm(market, tol=args.tol)
+    _emit(args, serialize.dump_json({"q": np.stack([step.p for step in walk.steps])}))
     return 0
 
 
 def _cmd_market_price(args) -> int:
-    market, emm, claim = _market_job(args)
-    price = market_mod.price_claim(market, emm, claim)
+    market, walk, claim = _market_job(args)
+    price = market_mod.price_claim(market, walk, claim)
     _emit(args, serialize.dump_json({"price": price}))
     return 0
 
 
-def _hedge(args, market, emm, claim):
+def _hedge(args, market, walk, claim):
     if args.method == "clark-ocone":
-        return market_mod.hedge_clark_ocone(market, emm, claim)
-    return market_mod.hedge_replicate(market, emm, claim)
+        return market_mod.hedge_clark_ocone(market, walk, claim)
+    return market_mod.hedge_replicate(market, walk, claim)
 
 
 def _cmd_market_hedge(args) -> int:
-    market, emm, claim = _market_job(args)
-    strategy = _hedge(args, market, emm, claim)
+    market, walk, claim = _market_job(args)
+    strategy = _hedge(args, market, walk, claim)
     _emit(args, serialize.strategy_to_csv(market, strategy))
     return 0
 
 
 def _cmd_market_verify(args) -> int:
-    market, emm, claim = _market_job(args)
-    strategy = _hedge(args, market, emm, claim)
+    market, walk, claim = _market_job(args)
+    strategy = _hedge(args, market, walk, claim)
     report = market_mod.verify_strategy(market, strategy, claim, tol=args.tol_verify)
     payload = {
         "passed": report.passed,
@@ -238,9 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, tol_default: float = 1e-10):
+    def common(p: argparse.ArgumentParser, tol_default: float = 1e-10, table_format=None):
+        """Flags of every form; --format only on the forms whose output it changes."""
         p.add_argument("--out", default=None, help="write output to this file")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if table_format is not None:
+            p.add_argument("--format", choices=("json", "csv"), default=table_format)
         p.add_argument("--tol", type=float, default=tol_default)
         p.add_argument("--cap", type=int, default=None, help="enumeration cap (or env OBTUSE_CAP)")
 
@@ -265,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = chaos_sub.add_parser("reconstruct")
     p.add_argument("walk")
     p.add_argument("--coeffs", required=True)
-    common(p)
+    common(p, table_format="json")
     p.set_defaults(func=_cmd_chaos_reconstruct)
 
     p = sub.add_parser("gradient", help="finite-difference gradient of a table")
     p.add_argument("walk")
     p.add_argument("--table", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_gradient, format="csv")
+    common(p, table_format="csv")
+    p.set_defaults(func=_cmd_gradient)
 
     p = sub.add_parser("clark-ocone", help="predictable representation of a table")
     p.add_argument("walk")
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divergence", help="divergence of a vector process")
     p.add_argument("walk")
     p.add_argument("--process", required=True)
-    common(p)
+    common(p, table_format="json")
     p.set_defaults(func=_cmd_divergence)
 
     p = sub.add_parser("ou", help="apply the damping semigroup")
@@ -298,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the transition kernel over path pairs as CSV instead",
     )
-    common(p)
+    common(p, table_format="json")
     p.set_defaults(func=_cmd_ou)
 
     p = sub.add_parser("deviation", help="tail bound constants for a table")

@@ -3,10 +3,11 @@
 Scenario i at step k multiplies the risky price vector by (I + M_k^i);
 the bond grows by 1 + r_k. With d+1 scenarios per step and the stacked
 scenario matrix invertible the market is complete: the risk-neutral
-probabilities solve a (d+1)x(d+1) linear system per step and prior atom,
-every claim is priced by discounted expectation, and the hedge is
+probabilities solve a (d+1)x(d+1) linear system per step and prior atom
+and define the risk-neutral walk that `find_emm` returns, every claim is
+priced by discounted expectation under that walk, and the hedge is
 recovered either by backward replication or through the
-predictable-representation formula on the driving walk.
+predictable-representation formula on the walk.
 
 Prices live on a lattice built once per MarketSpec (`PriceLattice`): at
 each time n the distinct price vectors (nodes), numbered by their first
@@ -248,18 +249,6 @@ class PriceLattice:
 
 
 @dataclass(frozen=True, eq=False)
-class EMM:
-    """Per-step risk-neutral scenario probabilities."""
-
-    q: np.ndarray  # (N+1, d+1)
-
-    def __post_init__(self) -> None:
-        q = np.array(self.q, dtype=float)
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-
-
-@dataclass(frozen=True, eq=False)
 class Strategy:
     """Predictable portfolio: bond units beta_n and share counts gamma_n.
 
@@ -316,14 +305,17 @@ def _singular(mats: np.ndarray) -> np.ndarray:
     return singular
 
 
-def find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
-    """Solve the per-step martingale systems for the scenario probabilities.
+def find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
+    """The risk-neutral walk: the driving walk under the martingale measure.
 
     For each step the system  sum_i q_i M_k^i S_{k-1} = r_k S_{k-1}  plus
     normalization is solved on every prior atom; the solutions must be
     strictly positive and agree across atoms. The systems of every node of
     every step are conditioned and solved together; the first failing
-    (step, node) decides the error.
+    (step, node) decides the error. The walk is `construct_obtuse` of the
+    solved probabilities with the market's cap; outcome i of step k is
+    scenario i, and its probabilities are the measure that prices and both
+    hedges use.
     """
     d, lattice = market.d, market.lattice
     prior = [lattice.prior(k) for k in range(market.N + 1)]
@@ -355,33 +347,26 @@ def find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
                 f"arbitrage: risk-neutral weights at step {k} are not strictly positive"
             )
         raise StateDependentMeasureError(
-            f"state-dependent EMM unsupported: step {k} weights differ across atoms"
+            f"state-dependent risk-neutral measure unsupported: "
+            f"step {k} weights differ across atoms"
         )
-    return EMM(q[starts])
+    return construct_obtuse(list(q[starts]), cap=market.cap)
 
 
-def emm_walk(market: MarketSpec, emm: EMM) -> WalkSpec:
-    """Normalized driving walk under the risk-neutral probabilities.
+def price_claim(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> float:
+    """Initial price: discounted expectation of the claim under the risk-neutral walk.
 
-    Outcome i of the walk is identified with market scenario i. The walk is
-    kept on the EMM and built again only for a market with another cap.
+    The claim and the walk are checked first.
     """
-    if emm.q.shape != (market.N + 1, market.d + 1):
-        raise ValueError(
-            f"EMM has shape {emm.q.shape}, expected ({market.N + 1}, {market.d + 1})"
-        )
-    walk = emm.__dict__.get("_walk")
-    if walk is None or walk.cap != market.cap:
-        walk = construct_obtuse(list(emm.q), cap=market.cap)
-        object.__setattr__(emm, "_walk", walk)
-    return walk
-
-
-def price_claim(market: MarketSpec, emm: EMM, claim: PathTable) -> float:
-    """Initial price: discounted risk-neutral expectation of the claim, checked first."""
     _check_claim(market, claim)
-    wq = emm_walk(market, emm)
+    _check_walk(market, wq)
     return expectation(wq, claim) / float(market.bond[market.N])
+
+
+def _check_walk(market: MarketSpec, wq: WalkSpec) -> None:
+    """The risk-neutral walk must drive the market's paths."""
+    if wq.space != market.space:
+        raise ValueError("risk-neutral walk is not defined on the market's path space")
 
 
 def _check_claim(market: MarketSpec, claim: PathTable) -> None:
@@ -391,7 +376,7 @@ def _check_claim(market: MarketSpec, claim: PathTable) -> None:
     _check_finite(claim, "claim")
 
 
-def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
+def hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strategy:
     """Atom-wise replication of the claim.
 
     At each time and prior atom, the bond row and the d+1 scenario prices
@@ -401,9 +386,8 @@ def hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
     step are conditioned before any atom is solved; the singular step with
     the largest n raises.
     """
-    price = price_claim(market, emm, claim)  # checks the claim before any other arithmetic
+    price = price_claim(market, wq, claim)  # checks both before any other arithmetic
     d, lattice, bond = market.d, market.lattice, market.bond
-    wq = emm_walk(market, emm)
     # row i for a node of time n-1: the bond, then the prices of its child in scenario i
     mats = []
     for n in range(market.N + 1):
@@ -434,6 +418,7 @@ def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
     Computed for every (n, j) at once; the first failing (n, j), n before j,
     raises.
     """
+    _check_walk(market, wq)
     v = np.stack([step.v for step in wq.steps])  # (N+1, d+1, d)
     excess = market.lambdas - rate  # (N+1, d+1, d)
     # cross[n, i, k, j] = v_i^j excess_k^j - v_k^j excess_i^j
@@ -452,7 +437,7 @@ def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
     )[:, 0]
 
 
-def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
+def hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strategy:
     """Closed-form hedge from the predictable representation of the claim.
 
     Restricted to diagonal scenario models with a uniform rate. The share
@@ -461,14 +446,13 @@ def hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strateg
     ratio must be scenario-independent. On an atom of F_{n-1}, xi_n is the
     (d+1)-term sum  sum_i c_i(n) E[F | atom, w_n = i]  over its F_n atoms.
     """
-    price = price_claim(market, emm, claim)  # checks the claim before any other arithmetic
+    price = price_claim(market, wq, claim)  # checks both before any other arithmetic
     if not market.diagonal:
         raise HedgeFormulaError(
             "closed-form hedge needs diagonal scenario matrices; use hedge_replicate"
         )
     rate = market.uniform_rate()
     d, lattice = market.d, market.lattice
-    wq = emm_walk(market, emm)
     ratio_const = _hedge_ratios(market, wq, rate)
 
     steps = []

@@ -111,8 +111,8 @@ def tail_probability(walk: WalkSpec, table: PathTable, x: float) -> float:
 class DeviationBound:
     """Constants and tail bounds for P(F - E[F] >= x).
 
-    spread bounds any two single-outcome rewrites of F at one time;
-    coeff_max bounds the |c_i^j|; grad_norm is the conservative
+    spread is the largest gap between two single-outcome rewrites of F at
+    one time; coeff_max is the largest |c_i^j|; grad_norm is the conservative
     max-over-paths of sum_k max_j |D_k^j F|. The Bennett-form bound always
     undercuts the logarithmic one, and the exact tail is reported alongside.
     """
@@ -127,18 +127,11 @@ class DeviationBound:
     oracle_tail: float
 
 
-def deviation_bound(
-    walk: WalkSpec,
-    table: PathTable,
-    x: float,
-    spread: float | None = None,
-    coeff_max: float | None = None,
-) -> DeviationBound:
+def deviation_bound(walk: WalkSpec, table: PathTable, x: float) -> DeviationBound:
     """Bennett-type deviation bound with constants computed from the inputs.
 
-    User-supplied constants are accepted only when at least as large as the
-    computed minimal ones. Constant tables admit no bound for x > 0 and are
-    rejected explicitly, as is a table that is NaN or infinite on some path.
+    Constant tables admit no bound for x > 0 and are rejected explicitly, as
+    is a table that is NaN or infinite on some path.
     """
     x = float(x)
     if not 0.0 < x < math.inf:
@@ -146,20 +139,11 @@ def deviation_bound(
     _check_space(walk, table)
     _check_finite(table, "table")
 
-    k_min = 0.0
+    spread = 0.0
     for k in range(walk.N + 1):
         view = walk.space.axis_view(table.values, k)  # (atoms, d+1, stride)
-        k_min = max(k_min, float(np.max(view.max(axis=1) - view.min(axis=1))))
-    c_min = max(float(np.max(np.abs(step.c))) for step in walk.steps)
-
-    if spread is None:
-        spread = k_min
-    elif spread < k_min - 1e-12:
-        raise ValueError(f"supplied spread {spread} is below the computed {k_min}")
-    if coeff_max is None:
-        coeff_max = c_min
-    elif coeff_max < c_min - 1e-12:
-        raise ValueError(f"supplied coefficient bound {coeff_max} is below the computed {c_min}")
+        spread = max(spread, float(np.max(view.max(axis=1) - view.min(axis=1))))
+    coeff_max = max(float(np.max(np.abs(step.c))) for step in walk.steps)
 
     grad = gradient(walk, table)
     grad_norm = float(np.max(np.abs(grad.values).max(axis=2).sum(axis=0)))

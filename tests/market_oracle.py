@@ -25,13 +25,12 @@ closed-form hedge.
 import numpy as np
 
 from obtusewalk import (
-    EMM,
     MarketSpec,
     PathTable,
     PredictableProcess,
     Strategy,
     WalkSpec,
-    emm_walk,
+    construct_obtuse,
 )
 from obtusewalk.malliavin import gradient
 from obtusewalk.market import (
@@ -145,8 +144,8 @@ def oracle_measure(walk: WalkSpec) -> np.ndarray:
     return out
 
 
-def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
-    """Risk-neutral weights from one (d+1)x(d+1) solve per step and prior atom."""
+def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
+    """Risk-neutral walk from one (d+1)x(d+1) solve per step and prior atom."""
     prices = oracle_prices(market)
     space = market.space
     out = np.empty((market.N + 1, market.d + 1))
@@ -173,16 +172,16 @@ def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> EMM:
                 q_step = q
             elif np.max(np.abs(q - q_step)) > tol:
                 raise StateDependentMeasureError(
-                    f"state-dependent EMM unsupported: step {k} weights differ across atoms"
+                    f"state-dependent risk-neutral measure unsupported: "
+                    f"step {k} weights differ across atoms"
                 )
         out[k] = q_step
-    return EMM(out)
+    return construct_obtuse(list(out), cap=market.cap)
 
 
-def oracle_hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
+def oracle_hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strategy:
     """Backward replication with one (d+1)x(d+1) solve per step and prior atom."""
     space = market.space
-    wq = emm_walk(market, emm)
     prices = oracle_prices(market)
     bond = market.bond
     values = np.empty((market.N + 1, space.num_paths))
@@ -216,7 +215,7 @@ def oracle_hedge_replicate(market: MarketSpec, emm: EMM, claim: PathTable) -> St
     return path_strategy(space, beta, gamma, beta_init=v_init)
 
 
-def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> Strategy:
+def oracle_hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strategy:
     """Closed-form hedge from the path-wise gradient, conditioned path by path."""
     if claim.space != market.space:
         raise ValueError("claim is not defined on the market's path space")
@@ -226,7 +225,6 @@ def oracle_hedge_clark_ocone(market: MarketSpec, emm: EMM, claim: PathTable) -> 
         )
     rate = market.uniform_rate()
     space = market.space
-    wq = emm_walk(market, emm)
     prices = oracle_prices(market)
     ratio_const = oracle_hedge_ratios(market, wq, rate)
     grad = gradient(wq, claim)

@@ -265,19 +265,19 @@ def test_criterion_9_market():
     with criterion(9, "CRR prices and hedges; closed-form equals replication; basket"):
         start = time.perf_counter()
         one = crr_market(100.0, 0.1, -0.1, 0.0, 1)
-        emm = find_emm(one)
+        wq = find_emm(one)
         claim = eval_payoff(parse_payoff("max(S(1)-100,0)", 1, 0), one)
-        assert abs(price_claim(one, emm, claim) - 5.0) < 1e-10
-        strategy = hedge_replicate(one, emm, claim)
+        assert abs(price_claim(one, wq, claim) - 5.0) < 1e-10
+        strategy = hedge_replicate(one, wq, claim)
         assert np.max(np.abs(strategy.gamma[0] - 0.5)) < 1e-10
         assert np.max(np.abs(strategy.beta[0] + 45.0)) < 1e-8
 
         two = crr_market(100.0, 0.1, -0.1, 0.0, 2)
-        emm2 = find_emm(two)
+        wq2 = find_emm(two)
         claim2 = eval_payoff(parse_payoff("max(S(1)-100,0)", 1, 1), two)
-        assert abs(price_claim(two, emm2, claim2) - 5.25) < 1e-10
-        a = hedge_replicate(two, emm2, claim2)
-        b = hedge_clark_ocone(two, emm2, claim2)
+        assert abs(price_claim(two, wq2, claim2) - 5.25) < 1e-10
+        a = hedge_replicate(two, wq2, claim2)
+        b = hedge_clark_ocone(two, wq2, claim2)
         assert np.max(np.abs(a.gamma - b.gamma)) < 1e-8
         assert np.max(np.abs(a.beta - b.beta)) < 1e-8
         report = verify_strategy(two, a, claim2, tol=1e-8)
@@ -286,14 +286,14 @@ def test_criterion_9_market():
         from test_market import d2_market
 
         basket = d2_market()
-        emm3 = find_emm(basket)
+        wq3 = find_emm(basket)
         claim3 = eval_payoff(
             parse_payoff("max(0.5*(S(1)+S(2))-100,0)", 2, 1), basket
         )
-        s3 = hedge_replicate(basket, emm3, claim3)
+        s3 = hedge_replicate(basket, wq3, claim3)
         values, _ = oracle_strategy_values(basket, s3)
         assert np.max(np.abs(values[basket.N] - claim3.values)) < 1e-8
-        s3c = hedge_clark_ocone(basket, emm3, claim3)
+        s3c = hedge_clark_ocone(basket, wq3, claim3)
         assert np.max(np.abs(s3.gamma - s3c.gamma)) < 1e-8
         assert verify_strategy(basket, s3, claim3, tol=1e-8).passed
         assert time.perf_counter() - start < 2.0

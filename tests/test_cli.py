@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import obtusewalk
-from obtusewalk import cli, find_emm, price_claim, serialize
+from obtusewalk import cli, crr_market, find_emm, price_claim, serialize
+from obtusewalk import market as market_mod
 from obtusewalk.cli import main
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from obtusewalk.serialize import market_from_json
@@ -101,6 +102,30 @@ class TestSemantics:
         expected = price_claim(market, find_emm(market), claim)
         assert json.loads(out)["price"] == expected
 
+    def test_printed_q_is_the_pricing_measure(self, capsys, monkeypatch, tmp_path):
+        """`market emm` prints the step probabilities of the walk that prices the claim."""
+        spec = {
+            "d": 1, "N": 2, "S0": [100.0], "r": 0.02,
+            "scenarios": [[{"lambda": [0.12]}, {"lambda": [-0.05]}]] * 3,
+        }
+        path = tmp_path / "crr3.json"
+        path.write_text(json.dumps(spec))
+        code, out = run_cli(["market", "emm", str(path)], capsys)
+        assert code == 0
+        printed = json.loads(out)["q"]
+        seen = []
+        price = market_mod.price_claim
+        monkeypatch.setattr(
+            market_mod, "price_claim", lambda m, wq, c: seen.append(wq) or price(m, wq, c)
+        )
+        code, _ = run_cli(["market", "price", str(path), "--payoff", "max(S(1)-100,0)"], capsys)
+        assert code == 0 and len(seen) == 1
+        assert printed == [step.p.tolist() for step in seen[0].steps]
+        # the renormalized probabilities, not the solved ones (0.411764705882353, ...)
+        assert printed[0] == [0.41176470588235287, 0.5882352941176471]
+        walk = find_emm(crr_market(100, 0.12, -0.05, 0.02, 3))
+        assert printed == [step.p.tolist() for step in walk.steps]
+
     def test_deviation_log_bound_value(self, capsys):
         _, out = run_cli(COMMANDS["deviation"], capsys)
         assert json.loads(out)["bound_log"] == pytest.approx(3.0 ** -0.25, abs=1e-15)
@@ -168,6 +193,17 @@ class TestFormatsAndFlags:
         # probability-weighted rows sum to one
         for row in rows:
             assert sum(row) / 4.0 == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_format_only_where_it_changes_the_output(self, capsys, name):
+        argv = COMMANDS[name] + ["--format", "csv"]
+        if name in ("chaos-reconstruct", "gradient", "divergence", "ou"):
+            assert run_cli(argv, capsys)[0] == 0
+            return
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     def test_gradient_json_format(self, capsys):
         code, out = run_cli(COMMANDS["gradient"] + ["--format", "json"], capsys)
@@ -295,6 +331,21 @@ class TestExitCodes:
         assert captured.err == (
             "error: market scenarios would need 1100 entries, above the cap of 500\n"
         )
+
+    def test_emm_paths_checked_against_cap(self, capsys, tmp_path):
+        """`market emm` builds the risk-neutral walk, so its paths must fit the cap
+        as they must for a price."""
+        spec = tmp_path / "market.json"
+        spec.write_text(
+            json.dumps({"d": 1, "N": 11, "S0": [100.0], "r": 0.01,
+                        "scenarios": [[{"lambda": [0.1]}, {"lambda": [-0.08]}]] * 12})
+        )
+        for argv in (["market", "emm", str(spec)],
+                     ["market", "price", str(spec), "--payoff", "S(1)"]):
+            code = main(argv + ["--cap", "100"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (1, "")
+            assert captured.err.endswith("above the cap of 100\n")
 
     def test_cap_env_enforced(self, capsys, monkeypatch):
         monkeypatch.setenv("OBTUSE_CAP", "2")

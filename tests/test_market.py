@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from obtusewalk import (
-    EMM,
     ArbitrageError,
     IncompleteMarketError,
     MarketSpec,
@@ -14,7 +13,6 @@ from obtusewalk import (
     Strategy,
     conditional_expectation,
     crr_market,
-    emm_walk,
     find_emm,
     hedge_clark_ocone,
     hedge_replicate,
@@ -110,13 +108,13 @@ class TestBuildPrices:
 
 class TestFindEMM:
     def test_symmetric(self):
-        emm = find_emm(crr1())
-        assert np.allclose(emm.q[0], [0.5, 0.5])
+        wq = find_emm(crr1())
+        assert np.allclose(wq.steps[0].p, [0.5, 0.5])
 
     def test_asymmetric(self):
         market = crr_market(100.0, 0.2, -0.1, 0.0, 1)
-        emm = find_emm(market)
-        assert np.allclose(emm.q[0], [1.0 / 3.0, 2.0 / 3.0])
+        wq = find_emm(market)
+        assert np.allclose(wq.steps[0].p, [1.0 / 3.0, 2.0 / 3.0])
 
     def test_arbitrage_detected(self):
         market = crr_market(100.0, 0.1, 0.05, 0.0, 1)
@@ -130,28 +128,29 @@ class TestFindEMM:
 
     def test_general_matrices(self):
         market, q = general_market()
-        emm = find_emm(market)
-        assert np.max(np.abs(emm.q[0] - q)) < 1e-12
+        wq = find_emm(market)
+        assert np.max(np.abs(wq.steps[0].p - q)) < 1e-12
 
     def test_d2_fixture_probabilities(self):
-        emm = find_emm(d2_market())
-        assert np.max(np.abs(emm.q - [0.25, 0.25, 0.5])) < 1e-12
+        wq = find_emm(d2_market())
+        q = np.stack([step.p for step in wq.steps])
+        assert np.max(np.abs(q - [0.25, 0.25, 0.5])) < 1e-12
 
 
 class TestEmmWalk:
     def test_symmetric_gives_bernoulli(self):
-        walk = emm_walk(crr1(), find_emm(crr1()))
+        walk = find_emm(crr1())
         assert np.allclose(walk.steps[0].v.ravel(), [1.0, -1.0])
 
     def test_asymmetric_closed_form(self):
         market = crr_market(100.0, 0.2, -0.1, 0.0, 1)
-        walk = emm_walk(market, find_emm(market))
+        walk = find_emm(market)
         assert walk.steps[0].v[0, 0] == pytest.approx(SQ2, abs=1e-12)
         assert walk.steps[0].v[1, 0] == pytest.approx(-1.0 / SQ2, abs=1e-12)
 
     def test_d2_gives_fixture_walk(self):
         market = d2_market()
-        walk = emm_walk(market, find_emm(market))
+        walk = find_emm(market)
         expected = np.array([[SQ2, 1.0], [-SQ2, 1.0], [0.0, -1.0]])
         assert np.max(np.abs(walk.steps[0].v - expected)) < 1e-10
 
@@ -235,30 +234,30 @@ class TestHedgeClarkOcone:
 
     def test_matches_replication_two_period(self):
         market = crr2()
-        emm = find_emm(market)
+        wq = find_emm(market)
         claim = call(market)
-        a = hedge_replicate(market, emm, claim)
-        b = hedge_clark_ocone(market, emm, claim)
+        a = hedge_replicate(market, wq, claim)
+        b = hedge_clark_ocone(market, wq, claim)
         assert np.max(np.abs(a.gamma - b.gamma)) < 1e-8
         assert np.max(np.abs(a.beta - b.beta)) < 1e-8
 
     def test_matches_replication_d2_basket(self):
         market = d2_market()
-        emm = find_emm(market)
+        wq = find_emm(market)
         claim = eval_payoff(
             parse_payoff("max(0.5*(S(1)+S(2))-100,0)", market.d, market.N), market
         )
-        a = hedge_replicate(market, emm, claim)
-        b = hedge_clark_ocone(market, emm, claim)
+        a = hedge_replicate(market, wq, claim)
+        b = hedge_clark_ocone(market, wq, claim)
         assert np.max(np.abs(a.gamma - b.gamma)) < 1e-8
         assert np.max(np.abs(a.beta - b.beta)) < 1e-8
 
     def test_matches_replication_nonzero_rate(self):
         market = crr_market(100.0, 0.1, -0.1, 0.02, 2)
-        emm = find_emm(market)
+        wq = find_emm(market)
         claim = call(market)
-        a = hedge_replicate(market, emm, claim)
-        b = hedge_clark_ocone(market, emm, claim)
+        a = hedge_replicate(market, wq, claim)
+        b = hedge_clark_ocone(market, wq, claim)
         assert np.max(np.abs(a.gamma - b.gamma)) < 1e-8
         assert np.max(np.abs(a.beta - b.beta)) < 1e-8
 
@@ -301,9 +300,9 @@ def test_hedges_check_the_claim_once(hedge, monkeypatch):
 class TestVerifyStrategy:
     def test_hedge_passes_all_checks(self):
         market = crr2()
-        emm = find_emm(market)
+        wq = find_emm(market)
         claim = call(market)
-        report = verify_strategy(market, hedge_replicate(market, emm, claim), claim)
+        report = verify_strategy(market, hedge_replicate(market, wq, claim), claim)
         assert report.passed
         assert report.replication < 1e-8
         assert report.self_financing < 1e-8
@@ -311,9 +310,9 @@ class TestVerifyStrategy:
 
     def test_perturbed_gamma_fails(self):
         market = crr2()
-        emm = find_emm(market)
+        wq = find_emm(market)
         claim = call(market)
-        strategy = hedge_replicate(market, emm, claim)
+        strategy = hedge_replicate(market, wq, claim)
         beta, gamma = strategy_paths(strategy)
         bad_gamma = gamma.copy()
         bad_gamma[0] += 0.1
@@ -330,9 +329,9 @@ class TestVerifyStrategy:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_positions_at_a_middle_step_fail(self, bad):
         market = crr_market(100.0, 0.09, -0.07, 0.01, 4)
-        emm = find_emm(market)
+        wq = find_emm(market)
         claim = call(market)
-        strategy = hedge_replicate(market, emm, claim)
+        strategy = hedge_replicate(market, wq, claim)
         rows = strategy.positions.rows.copy()
         rows[strategy.positions._start(2)] = bad  # one atom's position at step 2
         broken = Strategy(PredictableProcess(market.space, rows), strategy.beta_init)
@@ -365,8 +364,7 @@ class TestInvariants:
     @pytest.mark.parametrize("maker", [crr2, d2_market, lambda: crr_market(100, 0.15, -0.05, 0.03, 3)])
     def test_discounted_prices_are_martingales(self, maker):
         market = maker()
-        emm = find_emm(market)
-        wq = emm_walk(market, emm)
+        wq = find_emm(market)
         prices, bond = oracle_prices(market), market.bond
         for n in range(market.N):
             for j in range(market.d):
@@ -377,10 +375,9 @@ class TestInvariants:
 
     def test_replication_values_match_conditional_prices(self):
         market = crr2()
-        emm = find_emm(market)
+        wq = find_emm(market)
         claim = call(market)
-        wq = emm_walk(market, emm)
-        strategy = hedge_replicate(market, emm, claim)
+        strategy = hedge_replicate(market, wq, claim)
         values, _ = oracle_strategy_values(market, strategy)
         bond = market.bond
         for n in range(market.N + 1):
@@ -390,7 +387,7 @@ class TestInvariants:
             assert np.max(np.abs(values[n] - target)) < 1e-9
 
     def test_one_period_completeness_criterion(self):
-        # the EMM system matrix and the augmented price vectors agree on singularity
+        # the risk-neutral system matrix and the augmented price vectors agree on singularity
         for market, singular in [
             (crr1(), False),
             (general_market()[0], False),
@@ -412,7 +409,7 @@ class TestInvariants:
 
     def test_put_call_parity_at_zero_rate(self):
         market = crr2()
-        emm = find_emm(market)
+        wq = find_emm(market)
         strike = 95.0
         call_claim = eval_payoff(
             parse_payoff(f"max(S(1)-{strike},0)", 1, market.N), market
@@ -420,5 +417,5 @@ class TestInvariants:
         put_claim = eval_payoff(
             parse_payoff(f"max({strike}-S(1),0)", 1, market.N), market
         )
-        lhs = price_claim(market, emm, call_claim) - price_claim(market, emm, put_claim)
+        lhs = price_claim(market, wq, call_claim) - price_claim(market, wq, put_claim)
         assert lhs == pytest.approx(100.0 - strike, abs=1e-9)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from obtusewalk import (
     DEFAULT_CAP,
-    EMM,
     ArbitrageError,
     IncompleteMarketError,
     MarketSpec,
@@ -16,8 +15,8 @@ from obtusewalk import (
     SizeCapError,
     Strategy,
     VectorProcess,
+    construct_obtuse,
     crr_market,
-    emm_walk,
     find_emm,
     hedge_clark_ocone,
     hedge_replicate,
@@ -26,7 +25,7 @@ from obtusewalk import (
 )
 from obtusewalk import malliavin, serialize
 from obtusewalk import market as market_mod
-from obtusewalk.market import MarketModelError, StateDependentMeasureError
+from obtusewalk.market import MarketModelError, StateDependentMeasureError, _hedge_ratios
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2, random_walk
 from market_oracle import (
@@ -114,14 +113,16 @@ class TestAgainstOracle:
     def test_byte_identical(self, drawn):
         market, rng = drawn
         expected = _outcome(oracle_find_emm, market)
-        emm = _outcome(find_emm, market)
+        wq = _outcome(find_emm, market)
         if isinstance(expected, tuple):
-            assert emm == expected
+            assert wq == expected
             return
-        assert emm.q.tobytes() == expected.q.tobytes()
+        for mine, theirs in zip(wq.steps, expected.steps, strict=True):
+            assert mine.p.tobytes() == theirs.p.tobytes()
+            assert mine.v.tobytes() == theirs.v.tobytes()
         claim = PathTable(market.space, rng.standard_normal(market.space.num_paths))
-        got = hedge_replicate(market, emm, claim)
-        want = oracle_hedge_replicate(market, emm, claim)
+        got = hedge_replicate(market, wq, claim)
+        want = oracle_hedge_replicate(market, wq, claim)
         assert got.beta.tobytes() == want.beta.tobytes()
         assert got.gamma.tobytes() == want.gamma.tobytes()
         assert got.beta_init == want.beta_init
@@ -131,15 +132,15 @@ class TestAgainstOracle:
     def test_hedges_and_reports(self, drawn):
         """Per-atom hedges and verifier against the path-wise oracles."""
         market, rng = drawn
-        emm = _outcome(find_emm, market)
-        if isinstance(emm, tuple):
+        wq = _outcome(find_emm, market)
+        if isinstance(wq, tuple):
             return
         claim = PathTable(market.space, rng.standard_normal(market.space.num_paths))
-        price = price_claim(market, emm, claim)
-        replicated = hedge_replicate(market, emm, claim)
+        price = price_claim(market, wq, claim)
+        replicated = hedge_replicate(market, wq, claim)
         assert replicated.beta_init == price
-        want = _outcome(oracle_hedge_clark_ocone, market, emm, claim)
-        got = _outcome(hedge_clark_ocone, market, emm, claim)
+        want = _outcome(oracle_hedge_clark_ocone, market, wq, claim)
+        got = _outcome(hedge_clark_ocone, market, wq, claim)
         strategies = [replicated]
         if isinstance(want, tuple):
             assert got == want
@@ -164,8 +165,8 @@ class TestPredictabilityOnPaths:
         market = crr_market(100.0, 0.1, -0.08, 0.01, 6)
         space = market.space
         claim = PathTable(market.space, np.linspace(0.0, 1.0, space.num_paths) ** 2)
-        emm = find_emm(market)
-        strategy = hedge(market, emm, claim)
+        wq = find_emm(market)
+        strategy = hedge(market, wq, claim)
         assert verify_strategy(market, strategy, claim).predictability == 0.0
         n = 3
         start = 5 * space.atom_size(n - 1)  # atom 5 of F_{n-1}
@@ -221,13 +222,12 @@ class TestNoPathSurgery:
             _stepwise_crr(np.random.default_rng(5), 0.01, 5),
         ):
             claim = PathTable(market.space, np.cos(np.arange(market.space.num_paths)))
-            emm = find_emm(market)
-            price_claim(market, emm, claim)
+            wq = find_emm(market)
+            price_claim(market, wq, claim)
             for hedge in (hedge_replicate, hedge_clark_ocone):
-                assert verify_strategy(market, hedge(market, emm, claim), claim).passed
-            walk = emm_walk(market, emm)
-            assert "increments" not in walk.__dict__
-            for space in (market.space, walk.space):
+                assert verify_strategy(market, hedge(market, wq, claim), claim).passed
+            assert "increments" not in wq.__dict__
+            for space in (market.space, wq.space):
                 assert "outcomes" not in space.__dict__
 
 
@@ -330,10 +330,10 @@ class TestMultiAtomErrors:
 
     def test_singular_replication_at_step_one(self):
         market = _crr_two_step((0.1, 0.1))
-        emm = EMM(np.full((2, 2), 0.5))
+        wq = construct_obtuse([[0.5, 0.5]] * 2)
         claim = PathTable.constant(market.space, 1.0)
         with pytest.raises(IncompleteMarketError, match="replication system at step 1"):
-            hedge_replicate(market, emm, claim)
+            hedge_replicate(market, wq, claim)
 
 
 class TestNodes:
@@ -412,7 +412,8 @@ class TestLattice:
 
 class TestNoPricePaths:
     def test_market_job_reads_no_price_paths(self):
-        """Load, payoff, EMM, price, both hedges, CSV and verify build no path table."""
+        """Load, payoff, risk-neutral walk, price, both hedges, CSV and verify
+        build no path table."""
         specs = [
             ({"d": 1, "N": 9, "S0": [100.0], "r": 0.01,
               "scenarios": [[{"lambda": [0.1]}, {"lambda": [-0.08]}]] * 10},
@@ -424,16 +425,15 @@ class TestNoPricePaths:
         for spec, source in specs:
             market = serialize.market_from_json(spec)
             claim = eval_payoff(parse_payoff(source, market.d, market.N), market)
-            emm = find_emm(market)
-            price = price_claim(market, emm, claim)
+            wq = find_emm(market)
+            price = price_claim(market, wq, claim)
             for hedge in (hedge_replicate, hedge_clark_ocone):
-                strategy = hedge(market, emm, claim)
+                strategy = hedge(market, wq, claim)
                 assert serialize.strategy_to_csv(market, strategy).startswith("time,atom,beta")
                 report = verify_strategy(market, strategy, claim)
                 assert report.passed and report.value_initial == pytest.approx(price)
-            walk = emm_walk(market, emm)
-            assert "increments" not in walk.__dict__
-            for space in (market.space, walk.space):
+            assert "increments" not in wq.__dict__
+            for space in (market.space, wq.space):
                 assert "outcomes" not in space.__dict__
 
 
@@ -474,42 +474,37 @@ class TestRiskNeutralWalkOncePerEMM:
     def test_one_walk_per_emm(self, monkeypatch):
         market = crr_market(100.0, 0.1, -0.08, 0.01, 4)
         claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
-        emm = find_emm(market)
         built = []
         construct = market_mod.construct_obtuse
         monkeypatch.setattr(
             market_mod, "construct_obtuse", lambda *a, **k: built.append(1) or construct(*a, **k)
         )
-        price_claim(market, emm, claim)
-        hedge_replicate(market, emm, claim)
-        hedge_clark_ocone(market, emm, claim)
-        assert emm_walk(market, emm) is emm_walk(market, emm)
+        wq = find_emm(market)
+        price_claim(market, wq, claim)
+        hedge_replicate(market, wq, claim)
+        hedge_clark_ocone(market, wq, claim)
         assert len(built) == 1
-        # the cached walk lives as long as the EMM: the gradient leaves no outcome table on it
-        assert "outcomes" not in emm_walk(market, emm).space.__dict__
+        # the gradient leaves no outcome table on the walk
+        assert "outcomes" not in wq.space.__dict__
 
     @pytest.mark.parametrize("cap", [32, 2 * DEFAULT_CAP])
     def test_walk_takes_the_cap_of_the_market(self, cap):
-        # an EMM built directly carries no cap: the walk uses the market's
         market = crr_market(100.0, 0.1, -0.08, 0.01, 4, cap=cap)
-        emm = EMM(find_emm(market).q)
-        claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
-        assert price_claim(market, emm, claim) == price_claim(market, find_emm(market), claim)
-        walk = emm_walk(market, emm)
+        walk = find_emm(market)
         assert walk.cap == cap and walk.space.cap == market.space.cap
 
-    def test_walk_is_rebuilt_for_another_cap(self):
-        small = crr_market(100.0, 0.1, -0.08, 0.01, 4, cap=32)
-        large = crr_market(100.0, 0.1, -0.08, 0.01, 4, cap=2 * DEFAULT_CAP)
-        emm = find_emm(small)
-        assert emm_walk(small, emm).cap == 32
-        assert emm_walk(large, emm).cap == 2 * DEFAULT_CAP
-        assert emm_walk(large, emm) is emm_walk(large, emm)
-
     def test_emm_of_another_horizon_is_rejected(self):
-        emm = find_emm(crr_market(100.0, 0.1, -0.08, 0.01, 3))
-        with pytest.raises(ValueError, match="EMM has shape"):
-            emm_walk(crr_market(100.0, 0.1, -0.08, 0.01, 4), emm)
+        market = crr_market(100.0, 0.1, -0.08, 0.01, 4)
+        claim = PathTable(market.space, np.linspace(0.0, 1.0, market.space.num_paths))
+        for wq in (
+            find_emm(crr_market(100.0, 0.1, -0.08, 0.01, 3)),  # another horizon
+            construct_obtuse([[0.25, 0.25, 0.5]] * 4),  # another dimension
+        ):
+            for fn in (price_claim, hedge_replicate, hedge_clark_ocone):
+                with pytest.raises(ValueError, match="^risk-neutral walk is not defined on"):
+                    fn(market, wq, claim)
+            with pytest.raises(ValueError, match="^risk-neutral walk is not defined on"):
+                _hedge_ratios(market, wq, 0.01)
 
 
 class TestMarketSize:

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from obtusewalk import (
-    EMM,
     MarketSpec,
     construct_obtuse,
     crr_market,
-    emm_walk,
     find_emm,
     hedge_replicate,
 )
@@ -116,9 +114,9 @@ class TestWorkloadModelsSkipSvd:
     )
     def test_no_system_reaches_svd(self, monkeypatch, market, payoff):
         monkeypatch.setattr(np.linalg, "cond", _no_svd)
-        emm = find_emm(market)
+        wq = find_emm(market)
         claim = eval_payoff(parse_payoff(payoff, market.d, market.N), market)
-        hedge_replicate(market, emm, claim)
+        hedge_replicate(market, wq, claim)
 
 
 def _rows(rng, count, d):
@@ -176,7 +174,7 @@ class TestHedgeRatios:
             q = rng.dirichlet(np.ones(d + 1), size=N + 1) * 0.5 + 0.5 / (d + 1)
             rate = float(rng.uniform(-0.02, 0.05))
             market = _diagonal_market(rng, d, N, rate, q)
-            wq = emm_walk(market, EMM(q))
+            wq = construct_obtuse(list(q), cap=market.cap)
             try:
                 want = oracle_hedge_ratios(market, wq, rate)
             except HedgeFormulaError as exc:

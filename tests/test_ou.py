@@ -217,16 +217,6 @@ class TestDeviationBound:
         finite = math.exp(-0.25 * (3.0 * math.log1p(2.0) - 2.0))  # scale / spread = 1/4, u = 2
         assert deviation_bound(walk, y0, 1.0).bound_bennett == finite
 
-    def test_override_validation(self):
-        walk = bernoulli(1)
-        y0 = increment_rv(walk, 0, 1)
-        loose = deviation_bound(walk, y0, 1.0, spread=3.0, coeff_max=0.9)
-        assert loose.spread == 3.0
-        with pytest.raises(ValueError):
-            deviation_bound(walk, y0, 1.0, spread=1.0)
-        with pytest.raises(ValueError):
-            deviation_bound(walk, y0, 1.0, coeff_max=0.1)
-
     def test_bound_dominates_tail_on_random_tables(self, rng):
         for d, N in [(1, 2), (2, 2)]:
             walk = random_walk(rng, d, N)
