@@ -4,16 +4,20 @@ Subcommands drive every library module from JSON specifications:
 
     walk validate | walk construct
     chaos decompose | chaos reconstruct
-    gradient, clark-ocone, divergence, ou, deviation
+    gradient, clark-ocone, divergence, ou, ou-kernel, deviation
     market emm | market price | market hedge | market verify
 
 Exit status is 0 on success, 1 on validation or input failure, 2 on usage
 errors. Numeric output carries 17 significant digits and identical inputs
-produce byte-identical output.
+produce byte-identical output. A form accepts only the flags it reads.
+The JSON of `walk validate`, `deviation` and `market verify` is the
+fields of ValidationReport, DeviationBound and StrategyReport, so a field
+added to one of them changes that form's output and its golden.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -65,8 +69,7 @@ def _load_market(args) -> market_mod.MarketSpec:
     return _load(args.market, serialize.market_from_json, cap=args.cap)
 
 
-def _load_table(args, space):
-    path = getattr(args, "table", None) or getattr(args, "payoff_table", None)
+def _load_table(path: str, space):
     return _load(path, serialize.table_from_json, space)
 
 
@@ -81,27 +84,17 @@ def _market_job(args):
     """Market, risk-neutral walk and claim: the model is checked before any payoff reads it."""
     market = _load_market(args)
     walk = market_mod.find_emm(market, tol=args.tol)
-    if getattr(args, "payoff", None):
+    if args.payoff is not None:
         claim = eval_payoff(parse_payoff(args.payoff, market.d, market.N), market)
-    elif getattr(args, "payoff_table", None):
-        claim = _load(args.payoff_table, serialize.table_from_json, market.space)
     else:
-        raise ObtuseWalkError("provide --payoff or --payoff-table")
+        claim = _load_table(args.payoff_table, market.space)
     return market, walk, claim
 
 
 def _cmd_walk_validate(args) -> int:
     walk = _load_walk(args)
     report = walk_mod.validate(walk, tol=args.tol)
-    payload = {
-        "passed": report.passed,
-        "errors": list(report.errors),
-        "max_mean_residual": report.max_mean_residual,
-        "worst_mean": list(report.worst_mean) if report.worst_mean else None,
-        "max_moment_residual": report.max_moment_residual,
-        "worst_moment": list(report.worst_moment) if report.worst_moment else None,
-    }
-    _emit(args, serialize.dump_json(payload))
+    _emit(args, serialize.dump_json(dataclasses.asdict(report)))
     return 0 if report.passed else 1
 
 
@@ -113,7 +106,7 @@ def _cmd_walk_construct(args) -> int:
 
 def _cmd_chaos_decompose(args) -> int:
     walk = _load_walk(args)
-    table = _load_table(args, walk.space)
+    table = _load_table(args.table, walk.space)
     coeffs = chaos_mod.decompose(walk, table)
     _emit(args, serialize.dump_json(serialize.chaos_to_json(coeffs)))
     return 0
@@ -128,7 +121,7 @@ def _cmd_chaos_reconstruct(args) -> int:
 
 def _cmd_gradient(args) -> int:
     walk = _load_walk(args)
-    table = _load_table(args, walk.space)
+    table = _load_table(args.table, walk.space)
     grad = malliavin.gradient(walk, table)
     if args.format == "json":
         _emit(args, serialize.dump_json(grad.values))
@@ -139,7 +132,7 @@ def _cmd_gradient(args) -> int:
 
 def _cmd_clark_ocone(args) -> int:
     walk = _load_walk(args)
-    table = _load_table(args, walk.space)
+    table = _load_table(args.table, walk.space)
     if args.start is not None:
         head, xi = malliavin.clark_ocone_from(walk, table, args.start)
         payload = {"head": head.values, "integrand": xi.on_paths()}
@@ -159,32 +152,23 @@ def _cmd_divergence(args) -> int:
 
 def _cmd_ou(args) -> int:
     walk = _load_walk(args)
-    if args.kernel_matrix:
-        _emit(args, serialize.matrix_to_csv(ou.ou_kernel_matrix(walk, args.t)))
-        return 0
-    if args.table is None:
-        raise ObtuseWalkError("provide --table (or --kernel-matrix)")
-    table = _load_table(args, walk.space)
+    table = _load_table(args.table, walk.space)
     apply = ou.ou_apply_kernel if args.method == "kernel" else ou.ou_apply_chaos
     _emit_table(args, apply(walk, table, args.t))
     return 0
 
 
+def _cmd_ou_kernel(args) -> int:
+    walk = _load_walk(args)
+    _emit(args, serialize.matrix_to_csv(ou.ou_kernel_matrix(walk, args.t)))
+    return 0
+
+
 def _cmd_deviation(args) -> int:
     walk = _load_walk(args)
-    table = _load_table(args, walk.space)
+    table = _load_table(args.payoff_table, walk.space)
     bound = ou.deviation_bound(walk, table, args.x)
-    payload = {
-        "x": bound.x,
-        "spread": bound.spread,
-        "coeff_max": bound.coeff_max,
-        "grad_norm": bound.grad_norm,
-        "scale": bound.scale,
-        "bound_bennett": bound.bound_bennett,
-        "bound_log": bound.bound_log,
-        "oracle_tail": bound.oracle_tail,
-    }
-    _emit(args, serialize.dump_json(payload))
+    _emit(args, serialize.dump_json(dataclasses.asdict(bound)))
     return 0
 
 
@@ -219,17 +203,8 @@ def _cmd_market_verify(args) -> int:
     market, walk, claim = _market_job(args)
     strategy = _hedge(args, market, walk, claim)
     report = market_mod.verify_strategy(market, strategy, claim, tol=args.tol_verify)
-    payload = {
-        "passed": report.passed,
-        "predictability": report.predictability,
-        "self_financing": report.self_financing,
-        "telescoping": report.telescoping,
-        "discounted_increment": report.discounted_increment,
-        "decomposition": report.decomposition,
-        "replication": report.replication,
-        "value_initial": report.value_initial,
-    }
-    _emit(args, serialize.dump_json(payload))
+    fields = {k: v for k, v in dataclasses.asdict(report).items() if k != "tol"}
+    _emit(args, serialize.dump_json({"passed": report.passed, **fields}))
     return 0 if report.passed else 1
 
 
@@ -240,19 +215,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, tol_default: float = 1e-10, table_format=None):
-        """Flags of every form; --format only on the forms whose output it changes."""
+    def common(p: argparse.ArgumentParser, tol=None, table_format=None):
+        """Flags of every form; --format and --tol only on the forms that read them."""
         p.add_argument("--out", default=None, help="write output to this file")
         if table_format is not None:
             p.add_argument("--format", choices=("json", "csv"), default=table_format)
-        p.add_argument("--tol", type=float, default=tol_default)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--cap", type=int, default=None, help="enumeration cap (or env OBTUSE_CAP)")
 
     walk_parser = sub.add_parser("walk", help="walk validation and construction")
     walk_sub = walk_parser.add_subparsers(dest="action", required=True)
     p = walk_sub.add_parser("validate", help="check the defining identities")
     p.add_argument("walk")
-    common(p)
+    common(p, tol=1e-10)
     p.set_defaults(func=_cmd_walk_validate)
     p = walk_sub.add_parser("construct", help="complete steps that only give probabilities")
     p.add_argument("walk")
@@ -293,17 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ou", help="apply the damping semigroup")
     p.add_argument("walk")
-    p.add_argument("--table", default=None)
+    p.add_argument("--table", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--method", choices=("chaos", "kernel"), default="chaos")
-    p.add_argument(
-        "--kernel-matrix",
-        dest="kernel_matrix",
-        action="store_true",
-        help="emit the transition kernel over path pairs as CSV instead",
-    )
     common(p, table_format="json")
     p.set_defaults(func=_cmd_ou)
+
+    p = sub.add_parser("ou-kernel", help="transition kernel over path pairs as CSV")
+    p.add_argument("walk")
+    p.add_argument("--t", type=float, required=True)
+    common(p)
+    p.set_defaults(func=_cmd_ou_kernel)
 
     p = sub.add_parser("deviation", help="tail bound constants for a table")
     p.add_argument("walk")
@@ -318,9 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     def market_common(p: argparse.ArgumentParser, with_claim: bool):
         p.add_argument("market")
         if with_claim:
-            p.add_argument("--payoff", default=None, help="payoff expression, e.g. 'max(S(1)-100,0)'")
-            p.add_argument("--payoff-table", dest="payoff_table", default=None)
-        common(p, tol_default=1e-9)
+            claim = p.add_mutually_exclusive_group(required=True)
+            claim.add_argument("--payoff", help="payoff expression, e.g. 'max(S(1)-100,0)'")
+            claim.add_argument("--payoff-table", dest="payoff_table")
+        common(p, tol=1e-9)
 
     p = market_sub.add_parser("emm", help="risk-neutral scenario probabilities")
     market_common(p, with_claim=False)
@@ -371,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cap < 1:
             raise ObtuseWalkError(f"enumeration cap must be >= 1, got {args.cap}")
-        if not args.tol > 0.0:
+        if not getattr(args, "tol", 1.0) > 0.0:
             raise ObtuseWalkError(f"tolerance must be > 0, got {args.tol}")
         if not getattr(args, "tol_verify", 1.0) > 0.0:
             raise ObtuseWalkError(f"verification tolerance must be > 0, got {args.tol_verify}")

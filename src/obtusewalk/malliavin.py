@@ -29,16 +29,21 @@ from .omega import (
 from .walk import WalkSpec
 
 
+def _step_gradient(walk: WalkSpec, values: np.ndarray, k: int) -> np.ndarray:
+    """D_k F as (atoms of F_{k-1}, 1, stride(k), d): constant along w_k, axis 1."""
+    view = walk.space.axis_view(values, k)  # (atoms, d+1, stride)
+    grad = view.transpose(0, 2, 1).reshape(-1, walk.d + 1) @ walk.steps[k].c + 0.0
+    return grad.reshape(len(view), 1, -1, walk.d)
+
+
 def gradient(walk: WalkSpec, table: PathTable) -> VectorProcess:
     """Gradient of a table at every time and coordinate: the process (D_0 F, ..., D_N F)."""
     if table.space != walk.space:
         raise ValueError("table is not defined on the walk's path space")
     space = walk.space
     out = np.empty((space.N + 1, space.num_paths, walk.d))
-    for k, step in enumerate(walk.steps):
-        view = space.axis_view(table.values, k)  # (atoms, d+1, stride)
-        grad = view.transpose(0, 2, 1).reshape(-1, walk.d + 1) @ step.c + 0.0  # constant along w_k
-        space.axis_view(out[k], k)[...] = grad.reshape(len(view), 1, -1, walk.d)
+    for k in range(space.N + 1):
+        space.axis_view(out[k], k)[...] = _step_gradient(walk, table.values, k)
     out.setflags(write=False)
     return VectorProcess(space, out)
 

@@ -110,9 +110,12 @@ class MarketSpec:
     rates: np.ndarray  # (N+1,) per-step rates, each > -1
     scenarios: np.ndarray  # (N+1, d+1, d, d) matrices M_k^i
     cap: int = field(default=DEFAULT_CAP, compare=False, repr=False)
+    space: PathSpace = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_market_size(self.d, self.N, self.cap)
+        # the path space enforces the enumeration cap before any lattice is built
+        object.__setattr__(self, "space", PathSpace(self.d, self.N, self.cap))
         s_init = np.array(self.s_init, dtype=float)
         rates = np.array(self.rates, dtype=float)
         scenarios = np.array(self.scenarios, dtype=float)
@@ -139,10 +142,6 @@ class MarketSpec:
         object.__setattr__(self, "s_init", s_init)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "scenarios", scenarios)
-
-    @cached_property
-    def space(self) -> PathSpace:
-        return PathSpace(self.d, self.N, self.cap)
 
     @cached_property
     def diagonal(self) -> bool:

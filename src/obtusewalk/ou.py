@@ -22,7 +22,7 @@ import numpy as np
 from .chaos import chaos_order
 from .errors import SizeCapError
 from .integrals import along_axes
-from .malliavin import clark_ocone, gradient
+from .malliavin import _step_gradient, clark_ocone, gradient
 from .omega import PathTable, _check_finite, _check_space, expectation
 from .walk import WalkSpec
 
@@ -145,8 +145,13 @@ def deviation_bound(walk: WalkSpec, table: PathTable, x: float) -> DeviationBoun
         spread = max(spread, float(np.max(view.max(axis=1) - view.min(axis=1))))
     coeff_max = max(float(np.max(np.abs(step.c))) for step in walk.steps)
 
-    grad = gradient(walk, table)
-    grad_norm = float(np.max(np.abs(grad.values).max(axis=2).sum(axis=0)))
+    # sum_k max_j |D_k^j F| per path, one step at a time; adding in order of k
+    # rounds as summing the whole (N+1, P) gradient over axis 0 does
+    grad_sum = np.zeros(walk.space.num_paths)
+    for k in range(walk.N + 1):
+        step_max = np.abs(_step_gradient(walk, table.values, k)).max(axis=3)
+        walk.space.axis_view(grad_sum, k)[...] += step_max
+    grad_norm = float(np.max(grad_sum))
     scale = walk.d * coeff_max * grad_norm
     if spread == 0.0 or scale == 0.0:
         raise ValueError("table is constant: deviation bound undefined for x > 0")

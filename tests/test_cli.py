@@ -62,6 +62,18 @@ COMMANDS = {
 }
 
 
+#: the forms that read --tol
+TOL_FORMS = ("walk-validate", "market-emm", "market-price", "market-hedge", "market-verify")
+
+#: `ou-kernel` of bernoulli.json at t = 0.5
+KERNEL_MATRIX_T05 = (
+    "2.5809407605967092,0.63212055882855767,0.63212055882855767,0.15481812174617549\n"
+    "0.63212055882855767,2.5809407605967092,0.15481812174617549,0.63212055882855767\n"
+    "0.63212055882855767,0.15481812174617549,2.5809407605967092,0.63212055882855767\n"
+    "0.15481812174617549,0.63212055882855767,0.63212055882855767,2.5809407605967092\n"
+)
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -182,17 +194,81 @@ class TestFormatsAndFlags:
         assert len(lines) == 5
 
     def test_kernel_matrix_export(self, capsys):
-        code, out = run_cli(
-            ["ou", f"{FIX}/bernoulli.json", "--t", "0.5", "--kernel-matrix"],
-            capsys,
-        )
+        code, out = run_cli(["ou-kernel", f"{FIX}/bernoulli.json", "--t", "0.5"], capsys)
         assert code == 0
+        assert out == KERNEL_MATRIX_T05
         rows = [list(map(float, line.split(","))) for line in out.strip().split("\n")]
         matrix = [[round(x, 12) for x in row] for row in rows]
         assert len(matrix) == 4 and len(matrix[0]) == 4
         # probability-weighted rows sum to one
         for row in rows:
             assert sum(row) / 4.0 == pytest.approx(1.0, abs=1e-10)
+
+    def test_ou_kernel_takes_only_its_flags(self, capsys, tmp_path):
+        out = tmp_path / "kernel.csv"
+        code, _ = run_cli(
+            ["ou-kernel", f"{FIX}/bernoulli.json", "--t", "0.5", "--out", str(out), "--cap", "16"],
+            capsys,
+        )
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == KERNEL_MATRIX_T05
+        for flags in (["--table", f"{FIX}/y0_table.json"], ["--method", "kernel"],
+                      ["--format", "csv"], ["--tol", "1e-3"]):
+            with pytest.raises(SystemExit) as info:
+                main(["ou-kernel", f"{FIX}/bernoulli.json", "--t", "0.5"] + flags)
+            assert info.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    def test_ou_requires_a_table(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["ou", f"{FIX}/bernoulli.json", "--t", "0.5"])
+        assert info.value.code == 2
+        assert "the following arguments are required: --table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_tol_only_where_it_is_read(self, capsys, name):
+        argv = COMMANDS[name] + ["--tol", "1e-3"]
+        if name in TOL_FORMS:
+            assert run_cli(argv, capsys)[0] == 0
+            return
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["price", "hedge", "verify"])
+    def test_one_claim_source(self, capsys, monkeypatch, action):
+        """--payoff and --payoff-table exclude each other, and one is required."""
+        monkeypatch.setattr(cli, "_load_json", lambda path: pytest.fail(f"read {path}"))
+        market = ["market", action, f"{FIX}/crr25.json"]
+        for flags, message in (
+            (["--payoff", "S(1)", "--payoff-table", "missing.json"],
+             "argument --payoff-table: not allowed with argument --payoff"),
+            ([], "one of the arguments --payoff --payoff-table is required"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(market + flags)
+            assert info.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_payoff_table_is_the_claim(self, capsys, tmp_path):
+        table = tmp_path / "claim.json"
+        table.write_text("[25.0, 0.0]")
+        code, out = run_cli(
+            ["market", "price", f"{FIX}/crr25.json", "--payoff-table", str(table)], capsys
+        )
+        assert code == 0
+        assert out == run_cli(COMMANDS["market-price"], capsys)[1]
+
+    def test_help_lists_only_the_flags_read(self, capsys):
+        forms = [argv[: 2 if argv[0] in ("walk", "chaos", "market") else 1]
+                 for argv in COMMANDS.values()] + [["ou-kernel"]]
+        for form in forms:
+            with pytest.raises(SystemExit):
+                main(form + ["--help"])
+            text = capsys.readouterr().out
+            assert ("--tol " in text) == ("-".join(form) in TOL_FORMS), form
+            assert "--kernel-matrix" not in text
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_format_only_where_it_changes_the_output(self, capsys, name):
@@ -250,15 +326,15 @@ class TestClarkOconeFrom:
         assert captured.err == "error: conditioning time 3 outside [-1, 1]\n"
 
 
-def _assert_rejected_before_loading(monkeypatch, capsys, flags, message):
-    """Every command form exits 1 with the one-line message and reads no file."""
+def _assert_rejected_before_loading(monkeypatch, capsys, flags, message, names=tuple(COMMANDS)):
+    """Each named command form exits 1 with the one-line message and reads no file."""
 
     def forbidden(path):
         raise AssertionError(f"read {path}")
 
     monkeypatch.setattr(cli, "_load_json", forbidden)
-    for name, argv in COMMANDS.items():
-        code = main(argv + flags)
+    for name in names:
+        code = main(COMMANDS[name] + flags)
         captured = capsys.readouterr()
         assert (name, code, captured.out, captured.err) == (name, 1, "", message)
 
@@ -266,7 +342,7 @@ def _assert_rejected_before_loading(monkeypatch, capsys, flags, message):
 class TestExitCodes:
     def test_bad_tolerance_is_one(self, capsys, monkeypatch):
         _assert_rejected_before_loading(
-            monkeypatch, capsys, ["--tol", "0"], "error: tolerance must be > 0, got 0.0\n"
+            monkeypatch, capsys, ["--tol", "0"], "error: tolerance must be > 0, got 0.0\n", TOL_FORMS
         )
 
     @pytest.mark.parametrize("value, shown", [("nan", "nan"), ("-1", "-1.0"), ("0", "0.0")])

@@ -516,6 +516,13 @@ class TestMarketSize:
         with pytest.raises(SizeCapError, match="would need 24 entries, above the cap of 23"):
             MarketSpec(**args, cap=23)
 
+    def test_paths_checked_against_cap_before_the_lattice(self, monkeypatch):
+        monkeypatch.setattr(
+            market_mod.PriceLattice, "build", lambda *a: pytest.fail("built the lattice")
+        )
+        with pytest.raises(SizeCapError, match="above the cap of 100$"):
+            crr_market(100.0, 0.09, -0.07, 0.01, 30, cap=100)
+
 
 class TestArrayOwnership:
     def test_caller_array_stays_writable(self):

@@ -18,6 +18,7 @@ from obtusewalk import (
     ou_kernel_matrix,
     tail_probability,
 )
+from obtusewalk import ou as ou_mod
 from helpers import bernoulli, biased, d2_fixture, random_table, random_walk
 from malliavin_oracle import exp_gradient_residual, semigroup_gradient_contraction
 
@@ -226,6 +227,20 @@ class TestDeviationBound:
                     bound = deviation_bound(walk, table, x)
                     assert bound.bound_bennett <= bound.bound_log + 1e-15
                     assert bound.oracle_tail <= bound.bound_bennett + 1e-12
+
+    @pytest.mark.parametrize("d, N", [(1, 9), (2, 7), (3, 6)])
+    def test_grad_norm_streams_the_gradient(self, rng, monkeypatch, d, N):
+        """grad_norm is max over paths of sum_k max_j |D_k^j F|, bit for bit, and
+        deviation_bound never builds the (N+1, P, d) gradient."""
+        walk = random_walk(rng, d, N)
+        tables = [random_table(rng, walk.space) for _ in range(3)]
+        expected = [
+            float(np.max(np.abs(gradient(walk, t).values).max(axis=2).sum(axis=0)))
+            for t in tables
+        ]
+        monkeypatch.setattr(ou_mod, "gradient", lambda *a: pytest.fail("built the gradient"))
+        for table, grad_norm in zip(tables, expected):
+            assert deviation_bound(walk, table, 0.5).grad_norm == grad_norm
 
     def test_tail_probability_oracle(self):
         walk = bernoulli(1)

@@ -370,7 +370,7 @@ def test_cli_forms_match_reference_writers(rng, tmp_path, d, N):
     assert text == oracle_dump_json(divergence(walk, process).values.tolist()) + "\n"
     text = _run(tmp_path, ["ou", w, "--table", tab, "--t", "0.5"])
     assert text == oracle_dump_json(ou_apply_chaos(walk, table, 0.5).values.tolist()) + "\n"
-    text = _run(tmp_path, ["ou", w, "--t", "0.5", "--kernel-matrix"])
+    text = _run(tmp_path, ["ou-kernel", w, "--t", "0.5"])
     assert text == oracle_matrix_to_csv(ou_kernel_matrix(walk, 0.5))
 
 
