@@ -36,6 +36,17 @@ def _step_gradient(walk: WalkSpec, values: np.ndarray, k: int) -> np.ndarray:
     return grad.reshape(len(view), 1, -1, walk.d)
 
 
+def _gradient_inner(walk: WalkSpec, f: PathTable, g: PathTable) -> np.ndarray:
+    """sum_k <D_k F, D_k G> per path, one step at a time; adding in order of k
+    rounds as summing the whole (N+1, P, d) product over its first and last axes does."""
+    total = np.zeros(walk.space.num_paths)
+    for k in range(walk.N + 1):
+        grad_f = _step_gradient(walk, f.values, k)
+        grad_g = grad_f if g is f else _step_gradient(walk, g.values, k)
+        walk.space.axis_view(total, k)[...] += np.einsum("aisj,aisj->ais", grad_f, grad_g)
+    return total
+
+
 def gradient(walk: WalkSpec, table: PathTable) -> VectorProcess:
     """Gradient of a table at every time and coordinate: the process (D_0 F, ..., D_N F)."""
     if table.space != walk.space:
@@ -150,6 +161,5 @@ def predictable_representation(
 def poincare_check(walk: WalkSpec, table: PathTable) -> tuple[float, float]:
     """Variance of the table and its gradient-energy upper bound."""
     variance = covariance(walk, table, table)
-    grad = gradient(walk, table).values
-    bound = expectation(walk, PathTable(walk.space, np.einsum("kpj,kpj->p", grad, grad)))
+    bound = expectation(walk, PathTable(walk.space, _gradient_inner(walk, table, table)))
     return variance, bound

@@ -22,7 +22,7 @@ import numpy as np
 from .chaos import chaos_order
 from .errors import SizeCapError
 from .integrals import along_axes
-from .malliavin import _step_gradient, clark_ocone, gradient
+from .malliavin import _gradient_inner, _step_gradient, clark_ocone
 from .omega import PathTable, _check_finite, _check_space, expectation
 from .walk import WalkSpec
 
@@ -78,12 +78,17 @@ def ou_kernel_matrix(walk: WalkSpec, t: float) -> np.ndarray:
 
 
 def cov_gradient(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
-    """Covariance via sum_k E[<xi_k, D_k G>], xi the Clark-Ocone integrand E[D_k F | F_{k-1}]."""
-    xi = clark_ocone(walk, f)[1].on_paths()
-    grad_g = gradient(walk, g)
+    """Covariance via sum_k E[<xi_k, D_k G>], xi the Clark-Ocone integrand E[D_k F | F_{k-1}].
+
+    xi_k is read on the atoms of F_{k-1} and D_k G one step at a time, so
+    neither is ever held for all steps on every path.
+    """
+    xi = clark_ocone(walk, f)[1]
+    inner = np.empty(walk.space.num_paths)
     total = 0.0
     for k in range(walk.N + 1):
-        inner = np.einsum("pj,pj->p", xi[k], grad_g.values[k])
+        product = np.einsum("aj,aisj->ais", xi.at(k), _step_gradient(walk, g.values, k))
+        walk.space.axis_view(inner, k)[...] = product
         total += float(np.add.reduce(walk.measure * inner))
     return total
 
@@ -94,11 +99,10 @@ def cov_semigroup(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
     Since D_k P_t = e^{-t} P_t D_k, the integrand is E[<D_k F, D_k P_t G>],
     and the time integral moves onto G: int_0^inf P_t (G - E[G]) dt is the
     table H whose order-r chaos is that of G divided by r. The result is
-    sum_k E[<D_k F, D_k H>] with both gradients taken on the path view.
+    sum_k E[<D_k F, D_k H>], the gradients taken one step at a time.
     """
     h = _scale_chaos(walk, g, [0.0] + [1.0 / r for r in range(1, walk.N + 2)])
-    inner = np.einsum("kpj,kpj->p", gradient(walk, f).values, gradient(walk, h).values)
-    return float(np.add.reduce(walk.measure * inner))
+    return float(np.add.reduce(walk.measure * _gradient_inner(walk, f, h)))
 
 
 def tail_probability(walk: WalkSpec, table: PathTable, x: float) -> float:

@@ -9,14 +9,24 @@ Grammar (standard precedence, left associative):
             | ('max' | 'min' | 'abs') '(' expr (',' expr)* ')'
             | '(' expr ')'
 
+Tokens: a NUMBER starts with a decimal digit, or with '.' and a digit; it
+takes digits and dots, then an exponent only where a digit follows e[+-],
+and with a second dot it is a bad number (float() rejects it). A name
+starts with a word character that is not a decimal digit (a letter or '_')
+and takes word characters. Any other character that is not whitespace must
+be one of + - * / ( ) ,. A newline starts the next line at column 1, and
+every lexical error is raised before any parse error.
+
 S(i) is the terminal price of asset i, S(i, n) the price at time n, B(n)
-the bond price at time n. Asset and time indices are validated against the
-market shape at parse time. Printing a tree and reparsing it reproduces
+the bond price at time n. Indices are integer literals, validated against
+the market shape at parse time. Printing a tree and reparsing it reproduces
 the tree exactly.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Union
 
 import numpy as np
@@ -66,8 +76,8 @@ class Neg:
 
 @dataclass(frozen=True, eq=False)
 class BinOp:
-    """A binary operation; a chain of them is compared, hashed and printed
-    along its left spine without recursion, so a long sum costs no stack."""
+    """A binary operation; a chain of them is compared, hashed, printed and
+    evaluated along its left spine without recursion, so a long sum costs no stack."""
 
     op: str  # one of + - * /
     left: "PayoffExpr"
@@ -108,99 +118,63 @@ PayoffExpr = Union[Num, PriceRef, BondRef, Neg, BinOp, FuncCall]
 
 _FUNCTIONS = ("max", "min", "abs")
 
+#: Binary operators by precedence level, loosest first
+_LEVELS = ("+-", "*/")
+_BINDING = {op: level + 1 for level, ops in enumerate(_LEVELS) for op in ops}
+
 #: Deepest nesting of parentheses, function calls and unary minus a payoff may use
 _MAX_NESTING = 100
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER IDENT OP LPAREN RPAREN COMMA END
-    text: str
-    line: int
-    col: int
+_TOKEN = re.compile(
+    r"(?P<SPACE>\s+)|(?P<NUMBER>\.?\d[\d.]*(?:[eE][+-]?\d+)?)|(?P<IDENT>[^\W\d]\w*)"
+    r"|(?P<PUNCT>[-+*/(),])|(?P<OTHER>.)",
+    re.DOTALL,
+)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) tuples ending with END; punctuation is its own kind."""
+    tokens = []
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, word, col = match.lastgroup, match.group(), match.start() - line_start + 1
+        if kind == "SPACE":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = match.start() + word.rindex("\n") + 1
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < len(text) and text[j] in "eE":
-                k = j + 1
-                if k < len(text) and text[k] in "+-":
-                    k += 1
-                if k < len(text) and text[k].isdigit():
-                    j = k
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-            word = text[i:j]
-            try:
-                float(word)
-            except ValueError:
-                raise PayoffSyntaxError(f"bad number {word!r}", line, start_col)
-            tokens.append(_Token("NUMBER", word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/":
-            tokens.append(_Token("OP", ch, line, start_col))
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", ch, line, start_col))
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ch, line, start_col))
-        elif ch == ",":
-            tokens.append(_Token("COMMA", ch, line, start_col))
-        else:
-            raise PayoffSyntaxError(f"unexpected character {ch!r}", line, start_col)
-        col += 1
-        i += 1
-    tokens.append(_Token("END", "", line, col))
+        if kind == "OTHER":
+            raise PayoffSyntaxError(f"unexpected character {word!r}", line, col)
+        if kind == "NUMBER" and word.count(".") > 1:  # float() takes at most one dot
+            raise PayoffSyntaxError(f"bad number {word!r}", line, col)
+        tokens.append((word if kind == "PUNCT" else kind, word, line, col))
+    tokens.append(("END", "", line, len(text) - line_start + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], d: int, N: int):
+    def __init__(self, tokens: list[tuple[str, str, int, int]], d: int, N: int):
         self.tokens = tokens
         self.pos = 0
         self.d = d
         self.N = N
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def fail(self, message: str, expected: str | None = None) -> PayoffSyntaxError:
-        tok = self.peek()
-        found = tok.text or "end of input"
-        return PayoffSyntaxError(f"{message}, found {found!r}", tok.line, tok.col, expected)
+        _, text, line, col = self.tokens[self.pos]
+        found = text or "end of input"
+        return PayoffSyntaxError(f"{message}, found {found!r}", line, col, expected)
+
+    def take(self, kinds: str, expected: str | None = None) -> str | None:
+        """The text of the next token, consumed, if its kind is `kinds` (or one
+        of several one-character kinds); else None, or raise naming `expected`."""
+        kind, text = self.tokens[self.pos][:2]
+        if kind in kinds:
+            self.pos += 1
+            return text
+        if expected:
+            raise self.fail("unexpected token", expected)
+        return None
 
     def nested(self, parse) -> PayoffExpr:
         """Run the sub-parse one nesting level deeper; too deep is a syntax error."""
@@ -211,107 +185,68 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def expect(self, kind: str, expected: str) -> _Token:
-        if self.peek().kind != kind:
-            raise self.fail("unexpected token", expected)
-        return self.advance()
-
     def parse(self) -> PayoffExpr:
         expr = self.expr()
-        if self.peek().kind != "END":
+        if self.tokens[self.pos][0] != "END":
             raise self.fail("trailing input", "end of input")
         return expr
 
-    def expr(self) -> PayoffExpr:
-        node = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> PayoffExpr:
-        node = self.unary()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
+    def expr(self, level: int = 0) -> PayoffExpr:
+        """Operands joined left to right by the operators of _LEVELS[level]."""
+        operand = partial(self.expr, level + 1) if level + 1 < len(_LEVELS) else self.unary
+        node = operand()
+        while op := self.take(_LEVELS[level]):
+            node = BinOp(op, node, operand())
         return node
 
     def unary(self) -> PayoffExpr:
-        if self.peek().kind == "OP" and self.peek().text == "-":
-            self.advance()
+        if self.take("-"):
             return Neg(self.nested(self.unary))
         return self.atom()
 
-    def int_literal(self, what: str) -> int:
-        tok = self.expect("NUMBER", f"an integer {what}")
-        value = float(tok.text)
-        if value != int(value):
-            raise PayoffSyntaxError(
-                f"{what} must be an integer, got {tok.text}", tok.line, tok.col
-            )
+    def index(self, what: str, low: int, high: int, at: tuple[int, int]) -> int:
+        """An integer literal in [low, high]; a range error points at `at`, the S or B."""
+        _, text, line, col = self.tokens[self.pos]
+        value = float(self.take("NUMBER", f"an integer {what}"))
+        if not value.is_integer():
+            raise PayoffSyntaxError(f"{what} must be an integer, got {text}", line, col)
+        if not low <= value <= high:
+            raise PayoffSyntaxError(f"{what} {int(value)} outside [{low}, {high}]", *at)
         return int(value)
 
     def atom(self) -> PayoffExpr:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "LPAREN":
-            self.advance()
+        _, text, line, col = self.tokens[self.pos]
+        if self.take("NUMBER"):
+            return Num(float(text))
+        if self.take("("):
             inner = self.nested(self.expr)
-            self.expect("RPAREN", "')'")
+            self.take(")", "')'")
             return inner
-        if tok.kind == "IDENT":
-            name = self.advance().text
-            if name == "S":
-                self.expect("LPAREN", "'('")
-                asset = self.int_literal("asset index")
-                if not 1 <= asset <= self.d:
-                    raise PayoffSyntaxError(
-                        f"asset index {asset} outside [1, {self.d}]", tok.line, tok.col
-                    )
-                time: int | None = None
-                if self.peek().kind == "COMMA":
-                    self.advance()
-                    time = self.int_literal("time index")
-                    if not 0 <= time <= self.N:
-                        raise PayoffSyntaxError(
-                            f"time index {time} outside [0, {self.N}]", tok.line, tok.col
-                        )
-                self.expect("RPAREN", "')'")
-                return PriceRef(asset, time)
-            if name == "B":
-                self.expect("LPAREN", "'('")
-                time = self.int_literal("time index")
-                if not 0 <= time <= self.N:
-                    raise PayoffSyntaxError(
-                        f"time index {time} outside [0, {self.N}]", tok.line, tok.col
-                    )
-                self.expect("RPAREN", "')'")
-                return BondRef(time)
-            if name in _FUNCTIONS:
-                self.expect("LPAREN", "'('")
-                args = [self.nested(self.expr)]
-                while self.peek().kind == "COMMA":
-                    self.advance()
-                    args.append(self.nested(self.expr))
-                self.expect("RPAREN", "')'")
-                if name == "abs" and len(args) != 1:
-                    raise PayoffSyntaxError(
-                        f"abs takes exactly one argument, got {len(args)}",
-                        tok.line,
-                        tok.col,
-                    )
-                if name in ("max", "min") and len(args) < 2:
-                    raise PayoffSyntaxError(
-                        f"{name} needs at least two arguments", tok.line, tok.col
-                    )
-                return FuncCall(name, tuple(args))
+        if not self.take("IDENT"):
+            raise self.fail("unexpected token", "a number, S(...), B(...), or '('")
+        if text not in ("S", "B") + _FUNCTIONS:
             raise PayoffSyntaxError(
-                f"unknown identifier {name!r}", tok.line, tok.col,
+                f"unknown identifier {text!r}", line, col,
                 "a number, S(...), B(...), max, min, abs, or '('",
             )
-        raise self.fail("unexpected token", "a number, S(...), B(...), or '('")
+        self.take("(", "'('")
+        at = (line, col)
+        if text == "S":
+            asset = self.index("asset index", 1, self.d, at)
+            node = PriceRef(asset, self.index("time index", 0, self.N, at) if self.take(",") else None)
+        elif text == "B":
+            node = BondRef(self.index("time index", 0, self.N, at))
+        else:
+            args = [self.nested(self.expr)]
+            while self.take(","):
+                args.append(self.nested(self.expr))
+            node = FuncCall(text, tuple(args))
+        self.take(")", "')'")
+        if text == "abs" and len(node.args) != 1:
+            raise PayoffSyntaxError(f"abs takes exactly one argument, got {len(node.args)}", *at)
+        if text in ("max", "min") and len(node.args) < 2:
+            raise PayoffSyntaxError(f"{text} needs at least two arguments", *at)
+        return node
 
 
 def parse_payoff(text: str, d: int, N: int) -> PayoffExpr:
@@ -321,7 +256,7 @@ def parse_payoff(text: str, d: int, N: int) -> PayoffExpr:
 
 def _precedence(node: PayoffExpr) -> int:
     if isinstance(node, BinOp):
-        return 1 if node.op in "+-" else 2
+        return _BINDING[node.op]
     if isinstance(node, Neg):
         return 3
     return 4
@@ -343,23 +278,23 @@ def to_source(node: PayoffExpr) -> str:
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(node, BinOp):
-        # walk down the left operands that print without parentheses
-        spine, left = [node], node.left
-        while isinstance(left, BinOp) and _precedence(left) >= _precedence(spine[-1]):
-            spine.append(left)
-            left = left.left
-        text = to_source(left)
-        if _precedence(left) < _precedence(spine[-1]):
-            text = f"({text})"
-        for op_node in reversed(spine):
-            right = to_source(op_node.right)
-            if _precedence(op_node.right) <= _precedence(op_node):
-                right = f"({right})"
-            text = f"{text} {op_node.op} {right}"
+        leaf, pairs = node._spine()
+        text, below = to_source(leaf), _precedence(leaf)
+        for op, right in reversed(pairs):
+            here = _BINDING[op]
+            if below < here:
+                text = f"({text})"
+            right_text = to_source(right)
+            if _precedence(right) <= here:
+                right_text = f"({right_text})"
+            text, below = f"{text} {op} {right_text}", here
         return text
     if isinstance(node, FuncCall):
         return f"{node.name}({', '.join(to_source(a) for a in node.args)})"
     raise TypeError(f"not a payoff expression: {node!r}")
+
+
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
 def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
@@ -374,17 +309,10 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
     space = market.space
 
     def binop(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        zeros = np.nonzero(right == 0.0)[0]
-        if zeros.size:
+        if op == "/" and (zeros := np.flatnonzero(right == 0.0)).size:
             idx = int(zeros[0])
             raise PayoffEvalError(f"division by zero at path {idx} = {space.path_at(idx)}")
-        return left / right
+        return _ARITHMETIC[op](left, right)
 
     def ev(node: PayoffExpr) -> np.ndarray:
         if isinstance(node, Num):
@@ -398,23 +326,16 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
         if isinstance(node, Neg):
             return -ev(node.operand)
         if isinstance(node, BinOp):
-            spine = []
-            while isinstance(node, BinOp):
-                spine.append(node)
-                node = node.left
-            out = ev(node)
-            for op_node in reversed(spine):
-                out = binop(op_node.op, out, ev(op_node.right))
+            leaf, pairs = node._spine()
+            out = ev(leaf)
+            for op, right in reversed(pairs):
+                out = binop(op, out, ev(right))
             return out
         if isinstance(node, FuncCall):
             args = [ev(a) for a in node.args]
             if node.name == "abs":
                 return np.abs(args[0])
-            reducer = np.maximum if node.name == "max" else np.minimum
-            out = args[0]
-            for a in args[1:]:
-                out = reducer(out, a)
-            return out
+            return reduce(np.maximum if node.name == "max" else np.minimum, args)
         raise TypeError(f"not a payoff expression: {node!r}")
 
     with np.errstate(over="ignore", invalid="ignore"):

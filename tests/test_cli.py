@@ -703,7 +703,10 @@ def test_overflowing_market_is_one_error_line(tmp_path, name, command):
     ("S(1)*1e308*1e308-S(1)*1e308*1e308", "error: payoff is nan at path 0 = (0,)\n"),
     ("(" * 1200 + "S(1)" + ")" * 1200,
      "error: 1:102: expression nested more than 100 levels deep, found '('\n"),
-], ids=["overflow", "deep nesting"])
+    ("S(1e999)", "error: 1:3: asset index must be an integer, got 1e999\n"),
+    ("S(1,1e999)", "error: 1:5: time index must be an integer, got 1e999\n"),
+    ("B(1e999)", "error: 1:3: time index must be an integer, got 1e999\n"),
+], ids=["overflow", "deep nesting", "asset index 1e999", "time index 1e999", "bond time 1e999"])
 def test_bad_payoff_is_one_error_line(payoff, message):
     """No numpy warning or traceback joins the error line, outside pytest's capture too."""
     argv = ["market", "price", f"{FIX}/crr25.json", f"--payoff={payoff}"]

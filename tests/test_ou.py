@@ -1,11 +1,13 @@
 """Semigroup forms, covariance identities, and the deviation bound."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from obtusewalk import (
     PathTable,
+    clark_ocone,
     covariance,
     cov_gradient,
     cov_semigroup,
@@ -16,6 +18,7 @@ from obtusewalk import (
     ou_apply_chaos,
     ou_apply_kernel,
     ou_kernel_matrix,
+    poincare_check,
     tail_probability,
 )
 from obtusewalk import ou as ou_mod
@@ -149,6 +152,27 @@ class TestCovarianceIdentities:
             assert cov_gradient(walk, f, g) == pytest.approx(oracle, abs=1e-9)
             assert cov_semigroup(walk, f, g) == pytest.approx(oracle, abs=1e-9)
 
+    @pytest.mark.parametrize("d, N", [(1, 0), (1, 7), (2, 1), (2, 5), (3, 2), (3, 4)])
+    def test_streamed_forms_equal_the_full_gradient_formulas(self, rng, d, N):
+        """Bit for bit: the step-by-step sums round as the (N+1, P, d) gradient formulas do."""
+        for _ in range(3):
+            walk = random_walk(rng, d, N)
+            f, g = random_table(rng, walk.space), random_table(rng, walk.space)
+            grad_f, grad_g = gradient(walk, f).values, gradient(walk, g).values
+            energy = expectation(walk, PathTable(walk.space, np.einsum("kpj,kpj->p", grad_f, grad_f)))
+            assert poincare_check(walk, f) == (covariance(walk, f, f), energy)
+
+            xi = clark_ocone(walk, f)[1].on_paths()
+            total = 0.0
+            for k in range(N + 1):
+                inner = np.einsum("pj,pj->p", xi[k], grad_g[k])
+                total += float(np.add.reduce(walk.measure * inner))
+            assert cov_gradient(walk, f, g) == total
+
+            h = ou_mod._scale_chaos(walk, g, [0.0] + [1.0 / r for r in range(1, N + 2)])
+            inner = np.einsum("kpj,kpj->p", grad_f, gradient(walk, h).values)
+            assert cov_semigroup(walk, f, g) == float(np.add.reduce(walk.measure * inner))
+
 
 class TestExpGradientIdentity:
     def test_pointwise(self, rng):
@@ -229,18 +253,31 @@ class TestDeviationBound:
                     assert bound.oracle_tail <= bound.bound_bennett + 1e-12
 
     @pytest.mark.parametrize("d, N", [(1, 9), (2, 7), (3, 6)])
-    def test_grad_norm_streams_the_gradient(self, rng, monkeypatch, d, N):
+    def test_grad_norm_streams_the_gradient(self, rng, d, N):
         """grad_norm is max over paths of sum_k max_j |D_k^j F|, bit for bit, and
-        deviation_bound never builds the (N+1, P, d) gradient."""
+        no operator that reduces the gradient to a number holds all of it: each
+        one's traced peak stays below the (N+1, P, d) gradient's bytes."""
         walk = random_walk(rng, d, N)
         tables = [random_table(rng, walk.space) for _ in range(3)]
-        expected = [
-            float(np.max(np.abs(gradient(walk, t).values).max(axis=2).sum(axis=0)))
-            for t in tables
-        ]
-        monkeypatch.setattr(ou_mod, "gradient", lambda *a: pytest.fail("built the gradient"))
-        for table, grad_norm in zip(tables, expected):
-            assert deviation_bound(walk, table, 0.5).grad_norm == grad_norm
+        for table in tables:
+            grad_norm = np.max(np.abs(gradient(walk, table).values).max(axis=2).sum(axis=0))
+            assert deviation_bound(walk, table, 0.5).grad_norm == float(grad_norm)
+        f, g = tables[:2]
+        gradient_bytes = (N + 1) * walk.space.num_paths * d * 8
+        for op in (
+            lambda: deviation_bound(walk, f, 0.5),
+            lambda: poincare_check(walk, f),
+            lambda: cov_semigroup(walk, f, g),
+            lambda: cov_gradient(walk, f, g),
+        ):
+            op()  # anything the walk builds once is built before tracing
+            tracemalloc.start()
+            try:
+                op()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < gradient_bytes
 
     def test_tail_probability_oracle(self):
         walk = bernoulli(1)

@@ -87,6 +87,45 @@ class TestParse:
         with pytest.raises(PayoffSyntaxError, match="integer"):
             parse_payoff("S(1.5)", 2, 1)
 
+    _ANY_ATOM = "a number, S(...), B(...), or '('"
+
+    @pytest.mark.parametrize("text, message, line, col, expected", [
+        ("1.2.3", "bad number '1.2.3'", 1, 1, None),
+        ("S(1) # x", "unexpected character '#'", 1, 6, None),
+        ("abs", "unexpected token, found 'end of input'", 1, 4, "'('"),
+        ("max(S(1), 0", "unexpected token, found 'end of input'", 1, 12, "')'"),
+        ("S(1, 0", "unexpected token, found 'end of input'", 1, 7, "')'"),
+        ("1 2", "trailing input, found '2'", 1, 3, "end of input"),
+        ("", "unexpected token, found 'end of input'", 1, 1, _ANY_ATOM),
+        ("max(S(1) - , 0)", "unexpected token, found ','", 1, 12, _ANY_ATOM),
+        ("S(-1)", "unexpected token, found '-'", 1, 3, "an integer asset index"),
+        ("3 * price(1)", "unknown identifier 'price'", 1, 5,
+         "a number, S(...), B(...), max, min, abs, or '('"),
+        ("1 + S(3)", "asset index 3 outside [1, 2]", 1, 5, None),
+        ("S(2, 2)", "time index 2 outside [0, 1]", 1, 1, None),
+        ("B(5)", "time index 5 outside [0, 1]", 1, 1, None),
+        ("S(1.5)", "asset index must be an integer, got 1.5", 1, 3, None),
+        ("abs(1, 2)", "abs takes exactly one argument, got 2", 1, 1, None),
+        ("min(1)", "min needs at least two arguments", 1, 1, None),
+        ("S(1) +\n  #", "unexpected character '#'", 2, 3, None),
+        ("S(1) +\n  1 2", "trailing input, found '2'", 2, 5, "end of input"),
+        # every lexical error comes before any parse error
+        ("1 2 #", "unexpected character '#'", 1, 5, None),
+    ])
+    def test_each_error_names_its_position(self, text, message, line, col, expected):
+        with pytest.raises(PayoffSyntaxError) as info:
+            parse_payoff(text, 2, 1)
+        suffix = f" (expected {expected})" if expected else ""
+        assert str(info.value) == f"{line}:{col}: {message}{suffix}"
+        assert (info.value.line, info.value.col, info.value.expected) == (line, col, expected)
+
+    @pytest.mark.parametrize("text, what", [
+        ("S(1e999)", "asset index"), ("S(1,1e999)", "time index"), ("B(1e999)", "time index")
+    ])
+    def test_overflowing_index_is_a_syntax_error(self, text, what):
+        with pytest.raises(PayoffSyntaxError, match=rf"^1:\d+: {what} must be an integer, got 1e999$"):
+            parse_payoff(text, 2, 1)
+
 
 def _expressions(d: int = 2, N: int = 1):
     numbers = st.floats(
