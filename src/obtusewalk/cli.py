@@ -348,10 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cap < 1:
             raise ObtuseWalkError(f"enumeration cap must be >= 1, got {args.cap}")
-        if not getattr(args, "tol", 1.0) > 0.0:
-            raise ObtuseWalkError(f"tolerance must be > 0, got {args.tol}")
-        if not getattr(args, "tol_verify", 1.0) > 0.0:
-            raise ObtuseWalkError(f"verification tolerance must be > 0, got {args.tol_verify}")
+        for name, label in (("tol", "tolerance"), ("tol_verify", "verification tolerance")):
+            tol = getattr(args, name, 1.0)
+            if not 0.0 < tol < np.inf:
+                raise ObtuseWalkError(f"{label} must be {'finite' if tol > 0 else '> 0'}, got {tol}")
         return args.func(args)
     except (ObtuseWalkError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

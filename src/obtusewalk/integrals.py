@@ -12,7 +12,8 @@ so r! times a tuple's component tensor is the block of basis coefficients
 with digits 1..d at its times and 0 elsewhere in the (d+1,)*(N+1)
 coefficient tensor of chaos.ChaosCoefficients, which fills and reads those
 blocks through one index map. Kernels are the view users read and write
-(JSON files, chaos.multiple_integral); the library computes on the tensor,
+(JSON files, chaos.multiple_integral), whose times and coordinates are read
+by omega._as_int, so none is truncated; the library computes on the tensor,
 contracted with the per-step bases [1 | v] one axis at a time (along_axes).
 
 A PredictableProcess keeps step n once per atom of F_{n-1}, and only it
@@ -25,17 +26,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import PredictabilityError
-from .omega import PathSpace, PathTable, _frozen_float, atom_deviation
+from .omega import PathSpace, PathTable, _as_int, _frozen_float, atom_deviation
 from .walk import WalkSpec
 
 #: raw kernel entry: (times, coords, value) with 1-based coordinates
 RawEntry = tuple[Sequence[int], Sequence[int], float]
+
+#: largest atom deviation of an integrand that integrate_predictable accepts
+PREDICTABLE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +80,7 @@ class Kernel:
         shape = (d,) * order
         times, tensors = [], []
         for key, tensor in sorted(entries.items()):
-            key = tuple(int(t) for t in key)
+            key = tuple(_as_int(t, "times entry") for t in key)
             if len(key) != order:
                 raise ValueError(f"tuple {key} has length != order {order}")
             arr = np.array(tensor, dtype=float)
@@ -183,22 +188,22 @@ def symmetrize(raw: Iterable[RawEntry], order: int, d: int) -> Kernel:
     return Kernel(order, d, ordered[first], tensors)
 
 
-def _int_rows(rows: tuple) -> np.ndarray:
-    """Rows of numbers as an int64 matrix, each number through int()."""
-    arr = np.array(rows)
-    if arr.dtype.kind != "i":
-        arr = np.array([list(map(int, row)) for row in rows], dtype=np.int64)
-    return arr
+def _int_rows(rows: tuple, field: str) -> np.ndarray:
+    """Rows of numbers as an int64 matrix, each read by _as_int; equal rows of ints go at once."""
+    flat = list(chain.from_iterable(rows))
+    if set(map(type, flat)) == {int} and len(set(map(len, rows))) == 1:
+        return np.fromiter(flat, np.int64, len(flat)).reshape(len(rows), -1)
+    return np.array([[_as_int(x, field) for x in row] for row in rows], dtype=np.int64)
 
 
 def _raw_arrays(raw: list, order: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E, order) times and coords and (E,) values of raw entries, checked.
 
-    The first malformed entry raises what _check_entry says of it.
+    The first malformed entry raises what _checked_entry says of it.
     """
     try:
         times, coords, values = zip(*[(t, c, v) for t, c, v in raw])
-        times, coords = _int_rows(times), _int_rows(coords)
+        times, coords = _int_rows(times, "times entry"), _int_rows(coords, "coords entry")
         values = np.fromiter(map(float, values), dtype=float, count=len(raw))
     except (TypeError, ValueError, OverflowError) as exc:
         failure: Exception | None = exc
@@ -211,32 +216,28 @@ def _raw_arrays(raw: list, order: int, d: int) -> tuple[np.ndarray, np.ndarray, 
             if not np.any(repeated | outside):
                 return times, coords, values
     for entry_times, entry_coords, value in raw:
-        _check_entry(entry_times, entry_coords, value, order, d)
-    raise failure  # every entry passes _check_entry, so the array conversion failed
+        _checked_entry(entry_times, entry_coords, order, d)
+        float(value)
+    raise failure  # every entry passes _checked_entry, so the array conversion failed
 
 
-def _check_entry(times, coords, value, order: int, d: int) -> None:
-    """Raise the error of a malformed raw entry, checking one entry at a time."""
-    times = tuple(int(t) for t in times)
-    coords = tuple(int(k) for k in coords)
+def _checked_entry(times, coords, order: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The times and coordinates of one entry as int tuples; raise if they are malformed."""
+    times = tuple(_as_int(t, "times entry") for t in times)
+    coords = tuple(_as_int(k, "coords entry") for k in coords)
     if len(times) != order or len(coords) != order:
         raise ValueError(f"entry at {times} must carry {order} times and coords")
     if len(set(times)) != order:
         raise ValueError(f"time tuple {times} has repeated indices")
     if any(k < 1 or k > d for k in coords):
         raise ValueError(f"coordinates {coords} outside [1, {d}]")
-    float(value)
+    return times, coords
 
 
 def monomial_kernel(times: Sequence[int], coords: Sequence[int], d: int) -> Kernel:
     """Kernel whose multiple integral is exactly Y_{t_1}^{k_1} ... Y_{t_r}^{k_r}."""
-    times = tuple(int(t) for t in times)
-    coords = tuple(int(k) for k in coords)
-    if len(times) != len(coords):
-        raise ValueError("times and coords must have equal length")
-    if any(k < 1 or k > d for k in coords):
-        raise ValueError(f"coordinates {coords} outside [1, {d}]")
     r = len(times)
+    times, coords = _checked_entry(times, coords, r, d)
     tensor = np.zeros((d,) * r)
     tensor[tuple(k - 1 for k in coords)] = 1.0 / math.factorial(r)
     return Kernel(r, d, np.array(times, dtype=np.int64).reshape(1, r), tensor.reshape(1, -1))
@@ -346,25 +347,23 @@ class PredictableProcess:
         return out
 
 
-def integrate_predictable(
-    walk: WalkSpec, process: PredictableProcess | VectorProcess, tol: float = 1e-10
-) -> PathTable:
+def integrate_predictable(walk: WalkSpec, process: PredictableProcess | VectorProcess) -> PathTable:
     """Stochastic integral sum_n <U_n, Y_n> of a predictable process.
 
     A VectorProcess comes in through PredictableProcess.from_paths, and a
-    defect above tol raises. Each atom of F_{n-1} and outcome i at n gives
-    one sum <U_n, v_n^i>, repeated along the stride(n) paths that share them.
+    defect above PREDICTABLE_TOL raises. Each atom of F_{n-1} and outcome i
+    at n gives one sum <U_n, v_n^i>, repeated on the atom_size(n) paths of both.
     """
     if isinstance(process, VectorProcess):
         process = PredictableProcess.from_paths(process.space, process.values)
     if process.space != walk.space or process.rows.shape[1] != walk.d:
         raise ValueError("process is not an R^d-valued process on the walk's path space")
-    if not process.defect <= tol:
+    if not process.defect <= PREDICTABLE_TOL:
         raise PredictabilityError(
-            f"process is not predictable (atom deviation {process.defect:.3e} > {tol:.0e})"
+            f"process is not predictable (atom deviation {process.defect:.3e} > {PREDICTABLE_TOL:.0e})"
         )
     total = np.zeros(walk.space.num_paths)
     for n, step in enumerate(walk.steps):
         sums = np.einsum("aj,ij->ai", process.at(n), step.v).ravel()
-        total += np.repeat(sums, walk.space.stride(n))
+        total += np.repeat(sums, walk.space.atom_size(n))
     return PathTable(walk.space, total)

@@ -28,10 +28,13 @@ from .omega import (
 )
 from .walk import WalkSpec
 
+#: largest measurability or martingale defect that predictable_representation accepts
+MARTINGALE_TOL = 1e-9
+
 
 def _step_gradient(walk: WalkSpec, values: np.ndarray, k: int) -> np.ndarray:
-    """D_k F as (atoms of F_{k-1}, 1, stride(k), d): constant along w_k, axis 1."""
-    view = walk.space.axis_view(values, k)  # (atoms, d+1, stride)
+    """D_k F as (atoms of F_{k-1}, 1, atom_size(k), d): constant along w_k, axis 1."""
+    view = walk.space.axis_view(values, k)  # (atoms, d+1, atom_size)
     grad = view.transpose(0, 2, 1).reshape(-1, walk.d + 1) @ walk.steps[k].c + 0.0
     return grad.reshape(len(view), 1, -1, walk.d)
 
@@ -96,7 +99,7 @@ def divergence(walk: WalkSpec, process: VectorProcess) -> PathTable:
         raise ValueError("process is not defined on the walk's path space")
     total = np.zeros(walk.space.num_paths)
     for k, step in enumerate(walk.steps):
-        view = walk.space.axis_view(process.values[k], k)  # (atoms, d+1, stride, d)
+        view = walk.space.axis_view(process.values[k], k)  # (atoms, d+1, atom_size, d)
         if np.any(view != view[:, :1]):
             view = np.einsum("i,aisj->asj", step.p, view)[:, None]
         total += np.einsum("aisj,ij->ais", view, step.v).ravel()
@@ -124,14 +127,14 @@ def clark_ocone_from(
 
 
 def predictable_representation(
-    walk: WalkSpec, martingale: Sequence[PathTable], tol: float = 1e-9
+    walk: WalkSpec, martingale: Sequence[PathTable]
 ) -> tuple[float, PredictableProcess]:
     """Integrand gamma with M_n = M_init + sum_{k<=n} <gamma_k, Y_k>.
 
     The input is the scalar martingale (M_0, ..., M_N); its deterministic
     initial value is E[M_0]. Vector-valued martingales are handled one
     component at a time. Raises MartingaleError when adaptedness or the
-    martingale property (on the atom means of M_n and M_{n-1}) fails beyond tol.
+    martingale property (on the atom means of M_n and M_{n-1}) fails beyond MARTINGALE_TOL.
     """
     if len(martingale) != walk.N + 1:
         raise ValueError(f"need {walk.N + 1} tables, got {len(martingale)}")
@@ -139,7 +142,7 @@ def predictable_representation(
         if m.space != walk.space:
             raise ValueError(f"table {n} is not on the walk's path space")
         defect = atom_deviation(m.values, walk.space, n)
-        if not defect <= tol:
+        if not defect <= MARTINGALE_TOL:
             raise MartingaleError(
                 f"M_{n} is not measurable at time {n} (deviation {defect:.3e})"
             )
@@ -149,7 +152,7 @@ def predictable_representation(
     for n, (m, step) in enumerate(zip(martingale, walk.steps)):
         means = atom_means(walk, m.values, n)
         defect = float(np.max(np.abs(means.reshape(-1, walk.d + 1) @ step.p - prev)))
-        if not defect <= tol:
+        if not defect <= MARTINGALE_TOL:
             raise MartingaleError(
                 f"martingale property fails at step {n} (deviation {defect:.3e})"
             )

@@ -61,24 +61,21 @@ class PathSpace:
         idx = np.arange(self.num_paths, dtype=np.int64)
         out = np.empty((self.num_paths, self.N + 1), dtype=np.int32)
         for n in range(self.N + 1):
-            np.remainder(idx // self.stride(n), self.d + 1, out=out[:, n], casting="unsafe")
+            np.remainder(idx // self.atom_size(n), self.d + 1, out=out[:, n], casting="unsafe")
         out.setflags(write=False)
         return out
-
-    def stride(self, k: int) -> int:
-        """Index distance between paths differing only in outcome k."""
-        return (self.d + 1) ** (self.N - k)
 
     def atom_count(self, n: int) -> int:
         """Number of atoms of F_n (n = -1 gives the trivial single atom)."""
         return (self.d + 1) ** (n + 1)
 
     def atom_size(self, n: int) -> int:
+        """Paths in an atom of F_n: the index distance between paths differing only in outcome n."""
         return self.num_paths // self.atom_count(n)
 
     def path_at(self, index: int) -> Path:
         """Outcomes of the path at the index: its base-(d+1) digits, time 0 first."""
-        index = int(index)
+        index = _as_int(index, "path index")
         if not 0 <= index < self.num_paths:
             raise ValueError(f"path index {index} outside [0, {self.num_paths - 1}]")
         digits = []
@@ -88,11 +85,19 @@ class PathSpace:
         return tuple(reversed(digits))
 
     def axis_view(self, values: np.ndarray, k: int) -> np.ndarray:
-        """The (num_paths, ...) array as (atoms of F_{k-1}, d+1, stride(k), ...); axis 1 is w_k."""
+        """The (num_paths, ...) array as (atoms of F_{k-1}, d+1, atom_size(k), ...); axis 1 is w_k."""
         if not 0 <= k <= self.N:
             raise ValueError(f"time index {k} outside [0, {self.N}]")
-        shape = (self.atom_count(k - 1), self.d + 1, self.stride(k))
+        shape = (self.atom_count(k - 1), self.d + 1, self.atom_size(k))
         return np.reshape(values, shape + np.shape(values)[1:])
+
+
+def _as_int(value, field: str) -> int:
+    """A count or index from outside the program: an integer, or a float of integral value."""
+    integral = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if integral or isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def _frozen_float(values) -> np.ndarray:

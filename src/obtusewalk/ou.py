@@ -145,7 +145,7 @@ def deviation_bound(walk: WalkSpec, table: PathTable, x: float) -> DeviationBoun
 
     spread = 0.0
     for k in range(walk.N + 1):
-        view = walk.space.axis_view(table.values, k)  # (atoms, d+1, stride)
+        view = walk.space.axis_view(table.values, k)  # (atoms, d+1, atom_size)
         spread = max(spread, float(np.max(view.max(axis=1) - view.min(axis=1))))
     coeff_max = max(float(np.max(np.abs(step.c))) for step in walk.steps)
 

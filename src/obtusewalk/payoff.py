@@ -211,7 +211,7 @@ class _Parser:
         if not value.is_integer():
             raise PayoffSyntaxError(f"{what} must be an integer, got {text}", line, col)
         if not low <= value <= high:
-            raise PayoffSyntaxError(f"{what} {int(value)} outside [{low}, {high}]", *at)
+            raise PayoffSyntaxError(f"{what} {text} outside [{low}, {high}]", *at)
         return int(value)
 
     def atom(self) -> PayoffExpr:

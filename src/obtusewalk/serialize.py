@@ -8,7 +8,8 @@ per-element recursion. Every writer formats through one primitive,
 each distinct value of an array once pays because the paper's objects repeat values (a
 gradient d+1 times, a Clark-Ocone integrand once per path of an atom). A
 float64 ndarray or a nest of float lists is rendered bottom-up one axis at a
-time, and a list of same-keyed dicts one key at a time.
+time, and a list of same-keyed dicts one key at a time. Readers take counts
+and indices through omega._as_int and leave other checks to constructors.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ import numpy as np
 from .chaos import ChaosCoefficients
 from .integrals import Kernel, VectorProcess, symmetrize
 from .market import MarketSpec, Strategy, _check_market_size
-from .omega import DEFAULT_CAP, PathSpace, PathTable
-from .walk import StepLaw, WalkSpec, canonical_step
+from .omega import DEFAULT_CAP, PathSpace, PathTable, _as_int
+from .walk import StepLaw, WalkSpec, _check_completion, canonical_step
 
 _FORMAT = "%.17g"
 
@@ -203,20 +204,14 @@ def walk_to_json(walk: WalkSpec) -> dict:
 
 def walk_from_json(obj: dict, cap: int = DEFAULT_CAP) -> WalkSpec:
     """Load a walk; step entries lacking "v" get the canonical construction."""
-    d = int(obj["d"])
-    N = int(obj["N"])
-    raw_steps = obj["steps"]
-    if len(raw_steps) != N + 1:
-        raise ValueError(f"walk declares N={N} but has {len(raw_steps)} steps")
+    d, N = _as_int(obj["d"], "d"), _as_int(obj["N"], "N")
     steps = []
-    for n, raw in enumerate(raw_steps):
-        p = np.asarray(raw["p"], dtype=float)
-        if len(p) != d + 1:
-            raise ValueError(f"step {n}: expected {d + 1} probabilities, got {len(p)}")
+    for n, raw in enumerate(obj["steps"]):
         if "v" in raw:
-            steps.append(StepLaw(p, np.asarray(raw["v"], dtype=float)))
+            steps.append(StepLaw(raw["p"], raw["v"]))
         else:
-            steps.append(canonical_step(p, n))
+            _check_completion(raw["p"], n, cap)
+            steps.append(canonical_step(raw["p"], n))
     return WalkSpec(d=d, N=N, steps=tuple(steps), cap=cap)
 
 
@@ -243,7 +238,7 @@ def kernel_to_json(kernel: Kernel) -> dict:
 def kernel_from_json(obj: dict, d: int) -> Kernel:
     """Load raw kernel entries and symmetrize them."""
     raw = [(e["times"], e["coords"], float(e["value"])) for e in obj.get("entries", [])]
-    return symmetrize(raw, int(obj["order"]), d)
+    return symmetrize(raw, _as_int(obj["order"], "order"), d)
 
 
 def chaos_to_json(coeffs: ChaosCoefficients) -> dict:
@@ -254,12 +249,11 @@ def chaos_to_json(coeffs: ChaosCoefficients) -> dict:
 
 def chaos_from_json(obj: dict, cap: int = DEFAULT_CAP) -> ChaosCoefficients:
     """Load coefficients; their path space must fit the cap, which bounds every order read."""
-    d = int(obj["d"])
-    N = int(obj["N"])
+    d, N = _as_int(obj["d"], "d"), _as_int(obj["N"], "N")
     PathSpace(d, N, cap)
     raws = {r: obj.get("kernels", {}).get(str(r)) for r in range(1, N + 2)}
     for r, raw in raws.items():
-        if raw and int(raw["order"]) != r:  # checked before any d^order tensor is built
+        if raw and _as_int(raw["order"], "order") != r:  # checked before any d^order tensor is built
             raise ValueError(f"kernel {r} declares order {raw['order']}")
     kernels = [kernel_from_json(raw, d) for raw in raws.values() if raw]
     return ChaosCoefficients.from_kernels(d, N, float(obj["mean"]), kernels)
@@ -277,15 +271,11 @@ def _first_non_finite(values: np.ndarray) -> tuple[int, ...] | None:
 
 def table_from_json(obj: Any, space: PathSpace) -> PathTable:
     """A raw table is a JSON array of finite numbers in canonical path order."""
-    values = np.asarray(obj, dtype=float)
-    if values.shape != (space.num_paths,):
-        raise ValueError(
-            f"table has {values.size} entries, expected {space.num_paths}"
-        )
-    bad = _first_non_finite(values)
+    table = PathTable(space, obj)
+    bad = _first_non_finite(table.values)
     if bad is not None:
-        raise ValueError(f"table entry at path {bad[0]} is not finite: {float(values[bad])!r}")
-    return PathTable(space, values)
+        raise ValueError(f"table entry at path {bad[0]} is not finite: {float(table.values[bad])!r}")
+    return table
 
 
 def table_to_json(table: PathTable) -> list:
@@ -312,8 +302,7 @@ def process_to_json(process: VectorProcess) -> dict:
 # -- markets and strategies ---------------------------------------------------
 
 def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
-    d = int(obj["d"])
-    N = int(obj["N"])
+    d, N = _as_int(obj["d"], "d"), _as_int(obj["N"], "N")
     raw_steps = obj["scenarios"]
     if len(raw_steps) != N + 1:
         raise ValueError(f"market declares N={N} but has {len(raw_steps)} scenario steps")
@@ -322,11 +311,9 @@ def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
             raise ValueError(f"step {k}: expected {d + 1} scenarios, got {len(step)}")
     # lengths and size first, so that no array is sized by a bare d or N alone
     _check_market_size(d, N, cap)
-    rates_raw = obj.get("r", 0.0)
-    if isinstance(rates_raw, (int, float)):
-        rates = np.full(N + 1, float(rates_raw))
-    else:
-        rates = np.asarray(rates_raw, dtype=float)
+    rates = obj.get("r", 0.0)
+    if isinstance(rates, (int, float)):
+        rates = np.full(N + 1, float(rates))
     scenarios = np.empty((N + 1, d + 1, d, d))
     for k, step in enumerate(raw_steps):
         for i, scen in enumerate(step):

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import SizeCapError
 from .omega import DEFAULT_CAP, PathSpace, PathTable
 
 
@@ -188,6 +189,13 @@ def _complete_orthogonal(sqrt_p: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _check_completion(p: np.ndarray, n: int, cap: int) -> None:
+    """Refuse to complete step n when its (d+1)x(d+1) orthogonal matrix would exceed the cap."""
+    if np.size(p) ** 2 > cap:
+        raise SizeCapError(f"step {n}: completing {np.size(p)} outcomes would need "
+                           f"{np.size(p) ** 2} entries, above the cap of {cap}")
+
+
 def canonical_step(p: Sequence[float], n: int = 0) -> StepLaw:
     """Step n of the canonical construction for the outcome probabilities p.
 
@@ -220,21 +228,16 @@ def construct_obtuse(
     """
     steps = []
     laws: dict[tuple, StepLaw] = {}
-    d = None
     for n, p in enumerate(probabilities):
         row = np.asarray(p, dtype=float)
         key = (row.shape, row.tobytes())
-        step = laws.get(key)
-        if step is None:
-            step = laws[key] = canonical_step(row, n)
-        if d is None:
-            d = step.d
-        elif step.d != d:
-            raise ValueError(f"step {n}: outcome count changed from {d + 1} to {step.d + 1}")
-        steps.append(step)
+        if key not in laws:
+            _check_completion(row, n, cap)
+            laws[key] = canonical_step(row, n)
+        steps.append(laws[key])
     if not steps:
         raise ValueError("need at least one step")
-    return WalkSpec(d=d, N=len(steps) - 1, steps=tuple(steps), cap=cap)
+    return WalkSpec(d=steps[0].d, N=len(steps) - 1, steps=tuple(steps), cap=cap)
 
 
 def structure_tensor(walk: WalkSpec, n: int) -> np.ndarray:
@@ -265,6 +268,6 @@ def increment_rv(walk: WalkSpec, n: int, j: int) -> PathTable:
     if not 1 <= j <= walk.d:
         raise ValueError(f"coordinate {j} outside [1, {walk.d}]")
     space = walk.space
-    column = np.repeat(walk.steps[n].v[:, j - 1], space.stride(n))
+    column = np.repeat(walk.steps[n].v[:, j - 1], space.atom_size(n))
     return PathTable(space, np.tile(column, space.atom_count(n - 1)))
 

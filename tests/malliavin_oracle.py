@@ -23,7 +23,7 @@ def mutated_indices(space: PathSpace, k: int) -> np.ndarray:
     """(num_paths, d+1) indices of each path with outcome k forced to i."""
     if not 0 <= k <= space.N:
         raise ValueError(f"time index {k} outside [0, {space.N}]")
-    stride = space.stride(k)
+    stride = space.atom_size(k)
     base = np.arange(space.num_paths, dtype=np.int64)
     # outcome k of each path from its index, without the (P, N+1) outcomes table
     base = base - (base // stride) % (space.d + 1) * stride

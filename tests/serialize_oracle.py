@@ -14,6 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from obtusewalk.market import MarketSpec, Strategy
+from obtusewalk.omega import _as_int
 from obtusewalk.serialize import fmt_float
 from market_oracle import oracle_prices, oracle_strategy_values, strategy_paths
 
@@ -138,8 +139,9 @@ def oracle_symmetrize(raw, order: int, d: int) -> dict:
     fact = math.factorial(order)
     acc = {}
     for times, coords, value in raw:
-        times = tuple(int(t) for t in times)
-        coords = tuple(int(k) for k in coords)
+        # integers are read by the library's one rule: the oracle is for the accumulation
+        times = tuple(_as_int(t, "times entry") for t in times)
+        coords = tuple(_as_int(k, "coords entry") for k in coords)
         if len(times) != order or len(coords) != order:
             raise ValueError(f"entry at {times} must carry {order} times and coords")
         if len(set(times)) != order:

@@ -525,7 +525,7 @@ class TestLoaderErrors:
             (
                 ["walk", "validate", "{file}"],
                 '{"d": "x", "N": 0, "steps": [{"p": [0.5, 0.5]}]}',
-                "invalid literal for int() with base 10: 'x'",
+                "d must be an integer, got 'x'",
             ),
             (
                 ["market", "emm", "{file}"],
@@ -761,3 +761,120 @@ def test_output_is_independent_of_the_blas_thread_count(rng, tmp_path):
         runs = [_fresh_process(argv, {"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]
         assert runs[0][0] == 0 and runs[0][1]
         assert runs[0] == runs[1]
+
+
+#: two Bernoulli steps as in bernoulli.json
+_STEPS = '"steps": [{"p": [0.5, 0.5], "v": [[1.0], [-1.0]]}, {"p": [0.5, 0.5], "v": [[1.0], [-1.0]]}]'
+_ENTRY = '{"d": 1, "N": 1, "mean": 0.5, "kernels": {"1": {"order": %s, "entries": [%s]}}}'
+_CRR = '"S0": [100.0], "r": 0.0, "scenarios": [[{"lambda": [0.25]}, {"lambda": [-0.25]}]]'
+
+#: malformed input that exits 1 with one stderr line, and no output:
+#: name -> (argv, content of "{file}" or None, the line after "error: ")
+MALFORMED = {
+    "walk-d-1.5": (["walk", "validate", "{file}"], '{"d": 1.5, "N": 1, %s}' % _STEPS,
+                   "{file}: d must be an integer, got 1.5"),
+    "walk-N-1.9": (["walk", "validate", "{file}"], '{"d": 1, "N": 1.9, %s}' % _STEPS,
+                   "{file}: N must be an integer, got 1.9"),
+    "walk-d-true": (["walk", "validate", "{file}"], '{"d": true, "N": 1, %s}' % _STEPS,
+                    "{file}: d must be an integer, got True"),
+    "walk-N-string": (["walk", "validate", "{file}"], '{"d": 1, "N": "1", %s}' % _STEPS,
+                      "{file}: N must be an integer, got '1'"),
+    "chaos-order-1.2": (
+        ["chaos", "reconstruct", f"{FIX}/bernoulli.json", "--coeffs", "{file}"],
+        _ENTRY % ("1.2", '{"times": [0], "coords": [1], "value": 1.0}'),
+        "{file}: order must be an integer, got 1.2",
+    ),
+    "chaos-times-0.9": (
+        ["chaos", "reconstruct", f"{FIX}/bernoulli.json", "--coeffs", "{file}"],
+        _ENTRY % ("1", '{"times": [0.9], "coords": [1], "value": 1.0}'),
+        "{file}: times entry must be an integer, got 0.9",
+    ),
+    "chaos-coords-1.6": (
+        ["chaos", "reconstruct", f"{FIX}/bernoulli.json", "--coeffs", "{file}"],
+        _ENTRY % ("1", '{"times": [0], "coords": [1.6], "value": 1.0}'),
+        "{file}: coords entry must be an integer, got 1.6",
+    ),
+    "market-d-1.9": (["market", "emm", "{file}"], '{"d": 1.9, "N": 0, %s}' % _CRR,
+                     "{file}: d must be an integer, got 1.9"),
+    "walk-tol-inf": (
+        ["walk", "validate", "{file}", "--tol", "inf"],
+        '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[2.0], [-1.0]]}]}',
+        "tolerance must be finite, got inf",
+    ),
+    "market-tol-inf": (["market", "emm", f"{FIX}/crr25.json", "--tol", "inf"], None,
+                       "tolerance must be finite, got inf"),
+    "verify-tol-inf": (
+        COMMANDS["market-verify"] + ["--tol-verify", "inf"], None,
+        "verification tolerance must be finite, got inf",
+    ),
+    "payoff-index-1e300": (["market", "price", f"{FIX}/crr25.json", "--payoff", "S(1e300)"], None,
+                           "1:1: asset index 1e300 outside [1, 1]"),
+    "payoff-time-1e20": (["market", "price", f"{FIX}/crr25.json", "--payoff", "S(1,1e20)"], None,
+                         "1:1: time index 1e20 outside [0, 0]"),
+    "completion-over-cap": (
+        ["walk", "construct", "{file}", "--cap", "8"],
+        '{"d": 2, "N": 0, "steps": [{"p": [0.2, 0.3, 0.5]}]}',
+        "step 0: completing 3 outcomes would need 9 entries, above the cap of 8",
+    ),
+}
+
+
+def malformed_argv(name: str, directory: str) -> list[str]:
+    """The command line of MALFORMED[name], its input file written to the directory."""
+    argv, content, _ = MALFORMED[name]
+    path = os.path.join(directory, f"{name}.json")
+    if content is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+    return [arg.replace("{file}", path) for arg in argv]
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_is_one_error_line(capsys, tmp_path, name):
+    argv = malformed_argv(name, str(tmp_path))
+    code = main(argv)
+    captured = capsys.readouterr()
+    message = MALFORMED[name][2].replace("{file}", str(tmp_path / f"{name}.json"))
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["payoff-index-1e300", "payoff-time-1e20"])
+def test_out_of_range_payoff_index_is_quoted_as_written(name):
+    code, out, err = _fresh_process(MALFORMED[name][0], {})
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert len(err) < 100
+
+
+def _counts_as_floats(path: str) -> dict:
+    """The JSON object of a walk, chaos or market file with every count and index a float."""
+    with open(path, encoding="utf-8") as handle:
+        obj = json.load(handle)
+    obj["d"], obj["N"] = float(obj["d"]), float(obj["N"])
+    for kernel in obj.get("kernels", {}).values():
+        kernel["order"] = float(kernel["order"])
+        for entry in kernel["entries"]:
+            entry["times"] = [float(t) for t in entry["times"]]
+            entry["coords"] = [float(k) for k in entry["coords"]]
+    return obj
+
+
+@pytest.mark.parametrize("name", ["walk-validate", "walk-construct", "chaos-reconstruct", "market-emm"])
+def test_integral_floats_print_the_golden_bytes(capsys, tmp_path, name):
+    """Counts and indices written as 1.0 read as the integers they equal."""
+    argv = []
+    for arg in COMMANDS[name]:
+        if arg.endswith(".json"):
+            path = tmp_path / os.path.basename(arg)
+            path.write_text(json.dumps(_counts_as_floats(arg)))
+            arg = str(path)
+        argv.append(arg)
+    with open(os.path.join(GOLD, f"{name}.txt"), encoding="utf-8") as handle:
+        assert run_cli(argv, capsys) == (0, handle.read())
+
+
+def test_completion_that_fits_the_cap_is_unchanged(capsys, tmp_path):
+    """A step given without v is completed when its (d+1)^2 entries fit the cap."""
+    argv = malformed_argv("completion-over-cap", str(tmp_path))
+    fits = run_cli(argv[:-1] + ["9"], capsys)
+    assert fits[0] == 0
+    assert fits == run_cli(argv[:-2], capsys)

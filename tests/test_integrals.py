@@ -1,5 +1,6 @@
 """Stochastic integrals, symmetrization, isometry, and the recurrence."""
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -116,7 +117,7 @@ class TestKernel:
             ({(0, 1): np.ones(2)}, r"tensor at \(0, 1\) has shape \(2,\), expected \(2, 2\)"),
             ({(0, 1): ONES, (-1, 3): ONES}, r"negative time index in \(-1, 3\)"),
             ({(2, 1): ONES}, r"time tuple \(2, 1\) is not strictly increasing"),
-            ({(0, 1): ONES, (0.5, 1): ONES}, r"time tuple \(0, 1\) is repeated"),
+            ({(0, 1): ONES, (0.5, 1): ONES}, r"times entry must be an integer, got 0\.5"),
         ],
     )
     def test_from_entries_keeps_the_mapping_messages(self, entries, message):
@@ -124,6 +125,11 @@ class TestKernel:
             Kernel.from_entries(2, 2, entries)
         with pytest.raises(ValueError, match=r"^kernel order must be >= 0$"):
             Kernel.from_entries(-1, 2, {})
+
+    def test_from_entries_reads_times_as_integers(self):
+        with pytest.raises(ValueError, match=r"^times entry must be an integer, got 0\.9$"):
+            Kernel.from_entries(1, 1, {(0.9,): [1.0]})
+        assert Kernel.from_entries(1, 1, {(2.0,): [1.0]}).times.tolist() == [[2]]
 
     def test_arrays_and_entries_are_read_only_views_of_one_layout(self, rng):
         kernel = random_kernel(rng, 2, 3, 2)
@@ -169,6 +175,33 @@ class TestSymmetrize:
     def test_repeated_time_rejected(self):
         with pytest.raises(ValueError):
             symmetrize([((0, 0), (1, 1), 1.0)], 2, 1)
+
+    def test_no_entries_is_the_zero_kernel(self):
+        kernel, zero = symmetrize([], 2, 2), Kernel.zero(2, 2)
+        assert (kernel.order, kernel.d) == (zero.order, zero.d)
+        assert np.array_equal(kernel.times, zero.times) and kernel.times.shape == (0, 2)
+        assert np.array_equal(kernel.tensors, zero.tensors) and kernel.tensors.shape == (0, 4)
+
+    def test_order_zero_entries_add_up(self):
+        kernel = symmetrize([((), (), 0.25), ([], [], 0.5)], 0, 2)
+        assert kernel.entries == {(): 0.75}
+        with pytest.raises(ValueError, match="^order-0 entries must have empty times and coords$"):
+            symmetrize([((0,), (1,), 1.0)], 0, 2)
+
+    @pytest.mark.parametrize("times, coords, message", [
+        ([True, 2], [1, 1], "times entry must be an integer, got True"),
+        ([0, 2], [1, 1.5], "coords entry must be an integer, got 1.5"),
+        ([0.9, 2], [1, 1], "times entry must be an integer, got 0.9"),
+    ])
+    def test_entries_are_read_as_integers(self, times, coords, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            symmetrize([((0, 1), (1, 1), 1.0), (times, coords, 1.0)], 2, 1)
+
+    def test_integral_floats_read_as_integers(self):
+        floats = symmetrize([([1.0, 0.0], [2, 1.0], 0.5)], 2, 2)
+        ints = symmetrize([([1, 0], [2, 1], 0.5)], 2, 2)
+        assert np.array_equal(floats.times, ints.times)
+        assert np.array_equal(floats.tensors, ints.tensors)
 
     def test_integral_invariant_under_symmetrization(self, rng):
         # a raw one-sided assignment and its symmetrization integrate equally
@@ -279,6 +312,16 @@ class TestMonomialKernel:
             monomial_kernel((1, 0), (1, 1), 1)
         with pytest.raises(ValueError):
             monomial_kernel((0, 0), (1, 1), 1)
+
+    def test_times_and_coords_are_integers(self):
+        with pytest.raises(ValueError, match=r"^times entry must be an integer, got 0\.7$"):
+            monomial_kernel([0.7, 1.2], [1, 1], 1)
+        with pytest.raises(ValueError, match=r"^coords entry must be an integer, got True$"):
+            monomial_kernel([0, 1], [1, True], 1)
+        floats = monomial_kernel([0.0, 2.0], [2.0, 1], 2)
+        ints = monomial_kernel([0, 2], [2, 1], 2)
+        assert np.array_equal(floats.times, ints.times)
+        assert np.array_equal(floats.tensors, ints.tensors)
 
 
 class TestVectorProcess:

@@ -12,6 +12,7 @@ from obtusewalk import (
     increment_rv,
     is_measurable,
 )
+from obtusewalk.omega import _as_int
 from helpers import bernoulli, biased, d2_fixture, random_table, random_walk
 from malliavin_oracle import mutated_indices
 from market_oracle import oracle_measure
@@ -193,3 +194,33 @@ class TestCovariance:
         y0 = increment_rv(walk, 0, 1)
         y0y1 = y0 * increment_rv(walk, 1, 1)
         assert covariance(walk, y0, y0y1) == pytest.approx(0.0, abs=1e-14)
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.uint8(2), 2.0, np.float32(2.0), -0.0])
+    def test_integers_and_integral_floats_pass(self, value):
+        got = _as_int(value, "N")
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("value", [
+        True, False, np.True_, "2", 1.5, np.float64(1e-300), float("inf"), float("nan"), None, [2],
+    ])
+    def test_anything_else_is_one_error_naming_the_field(self, value):
+        with pytest.raises(ValueError) as info:
+            _as_int(value, "N")
+        assert str(info.value) == f"N must be an integer, got {value!r}"
+
+    def test_path_index_is_read_by_the_rule(self):
+        space = PathSpace(2, 1)
+        assert space.path_at(5.0) == space.path_at(5) == (1, 2)
+        with pytest.raises(ValueError, match=r"^path index must be an integer, got 1.5$"):
+            space.path_at(1.5)
+
+
+class TestTableArithmetic:
+    def test_reflected_subtraction_and_negation(self, rng):
+        table = random_table(rng, PathSpace(2, 2))
+        assert np.array_equal((5 - table).values, 5.0 - table.values)
+        assert np.array_equal((-table).values, np.negative(table.values))
+        other = random_table(rng, table.space).values
+        assert np.array_equal((other.tolist() - table).values, other - table.values)

@@ -16,6 +16,7 @@ from obtusewalk.payoff import (
     PayoffSyntaxError,
     PriceRef,
 )
+from market_oracle import oracle_prices
 
 
 class TestParse:
@@ -126,6 +127,16 @@ class TestParse:
         with pytest.raises(PayoffSyntaxError, match=rf"^1:\d+: {what} must be an integer, got 1e999$"):
             parse_payoff(text, 2, 1)
 
+    @pytest.mark.parametrize("text, message", [
+        ("S(1e300)", "1:1: asset index 1e300 outside [1, 2]"),
+        ("S(1,1e20)", "1:1: time index 1e20 outside [0, 1]"),
+        ("B(3.0)", "1:1: time index 3.0 outside [0, 1]"),
+    ])
+    def test_out_of_range_index_is_quoted_as_written(self, text, message):
+        with pytest.raises(PayoffSyntaxError) as info:
+            parse_payoff(text, 2, 1)
+        assert str(info.value) == message
+
 
 def _expressions(d: int = 2, N: int = 1):
     numbers = st.floats(
@@ -220,3 +231,14 @@ class TestEval:
         explicit = eval_payoff(parse_payoff("S(1,1)", 1, 1), market)
         default = eval_payoff(parse_payoff("S(1)", 1, 1), market)
         assert np.array_equal(explicit.values, default.values)
+
+    def test_negation_and_abs_evaluate(self):
+        market = crr_market(100.0, 0.1, -0.1, 0.02, 2)
+        final = oracle_prices(market)[-1][:, 0]
+        for text, want in [
+            ("-S(1)", -final),
+            ("abs(S(1)-100)", np.abs(final - 100.0)),
+            ("-(S(1)-B(0))", 1.02 - final),
+        ]:
+            got = eval_payoff(parse_payoff(text, 1, 1), market).values
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0), text

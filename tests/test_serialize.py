@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from obtusewalk import decompose, reconstruct
+from obtusewalk import decompose, eval_payoff, find_emm, parse_payoff, price_claim, reconstruct
 from obtusewalk.serialize import (
     chaos_from_json,
     chaos_to_json,
@@ -105,6 +105,10 @@ class TestTableAndProcessJSON:
         with pytest.raises(ValueError):
             table_from_json([1.0, 2.0], walk.space)
 
+    def test_nested_table_names_its_shape(self):
+        with pytest.raises(ValueError, match=r"^table has shape \(2, 2\), expected \(4,\)$"):
+            table_from_json([[0, 1], [2, 3]], bernoulli(1).space)
+
     def test_process_round_trip(self, rng):
         walk = d2_fixture(1)
         proc = random_process(rng, walk)
@@ -128,6 +132,21 @@ class TestMarketJSON:
         assert np.allclose(market.rates, 0.05)
         assert market.scenarios[0, 0, 0, 0] == 0.1
         assert market.scenarios[1, 1, 0, 0] == -0.1
+
+    def test_per_step_rates(self):
+        obj = {
+            "d": 1,
+            "N": 1,
+            "S0": [100.0],
+            "r": [0.01, 0.02],
+            "scenarios": [[{"lambda": [0.1]}, {"lambda": [-0.1]}]] * 2,
+        }
+        market = market_from_json(obj)
+        assert market.rates.tolist() == [0.01, 0.02]
+        claim = eval_payoff(parse_payoff("max(S(1)-100,0)", 1, 1), market)
+        # up probabilities (r_n + 0.1) / 0.2 are 0.55 and 0.6; only up-up pays, 121 - 100
+        price = price_claim(market, find_emm(market), claim)
+        assert price == pytest.approx(0.55 * 0.6 * 21.0 / (1.01 * 1.02), rel=1e-13)
 
     def test_missing_scenario_kind(self):
         obj = {

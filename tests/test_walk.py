@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations, product
 
 from obtusewalk import (
+    SizeCapError,
     StepLaw,
     WalkSpec,
     construct_obtuse,
@@ -117,6 +118,17 @@ class TestConstructObtuse:
     def test_repeated_bad_row_names_its_first_step(self):
         with pytest.raises(ValueError, match="^step 1: probabilities must be strictly positive"):
             construct_obtuse([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
+
+    def test_outcome_count_must_not_change(self):
+        with pytest.raises(ValueError, match=r"^step 1 has dimension 2, expected 1$"):
+            construct_obtuse([[0.5, 0.5], [0.2, 0.3, 0.5]])
+
+    def test_completion_is_checked_against_the_cap(self):
+        """The (d+1)^2 orthogonal matrix is refused before it is built, though 3 paths fit."""
+        with pytest.raises(SizeCapError, match="^step 0: completing 3 outcomes would need 9 entries"):
+            construct_obtuse([[0.2, 0.3, 0.5]], cap=8)
+        fits = construct_obtuse([[0.2, 0.3, 0.5]], cap=9)
+        assert np.array_equal(fits.steps[0].v, construct_obtuse([[0.2, 0.3, 0.5]]).steps[0].v)
 
     @given(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=4))
     @settings(max_examples=60, deadline=None)
