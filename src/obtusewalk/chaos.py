@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .integrals import Kernel, _synthesize, along_axes
-from .omega import PathTable, _check_space, _frozen_float, expectation
+from .omega import PathTable, _check_range, _check_space, _frozen_float, expectation
 from .walk import WalkSpec
 
 
@@ -123,7 +123,7 @@ def decompose(walk: WalkSpec, table: PathTable) -> ChaosCoefficients:
     contraction of measure * F with the transposed basis along each axis,
     exact up to rounding. The mean entry is the expectation itself.
     """
-    _check_space(walk, table)
+    _check_space(walk.space, table)
     coef = along_axes(walk, walk.measure * table.values, [step.basis.T for step in walk.steps])
     coef[(0,) * (walk.N + 1)] = expectation(walk, table)
     return ChaosCoefficients(walk.d, walk.N, coef)
@@ -164,8 +164,7 @@ def project_horizon(coeffs: ChaosCoefficients, horizon: int) -> ChaosCoefficient
     Projecting the coefficients matches conditioning the reconstructed table
     on the horizon's prefix field; horizon -1 keeps only the mean.
     """
-    if not -1 <= horizon <= coeffs.N:
-        raise ValueError(f"horizon {horizon} outside [-1, {coeffs.N}]")
+    _check_range(horizon, -1, coeffs.N, "horizon")
     rows = coeffs.coef.reshape((coeffs.d + 1) ** (horizon + 1), -1)
     kept = np.zeros_like(rows)
     kept[:, 0] = rows[:, 0]

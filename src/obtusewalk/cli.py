@@ -40,14 +40,14 @@ def _load_json(path: str):
 
 def _load(path: str, loader, *args, **kwargs):
     """Build an object from a JSON file; a missing field, a bad value, a value
-    of the wrong shape or a number beyond the float range is reported with
-    the file."""
+    of the wrong shape, a number beyond the float range, a size beyond the cap
+    or a model the constructor refuses is reported with the file."""
     obj = _load_json(path)
     try:
         return loader(obj, *args, **kwargs)
     except KeyError as exc:
         raise ObtuseWalkError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+    except (ObtuseWalkError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ObtuseWalkError(f"{path}: {exc}") from None
 
 

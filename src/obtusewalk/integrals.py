@@ -33,7 +33,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import PredictabilityError
-from .omega import PathSpace, PathTable, _as_int, _frozen_float, atom_deviation
+from .omega import (
+    PathSpace,
+    PathTable,
+    _as_int,
+    _check_range,
+    _check_space,
+    _frozen_float,
+    atom_deviation,
+)
 from .walk import WalkSpec
 
 #: raw kernel entry: (times, coords, value) with 1-based coordinates
@@ -279,10 +287,8 @@ class VectorProcess:
         object.__setattr__(self, "values", vals)
 
     def table(self, n: int, j: int) -> PathTable:
-        if not 0 <= n <= self.space.N:
-            raise ValueError(f"time {n} outside [0, {self.space.N}]")
-        if not 1 <= j <= self.space.d:
-            raise ValueError(f"coordinate {j} outside [1, {self.space.d}]")
+        _check_range(n, 0, self.space.N, "time")
+        _check_range(j, 1, self.space.d, "coordinate")
         return PathTable(self.space, self.values[n][:, j - 1])
 
 
@@ -314,8 +320,7 @@ class PredictableProcess:
 
     def at(self, n: int) -> np.ndarray:
         """(atoms of F_{n-1}, width) rows of step n."""
-        if not 0 <= n <= self.space.N:
-            raise ValueError(f"step {n} outside [0, {self.space.N}]")
+        _check_range(n, 0, self.space.N, "step")
         return self.rows[self._start(n) : self._start(n + 1)]
 
     @staticmethod
@@ -354,10 +359,11 @@ def integrate_predictable(walk: WalkSpec, process: PredictableProcess | VectorPr
     defect above PREDICTABLE_TOL raises. Each atom of F_{n-1} and outcome i
     at n gives one sum <U_n, v_n^i>, repeated on the atom_size(n) paths of both.
     """
+    _check_space(walk.space, process, "process")
     if isinstance(process, VectorProcess):
         process = PredictableProcess.from_paths(process.space, process.values)
-    if process.space != walk.space or process.rows.shape[1] != walk.d:
-        raise ValueError("process is not an R^d-valued process on the walk's path space")
+    if process.rows.shape[1] != walk.d:
+        raise ValueError(f"process rows have width {process.rows.shape[1]}, expected {walk.d}")
     if not process.defect <= PREDICTABLE_TOL:
         raise PredictabilityError(
             f"process is not predictable (atom deviation {process.defect:.3e} > {PREDICTABLE_TOL:.0e})"

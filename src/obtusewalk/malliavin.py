@@ -20,6 +20,8 @@ from .errors import MartingaleError
 from .integrals import PredictableProcess, VectorProcess, _synthesize
 from .omega import (
     PathTable,
+    _check_range,
+    _check_space,
     atom_deviation,
     atom_means,
     conditional_expectation,
@@ -52,8 +54,7 @@ def _gradient_inner(walk: WalkSpec, f: PathTable, g: PathTable) -> np.ndarray:
 
 def gradient(walk: WalkSpec, table: PathTable) -> VectorProcess:
     """Gradient of a table at every time and coordinate: the process (D_0 F, ..., D_N F)."""
-    if table.space != walk.space:
-        raise ValueError("table is not defined on the walk's path space")
+    _check_space(walk.space, table)
     space = walk.space
     out = np.empty((space.N + 1, space.num_paths, walk.d))
     for k in range(space.N + 1):
@@ -76,10 +77,8 @@ def gradient_chaos(
     other coefficient with a nonzero digit at k maps to zero. Agrees with
     the gradient of the reconstructed table.
     """
-    if not 0 <= k <= walk.N:
-        raise ValueError(f"time {k} outside [0, {walk.N}]")
-    if not 1 <= j <= walk.d:
-        raise ValueError(f"coordinate {j} outside [1, {walk.d}]")
+    _check_range(k, 0, walk.N, "time")
+    _check_range(j, 1, walk.d, "coordinate")
     coef = _on_walk(walk, coeffs)
     head = (slice(None),) * k
     lowered = np.zeros_like(coef)
@@ -95,8 +94,7 @@ def divergence(walk: WalkSpec, process: VectorProcess) -> PathTable:
     axis, since its weights sum to one only up to rounding, so on
     predictable processes the result is bit-identical to the integral.
     """
-    if process.space != walk.space:
-        raise ValueError("process is not defined on the walk's path space")
+    _check_space(walk.space, process, "process")
     total = np.zeros(walk.space.num_paths)
     for k, step in enumerate(walk.steps):
         view = walk.space.axis_view(process.values[k], k)  # (atoms, d+1, atom_size, d)
@@ -139,8 +137,7 @@ def predictable_representation(
     if len(martingale) != walk.N + 1:
         raise ValueError(f"need {walk.N + 1} tables, got {len(martingale)}")
     for n, m in enumerate(martingale):
-        if m.space != walk.space:
-            raise ValueError(f"table {n} is not on the walk's path space")
+        _check_space(walk.space, m, f"table {n}")
         defect = atom_deviation(m.values, walk.space, n)
         if not defect <= MARTINGALE_TOL:
             raise MartingaleError(
@@ -163,6 +160,7 @@ def predictable_representation(
 
 def poincare_check(walk: WalkSpec, table: PathTable) -> tuple[float, float]:
     """Variance of the table and its gradient-energy upper bound."""
+    _check_space(walk.space, table)
     variance = covariance(walk, table, table)
     bound = expectation(walk, PathTable(walk.space, _gradient_inner(walk, table, table)))
     return variance, bound

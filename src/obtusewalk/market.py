@@ -54,14 +54,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ObtuseWalkError, SizeCapError
+from .errors import ObtuseWalkError
 from .integrals import PredictableProcess
 from .malliavin import atom_integrand
 from .omega import (
     DEFAULT_CAP,
     PathSpace,
     PathTable,
+    _check_cap,
     _check_finite,
+    _check_space,
     atom_means,
     expectation,
 )
@@ -93,11 +95,7 @@ class HedgeFormulaError(MarketModelError):
 
 def _check_market_size(d: int, N: int, cap: int) -> None:
     """Refuse a market whose (N+1, d+1, d, d) scenario array would exceed the cap."""
-    entries = (N + 1) * (d + 1) * d * d
-    if entries > cap:
-        raise SizeCapError(
-            f"market scenarios would need {entries} entries, above the cap of {cap}"
-        )
+    _check_cap((N + 1) * (d + 1) * d * d, cap, "market scenarios would need")
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,20 +356,13 @@ def price_claim(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> float:
     The claim and the walk are checked first.
     """
     _check_claim(market, claim)
-    _check_walk(market, wq)
+    _check_space(market.space, wq, "risk-neutral walk", "market")
     return expectation(wq, claim) / float(market.bond[market.N])
-
-
-def _check_walk(market: MarketSpec, wq: WalkSpec) -> None:
-    """The risk-neutral walk must drive the market's paths."""
-    if wq.space != market.space:
-        raise ValueError("risk-neutral walk is not defined on the market's path space")
 
 
 def _check_claim(market: MarketSpec, claim: PathTable) -> None:
     """A hedge needs a claim on the market's paths, finite on every one."""
-    if claim.space != market.space:
-        raise ValueError("claim is not defined on the market's path space")
+    _check_space(market.space, claim, "claim", "market")
     _check_finite(claim, "claim")
 
 
@@ -417,7 +408,7 @@ def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
     Computed for every (n, j) at once; the first failing (n, j), n before j,
     raises.
     """
-    _check_walk(market, wq)
+    _check_space(market.space, wq, "risk-neutral walk", "market")
     v = np.stack([step.v for step in wq.steps])  # (N+1, d+1, d)
     excess = market.lambdas - rate  # (N+1, d+1, d)
     # cross[n, i, k, j] = v_i^j excess_k^j - v_k^j excess_i^j
@@ -523,8 +514,8 @@ def verify_strategy(
     Non-finite positions give an inf or NaN residual, which fails the
     report; the running maxima keep a NaN, as max() would not.
     """
-    if strategy.space != market.space or claim.space != market.space:
-        raise ValueError("strategy and claim must live on the market's path space")
+    _check_space(market.space, strategy, "strategy", "market")
+    _check_space(market.space, claim, "claim", "market")
     space, d, lattice, bond = market.space, market.d, market.lattice, market.bond
 
     decomposable = market.diagonal and bool(np.all(market.rates == market.rates[0]))

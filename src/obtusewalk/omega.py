@@ -5,6 +5,11 @@ a path is an index and the atoms of the natural filtration are contiguous
 index blocks. Expectations are probability-weighted sums in that fixed
 order and conditional expectations are means over atoms: dense tables, no
 sampling, the same bits on every run.
+
+The module also owns the four input rules every operator applies, one
+helper and one wording each: an input on another path space
+(_check_space), an index outside its range (_check_range), arrays larger
+than the cap (_check_cap) and a table that is not finite (_check_finite).
 """
 from __future__ import annotations
 
@@ -46,10 +51,7 @@ class PathSpace:
             raise ValueError(f"last time index must be >= 0, got {self.N}")
         # exact while it can be within the cap; never a huge power for a huge N
         count = (self.d + 1) ** min(self.N + 1, self.cap.bit_length() + 1)
-        if count > self.cap:
-            raise SizeCapError(
-                f"path space would need at least {count} entries, above the cap of {self.cap}"
-            )
+        _check_cap(count, self.cap, "path space would need at least")
 
     @property
     def num_paths(self) -> int:
@@ -75,9 +77,7 @@ class PathSpace:
 
     def path_at(self, index: int) -> Path:
         """Outcomes of the path at the index: its base-(d+1) digits, time 0 first."""
-        index = _as_int(index, "path index")
-        if not 0 <= index < self.num_paths:
-            raise ValueError(f"path index {index} outside [0, {self.num_paths - 1}]")
+        index = _check_range(_as_int(index, "path index"), 0, self.num_paths - 1, "path index")
         digits = []
         for _ in range(self.N + 1):
             index, w = divmod(index, self.d + 1)
@@ -86,8 +86,7 @@ class PathSpace:
 
     def axis_view(self, values: np.ndarray, k: int) -> np.ndarray:
         """The (num_paths, ...) array as (atoms of F_{k-1}, d+1, atom_size(k), ...); axis 1 is w_k."""
-        if not 0 <= k <= self.N:
-            raise ValueError(f"time index {k} outside [0, {self.N}]")
+        _check_range(k, 0, self.N, "time index")
         shape = (self.atom_count(k - 1), self.d + 1, self.atom_size(k))
         return np.reshape(values, shape + np.shape(values)[1:])
 
@@ -181,7 +180,7 @@ def expectation(walk: "WalkSpec", table: PathTable) -> float:
     numpy's pairwise reduction is a fixed-shape tree, so repeated runs are
     bit-identical.
     """
-    _check_space(walk, table)
+    _check_space(walk.space, table)
     return float(np.add.reduce(walk.measure * table.values))
 
 
@@ -193,8 +192,7 @@ def atom_means(walk: "WalkSpec", values: np.ndarray, n: int) -> np.ndarray:
     are returned unchanged.
     """
     space = walk.space
-    if not -1 <= n <= space.N:
-        raise ValueError(f"conditioning time {n} outside [-1, {space.N}]")
+    _check_range(n, -1, space.N, "conditioning time")
     if n == space.N:
         return np.asarray(values, dtype=float)
     atoms = space.atom_count(n)
@@ -209,13 +207,15 @@ def conditional_expectation(walk: "WalkSpec", table: PathTable, n: int) -> PathT
 
     n = -1 yields the constant E[F]; n = N yields F itself.
     """
-    _check_space(walk, table)
+    _check_space(walk.space, table)
     means = atom_means(walk, table.values, n)
     return PathTable(walk.space, np.repeat(means, walk.space.atom_size(n)))
 
 
 def covariance(walk: "WalkSpec", f: PathTable, g: PathTable) -> float:
     """Cov(F, G) = E[FG] - E[F]E[G], computed by enumeration."""
+    _check_space(walk.space, f, "table f")
+    _check_space(walk.space, g, "table g")
     return expectation(walk, f * g) - expectation(walk, f) * expectation(walk, g)
 
 
@@ -234,15 +234,29 @@ def is_measurable(table: PathTable, n: int, tol: float = 1e-10) -> bool:
     return atom_deviation(table.values, table.space, max(n, -1)) <= tol
 
 
-def _check_space(walk: "WalkSpec", table: PathTable) -> None:
-    if table.space != walk.space:
-        raise ValueError("table is not defined on the walk's path space")
+def _check_space(space: PathSpace, obj, name: str = "table", owner: str = "walk") -> None:
+    """Refuse a table, process, walk or strategy whose path space is not the given one."""
+    if obj.space != space:
+        raise ValueError(f"{name} is not defined on the {owner}'s path space")
 
 
-def _check_finite(table: PathTable, name: str) -> None:
+def _check_range(value, low, high, what: str):
+    """The value, if it lies in [low, high]; else one line naming it and the range."""
+    if not low <= value <= high:
+        raise ValueError(f"{what} {value} outside [{low}, {high}]")
+    return value
+
+
+def _check_cap(entries: int, cap: int, lead: str) -> None:
+    """Refuse an allocation of more entries than the cap; lead says what needs them."""
+    if entries > cap:
+        raise SizeCapError(f"{lead} {entries} entries, above the cap of {cap}")
+
+
+def _check_finite(table: PathTable, name: str, error: type[Exception] = ValueError) -> None:
     """Raise one line naming the first path on which the table is NaN or infinite."""
     bad = np.flatnonzero(~np.isfinite(table.values))
     if bad.size:
         idx = int(bad[0])
         path = table.space.path_at(idx)
-        raise ValueError(f"{name} is {table.values[idx]} at path {idx} = {path}")
+        raise error(f"{name} is {table.values[idx]} at path {idx} = {path}")

@@ -20,10 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .chaos import chaos_order
-from .errors import SizeCapError
 from .integrals import along_axes
 from .malliavin import _gradient_inner, _step_gradient, clark_ocone
-from .omega import PathTable, _check_finite, _check_space, expectation
+from .omega import PathTable, _check_cap, _check_finite, _check_space, expectation
 from .walk import WalkSpec
 
 
@@ -36,7 +35,7 @@ def _check_time(t: float) -> float:
 
 def _scale_chaos(walk: WalkSpec, table: PathTable, factors: Sequence[float]) -> PathTable:
     """Table whose order-r chaos component is factors[r] times that of F."""
-    _check_space(walk, table)
+    _check_space(walk.space, table)
     coef = along_axes(walk, walk.measure * table.values, [step.basis.T for step in walk.steps])
     coef = coef * np.asarray(factors, dtype=float)[chaos_order(walk.d, walk.N)]
     values = along_axes(walk, coef, [step.basis for step in walk.steps])
@@ -61,7 +60,7 @@ def _step_kernels(walk: WalkSpec, t: float) -> list[np.ndarray]:
 def ou_apply_kernel(walk: WalkSpec, table: PathTable, t: float) -> PathTable:
     """Apply the semigroup through its product-form probability kernel."""
     t = _check_time(t)
-    _check_space(walk, table)
+    _check_space(walk.space, table)
     mats = [q * step.p for q, step in zip(_step_kernels(walk, t), walk.steps)]
     return PathTable(walk.space, along_axes(walk, table.values, mats).ravel())
 
@@ -70,10 +69,7 @@ def ou_kernel_matrix(walk: WalkSpec, t: float) -> np.ndarray:
     """The dense (P, P) kernel q_t, rows indexed by the target path (guarded by the cap)."""
     t = _check_time(t)
     num = walk.space.num_paths
-    if num * num > walk.space.cap:
-        raise SizeCapError(
-            f"kernel matrix would need {num * num} entries, above the cap of {walk.space.cap}"
-        )
+    _check_cap(num * num, walk.space.cap, "kernel matrix would need")
     return reduce(np.kron, _step_kernels(walk, t))
 
 
@@ -83,6 +79,8 @@ def cov_gradient(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
     xi_k is read on the atoms of F_{k-1} and D_k G one step at a time, so
     neither is ever held for all steps on every path.
     """
+    _check_space(walk.space, f, "table f")
+    _check_space(walk.space, g, "table g")
     xi = clark_ocone(walk, f)[1]
     inner = np.empty(walk.space.num_paths)
     total = 0.0
@@ -101,6 +99,8 @@ def cov_semigroup(walk: WalkSpec, f: PathTable, g: PathTable) -> float:
     table H whose order-r chaos is that of G divided by r. The result is
     sum_k E[<D_k F, D_k H>], the gradients taken one step at a time.
     """
+    _check_space(walk.space, f, "table f")
+    _check_space(walk.space, g, "table g")
     h = _scale_chaos(walk, g, [0.0] + [1.0 / r for r in range(1, walk.N + 2)])
     return float(np.add.reduce(walk.measure * _gradient_inner(walk, f, h)))
 
@@ -140,7 +140,7 @@ def deviation_bound(walk: WalkSpec, table: PathTable, x: float) -> DeviationBoun
     x = float(x)
     if not 0.0 < x < math.inf:
         raise ValueError(f"deviation threshold must be finite and > 0, got {x}")
-    _check_space(walk, table)
+    _check_space(walk.space, table)
     _check_finite(table, "table")
 
     spread = 0.0

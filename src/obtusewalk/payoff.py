@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ObtuseWalkError
 from .market import MarketSpec
-from .omega import PathTable
+from .omega import PathTable, _check_finite, _check_range
 
 
 class PayoffSyntaxError(ObtuseWalkError):
@@ -303,7 +303,8 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
     A chain of binary operators is evaluated along its left spine without
     recursion, so a long sum costs no stack; the parser bounds the rest of
     the depth. A division by zero, or a payoff that is not finite on some
-    path (an overflow, say), raises PayoffEvalError naming the first such path.
+    path (an overflow, say), raises PayoffEvalError naming the first such path;
+    an asset or time index outside the market raises ValueError.
     """
     lattice, bond = market.lattice, market.bond
     space = market.space
@@ -318,11 +319,14 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
         if isinstance(node, Num):
             return np.full(space.num_paths, node.value)
         if isinstance(node, PriceRef):
+            asset = _check_range(node.asset, 1, market.d, "asset index")
             time = market.N if node.time is None else node.time
-            column = lattice.atom_prices(time)[:, node.asset - 1]
+            _check_range(time, 0, market.N, "time index")
+            column = lattice.atom_prices(time)[:, asset - 1]
             return np.repeat(column, space.atom_size(time))
         if isinstance(node, BondRef):
-            return np.full(space.num_paths, float(bond[node.time]))
+            time = _check_range(node.time, 0, market.N, "time index")
+            return np.full(space.num_paths, float(bond[time]))
         if isinstance(node, Neg):
             return -ev(node.operand)
         if isinstance(node, BinOp):
@@ -339,9 +343,6 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
         raise TypeError(f"not a payoff expression: {node!r}")
 
     with np.errstate(over="ignore", invalid="ignore"):
-        values = ev(expr)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        idx = int(bad[0])
-        raise PayoffEvalError(f"payoff is {values[idx]} at path {idx} = {space.path_at(idx)}")
-    return PathTable(space, values)
+        table = PathTable(space, ev(expr))
+    _check_finite(table, "payoff", PayoffEvalError)
+    return table

@@ -23,7 +23,7 @@ import numpy as np
 from .chaos import ChaosCoefficients
 from .integrals import Kernel, VectorProcess, symmetrize
 from .market import MarketSpec, Strategy, _check_market_size
-from .omega import DEFAULT_CAP, PathSpace, PathTable, _as_int
+from .omega import DEFAULT_CAP, PathSpace, PathTable, _as_int, _check_finite
 from .walk import StepLaw, WalkSpec, _check_completion, canonical_step
 
 _FORMAT = "%.17g"
@@ -220,9 +220,12 @@ def walk_from_json(obj: dict, cap: int = DEFAULT_CAP) -> WalkSpec:
 def kernel_to_json(kernel: Kernel) -> dict:
     """Emit the kernel in the raw entry convention.
 
-    Entries are written on increasing tuples only, scaled by order!, so that
-    symmetrization on load reproduces the stored kernel exactly; the written
-    value is then also the coefficient of the matching increment monomial.
+    Entries are written on increasing tuples only, scaled by order!, and
+    symmetrization on load divides by order! again. Up to order 2, order! is
+    a power of two and the round trip is exact; from order 3 on the scaling
+    and the division each round, so a component can come back one ulp off.
+    The written value is the coefficient of the matching increment monomial
+    up to the same rounding.
     Entries go by tuple, then coordinates; zero components are left out,
     except the scalar of order 0.
     """
@@ -261,20 +264,10 @@ def chaos_from_json(obj: dict, cap: int = DEFAULT_CAP) -> ChaosCoefficients:
 
 # -- tables and processes ----------------------------------------------------
 
-def _first_non_finite(values: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first NaN or infinite entry in canonical order, if any."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if not bad.size:
-        return None
-    return tuple(int(i) for i in np.unravel_index(bad[0], values.shape))
-
-
 def table_from_json(obj: Any, space: PathSpace) -> PathTable:
     """A raw table is a JSON array of finite numbers in canonical path order."""
     table = PathTable(space, obj)
-    bad = _first_non_finite(table.values)
-    if bad is not None:
-        raise ValueError(f"table entry at path {bad[0]} is not finite: {float(table.values[bad])!r}")
+    _check_finite(table, "table")
     return table
 
 
@@ -285,12 +278,12 @@ def table_to_json(table: PathTable) -> list:
 def process_from_json(obj: dict, space: PathSpace) -> VectorProcess:
     """Process schema: {"values": [[[coord per asset] per path] per time]}."""
     process = VectorProcess(space, np.asarray(obj["values"], dtype=float))
-    bad = _first_non_finite(process.values)
-    if bad is not None:
-        time, path, coord = bad
+    bad = np.flatnonzero(~np.isfinite(process.values))
+    if bad.size:
+        time, path, coord = np.unravel_index(bad[0], process.values.shape)
         raise ValueError(
             f"process value at time {time}, path {path}, coordinate {coord + 1} "
-            f"is not finite: {float(process.values[bad])!r}"
+            f"is not finite: {float(process.values[time, path, coord])!r}"
         )
     return process
 

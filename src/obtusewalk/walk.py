@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeCapError
-from .omega import DEFAULT_CAP, PathSpace, PathTable
+from .omega import DEFAULT_CAP, PathSpace, PathTable, _check_cap, _check_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +190,7 @@ def _complete_orthogonal(sqrt_p: np.ndarray) -> np.ndarray:
 
 def _check_completion(p: np.ndarray, n: int, cap: int) -> None:
     """Refuse to complete step n when its (d+1)x(d+1) orthogonal matrix would exceed the cap."""
-    if np.size(p) ** 2 > cap:
-        raise SizeCapError(f"step {n}: completing {np.size(p)} outcomes would need "
-                           f"{np.size(p) ** 2} entries, above the cap of {cap}")
+    _check_cap(np.size(p) ** 2, cap, f"step {n}: completing {np.size(p)} outcomes would need")
 
 
 def canonical_step(p: Sequence[float], n: int = 0) -> StepLaw:
@@ -246,16 +243,14 @@ def structure_tensor(walk: WalkSpec, n: int) -> np.ndarray:
     phi[i, j, k] multiplies the k-th increment coordinate in the pointwise
     identity Y^i Y^j = delta^{ij} + sum_k phi[i, j, k] Y^k.
     """
-    if not 0 <= n <= walk.N:
-        raise ValueError(f"step {n} outside [0, {walk.N}]")
-    step = walk.steps[n]
+    step = walk.steps[_check_range(n, 0, walk.N, "step")]
     return np.einsum("m,mi,mj,mk->ijk", step.p, step.v, step.v, step.v)
 
 
 def structure_residual(walk: WalkSpec, n: int) -> float:
     """Worst pointwise defect of Y^i Y^j = delta^{ij} + sum_k phi[i,j,k] Y^k."""
+    phi = structure_tensor(walk, n)  # checks n before any step is read
     step = walk.steps[n]
-    phi = structure_tensor(walk, n)
     lhs = np.einsum("mi,mj->mij", step.v, step.v)
     rhs = np.eye(walk.d)[None] + np.einsum("ijk,mk->mij", phi, step.v)
     return float(np.max(np.abs(lhs - rhs)))
@@ -263,10 +258,8 @@ def structure_residual(walk: WalkSpec, n: int) -> float:
 
 def increment_rv(walk: WalkSpec, n: int, j: int) -> PathTable:
     """The j-th coordinate of the step-n increment as a path table."""
-    if not 0 <= n <= walk.N:
-        raise ValueError(f"step {n} outside [0, {walk.N}]")
-    if not 1 <= j <= walk.d:
-        raise ValueError(f"coordinate {j} outside [1, {walk.d}]")
+    _check_range(n, 0, walk.N, "step")
+    _check_range(j, 1, walk.d, "coordinate")
     space = walk.space
     column = np.repeat(walk.steps[n].v[:, j - 1], space.atom_size(n))
     return PathTable(space, np.tile(column, space.atom_count(n - 1)))

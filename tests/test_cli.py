@@ -405,7 +405,7 @@ class TestExitCodes:
         assert code == 1
         assert captured.out == ""
         assert captured.err == (
-            "error: market scenarios would need 1100 entries, above the cap of 500\n"
+            f"error: {big}: market scenarios would need 1100 entries, above the cap of 500\n"
         )
 
     def test_emm_paths_checked_against_cap(self, capsys, tmp_path):
@@ -496,12 +496,12 @@ class TestLoaderErrors:
             (
                 ["deviation", f"{FIX}/bernoulli.json", "--payoff-table", "{file}", "--x", "1"],
                 "[0.5, NaN, 1.0, 2.0]",
-                "table entry at path 1 is not finite: nan",
+                "table is nan at path 1 = (0, 1)",
             ),
             (
                 ["gradient", f"{FIX}/bernoulli.json", "--table", "{file}"],
                 "[0.5, 1.0, 2.0, -Infinity]",
-                "table entry at path 3 is not finite: -inf",
+                "table is -inf at path 3 = (1, 1)",
             ),
             (
                 ["divergence", f"{FIX}/bernoulli.json", "--process", "{file}"],
@@ -767,6 +767,9 @@ def test_output_is_independent_of_the_blas_thread_count(rng, tmp_path):
 _STEPS = '"steps": [{"p": [0.5, 0.5], "v": [[1.0], [-1.0]]}, {"p": [0.5, 0.5], "v": [[1.0], [-1.0]]}]'
 _ENTRY = '{"d": 1, "N": 1, "mean": 0.5, "kernels": {"1": {"order": %s, "entries": [%s]}}}'
 _CRR = '"S0": [100.0], "r": 0.0, "scenarios": [[{"lambda": [0.25]}, {"lambda": [-0.25]}]]'
+_MARKET = '{"d": 1, "N": %s, "S0": %s, "r": %s, "scenarios": %s}'
+_SCENARIOS = '[[{"lambda": [0.25]}, {"lambda": [-0.25]}]]'
+_EMM = ["market", "emm", "{file}"]
 
 #: malformed input that exits 1 with one stderr line, and no output:
 #: name -> (argv, content of "{file}" or None, the line after "error: ")
@@ -814,7 +817,42 @@ MALFORMED = {
     "completion-over-cap": (
         ["walk", "construct", "{file}", "--cap", "8"],
         '{"d": 2, "N": 0, "steps": [{"p": [0.2, 0.3, 0.5]}]}',
-        "step 0: completing 3 outcomes would need 9 entries, above the cap of 8",
+        "{file}: step 0: completing 3 outcomes would need 9 entries, above the cap of 8",
+    ),
+    "walk-one-outcome": (
+        ["walk", "construct", "{file}"], '{"d": 1, "N": 0, "steps": [{"p": [1.0]}]}',
+        "{file}: step 0: need at least two outcome probabilities",
+    ),
+    "walk-p-matrix": (
+        ["walk", "validate", "{file}"],
+        '{"d": 1, "N": 0, "steps": [{"p": [[0.5, 0.5]], "v": [[1.0], [-1.0]]}]}',
+        "{file}: step law needs a probability vector and a vector matrix",
+    ),
+    "walk-v-shape": (
+        ["walk", "validate", "{file}"],
+        '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[1.0, 0.0], [-1.0, 0.0]]}]}',
+        "{file}: outcome matrix has shape (2, 2), expected (2, 1)",
+    ),
+    "market-S0-shape": (_EMM, _MARKET % (0, "[100.0, 100.0]", 0.0, _SCENARIOS),
+                        "{file}: initial prices have shape (2,), expected (1,)"),
+    "market-S0-negative": (_EMM, _MARKET % (0, "[-100.0]", 0.0, _SCENARIOS),
+                           "{file}: initial prices must be strictly positive"),
+    "market-r-shape": (_EMM, _MARKET % (0, "[100.0]", "[0.0, 0.0]", _SCENARIOS),
+                       "{file}: rates have shape (2,), expected (1,)"),
+    "market-r-minus-1": (_EMM, _MARKET % (0, "[100.0]", -1.0, _SCENARIOS),
+                         "{file}: every rate must exceed -1"),
+    "market-step-count": (_EMM, _MARKET % (1, "[100.0]", 0.0, _SCENARIOS),
+                          "{file}: market declares N=1 but has 1 scenario steps"),
+    "market-scenario-count": (_EMM, _MARKET % (0, "[100.0]", 0.0, '[[{"lambda": [0.25]}]]'),
+                              "{file}: step 0: expected 2 scenarios, got 1"),
+    "market-lambda-length": (
+        _EMM, _MARKET % (0, "[100.0]", 0.0, '[[{"lambda": [0.25, 0.1]}, {"lambda": [-0.25]}]]'),
+        "{file}: step 0 scenario 0: lambda needs 1 entries",
+    ),
+    "market-rates-not-uniform": (
+        ["market", "hedge", "{file}", "--payoff", "S(1)", "--method", "clark-ocone"],
+        _MARKET % (1, "[100.0]", "[0.0, 0.01]", _SCENARIOS[:-1] + ", " + _SCENARIOS[1:]),
+        "rates are not uniform",
     ),
 }
 

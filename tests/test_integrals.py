@@ -372,6 +372,12 @@ class TestPredictableProcess:
         with pytest.raises(ValueError, match=r"expected \(7, width\)"):
             PredictableProcess.from_paths(walk.space, np.zeros((2, 8, 1)))
 
+    def test_integral_needs_one_entry_per_coordinate(self):
+        walk = construct_obtuse([[0.5, 0.5]] * 3)
+        process = PredictableProcess(walk.space, np.zeros((7, 2)))  # [beta | gamma] rows
+        with pytest.raises(ValueError, match=r"^process rows have width 2, expected 1$"):
+            integrate_predictable(walk, process)
+
     @pytest.mark.parametrize("d,N", [(1, 4), (2, 3), (3, 2), (3, 6)])
     def test_integral_on_atoms_has_the_bits_of_the_path_forms(self, rng, d, N):
         walk = random_walk(rng, d, N)

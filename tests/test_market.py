@@ -1,4 +1,5 @@
 """Market model: prices, risk-neutral measure, pricing, hedging, verification."""
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,9 @@ from obtusewalk import (
     MarketSpec,
     PathTable,
     PredictableProcess,
+    StepLaw,
     Strategy,
+    WalkSpec,
     conditional_expectation,
     crr_market,
     find_emm,
@@ -104,6 +107,37 @@ class TestBuildPrices:
         parts[field] = np.where(parts[field] == parts[field].flat[0], np.nan, parts[field])
         with pytest.raises(MarketModelError, match="finite"):
             MarketSpec(d=market.d, N=market.N, **parts)
+
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("s_init", [100.0, 100.0], "initial prices have shape (2,), expected (1,)"),
+            ("s_init", [0.0], "initial prices must be strictly positive"),
+            ("rates", [0.0], "rates have shape (1,), expected (2,)"),
+            ("rates", [0.0, -1.0], "every rate must exceed -1"),
+            ("scenarios", np.zeros((2, 3, 1, 1)),
+             "scenarios have shape (2, 3, 1, 1), expected (2, 2, 1, 1)"),
+        ],
+    )
+    def test_malformed_model_is_one_line(self, field, value, message):
+        market = crr2()
+        parts = {"s_init": market.s_init, "rates": market.rates, "scenarios": market.scenarios}
+        parts[field] = value
+        with pytest.raises(MarketModelError, match=f"^{re.escape(message)}$"):
+            MarketSpec(d=market.d, N=market.N, **parts)
+
+    def test_lambdas_need_a_diagonal_model(self):
+        with pytest.raises(MarketModelError, match="^model is not diagonal$"):
+            general_market()[0].lambdas
+
+    def test_uniform_rate_needs_one_rate(self):
+        market = crr2()
+        varying = MarketSpec(d=1, N=1, s_init=market.s_init, rates=[0.0, 0.01],
+                             scenarios=market.scenarios)
+        assert market.uniform_rate() == 0.0
+        with pytest.raises(MarketModelError, match="^rates are not uniform$"):
+            varying.uniform_rate()
 
 
 class TestFindEMM:
@@ -260,6 +294,19 @@ class TestHedgeClarkOcone:
         b = hedge_clark_ocone(market, wq, claim)
         assert np.max(np.abs(a.gamma - b.gamma)) < 1e-8
         assert np.max(np.abs(a.beta - b.beta)) < 1e-8
+
+    def test_bond_position_must_be_predictable(self):
+        """Outcome vectors twice the obtuse ones keep the hedge ratios scenario-free,
+        but the bond position they imply differs across the scenarios of an atom."""
+        market = crr2()
+        wq = find_emm(market)
+        doubled = WalkSpec(wq.d, wq.N, tuple(StepLaw(s.p, 2.0 * s.v) for s in wq.steps))
+        with pytest.raises(
+            HedgeFormulaError,
+            match=r"^bond position at step 0 is not predictable \(defect \d\.\d{3}e[+-]\d+\); "
+            r"use hedge_replicate$",
+        ):
+            hedge_clark_ocone(market, doubled, call(market))
 
     def test_non_diagonal_rejected(self):
         market, _ = general_market()

@@ -1,4 +1,5 @@
 """Payoff expression parsing, printing round trips, and evaluation."""
+import re
 import warnings
 
 import numpy as np
@@ -242,3 +243,19 @@ class TestEval:
         ]:
             got = eval_payoff(parse_payoff(text, 1, 1), market).values
             assert np.allclose(got, want, rtol=1e-14, atol=0.0), text
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            (parse_payoff("S(2)", 2, 1), "asset index 2 outside [1, 1]"),
+            (parse_payoff("S(1, 5)", 1, 5), "time index 5 outside [0, 1]"),
+            (parse_payoff("B(5)", 1, 5), "time index 5 outside [0, 1]"),
+            (PriceRef(1, -1), "time index -1 outside [0, 1]"),
+        ],
+    )
+    def test_index_beyond_the_market_is_refused(self, tree, message):
+        """A tree parsed for another shape, or built by hand, is checked against
+        the market it is evaluated on, not read past its prices or before S0."""
+        market = crr_market(100.0, 0.1, -0.1, 0.0, 2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            eval_payoff(tree, market)

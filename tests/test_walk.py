@@ -1,4 +1,5 @@
 """Walk validation, canonical construction, and structure identities."""
+import re
 import warnings
 
 import numpy as np
@@ -46,6 +47,25 @@ class TestValidate:
         report = validate(WalkSpec(d=1, N=0, steps=(step,)))
         assert not report.passed
         assert any("sum" in e for e in report.errors)
+
+    def test_non_positive_probability_reported(self):
+        step = StepLaw(np.array([0.0, 1.0]), np.array([[1.0], [-1.0]]))
+        report = validate(WalkSpec(d=1, N=0, steps=(step,)))
+        assert not report.passed
+        assert report.errors == ("step 0: non-positive probability",)
+
+    @pytest.mark.parametrize(
+        "p, v, message",
+        [
+            ([[0.5, 0.5]], [[1.0], [-1.0]],
+             "step law needs a probability vector and a vector matrix"),
+            ([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]],
+             "outcome matrix has shape (2, 2), expected (2, 1)"),
+        ],
+    )
+    def test_step_law_shapes(self, p, v, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StepLaw(np.array(p), np.array(v))
 
     def test_worst_locations_reported(self):
         report = validate(biased(2))
@@ -118,6 +138,14 @@ class TestConstructObtuse:
     def test_repeated_bad_row_names_its_first_step(self):
         with pytest.raises(ValueError, match="^step 1: probabilities must be strictly positive"):
             construct_obtuse([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
+
+    def test_one_outcome_is_refused(self):
+        with pytest.raises(ValueError, match="^step 0: need at least two outcome probabilities$"):
+            canonical_step([1.0])
+
+    def test_no_step_is_refused(self):
+        with pytest.raises(ValueError, match="^need at least one step$"):
+            construct_obtuse([])
 
     def test_outcome_count_must_not_change(self):
         with pytest.raises(ValueError, match=r"^step 1 has dimension 2, expected 1$"):
