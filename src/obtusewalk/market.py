@@ -3,11 +3,11 @@
 Scenario i at step k multiplies the risky price vector by (I + M_k^i);
 the bond grows by 1 + r_k. With d+1 scenarios per step and the stacked
 scenario matrix invertible the market is complete: the risk-neutral
-probabilities solve a (d+1)x(d+1) linear system per step and prior atom
-and define the risk-neutral walk that `find_emm` returns, every claim is
-priced by discounted expectation under that walk, and the hedge is
-recovered either by backward replication or through the
-predictable-representation formula on the walk.
+probabilities solve a (d+1)x(d+1) linear system per step (and prior atom,
+where the scenario matrices are not diagonal) and define the risk-neutral
+walk that `find_emm` returns, every claim is priced by discounted
+expectation under that walk, and the hedge is recovered either by backward
+replication or through the predictable-representation formula on the walk.
 
 Prices live on a lattice built once per MarketSpec (`PriceLattice`): at
 each time n the distinct price vectors (nodes), numbered by their first
@@ -17,12 +17,15 @@ recombining model such as CRR keeps far fewer nodes than atoms. An atom's
 prices are its node's row; nothing here builds prices path by path (the
 test suite's path-by-path price oracle is in tests/market_oracle.py).
 
-The risk-neutral and the replication systems depend only on the node, so
-both are set up once per node. `find_emm` stacks the systems of every node
-of every step, conditions them in one batch and solves them in one call;
-the first failing (step, node) decides the error, and since nodes are
-numbered by first atom this is the first failing atom of the
-one-atom-at-a-time loop.
+The replication system depends only on the node, and so does the
+risk-neutral system of a step with a non-diagonal scenario matrix. A
+diagonal step's risk-neutral system does not depend on prices at all: it
+is solved once, rescaled by exact powers of two, and its nodes are read
+only to find a dead one (a zero or overflowing price), which makes the
+step singular. `find_emm` stacks the systems of every step, conditions
+them in one batch and solves them in one call; the first failing (step,
+node) decides the error, and since nodes are numbered by first atom this
+is the first failing atom of the one-atom-at-a-time loop.
 A system with a non-finite entry counts as singular. `hedge_replicate`
 conditions one replication matrix per node, for all steps at once, and
 then solves each atom's system against the claim. The one-atom-at-a-time
@@ -306,20 +309,32 @@ def find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
     """The risk-neutral walk: the driving walk under the martingale measure.
 
     For each step the system  sum_i q_i M_k^i S_{k-1} = r_k S_{k-1}  plus
-    normalization is solved on every prior atom; the solutions must be
-    strictly positive and agree across atoms. The systems of every node of
-    every step are conditioned and solved together; the first failing
-    (step, node) decides the error. The walk is `construct_obtuse` of the
-    solved probabilities with the market's cap; outcome i of step k is
-    scenario i, and its probabilities are the measure that prices and both
-    hedges use.
+    normalization is solved; the solution must be strictly positive.
+    A step whose scenario matrices are all diagonal is solved once: its row
+    for asset j is  sum_i q_i lambda_k^{i,j} = r_k  times the price, whatever
+    the price, so it is scaled instead by the power of two that puts its
+    largest |lambda| in [1, 2), which is exact and leaves the rows balanced
+    against the normalization row. Its prices matter only at a dead node, a
+    node whose own row would be all-zero or non-finite (a zero price, or a
+    price whose moves overflow): that makes the step singular, ahead of the
+    step's system at the node of atom 0 and after it at any other node. A
+    step with a non-diagonal matrix solves one system per node of its prior
+    time, and the solutions must agree within `tol`. The systems of every
+    step are conditioned and solved together; the first failing (step,
+    node) decides the error. The walk is `construct_obtuse` of the solved
+    probabilities with the market's cap; outcome i of step k is scenario i,
+    and its probabilities are the measure that prices and both hedges use.
     """
-    d, lattice = market.d, market.lattice
-    prior = [lattice.prior(k) for k in range(market.N + 1)]
-    sizes = [len(s_node) for s_node in prior]
-    step = np.repeat(np.arange(market.N + 1), sizes)  # the step of every system
-    starts = np.cumsum([0] + sizes[:-1])  # node 0 of each step, the node of atom 0
-    s_node = np.concatenate(prior)
+    d, lattice, steps = market.d, market.lattice, np.arange(market.N + 1)
+    prior = [lattice.prior(k) for k in steps]
+    diagonal = np.all(market.scenarios * (1.0 - np.eye(d)) == 0.0, axis=(1, 2, 3))
+    biggest = np.max(np.abs(np.einsum("kijj->kij", market.scenarios)), axis=1)  # (N+1, d)
+    unit = np.ldexp(1.0, 1 - np.frexp(biggest)[1])  # biggest * unit lies in [1, 2)
+    s_sys = [unit[k, None] if diagonal[k] else prior[k] for k in steps]
+    sizes = [len(s) for s in s_sys]
+    step = np.repeat(steps, sizes)  # the step of every system
+    starts = np.cumsum([0] + sizes[:-1])  # each step's first system: node 0's, the node of atom 0
+    s_node = np.concatenate(s_sys)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as singular
         mats = np.ones((len(s_node), d + 1, d + 1))
         moved = np.matmul(market.scenarios[step], s_node[:, None, :, None])
@@ -331,6 +346,15 @@ def find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
     q[~singular] = np.linalg.solve(mats[~singular], rhs[~singular])[..., 0]
     positive = np.all(q > 0.0, axis=1)
     agree = np.max(np.abs(q - q[np.repeat(starts, sizes)]), axis=1) <= tol
+    counts = [len(s) for s in prior]
+    node_step = np.repeat(steps, counts)
+    nodes = np.concatenate(prior)
+    top = np.maximum(biggest, np.abs(market.rates)[:, None])[node_step]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dead = ~np.all(np.isfinite(top * nodes) & (nodes != 0.0), axis=1)
+    dead_first = dead[np.cumsum([0] + counts[:-1])]
+    any_dead = np.bincount(node_step[dead], minlength=len(steps)) > 0
+    singular[starts] |= diagonal & (dead_first | (any_dead & positive[starts]))
     failing = np.flatnonzero(singular | ~(positive & agree))
     if failing.size:
         node = failing[0]
@@ -452,13 +476,16 @@ def hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Str
         cond = atom_means(wq, claim.values, n)  # E_Q[F | F_n], one entry per atom
         xi = atom_integrand(wq, cond, n)  # (atoms of F_{n-1}, d)
         gam = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / s_prev
-        raw_beta = (1.0 + rate) ** (-market.N - 1) * cond - (1.0 + rate) ** (
-            -n - 1
-        ) * np.einsum("aj,aj->a", np.repeat(gam, d + 1, axis=0), s_now)
-        raw_beta = raw_beta.reshape(-1, d + 1)
+        claim_part = (1.0 + rate) ** (-market.N - 1) * cond
+        share_part = (1.0 + rate) ** (-n - 1) * np.einsum(
+            "aj,aj->a", np.repeat(gam, d + 1, axis=0), s_now
+        )
+        raw_beta = (claim_part - share_part).reshape(-1, d + 1)
         bet = (raw_beta * wq.steps[n].p).sum(axis=1)  # E_Q[raw | F_{n-1}]
         defect = float(np.max(np.abs(raw_beta - bet[:, None])))
-        if not defect <= 1e-6 * max(1.0, float(np.max(np.abs(bet)))):
+        # rounding in raw_beta grows with its two terms, not with their difference
+        size = max(1.0, float(np.max(np.abs(claim_part))), float(np.max(np.abs(share_part))))
+        if not defect <= 1e-6 * size:
             raise HedgeFormulaError(
                 f"bond position at step {n} is not predictable (defect {defect:.3e}); "
                 "use hedge_replicate"

@@ -220,13 +220,19 @@ def covariance(walk: "WalkSpec", f: PathTable, g: PathTable) -> float:
 
 
 def atom_deviation(values: np.ndarray, space: PathSpace, n: int) -> float:
-    """Largest deviation of the array from being constant on F_n-atoms."""
+    """Largest deviation of the array from being constant on F_n-atoms.
+
+    The deviation max|v - v0| from each atom's first row v0, NaN if any entry
+    is NaN. The first rows are repeated over their atoms into one buffer, so
+    the subtraction, absolute value and maximum run in place over contiguous
+    memory rather than broadcasting a short row per atom.
+    """
     if n >= space.N:
         return 0.0
-    atoms = space.atom_count(n)
-    trailing = values.shape[1:]
-    v = values.reshape(atoms, -1, *trailing)
-    return float(np.max(np.abs(v - v[:, :1])))
+    size = space.atom_size(n)
+    rows = np.repeat(values[::size], size, axis=0)
+    np.subtract(values, rows, out=rows)
+    return float(np.max(np.abs(rows, out=rows)))
 
 
 def is_measurable(table: PathTable, n: int, tol: float = 1e-10) -> bool:

@@ -146,14 +146,21 @@ def deviation_bound(walk: WalkSpec, table: PathTable, x: float) -> DeviationBoun
     spread = 0.0
     for k in range(walk.N + 1):
         view = walk.space.axis_view(table.values, k)  # (atoms, d+1, atom_size)
-        spread = max(spread, float(np.max(view.max(axis=1) - view.min(axis=1))))
+        high, low = view[:, 0].copy(), view[:, 0].copy()
+        for i in range(1, walk.d + 1):
+            np.maximum(high, view[:, i], out=high)
+            np.minimum(low, view[:, i], out=low)
+        spread = max(spread, float(np.max(high - low)))
     coeff_max = max(float(np.max(np.abs(step.c))) for step in walk.steps)
 
     # sum_k max_j |D_k^j F| per path, one step at a time; adding in order of k
     # rounds as summing the whole (N+1, P) gradient over axis 0 does
     grad_sum = np.zeros(walk.space.num_paths)
     for k in range(walk.N + 1):
-        step_max = np.abs(_step_gradient(walk, table.values, k)).max(axis=3)
+        grad = _step_gradient(walk, table.values, k)  # (atoms, 1, atom_size, d)
+        step_max = np.abs(grad[..., 0])
+        for j in range(1, walk.d):
+            np.maximum(step_max, np.abs(grad[..., j]), out=step_max)
         walk.space.axis_view(grad_sum, k)[...] += step_max
     grad_norm = float(np.max(grad_sum))
     scale = walk.d * coeff_max * grad_norm

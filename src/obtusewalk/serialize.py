@@ -316,7 +316,10 @@ def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
                     raise ValueError(f"step {k} scenario {i}: lambda needs {d} entries")
                 scenarios[k, i] = np.diag(lam)
             elif "M" in scen:
-                scenarios[k, i] = np.asarray(scen["M"], dtype=float)
+                matrix = np.asarray(scen["M"], dtype=float)
+                if matrix.shape != (d, d):
+                    raise ValueError(f"step {k} scenario {i}: M needs shape ({d}, {d})")
+                scenarios[k, i] = matrix
             else:
                 raise ValueError(f"step {k} scenario {i}: need 'lambda' or 'M'")
     return MarketSpec(

@@ -7,7 +7,9 @@ rounding. `exact_means` gives E[F | F_n] on the atoms of F_n, one backward
 sweep from time N; in exact arithmetic the tower property holds, so the
 sweep is the conditional mean itself. `exact_integrand` gives the
 Clark-Ocone integrand sum_i p_i v_i E[F | F_{k-1}, w_k = i] on the atoms of
-F_{k-1}, for every k.
+F_{k-1}, for every k. `exact_emm_weights` gives the risk-neutral weights of
+a diagonal market step, sum_i q_i lambda_i^j = r for every asset j and
+sum_i q_i = 1, by Gauss-Jordan elimination on the rationals.
 
 `Comparison` applies the rule for replacing one float form by another: on
 a fixed corpus, the new form's largest error against the exact result is
@@ -53,6 +55,21 @@ def exact_integrand(walk, tables) -> list[list[Fraction]]:
             for j in range(walk.d)
         ])
     return out
+
+
+def exact_emm_weights(lams, rate) -> list[Fraction]:
+    """The q of one diagonal step, from its (d+1, d) returns lambda_i^j and its rate."""
+    size = len(lams)
+    rows = [_exact(column) + _exact([rate]) for column in np.transpose(lams)]
+    rows.append([Fraction(1)] * (size + 1))
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[size] / row[col] for col, row in enumerate(rows)]
 
 
 def atom_entries(xi) -> list[np.ndarray]:

@@ -22,6 +22,8 @@ and `oracle_strategy_values` gives its portfolio value along them. Tests
 compare the engine against them byte for byte, or within rounding for the
 closed-form hedge.
 """
+import math
+
 import numpy as np
 
 from obtusewalk import (
@@ -145,19 +147,36 @@ def oracle_measure(walk: WalkSpec) -> np.ndarray:
 
 
 def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
-    """Risk-neutral walk from one (d+1)x(d+1) solve per step and prior atom."""
+    """Risk-neutral walk from one (d+1)x(d+1) solve per step and prior atom.
+
+    A step of diagonal scenario matrices first refuses, as singular, an atom
+    whose own system would have an all-zero or non-finite row; every atom
+    then solves the system whose asset rows are scaled by the power of two
+    that puts their largest return in [1, 2).
+    """
     prices = oracle_prices(market)
-    space = market.space
-    out = np.empty((market.N + 1, market.d + 1))
+    space, d = market.space, market.d
+    out = np.empty((market.N + 1, d + 1))
     for k in range(market.N + 1):
+        diagonal = all(np.array_equal(m, np.diag(np.diag(m))) for m in market.scenarios[k])
+        lams = np.array([np.diag(m) for m in market.scenarios[k]])
+        unit = np.array([2.0 ** (1 - math.frexp(max(abs(lams[:, j])))[1]) for j in range(d)])
         q_step = None
         for a in range(space.atom_count(k - 1)):
             start = a * space.atom_size(k - 1)
             s_prev = market.s_init if k == 0 else prices[k - 1][start]
-            mat = np.empty((market.d + 1, market.d + 1))
-            for i in range(market.d + 1):
-                mat[: market.d, i] = market.scenarios[k, i] @ s_prev
-            mat[market.d, :] = 1.0
+            if diagonal:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    own = np.append(lams * s_prev, [market.rates[k] * s_prev], axis=0)
+                if not (np.all(np.isfinite(own)) and np.all(s_prev != 0.0)):
+                    raise IncompleteMarketError(
+                        f"incomplete market: scenario system at step {k} is singular"
+                    )
+                s_prev = unit
+            mat = np.empty((d + 1, d + 1))
+            for i in range(d + 1):
+                mat[:d, i] = market.scenarios[k, i] @ s_prev
+            mat[d, :] = 1.0
             rhs = np.concatenate([market.rates[k] * s_prev, [1.0]])
             if np.linalg.cond(mat) > _COND_LIMIT:
                 raise IncompleteMarketError(
@@ -236,12 +255,13 @@ def oracle_hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable)
         s_prev = _prev_prices(market, prices, n)
         gamma[n] = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / s_prev
         cond = atom_average(wq, claim.values, n)
-        raw_beta = (1.0 + rate) ** (-market.N - 1) * cond - (1.0 + rate) ** (
-            -n - 1
-        ) * np.einsum("pj,pj->p", gamma[n], prices[n])
+        claim_part = (1.0 + rate) ** (-market.N - 1) * cond
+        share_part = (1.0 + rate) ** (-n - 1) * np.einsum("pj,pj->p", gamma[n], prices[n])
+        raw_beta = claim_part - share_part
         beta[n] = atom_average(wq, raw_beta, n - 1)
         defect = float(np.max(np.abs(raw_beta - beta[n])))
-        if defect > 1e-6 * max(1.0, float(np.max(np.abs(beta[n])))):
+        size = max(1.0, float(np.max(np.abs(claim_part))), float(np.max(np.abs(share_part))))
+        if defect > 1e-6 * size:
             raise HedgeFormulaError(
                 f"bond position at step {n} is not predictable (defect {defect:.3e}); "
                 "use hedge_replicate"

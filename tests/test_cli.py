@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from obtusewalk import market as market_mod
 from obtusewalk.cli import main
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from obtusewalk.serialize import market_from_json
+from exact_oracle import exact_emm_weights
 
 HERE = os.path.dirname(__file__)
 FIX = os.path.join(HERE, "fixtures")
@@ -133,8 +135,14 @@ class TestSemantics:
         code, _ = run_cli(["market", "price", str(path), "--payoff", "max(S(1)-100,0)"], capsys)
         assert code == 0 and len(seen) == 1
         assert printed == [step.p.tolist() for step in seen[0].steps]
-        # the renormalized probabilities, not the solved ones (0.411764705882353, ...)
-        assert printed[0] == [0.41176470588235287, 0.5882352941176471]
+        # one solve per diagonal step gives weights that sum to one, so renormalizing
+        # keeps them; solving at the node's prices gave [0.41176470588235287, ...]
+        assert printed[0] == [0.411764705882353, 0.5882352941176471]
+        exact = exact_emm_weights([[0.12], [-0.05]], 0.02)
+        node_prices = [0.41176470588235287, 0.5882352941176471]
+        for new, old, e in zip(printed[0], node_prices, exact):
+            assert abs(Fraction(new) - e) <= abs(Fraction(old) - e)
+        assert abs(Fraction(printed[0][0]) - exact[0]) < abs(Fraction(node_prices[0]) - exact[0])
         walk = find_emm(crr_market(100, 0.12, -0.05, 0.02, 3))
         assert printed == [step.p.tolist() for step in walk.steps]
 
@@ -848,6 +856,10 @@ MALFORMED = {
     "market-lambda-length": (
         _EMM, _MARKET % (0, "[100.0]", 0.0, '[[{"lambda": [0.25, 0.1]}, {"lambda": [-0.25]}]]'),
         "{file}: step 0 scenario 0: lambda needs 1 entries",
+    ),
+    "market-M-shape": (
+        _EMM, _MARKET % (0, "[100.0]", 0.0, '[[{"M": [[0.25, 1.0]]}, {"lambda": [-0.25]}]]'),
+        "{file}: step 0 scenario 0: M needs shape (1, 1)",
     ),
     "market-rates-not-uniform": (
         ["market", "hedge", "{file}", "--payoff", "S(1)", "--method", "clark-ocone"],

@@ -1,15 +1,24 @@
-"""The Clark-Ocone integrand forms against exact rational arithmetic."""
+"""The Clark-Ocone integrand and risk-neutral weight forms against exact rational arithmetic."""
 import numpy as np
 
 from obtusewalk import (
+    MarketSpec,
     PathTable,
     PredictableProcess,
     clark_ocone,
     conditional_expectation,
+    construct_obtuse,
+    find_emm,
     predictable_representation,
 )
 from obtusewalk.omega import atom_means
-from exact_oracle import Comparison, atom_entries, exact_integrand, exact_means
+from exact_oracle import (
+    Comparison,
+    atom_entries,
+    exact_emm_weights,
+    exact_integrand,
+    exact_means,
+)
 from malliavin_oracle import oracle_integrand, oracle_predictable_integrand
 from helpers import bernoulli, random_table, random_walk
 
@@ -58,3 +67,52 @@ def test_atom_means_form_passes_the_exact_rule(rng):
     for comparison in (integrand, representation):
         assert comparison.entries == 4480
         assert comparison.passes, comparison
+
+
+def _diagonal_market(rng, d, N, homogeneous, s_init):
+    """Diagonal returns rate + sigma_j v_i^j on an obtuse step: complete and arbitrage-free."""
+    rate = float(rng.uniform(-0.02, 0.05))
+
+    def returns():
+        q = rng.uniform(0.2, 1.0, size=d + 1)
+        v = construct_obtuse([q / q.sum()]).steps[0].v
+        return rate + rng.uniform(0.01, 0.2, size=d) * v
+
+    lams = [returns()] * (N + 1) if homogeneous else [returns() for _ in range(N + 1)]
+    scenarios = np.zeros((N + 1, d + 1, d, d))
+    scenarios[..., np.arange(d), np.arange(d)] = lams
+    return MarketSpec(d=d, N=N, s_init=s_init, rates=np.full(N + 1, rate), scenarios=scenarios)
+
+
+def _node0_rows(market):
+    """Each step's weights solved at the prices of atom 0's node, then renormalized."""
+    d, rows = market.d, []
+    for k in range(market.N + 1):
+        s = market.lattice.prior(k)[0]
+        mat = np.ones((d + 1, d + 1))
+        mat[:d] = (market.scenarios[k] @ s).T  # column i: M_k^i S_{k-1}
+        rows.append(np.linalg.solve(mat, np.append(market.rates[k] * s, 1.0)))
+    return [step.p for step in construct_obtuse(rows).steps]
+
+
+def test_one_solve_per_diagonal_step_passes_the_exact_rule():
+    """`find_emm` solves a diagonal step once, its rows balanced by powers of two;
+    solving it at the prices of atom 0's node is the form it replaced. On 512
+    diagonal markets, half time-homogeneous, half with initial prices log-uniform
+    on [1e-3, 1e6], the one solve must pass the rule against it."""
+    rng = np.random.default_rng(23)
+    comparison = Comparison()
+    for m in range(512):
+        d, N = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+        if m % 4 < 2:
+            s_init = rng.uniform(50.0, 150.0, size=d)
+        else:
+            s_init = 10.0 ** rng.uniform(-3, 6, size=d)
+        market = _diagonal_market(rng, d, N, m % 2 == 0, s_init)
+        comparison.add(
+            [step.p for step in find_emm(market).steps],
+            _node0_rows(market),
+            [exact_emm_weights(market.lambdas[k], market.rates[k]) for k in range(N + 1)],
+        )
+    assert comparison.entries > 4000
+    assert comparison.passes, comparison

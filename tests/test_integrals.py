@@ -365,6 +365,30 @@ class TestPredictableProcess:
         with pytest.raises(PredictabilityError, match="nan"):
             integrate_predictable(walk, process)
 
+    @pytest.mark.parametrize("d, N", [(1, 4), (2, 3), (3, 2)])
+    def test_defect_is_the_largest_deviation_from_each_atoms_first_row(self, rng, d, N):
+        """The defect is max|v - v0| over every atom of F_{n-1} at every n, bit for
+        bit, on values of mixed magnitudes, with a NaN entry and with an infinite one."""
+        walk = random_walk(rng, d, N)
+        space = walk.space
+
+        def subtracted(u, n):
+            if n >= N:
+                return 0.0
+            v = u.reshape(space.atom_count(n), -1, d)
+            return float(np.max(np.abs(v - v[:, :1])))
+
+        for trial in range(20):
+            values = random_process(rng, walk).values * 10.0 ** rng.integers(
+                -300, 300, size=(N + 1, space.num_paths, d)
+            )
+            if trial % 4:
+                bad = (np.nan, -np.inf, np.inf)[trial % 4 - 1]
+                values[rng.integers(N + 1), rng.integers(space.num_paths), 0] = bad
+            defect = PredictableProcess.from_paths(space, values).defect
+            want = np.max([subtracted(u, n - 1) for n, u in enumerate(values)])
+            assert np.array_equal(defect, want, equal_nan=True)
+
     def test_wrong_row_count_raises(self):
         walk = construct_obtuse([[0.5, 0.5]] * 3)  # 1 + 2 + 4 rows
         with pytest.raises(ValueError, match=r"shape \(6, 1\), expected \(7, width\)"):

@@ -308,6 +308,39 @@ class TestHedgeClarkOcone:
         ):
             hedge_clark_ocone(market, doubled, call(market))
 
+    @pytest.mark.parametrize("size", [1e9, 1e12])
+    def test_large_claim_hedges(self, size):
+        """All shares and no bond: the bond check's tolerance grows with the two
+        terms of the bond position, so the size of the claim does not refuse it."""
+        market = crr_market(100.0, 0.1, -0.1, 0.0, 3)
+        wq = find_emm(market)
+        claim = eval_payoff(parse_payoff(f"{size!r}*S(1)", market.d, market.N), market)
+        strategy = hedge_clark_ocone(market, wq, claim)
+        # the residuals round at the size of the claim, 100 * size at most
+        assert verify_strategy(market, strategy, claim, tol=1e-12 * size).passed
+        replicated = hedge_replicate(market, wq, claim)
+        assert np.max(np.abs(strategy.gamma - replicated.gamma)) <= 1e-12 * size
+
+    @pytest.mark.parametrize("size", [1.0, 1e12])
+    def test_scenario_dependent_ratio_is_refused_at_any_size(self, size):
+        scenarios = d2_market().scenarios.copy()
+        scenarios[1, 0, 1, 1] += 0.01  # asset 2's step-1 returns no longer load on the walk
+        market = MarketSpec(
+            d=2, N=1, s_init=np.array([100.0, 100.0]), rates=np.zeros(2), scenarios=scenarios
+        )
+        claim = eval_payoff(parse_payoff(f"{size!r}*max(S(1)-S(2),0)", 2, 1), market)
+        with pytest.raises(HedgeFormulaError, match="asset 2 at step 1 is scenario-dependent"):
+            hedge_clark_ocone(market, find_emm(market), claim)
+
+    @pytest.mark.parametrize("size", [1.0, 1e12])
+    def test_unpredictable_bond_is_refused_at_any_size(self, size):
+        market = crr2()
+        wq = find_emm(market)
+        doubled = WalkSpec(wq.d, wq.N, tuple(StepLaw(s.p, 2.0 * s.v) for s in wq.steps))
+        claim = PathTable(market.space, size * call(market).values)
+        with pytest.raises(HedgeFormulaError, match="bond position at step 0 is not predictable"):
+            hedge_clark_ocone(market, doubled, claim)
+
     def test_non_diagonal_rejected(self):
         market, _ = general_market()
         claim = PathTable.constant(market.space, 1.0)

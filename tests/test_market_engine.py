@@ -257,9 +257,9 @@ MIXED_LAMS = [(0.2, 0.1), (-0.1, 0.1), (-0.15, -0.15)]
 RECOMBINING_LAMS = [(0.25, 0.25), (-0.25, 0.25), (0.0, -0.25)]
 
 
-def _crr_two_step(second):
-    scenarios = np.array([[[[0.1]], [[-0.1]]], [[[second[0]]], [[second[1]]]]])
-    return MarketSpec(d=1, N=1, s_init=np.array([100.0]), rates=np.zeros(2), scenarios=scenarios)
+def _crr_two_step(second, first=(0.1, -0.1), s_init=100.0):
+    scenarios = np.array([[[[first[0]]], [[first[1]]]], [[[second[0]]], [[second[1]]]]])
+    return MarketSpec(d=1, N=1, s_init=np.array([s_init]), rates=np.zeros(2), scenarios=scenarios)
 
 
 class TestMultiAtomErrors:
@@ -324,6 +324,25 @@ class TestMultiAtomErrors:
             scenarios=np.array([diag, diag, _calibrated_step(at_atom0)]),
         )
         assert len(market.lattice.nodes[1]) < market.space.atom_count(1)
+        want = _outcome(oracle_find_emm, market)
+        assert want[0] is error
+        assert _outcome(find_emm, market) == want
+
+    @pytest.mark.parametrize(
+        "market, error",
+        [
+            # atom 1 of F_0 has price 0, atom 0 a regular system
+            (_crr_two_step((0.1, -0.1), (0.5, -1.0)), IncompleteMarketError),
+            # atom 0 is dead, ahead of the arbitrage of the step's system
+            (_crr_two_step((0.1, 0.05), (-1.0, 0.5)), IncompleteMarketError),
+            # the arbitrage at atom 0 comes ahead of the dead atom 1
+            (_crr_two_step((0.1, 0.05), (0.5, -1.0)), ArbitrageError),
+            # atom 0's price overflows
+            (_crr_two_step((0.1, -0.1), (1.0, -0.5), 1e308), IncompleteMarketError),
+        ],
+    )
+    def test_dead_node_of_a_diagonal_step(self, market, error):
+        """A diagonal step solves one system; a zero or non-finite price makes it singular."""
         want = _outcome(oracle_find_emm, market)
         assert want[0] is error
         assert _outcome(find_emm, market) == want

@@ -183,7 +183,43 @@ class TestExpGradientIdentity:
                 assert exp_gradient_residual(walk, table, s) < 1e-9
 
 
+def _whole_array_bound(walk, table, x):
+    """deviation_bound with spread and the gradient maxima reduced over whole arrays."""
+    spread = max(
+        float(np.max(view.max(axis=1) - view.min(axis=1)))
+        for view in (walk.space.axis_view(table.values, k) for k in range(walk.N + 1))
+    )
+    coeff_max = max(float(np.max(np.abs(step.c))) for step in walk.steps)
+    grad_sum = np.zeros(walk.space.num_paths)
+    for k in range(walk.N + 1):
+        step_max = np.abs(ou_mod._step_gradient(walk, table.values, k)).max(axis=3)
+        walk.space.axis_view(grad_sum, k)[...] += step_max
+    grad_norm = float(np.max(grad_sum))
+    scale = walk.d * coeff_max * grad_norm
+    u = x / scale
+    g_u = (1.0 + u) * math.log1p(u) - u
+    return ou_mod.DeviationBound(
+        x=x,
+        spread=spread,
+        coeff_max=coeff_max,
+        grad_norm=grad_norm,
+        scale=scale,
+        bound_bennett=math.exp(-(scale / spread) * g_u),
+        bound_log=math.exp(-(x / (2.0 * spread)) * math.log1p(u)),
+        oracle_tail=tail_probability(walk, table, x),
+    )
+
+
 class TestDeviationBound:
+    @pytest.mark.parametrize("d, N", [(3, 4), (1, 9)])
+    def test_running_maxima_give_the_whole_array_reductions(self, rng, d, N):
+        walk = random_walk(rng, d, N)
+        for _ in range(3):
+            magnitudes = 10.0 ** rng.integers(-5, 5, size=walk.space.num_paths)
+            table = PathTable(walk.space, random_table(rng, walk.space).values * magnitudes)
+            for x in (0.1, 1.0, 10.0):
+                assert deviation_bound(walk, table, x) == _whole_array_bound(walk, table, x)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_table_names_its_first_path(self, bad):
         walk = bernoulli(2)
