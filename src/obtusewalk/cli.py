@@ -10,9 +10,9 @@ Subcommands drive every library module from JSON specifications:
 Exit status is 0 on success, 1 on validation or input failure, 2 on usage
 errors. Numeric output carries 17 significant digits and identical inputs
 produce byte-identical output. A form accepts only the flags it reads.
-The JSON of `walk validate`, `deviation` and `market verify` is the
-fields of ValidationReport, DeviationBound and StrategyReport, so a field
-added to one of them changes that form's output and its golden.
+`walk validate`, `deviation` and `market verify` print their dataclass,
+ValidationReport, DeviationBound and StrategyReport, field for field, so a
+field added to one of them changes that form's output and its golden.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ def _emit_table(args, table) -> None:
 def _market_job(args):
     """Market, risk-neutral walk and claim: the model is checked before any payoff reads it."""
     market = _load_market(args)
-    walk = market_mod.find_emm(market, tol=args.tol)
+    walk = market_mod.find_emm(market)
     if args.payoff is not None:
         claim = eval_payoff(parse_payoff(args.payoff, market.d, market.N), market)
     else:
@@ -174,7 +174,7 @@ def _cmd_deviation(args) -> int:
 
 def _cmd_market_emm(args) -> int:
     market = _load_market(args)
-    walk = market_mod.find_emm(market, tol=args.tol)
+    walk = market_mod.find_emm(market)
     _emit(args, serialize.dump_json({"q": np.stack([step.p for step in walk.steps])}))
     return 0
 
@@ -202,9 +202,8 @@ def _cmd_market_hedge(args) -> int:
 def _cmd_market_verify(args) -> int:
     market, walk, claim = _market_job(args)
     strategy = _hedge(args, market, walk, claim)
-    report = market_mod.verify_strategy(market, strategy, claim, tol=args.tol_verify)
-    fields = {k: v for k, v in dataclasses.asdict(report).items() if k != "tol"}
-    _emit(args, serialize.dump_json({"passed": report.passed, **fields}))
+    report = market_mod.verify_strategy(market, strategy, claim)
+    _emit(args, serialize.dump_json(dataclasses.asdict(report)))
     return 0 if report.passed else 1
 
 
@@ -215,20 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, tol=None, table_format=None):
-        """Flags of every form; --format and --tol only on the forms that read them."""
+    def common(p: argparse.ArgumentParser, table_format=None):
+        """Flags of every form; --format only on the forms whose output it changes."""
         p.add_argument("--out", default=None, help="write output to this file")
         if table_format is not None:
             p.add_argument("--format", choices=("json", "csv"), default=table_format)
-        if tol is not None:
-            p.add_argument("--tol", type=float, default=tol)
         p.add_argument("--cap", type=int, default=None, help="enumeration cap (or env OBTUSE_CAP)")
 
     walk_parser = sub.add_parser("walk", help="walk validation and construction")
     walk_sub = walk_parser.add_subparsers(dest="action", required=True)
     p = walk_sub.add_parser("validate", help="check the defining identities")
     p.add_argument("walk")
-    common(p, tol=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10)
+    common(p)
     p.set_defaults(func=_cmd_walk_validate)
     p = walk_sub.add_parser("construct", help="complete steps that only give probabilities")
     p.add_argument("walk")
@@ -297,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
             claim = p.add_mutually_exclusive_group(required=True)
             claim.add_argument("--payoff", help="payoff expression, e.g. 'max(S(1)-100,0)'")
             claim.add_argument("--payoff-table", dest="payoff_table")
-        common(p, tol=1e-9)
+        common(p)
 
     p = market_sub.add_parser("emm", help="risk-neutral scenario probabilities")
     market_common(p, with_claim=False)
@@ -312,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = market_sub.add_parser("verify", help="check a hedge end to end")
     market_common(p, with_claim=True)
     p.add_argument("--method", choices=("replicate", "clark-ocone"), default="replicate")
-    p.add_argument("--tol-verify", dest="tol_verify", type=float, default=1e-8)
     p.set_defaults(func=_cmd_market_verify)
 
     return parser
@@ -348,10 +345,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cap < 1:
             raise ObtuseWalkError(f"enumeration cap must be >= 1, got {args.cap}")
-        for name, label in (("tol", "tolerance"), ("tol_verify", "verification tolerance")):
-            tol = getattr(args, name, 1.0)
-            if not 0.0 < tol < np.inf:
-                raise ObtuseWalkError(f"{label} must be {'finite' if tol > 0 else '> 0'}, got {tol}")
+        tol = getattr(args, "tol", 1.0)
+        if not 0.0 < tol < np.inf:
+            raise ObtuseWalkError(f"tolerance must be {'finite' if tol > 0 else '> 0'}, got {tol}")
         return args.func(args)
     except (ObtuseWalkError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -104,9 +104,17 @@ def divergence(walk: WalkSpec, process: VectorProcess) -> PathTable:
     return PathTable(walk.space, total)
 
 
+def _integrand_from(walk: WalkSpec, table: PathTable, n: int) -> PredictableProcess:
+    """E[D_k F | F_{k-1}] for k > n, and zero for the steps k <= n."""
+    steps = [np.zeros((walk.space.atom_count(k - 1), walk.d)) for k in range(n + 1)]
+    for k in range(n + 1, walk.N + 1):
+        steps.append(atom_integrand(walk, atom_means(walk, table.values, k), k))
+    return PredictableProcess.from_steps(walk.space, steps)
+
+
 def clark_ocone(walk: WalkSpec, table: PathTable) -> tuple[float, PredictableProcess]:
     """Predictable representation F = E[F] + sum_k <E[D_k F | F_{k-1}], Y_k>."""
-    return expectation(walk, table), clark_ocone_from(walk, table, -1)[1]
+    return expectation(walk, table), _integrand_from(walk, table, -1)
 
 
 def clark_ocone_from(
@@ -117,11 +125,7 @@ def clark_ocone_from(
     F = E[F | F_n] + sum_{k > n} <E[D_k F | F_{k-1}], Y_k>; the steps k <= n
     of the integrand are zero.
     """
-    head = conditional_expectation(walk, table, n)
-    steps = [np.zeros((walk.space.atom_count(k - 1), walk.d)) for k in range(n + 1)]
-    for k in range(n + 1, walk.N + 1):
-        steps.append(atom_integrand(walk, atom_means(walk, table.values, k), k))
-    return head, PredictableProcess.from_steps(walk.space, steps)
+    return conditional_expectation(walk, table, n), _integrand_from(walk, table, n)
 
 
 def predictable_representation(

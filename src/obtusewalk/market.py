@@ -31,7 +31,8 @@ conditions one replication matrix per node, for all steps at once, and
 then solves each atom's system against the claim. The one-atom-at-a-time
 loops survive only as the test suite's oracle.
 
-Conditioning (`_singular`) screens before it takes an SVD: the bound
+Conditioning (`_singular`) reads copies balanced by powers of two, so no
+decision depends on the price unit, and screens before an SVD: the bound
 ||A||_F^n / |det A| >= cond(A) costs one LU determinant, and a system
 whose bound is at most 1e10, 100x below the 1e12 limit, is regular
 without one. Only the others reach `np.linalg.cond`, so every
@@ -74,6 +75,7 @@ from .walk import WalkSpec, construct_obtuse
 
 _COND_LIMIT = 1e12
 _SCREEN_LIMIT = 1e10  # condition bound that clears a system without an SVD
+_AGREE_LIMIT = 1e-9  # how far a non-diagonal step's weights may differ across nodes
 
 
 class MarketModelError(ObtuseWalkError):
@@ -279,6 +281,13 @@ class Strategy:
         return self.positions.defect
 
 
+def _balanced(mats: np.ndarray, axis: int) -> np.ndarray:
+    """The (k, n, n) systems with each row (axis -1) or column (axis -2) scaled,
+    exactly, by the power of two that puts its largest |entry| in [1, 2)."""
+    biggest = np.max(np.abs(mats), axis=axis, keepdims=True)
+    return np.ldexp(mats, 1 - np.frexp(biggest)[1])
+
+
 def _singular(mats: np.ndarray) -> np.ndarray:
     """Which (k, n, n) systems are singular: non-finite or conditioned above the limit.
 
@@ -305,7 +314,7 @@ def _singular(mats: np.ndarray) -> np.ndarray:
     return singular
 
 
-def find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
+def find_emm(market: MarketSpec) -> WalkSpec:
     """The risk-neutral walk: the driving walk under the martingale measure.
 
     For each step the system  sum_i q_i M_k^i S_{k-1} = r_k S_{k-1}  plus
@@ -319,11 +328,11 @@ def find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
     price whose moves overflow): that makes the step singular, ahead of the
     step's system at the node of atom 0 and after it at any other node. A
     step with a non-diagonal matrix solves one system per node of its prior
-    time, and the solutions must agree within `tol`. The systems of every
-    step are conditioned and solved together; the first failing (step,
-    node) decides the error. The walk is `construct_obtuse` of the solved
-    probabilities with the market's cap; outcome i of step k is scenario i,
-    and its probabilities are the measure that prices and both hedges use.
+    time, and the solutions must agree within _AGREE_LIMIT. The systems of
+    every step are conditioned (rows balanced) and solved together; the
+    first failing (step, node) decides the error. The walk is `construct_obtuse`
+    of the solved probabilities with the market's cap; outcome i of step k
+    is scenario i, and its probabilities price the claim and both hedges.
     """
     d, lattice, steps = market.d, market.lattice, np.arange(market.N + 1)
     prior = [lattice.prior(k) for k in steps]
@@ -341,11 +350,11 @@ def find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
         mats[:, :d, :] = moved[..., 0].transpose(0, 2, 1)  # column i: M_k^i S_{k-1}
         rhs = np.ones((len(s_node), d + 1, 1))
         rhs[:, :d, 0] = market.rates[step, None] * s_node
-    singular = _singular(mats) | ~np.isfinite(rhs).all(axis=(1, 2))
+    singular = _singular(_balanced(mats, axis=-1)) | ~np.isfinite(rhs).all(axis=(1, 2))
     q = np.zeros((len(s_node), d + 1))
     q[~singular] = np.linalg.solve(mats[~singular], rhs[~singular])[..., 0]
     positive = np.all(q > 0.0, axis=1)
-    agree = np.max(np.abs(q - q[np.repeat(starts, sizes)]), axis=1) <= tol
+    agree = np.max(np.abs(q - q[np.repeat(starts, sizes)]), axis=1) <= _AGREE_LIMIT
     counts = [len(s) for s in prior]
     node_step = np.repeat(steps, counts)
     nodes = np.concatenate(prior)
@@ -397,8 +406,8 @@ def hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strat
     determine the portfolio matching the replication values in every
     scenario; the resulting strategy is predictable and self-financing.
     An atom's matrix is its node's, so the matrices of every node of every
-    step are conditioned before any atom is solved; the singular step with
-    the largest n raises.
+    step are conditioned, columns balanced, before any atom is solved; the
+    singular step with the largest n raises.
     """
     price = price_claim(market, wq, claim)  # checks both before any other arithmetic
     d, lattice, bond = market.d, market.lattice, market.bond
@@ -409,7 +418,7 @@ def hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strat
         node_mats[:, :, 0] = bond[n]
         node_mats[:, :, 1:] = lattice.nodes[n][lattice.children[n]]
         mats.append(node_mats)
-    singular = _singular(np.concatenate(mats))
+    singular = _singular(_balanced(np.concatenate(mats), axis=-2))
     if singular.any():
         step = np.repeat(np.arange(market.N + 1), [len(m) for m in mats])
         raise IncompleteMarketError(
@@ -499,6 +508,7 @@ def hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Str
 class StrategyReport:
     """Max residuals of the strategy checks; a None entry was not applicable."""
 
+    passed: bool
     predictability: float
     self_financing: float
     telescoping: float
@@ -506,26 +516,10 @@ class StrategyReport:
     decomposition: float | None
     replication: float
     value_initial: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        checks = [
-            self.predictability,
-            self.self_financing,
-            self.telescoping,
-            self.discounted_increment,
-            self.replication,
-        ]
-        if self.decomposition is not None:
-            checks.append(self.decomposition)
-        return all(res <= self.tol for res in checks)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def verify_strategy(
-    market: MarketSpec, strategy: Strategy, claim: PathTable, tol: float = 1e-8
-) -> StrategyReport:
+def verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) -> StrategyReport:
     """Check predictability, self-financing, value identities and replication.
 
     All checks are reported as max residuals. A strategy holds one position
@@ -538,11 +532,12 @@ def verify_strategy(
     and the running sums over F_{n-1} are repeated to its d+1 sub-atoms.
     Each residual equals its maximum over all paths bit for bit. Prices
     come from the market, so the check stays independent of the hedge.
-    Non-finite positions give an inf or NaN residual, which fails the
-    report; the running maxima keep a NaN, as max() would not.
+    It passes iff each residual is at most 1e-8 * max(1, max|F|), as they
+    round at the size of the finite claim F. Non-finite positions give an inf
+    or NaN residual, which fails; the running maxima keep a NaN, as max() would not.
     """
     _check_space(market.space, strategy, "strategy", "market")
-    _check_space(market.space, claim, "claim", "market")
+    _check_claim(market, claim)
     space, d, lattice, bond = market.space, market.d, market.lattice, market.bond
 
     decomposable = market.diagonal and bool(np.all(market.rates == market.rates[0]))
@@ -596,7 +591,10 @@ def verify_strategy(
         beta_prev, gamma_prev, s_prev, bond_prev = beta, gamma, s_now, float(bond[n])
 
     replication = float(np.max(np.abs(values - claim.values)))  # F_N atoms are paths
+    residuals = [strategy.predictability_defect, self_fin, telescoping, discounted, replication]
+    bound = 1e-8 * max(1.0, float(np.max(np.abs(claim.values))))
     return StrategyReport(
+        passed=all(res <= bound for res in residuals + [decomposition] if res is not None),
         predictability=strategy.predictability_defect,
         self_financing=float(self_fin),
         telescoping=float(telescoping),
@@ -604,7 +602,6 @@ def verify_strategy(
         decomposition=None if decomposition is None else float(decomposition),
         replication=replication,
         value_initial=v_init,
-        tol=tol,
     )
 
 

@@ -163,22 +163,24 @@ def _complete_orthogonal(sqrt_p: np.ndarray) -> np.ndarray:
 
     Rows d..1 are obtained by orthonormalizing the standard basis vectors
     e_d, ..., e_1 (in that order) against the rows already fixed, with the
-    first nonzero entry of each completed row made positive. With strictly
-    positive probabilities no candidate ever degenerates.
+    first nonzero entry of each completed row made positive. Only p_0 + ...
+    + p_{j-1} below about 1e-24 p_j, as for p = (1e-30, 1), degenerates e_j;
+    row j then starts from e_0, which cannot degenerate.
     """
     dd = len(sqrt_p)
     rows = np.zeros((dd, dd))
     rows[0] = sqrt_p
     done = [0]
     for j in range(dd - 1, 0, -1):
-        u = np.zeros(dd)
-        u[j] = 1.0
-        for _ in range(2):  # re-orthogonalize once for numerical hygiene
-            for r in done:
-                u -= (u @ rows[r]) * rows[r]
-        norm = float(np.linalg.norm(u))
-        if norm < 1e-12:
-            raise ValueError("orthogonal completion degenerated")
+        for start in (j, 0):
+            u = np.zeros(dd)
+            u[start] = 1.0
+            for _ in range(2):  # re-orthogonalize once for numerical hygiene
+                for r in done:
+                    u -= (u @ rows[r]) * rows[r]
+            norm = float(np.linalg.norm(u))
+            if norm >= 1e-12:
+                break
         u /= norm
         nz = int(np.nonzero(np.abs(u) > 1e-12)[0][0])
         if u[nz] < 0:

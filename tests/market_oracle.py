@@ -36,6 +36,7 @@ from obtusewalk import (
 )
 from obtusewalk.malliavin import gradient
 from obtusewalk.market import (
+    _AGREE_LIMIT,
     _COND_LIMIT,
     ArbitrageError,
     HedgeFormulaError,
@@ -146,13 +147,23 @@ def oracle_measure(walk: WalkSpec) -> np.ndarray:
     return out
 
 
-def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
+def _cond_scaled(mat: np.ndarray, axis: int) -> float:
+    """Condition number of mat with each row (axis 1) or column (axis 0) times
+    the power of two that puts its largest |entry| in [1, 2)."""
+    scaled = mat.copy()
+    for line in np.moveaxis(scaled, axis, -1):
+        line[...] = np.ldexp(line, 1 - math.frexp(float(np.max(np.abs(line))))[1])
+    return float(np.linalg.cond(scaled))
+
+
+def oracle_find_emm(market: MarketSpec) -> WalkSpec:
     """Risk-neutral walk from one (d+1)x(d+1) solve per step and prior atom.
 
     A step of diagonal scenario matrices first refuses, as singular, an atom
     whose own system would have an all-zero or non-finite row; every atom
     then solves the system whose asset rows are scaled by the power of two
-    that puts their largest return in [1, 2).
+    that puts their largest return in [1, 2). Every system is conditioned
+    with its rows scaled by powers of two.
     """
     prices = oracle_prices(market)
     space, d = market.space, market.d
@@ -178,7 +189,7 @@ def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
                 mat[:d, i] = market.scenarios[k, i] @ s_prev
             mat[d, :] = 1.0
             rhs = np.concatenate([market.rates[k] * s_prev, [1.0]])
-            if np.linalg.cond(mat) > _COND_LIMIT:
+            if not np.all(np.isfinite(mat)) or _cond_scaled(mat, 1) > _COND_LIMIT:
                 raise IncompleteMarketError(
                     f"incomplete market: scenario system at step {k} is singular"
                 )
@@ -189,7 +200,7 @@ def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
                 )
             if q_step is None:
                 q_step = q
-            elif np.max(np.abs(q - q_step)) > tol:
+            elif np.max(np.abs(q - q_step)) > _AGREE_LIMIT:
                 raise StateDependentMeasureError(
                     f"state-dependent risk-neutral measure unsupported: "
                     f"step {k} weights differ across atoms"
@@ -199,7 +210,8 @@ def oracle_find_emm(market: MarketSpec, tol: float = 1e-9) -> WalkSpec:
 
 
 def oracle_hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strategy:
-    """Backward replication with one (d+1)x(d+1) solve per step and prior atom."""
+    """Backward replication with one (d+1)x(d+1) solve per step and prior atom,
+    each conditioned with its columns scaled by powers of two."""
     space = market.space
     prices = oracle_prices(market)
     bond = market.bond
@@ -224,7 +236,7 @@ def oracle_hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -
                 mat[i, 0] = bond[n]
                 mat[i, 1:] = prices[n][idx]
                 rhs[i] = values[n][idx]
-            if np.linalg.cond(mat) > _COND_LIMIT:
+            if not np.all(np.isfinite(mat)) or _cond_scaled(mat, 0) > _COND_LIMIT:
                 raise IncompleteMarketError(
                     f"incomplete market: replication system at step {n} is singular"
                 )
@@ -270,13 +282,12 @@ def oracle_hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable)
     return path_strategy(space, beta, gamma, beta_init=v_init)
 
 
-def oracle_verify_strategy(
-    market: MarketSpec, strategy: Strategy, claim: PathTable, tol: float = 1e-8
-) -> StrategyReport:
+def oracle_verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) -> StrategyReport:
     """Every strategy identity evaluated on every path at every step.
 
     The running maxima go through np.maximum, so a NaN residual at any step
-    stays NaN in the report.
+    stays NaN in the report. It passes iff no residual exceeds
+    1e-8 * max(1, max|F|).
     """
     if strategy.space != market.space or claim.space != market.space:
         raise ValueError("strategy and claim must live on the market's path space")
@@ -349,7 +360,12 @@ def oracle_verify_strategy(
             decomposition = np.maximum(decomposition, np.max(np.abs(values[n] - expected)))
 
     replication = float(np.max(np.abs(values[market.N] - claim.values)))
+    residuals = [predict, self_fin, telescoping, discounted, replication]
+    if decomposition is not None:
+        residuals.append(decomposition)
+    bound = 1e-8 * max(1.0, float(np.max(np.abs(claim.values))))
     return StrategyReport(
+        passed=all(res <= bound for res in residuals),
         predictability=predict,
         self_financing=float(self_fin),
         telescoping=float(telescoping),
@@ -357,5 +373,4 @@ def oracle_verify_strategy(
         decomposition=None if decomposition is None else float(decomposition),
         replication=replication,
         value_initial=v_init,
-        tol=tol,
     )

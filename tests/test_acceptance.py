@@ -280,7 +280,7 @@ def test_criterion_9_market():
         b = hedge_clark_ocone(two, wq2, claim2)
         assert np.max(np.abs(a.gamma - b.gamma)) < 1e-8
         assert np.max(np.abs(a.beta - b.beta)) < 1e-8
-        report = verify_strategy(two, a, claim2, tol=1e-8)
+        report = verify_strategy(two, a, claim2)
         assert report.passed
 
         from test_market import d2_market
@@ -295,7 +295,7 @@ def test_criterion_9_market():
         assert np.max(np.abs(values[basket.N] - claim3.values)) < 1e-8
         s3c = hedge_clark_ocone(basket, wq3, claim3)
         assert np.max(np.abs(s3.gamma - s3c.gamma)) < 1e-8
-        assert verify_strategy(basket, s3, claim3, tol=1e-8).passed
+        assert verify_strategy(basket, s3, claim3).passed
         assert time.perf_counter() - start < 2.0
 
 

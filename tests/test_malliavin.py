@@ -33,7 +33,7 @@ from helpers import (
     random_table,
     random_walk,
 )
-from obtusewalk import serialize
+from obtusewalk import malliavin, serialize
 from malliavin_oracle import product_rule_residual
 
 
@@ -206,6 +206,15 @@ class TestClarkOcone:
             mean, xi = clark_ocone(walk, table)
             assert xi.defect == 0.0
             assert _reconstructs(walk, mean, xi, table)
+
+    def test_builds_no_head_table(self, rng, monkeypatch):
+        """E[F] comes from `expectation`; no conditional-expectation table is built."""
+        walk = random_walk(rng, 2, 2)
+        table = random_table(rng, walk.space)
+        want = clark_ocone(walk, table)
+        monkeypatch.setattr(malliavin, "conditional_expectation", lambda *a: pytest.fail("head built"))
+        mean, xi = clark_ocone(walk, table)
+        assert mean == want[0] and xi.rows.tobytes() == want[1].rows.tobytes()
 
     def test_operator_norm_identity(self, rng):
         walk = random_walk(rng, 2, 2)

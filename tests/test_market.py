@@ -20,6 +20,7 @@ from obtusewalk import (
     hedge_clark_ocone,
     hedge_replicate,
     price_claim,
+    validate,
     verify_strategy,
 )
 from obtusewalk import market as market_mod
@@ -164,6 +165,12 @@ class TestFindEMM:
         market, q = general_market()
         wq = find_emm(market)
         assert np.max(np.abs(wq.steps[0].p - q)) < 1e-12
+
+    def test_extreme_return_gets_its_walk(self):
+        """A return near 1e30 gives a weight near 1e-30, which the completion survives."""
+        wq = find_emm(crr_market(100.0, 1e30, -0.5, 0.0, 2))
+        assert wq.steps[0].p[0] == pytest.approx(5e-31, rel=1e-12)
+        assert validate(wq).passed
 
     def test_d2_fixture_probabilities(self):
         wq = find_emm(d2_market())
@@ -311,13 +318,13 @@ class TestHedgeClarkOcone:
     @pytest.mark.parametrize("size", [1e9, 1e12])
     def test_large_claim_hedges(self, size):
         """All shares and no bond: the bond check's tolerance grows with the two
-        terms of the bond position, so the size of the claim does not refuse it."""
+        terms of the bond position, and the verify bound with the claim, so the
+        size of the claim refuses neither."""
         market = crr_market(100.0, 0.1, -0.1, 0.0, 3)
         wq = find_emm(market)
         claim = eval_payoff(parse_payoff(f"{size!r}*S(1)", market.d, market.N), market)
         strategy = hedge_clark_ocone(market, wq, claim)
-        # the residuals round at the size of the claim, 100 * size at most
-        assert verify_strategy(market, strategy, claim, tol=1e-12 * size).passed
+        assert verify_strategy(market, strategy, claim).passed
         replicated = hedge_replicate(market, wq, claim)
         assert np.max(np.abs(strategy.gamma - replicated.gamma)) <= 1e-12 * size
 

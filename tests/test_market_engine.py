@@ -107,6 +107,56 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _in_units(market: MarketSpec, units) -> MarketSpec:
+    """The market with asset j's prices in units[j]: S0 -> D S0 and M -> D M D^-1."""
+    unit = np.asarray(units, dtype=float)
+    return MarketSpec(
+        d=market.d,
+        N=market.N,
+        s_init=unit * market.s_init,
+        rates=market.rates,
+        scenarios=unit[:, None] * market.scenarios / unit,
+    )
+
+
+class TestUnitFreeCompleteness:
+    """Conditioning copies balanced by powers of two keeps completeness
+    independent of the unit of the prices; the systems are solved unscaled."""
+
+    @pytest.mark.parametrize("s_init", [1e11, 1e-13])
+    def test_crr_replicates_in_any_unit(self, s_init):
+        market, reference = (crr_market(s, 0.1, -0.1, 0.0, 2) for s in (s_init, 100.0))
+        wq = find_emm(market)
+        claims = [
+            eval_payoff(parse_payoff(f"max(S(1)-{s!r},0)", 1, 1), m)
+            for m, s in ((market, s_init), (reference, 100.0))
+        ]
+        got = hedge_replicate(market, wq, claims[0])
+        want = oracle_hedge_replicate(market, wq, claims[0])
+        assert got.positions.rows.tobytes() == want.positions.rows.tobytes()
+        assert verify_strategy(market, got, claims[0]).passed
+        # share counts do not depend on the unit
+        same = hedge_replicate(reference, find_emm(reference), claims[1])
+        assert np.allclose(got.gamma, same.gamma, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("units", [(1e10, 1e-10), (1e-12, 1e-12), (1e12, 1e12)])
+    def test_non_diagonal_step_in_any_unit(self, units):
+        m0 = np.array([[0.10, 0.02], [0.01, 0.06]])
+        m1 = np.array([[-0.04, 0.00], [0.02, -0.08]])
+        s0, q = np.array([100.0, 50.0]), np.array([0.3, 0.3, 0.4])
+        m2 = np.diag(-(q[0] * m0 @ s0 + q[1] * m1 @ s0) / q[2] / s0)
+        base = MarketSpec(d=2, N=0, s_init=s0, rates=np.zeros(1), scenarios=np.array([[m0, m1, m2]]))
+        market = _in_units(base, units)
+        wq = find_emm(market)
+        assert wq.steps[0].p.tobytes() == oracle_find_emm(market).steps[0].p.tobytes()
+        assert np.max(np.abs(wq.steps[0].p - q)) < 1e-12
+        claim = eval_payoff(parse_payoff("max(S(1)-S(2),0)", 2, 0), market)
+        got = hedge_replicate(market, wq, claim)
+        want = oracle_hedge_replicate(market, wq, claim)
+        assert got.positions.rows.tobytes() == want.positions.rows.tobytes()
+        assert verify_strategy(market, got, claim).passed
+
+
 class TestAgainstOracle:
     @given(markets())
     @settings(max_examples=80, deadline=None)
@@ -181,7 +231,7 @@ class TestPredictabilityOnPaths:
         bent = path_strategy(space, beta, gamma, strategy.beta_init)
         report = verify_strategy(market, bent, claim)
         assert report.predictability == pytest.approx(1e-3)
-        assert report.predictability > report.tol
+        assert report.predictability > 1e-8  # the bound, as max|F| = 1
         assert not report.passed
         assert report.predictability == oracle_verify_strategy(market, bent, claim).predictability
 

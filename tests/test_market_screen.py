@@ -16,6 +16,7 @@ from obtusewalk import (
 from obtusewalk.market import (
     _COND_LIMIT,
     HedgeFormulaError,
+    _balanced,
     _first_occurrence,
     _hedge_ratios,
     _singular,
@@ -89,6 +90,24 @@ class TestSingularScreen:
         monkeypatch.setattr(np.linalg, "cond", _no_svd)
         got = _singular(np.zeros((0, 3, 3)))
         assert got.shape == (0,) and got.dtype == bool
+
+
+class TestBalanced:
+    @pytest.mark.parametrize("axis", [-1, -2])
+    def test_lines_peak_in_one_two_and_ignore_powers_of_two(self, rng, axis):
+        mats = rng.standard_normal((30, 3, 3)) * 10.0 ** rng.integers(-250, 250, size=(30, 1, 1))
+        got = _balanced(mats, axis)
+        peak = np.max(np.abs(got), axis=axis)
+        assert np.all((1.0 <= peak) & (peak < 2.0))
+        shift = rng.integers(-60, 60, size=(30, 3, 1) if axis == -1 else (30, 1, 3))
+        assert np.array_equal(_balanced(np.ldexp(mats, shift), axis), got)
+        assert np.array_equal(np.sign(got), np.sign(mats))
+
+    def test_zero_and_non_finite_lines_stay(self):
+        mats = np.array([[[0.0, 0.0], [np.inf, 1.0]], [[np.nan, 3.0], [5e-324, 0.0]]])
+        got = _balanced(mats, -1)
+        assert np.array_equal(got[0, 0], [0.0, 0.0]) and np.isinf(got[0, 1, 0])
+        assert np.isnan(got[1, 0, 0]) and got[1, 1, 0] == 1.0
 
 
 def _basket(periods):

@@ -18,7 +18,7 @@ from obtusewalk import (
     structure_tensor,
     validate,
 )
-from obtusewalk.walk import canonical_step
+from obtusewalk.walk import _complete_orthogonal, canonical_step
 from chaos_oracle import monomial_table
 from helpers import SQ2, bernoulli, biased, d2_fixture, random_walk
 
@@ -110,6 +110,15 @@ class TestConstructObtuse:
             construct_obtuse([[1.0, 0.0]])
         with pytest.raises(ValueError):
             construct_obtuse([[0.5, 0.6]])
+
+    @pytest.mark.parametrize("p", [[1e-30, 1.0], [1e-30, 1e-30, 1.0], [1e-30, 1.0, 1e-30]])
+    def test_completion_survives_a_dominant_weight(self, p):
+        """A candidate e_j that sqrt(p) nearly spans is replaced by e_0."""
+        sqrt_p = np.sqrt(np.asarray(p) / np.sum(p))
+        u = _complete_orthogonal(sqrt_p)
+        assert np.array_equal(u[0], sqrt_p)
+        assert np.max(np.abs(u @ u.T - np.eye(len(p)))) < 1e-12
+        assert validate(construct_obtuse([p])).passed
 
     def test_construction_always_validates(self, rng):
         for d in (1, 2, 3):

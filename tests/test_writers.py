@@ -391,7 +391,7 @@ def test_cli_market_hedge_matches_reference_writer(tmp_path, method):
     payoff = "max(0.5*(S(1)+S(2))-100,0)"
     claim = eval_payoff(parse_payoff(payoff, market.d, market.N), market)
     hedge = hedge_replicate if method == "replicate" else hedge_clark_ocone
-    strategy = hedge(market, find_emm(market, tol=1e-9), claim)
+    strategy = hedge(market, find_emm(market), claim)
     market_file = _write(tmp_path, "market", spec)
     text = _run(tmp_path, ["market", "hedge", market_file, "--payoff", payoff, "--method", method])
     assert text == oracle_strategy_to_csv(market, strategy)
