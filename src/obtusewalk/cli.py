@@ -29,7 +29,7 @@ from . import malliavin, ou, serialize
 from . import market as market_mod
 from . import walk as walk_mod
 from .errors import ObtuseWalkError
-from .omega import DEFAULT_CAP
+from .omega import DEFAULT_CAP, _check_tolerance
 from .payoff import eval_payoff, parse_payoff
 
 
@@ -345,11 +345,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cap < 1:
             raise ObtuseWalkError(f"enumeration cap must be >= 1, got {args.cap}")
-        tol = getattr(args, "tol", 1.0)
-        if not 0.0 < tol < np.inf:
-            raise ObtuseWalkError(f"tolerance must be {'finite' if tol > 0 else '> 0'}, got {tol}")
+        if hasattr(args, "tol"):
+            _check_tolerance(args.tol)
         return args.func(args)
-    except (ObtuseWalkError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ObtuseWalkError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

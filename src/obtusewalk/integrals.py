@@ -40,6 +40,7 @@ from .omega import (
     _check_range,
     _check_space,
     _frozen_float,
+    _negligible,
     atom_deviation,
 )
 from .walk import WalkSpec
@@ -47,7 +48,8 @@ from .walk import WalkSpec
 #: raw kernel entry: (times, coords, value) with 1-based coordinates
 RawEntry = tuple[Sequence[int], Sequence[int], float]
 
-#: largest atom deviation of an integrand that integrate_predictable accepts
+#: largest atom deviation of an integrand that integrate_predictable accepts,
+#: relative to the largest |entry| of its rows
 PREDICTABLE_TOL = 1e-10
 
 
@@ -356,17 +358,20 @@ def integrate_predictable(walk: WalkSpec, process: PredictableProcess | VectorPr
     """Stochastic integral sum_n <U_n, Y_n> of a predictable process.
 
     A VectorProcess comes in through PredictableProcess.from_paths, and a
-    defect above PREDICTABLE_TOL raises. Each atom of F_{n-1} and outcome i
-    at n gives one sum <U_n, v_n^i>, repeated on the atom_size(n) paths of both.
+    defect above PREDICTABLE_TOL times the largest |entry| of the rows
+    raises (omega._negligible), so scaling the process leaves the verdict
+    as it is. Each atom of F_{n-1} and outcome i at n gives one sum
+    <U_n, v_n^i>, repeated on the atom_size(n) paths of both.
     """
     _check_space(walk.space, process, "process")
     if isinstance(process, VectorProcess):
         process = PredictableProcess.from_paths(process.space, process.values)
     if process.rows.shape[1] != walk.d:
         raise ValueError(f"process rows have width {process.rows.shape[1]}, expected {walk.d}")
-    if not process.defect <= PREDICTABLE_TOL:
+    if not _negligible(process.defect, PREDICTABLE_TOL, process.rows):
         raise PredictabilityError(
-            f"process is not predictable (atom deviation {process.defect:.3e} > {PREDICTABLE_TOL:.0e})"
+            f"process is not predictable (atom deviation {process.defect:.3e} "
+            f"> {PREDICTABLE_TOL:.0e} times its largest entry)"
         )
     total = np.zeros(walk.space.num_paths)
     for n, step in enumerate(walk.steps):

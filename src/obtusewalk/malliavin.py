@@ -22,6 +22,7 @@ from .omega import (
     PathTable,
     _check_range,
     _check_space,
+    _negligible,
     atom_deviation,
     atom_means,
     conditional_expectation,
@@ -30,7 +31,8 @@ from .omega import (
 )
 from .walk import WalkSpec
 
-#: largest measurability or martingale defect that predictable_representation accepts
+#: largest measurability or martingale defect that predictable_representation
+#: accepts, relative to the largest |entry| of what the check reads
 MARTINGALE_TOL = 1e-9
 
 
@@ -136,14 +138,17 @@ def predictable_representation(
     The input is the scalar martingale (M_0, ..., M_N); its deterministic
     initial value is E[M_0]. Vector-valued martingales are handled one
     component at a time. Raises MartingaleError when adaptedness or the
-    martingale property (on the atom means of M_n and M_{n-1}) fails beyond MARTINGALE_TOL.
+    martingale property (on the atom means of M_n and M_{n-1}) fails by more
+    than MARTINGALE_TOL times the largest |entry| the check reads: M_n, or
+    the atom means of M_n and M_{n-1} (omega._negligible). Scaling the
+    martingale leaves both verdicts as they are.
     """
     if len(martingale) != walk.N + 1:
         raise ValueError(f"need {walk.N + 1} tables, got {len(martingale)}")
     for n, m in enumerate(martingale):
         _check_space(walk.space, m, f"table {n}")
         defect = atom_deviation(m.values, walk.space, n)
-        if not defect <= MARTINGALE_TOL:
+        if not _negligible(defect, MARTINGALE_TOL, m.values):
             raise MartingaleError(
                 f"M_{n} is not measurable at time {n} (deviation {defect:.3e})"
             )
@@ -153,7 +158,7 @@ def predictable_representation(
     for n, (m, step) in enumerate(zip(martingale, walk.steps)):
         means = atom_means(walk, m.values, n)
         defect = float(np.max(np.abs(means.reshape(-1, walk.d + 1) @ step.p - prev)))
-        if not defect <= MARTINGALE_TOL:
+        if not _negligible(defect, MARTINGALE_TOL, means, prev):
             raise MartingaleError(
                 f"martingale property fails at step {n} (deviation {defect:.3e})"
             )

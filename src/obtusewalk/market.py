@@ -49,7 +49,9 @@ closed-form share count is the Clark-Ocone integrand of those means,
 one `integrals.PredictableProcess` of [beta | gamma] rows, one per atom of
 F_{n-1} for each n, like the Clark-Ocone integrand, so it is predictable by
 construction. `verify_strategy` evaluates the remaining identities once per
-atom of F_n.
+atom of F_n. Every verdict on a computed result (the hedge ratios, the
+closed-form bond position, the verify report) is relative to the size of
+what it judges, with no absolute floor, so none depends on the price unit.
 """
 from __future__ import annotations
 
@@ -68,6 +70,7 @@ from .omega import (
     _check_cap,
     _check_finite,
     _check_space,
+    _negligible,
     atom_means,
     expectation,
 )
@@ -438,15 +441,17 @@ def hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strat
 def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
     """(N+1, d) ratios v_i^j / (lambda^{j,i} - r), which must not depend on i.
 
-    Computed for every (n, j) at once; the first failing (n, j), n before j,
-    raises.
+    Computed for every (n, j) at once: the cross differences must stay
+    within 1e-9 times max|v^j| * max|excess^j|, with no absolute floor, so
+    the verdict does not depend on the unit of the prices. The first failing
+    (n, j), n before j, raises.
     """
     _check_space(market.space, wq, "risk-neutral walk", "market")
     v = np.stack([step.v for step in wq.steps])  # (N+1, d+1, d)
     excess = market.lambdas - rate  # (N+1, d+1, d)
     # cross[n, i, k, j] = v_i^j excess_k^j - v_k^j excess_i^j
     cross = np.abs(v[:, :, None] * excess[:, None] - v[:, None] * excess[:, :, None])
-    scale = np.maximum(1.0, np.max(np.abs(v), axis=1) * np.max(np.abs(excess), axis=1))
+    scale = np.max(np.abs(v), axis=1) * np.max(np.abs(excess), axis=1)
     failing = (np.max(cross, axis=(1, 2)) > 1e-9 * scale) | np.all(excess == 0.0, axis=1)
     if failing.any():
         n, j = np.argwhere(failing)[0]
@@ -468,6 +473,8 @@ def hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Str
     the predictable ratio of the walk increment to the excess price move; the
     ratio must be scenario-independent. On an atom of F_{n-1}, xi_n is the
     (d+1)-term sum  sum_i c_i(n) E[F | atom, w_n = i]  over its F_n atoms.
+    The bond position implied on the d+1 sub-atoms must agree within 1e-6
+    times the largest |term| it is the difference of (omega._negligible).
     """
     price = price_claim(market, wq, claim)  # checks both before any other arithmetic
     if not market.diagonal:
@@ -493,8 +500,7 @@ def hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Str
         bet = (raw_beta * wq.steps[n].p).sum(axis=1)  # E_Q[raw | F_{n-1}]
         defect = float(np.max(np.abs(raw_beta - bet[:, None])))
         # rounding in raw_beta grows with its two terms, not with their difference
-        size = max(1.0, float(np.max(np.abs(claim_part))), float(np.max(np.abs(share_part))))
-        if not defect <= 1e-6 * size:
+        if not _negligible(defect, 1e-6, claim_part, share_part):
             raise HedgeFormulaError(
                 f"bond position at step {n} is not predictable (defect {defect:.3e}); "
                 "use hedge_replicate"
@@ -532,9 +538,12 @@ def verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) ->
     and the running sums over F_{n-1} are repeated to its d+1 sub-atoms.
     Each residual equals its maximum over all paths bit for bit. Prices
     come from the market, so the check stays independent of the hedge.
-    It passes iff each residual is at most 1e-8 * max(1, max|F|), as they
-    round at the size of the finite claim F. Non-finite positions give an inf
-    or NaN residual, which fails; the running maxima keep a NaN, as max() would not.
+    It passes iff each residual is at most 1e-8 * max|F| (omega._negligible),
+    as they round at the size of the finite claim F; with no absolute floor,
+    the report reads the same for prices and claim scaled together, and an
+    all-zero claim needs exact-zero residuals. Non-finite positions give an
+    inf or NaN residual, which fails; the running maxima keep a NaN, as max()
+    would not.
     """
     _check_space(market.space, strategy, "strategy", "market")
     _check_claim(market, claim)
@@ -592,9 +601,9 @@ def verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) ->
 
     replication = float(np.max(np.abs(values - claim.values)))  # F_N atoms are paths
     residuals = [strategy.predictability_defect, self_fin, telescoping, discounted, replication]
-    bound = 1e-8 * max(1.0, float(np.max(np.abs(claim.values))))
+    worst = np.max([res for res in residuals + [decomposition] if res is not None])
     return StrategyReport(
-        passed=all(res <= bound for res in residuals + [decomposition] if res is not None),
+        passed=_negligible(float(worst), 1e-8, claim.values),
         predictability=strategy.predictability_defect,
         self_financing=float(self_fin),
         telescoping=float(telescoping),

@@ -6,10 +6,14 @@ index blocks. Expectations are probability-weighted sums in that fixed
 order and conditional expectations are means over atoms: dense tables, no
 sampling, the same bits on every run.
 
-The module also owns the four input rules every operator applies, one
+The module also owns the five input rules every operator applies, one
 helper and one wording each: an input on another path space
 (_check_space), an index outside its range (_check_range), arrays larger
-than the cap (_check_cap) and a table that is not finite (_check_finite).
+than the cap (_check_cap), a table that is not finite (_check_finite) and
+a tolerance that is not finite and > 0 (_check_tolerance). Beside them is
+the one verdict rule (_negligible): a computed defect passes iff it is at
+most eps times the largest |entry| of what it judges, so no verdict
+changes when its input is scaled.
 """
 from __future__ import annotations
 
@@ -235,9 +239,30 @@ def atom_deviation(values: np.ndarray, space: PathSpace, n: int) -> float:
     return float(np.max(np.abs(rows, out=rows)))
 
 
-def is_measurable(table: PathTable, n: int, tol: float = 1e-10) -> bool:
-    """Whether the table is F_n-measurable (constant on prefix atoms)."""
-    return atom_deviation(table.values, table.space, max(n, -1)) <= tol
+def is_measurable(table: PathTable, n: int) -> bool:
+    """Whether the table is F_n-measurable (constant on prefix atoms).
+
+    Its atom deviation must be at most 1e-10 times its largest |entry|
+    (_negligible), so the verdict is the same for the table scaled.
+    """
+    values = table.values
+    return _negligible(atom_deviation(values, table.space, max(n, -1)), 1e-10, values)
+
+
+def _negligible(defect: float, eps: float, *judged: np.ndarray) -> bool:
+    """The verdict rule: whether the defect is at most eps times the largest
+    |entry| of the judged arrays, NaN entries aside.
+
+    Scaling the input scales the defect and the entries alike, so the
+    verdict does not depend on the unit. There is no absolute floor: an
+    all-zero input passes only with an exact-zero defect. A NaN or infinite
+    defect fails, so a NaN entry fails the verdict wherever it makes the
+    defect NaN, and only there.
+    """
+    if not defect < np.inf:
+        return False
+    scale = max(float(np.fmax.reduce(np.abs(v), axis=None, initial=0.0)) for v in judged)
+    return bool(defect <= eps * scale)
 
 
 def _check_space(space: PathSpace, obj, name: str = "table", owner: str = "walk") -> None:
@@ -257,6 +282,12 @@ def _check_cap(entries: int, cap: int, lead: str) -> None:
     """Refuse an allocation of more entries than the cap; lead says what needs them."""
     if entries > cap:
         raise SizeCapError(f"{lead} {entries} entries, above the cap of {cap}")
+
+
+def _check_tolerance(tol: float) -> None:
+    """Refuse a tolerance that is not finite and > 0: an infinite one passes everything."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be {'finite' if tol > 0 else '> 0'}, got {tol}")
 
 
 def _check_finite(table: PathTable, name: str, error: type[Exception] = ValueError) -> None:

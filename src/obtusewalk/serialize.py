@@ -24,7 +24,7 @@ from .chaos import ChaosCoefficients
 from .integrals import Kernel, VectorProcess, symmetrize
 from .market import MarketSpec, Strategy, _check_market_size
 from .omega import DEFAULT_CAP, PathSpace, PathTable, _as_int, _check_finite
-from .walk import StepLaw, WalkSpec, _check_completion, canonical_step
+from .walk import StepLaw, WalkSpec, canonical_step
 
 _FORMAT = "%.17g"
 
@@ -210,8 +210,7 @@ def walk_from_json(obj: dict, cap: int = DEFAULT_CAP) -> WalkSpec:
         if "v" in raw:
             steps.append(StepLaw(raw["p"], raw["v"]))
         else:
-            _check_completion(raw["p"], n, cap)
-            steps.append(canonical_step(raw["p"], n))
+            steps.append(canonical_step(raw["p"], n, cap))
     return WalkSpec(d=d, N=N, steps=tuple(steps), cap=cap)
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .omega import DEFAULT_CAP, PathSpace, PathTable, _check_cap, _check_range
+from .omega import DEFAULT_CAP, PathSpace, PathTable, _check_cap, _check_range, _check_tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +122,11 @@ def validate(walk: WalkSpec, tol: float = 1e-10) -> ValidationReport:
     from one) fail the report outright; otherwise the report carries the
     worst residual of each identity and passes iff both stay within tol.
     A residual that overflows reads inf or NaN and counts as the worst.
+    The identities are dimensionless, so tol is absolute; it must be
+    finite and > 0 (omega._check_tolerance), as an infinite one would
+    pass every walk.
     """
+    _check_tolerance(tol)
     errors: list[str] = []
     for n, step in enumerate(walk.steps):
         if np.any(step.p <= 0.0):
@@ -190,20 +194,17 @@ def _complete_orthogonal(sqrt_p: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _check_completion(p: np.ndarray, n: int, cap: int) -> None:
-    """Refuse to complete step n when its (d+1)x(d+1) orthogonal matrix would exceed the cap."""
-    _check_cap(np.size(p) ** 2, cap, f"step {n}: completing {np.size(p)} outcomes would need")
-
-
-def canonical_step(p: Sequence[float], n: int = 0) -> StepLaw:
+def canonical_step(p: Sequence[float], n: int = 0, cap: int = DEFAULT_CAP) -> StepLaw:
     """Step n of the canonical construction for the outcome probabilities p.
 
     p must be strictly positive and sum to one within 1e-9; it is then
     renormalized. An orthogonal (d+1)x(d+1) matrix U with first row
     (sqrt p_0, ..., sqrt p_d) is completed, and the outcome vectors are
-    v_i^j = U[j, i] / sqrt(p_i).
+    v_i^j = U[j, i] / sqrt(p_i). A U of more entries than the cap is
+    refused before anything else is checked.
     """
     p = np.asarray(p, dtype=float)
+    _check_cap(p.size**2, cap, f"step {n}: completing {p.size} outcomes would need")
     if p.ndim != 1 or len(p) < 2:
         raise ValueError(f"step {n}: need at least two outcome probabilities")
     if np.any(p <= 0.0):
@@ -231,8 +232,7 @@ def construct_obtuse(
         row = np.asarray(p, dtype=float)
         key = (row.shape, row.tobytes())
         if key not in laws:
-            _check_completion(row, n, cap)
-            laws[key] = canonical_step(row, n)
+            laws[key] = canonical_step(row, n, cap)
         steps.append(laws[key])
     if not steps:
         raise ValueError("need at least one step")

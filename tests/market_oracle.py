@@ -85,7 +85,7 @@ def oracle_hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.nda
             cross = np.abs(
                 v[:, j][:, None] * excess[None, :] - v[:, j][None, :] * excess[:, None]
             )
-            scale = max(1.0, float(np.max(np.abs(v[:, j]))) * float(np.max(np.abs(excess))))
+            scale = float(np.max(np.abs(v[:, j]))) * float(np.max(np.abs(excess)))
             if float(np.max(cross)) > 1e-9 * scale or np.all(excess == 0.0):
                 raise HedgeFormulaError(
                     f"hedge ratio for asset {j + 1} at step {n} is scenario-dependent; "
@@ -272,7 +272,7 @@ def oracle_hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable)
         raw_beta = claim_part - share_part
         beta[n] = atom_average(wq, raw_beta, n - 1)
         defect = float(np.max(np.abs(raw_beta - beta[n])))
-        size = max(1.0, float(np.max(np.abs(claim_part))), float(np.max(np.abs(share_part))))
+        size = max(float(np.max(np.abs(claim_part))), float(np.max(np.abs(share_part))))
         if defect > 1e-6 * size:
             raise HedgeFormulaError(
                 f"bond position at step {n} is not predictable (defect {defect:.3e}); "
@@ -286,8 +286,7 @@ def oracle_verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTa
     """Every strategy identity evaluated on every path at every step.
 
     The running maxima go through np.maximum, so a NaN residual at any step
-    stays NaN in the report. It passes iff no residual exceeds
-    1e-8 * max(1, max|F|).
+    stays NaN in the report. It passes iff no residual exceeds 1e-8 * max|F|.
     """
     if strategy.space != market.space or claim.space != market.space:
         raise ValueError("strategy and claim must live on the market's path space")
@@ -363,7 +362,7 @@ def oracle_verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTa
     residuals = [predict, self_fin, telescoping, discounted, replication]
     if decomposition is not None:
         residuals.append(decomposition)
-    bound = 1e-8 * max(1.0, float(np.max(np.abs(claim.values))))
+    bound = 1e-8 * float(np.max(np.abs(claim.values)))
     return StrategyReport(
         passed=all(res <= bound for res in residuals),
         predictability=predict,

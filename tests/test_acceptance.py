@@ -168,7 +168,7 @@ def test_criterion_4_gradient_equivalence():
             for n in range(-1, 3):
                 tail = grad.values[n + 1 :]
                 if tail.size == 0 or np.max(np.abs(tail)) < 1e-10:
-                    assert is_measurable(table, n, tol=1e-9)
+                    assert is_measurable(table, n)
 
 
 def test_criterion_5_adjointness_and_divergence():

@@ -244,7 +244,7 @@ class TestInvariants:
         # conversely a table loading a late time is not early-measurable
         late = increment_rv(walk, 2, 1)
         assert decompose(walk, late).max_time() == 2
-        assert not is_measurable(late, 1, tol=1e-10)
+        assert not is_measurable(late, 1)
 
 
 def test_one_sixteen_round_trip_parseval_and_lowering(rng):

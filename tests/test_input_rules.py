@@ -1,4 +1,5 @@
-"""The input rules every operator shares: one path space, indices in range, sizes within the cap.
+"""The input rules every operator shares: one path space, indices in range, sizes
+within the cap, and a tolerance that is finite and > 0.
 
 Each rule is one helper in omega; these tables run every public operator
 that takes a table, process, walk, strategy or index into it and pin the
@@ -15,8 +16,10 @@ from obtusewalk import (
     PathTable,
     PredictableProcess,
     SizeCapError,
+    StepLaw,
     Strategy,
     VectorProcess,
+    WalkSpec,
     clark_ocone,
     clark_ocone_from,
     conditional_expectation,
@@ -47,10 +50,12 @@ from obtusewalk import (
     structure_residual,
     structure_tensor,
     tail_probability,
+    validate,
     verify_strategy,
 )
 from obtusewalk.omega import atom_means
 from obtusewalk.payoff import BondRef, PriceRef
+from obtusewalk.walk import canonical_step
 
 # -- one path space ------------------------------------------------------------
 
@@ -205,6 +210,11 @@ CAP_CASES = {
         9,
         "step 0: completing 3 outcomes would need",
     ),
+    "canonical step": (
+        lambda cap: canonical_step([0.2, 0.3, 0.5], 0, cap),
+        9,
+        "step 0: completing 3 outcomes would need",
+    ),
     "market scenarios": (lambda cap: _market(2, cap), 12, "market scenarios would need"),
     "kernel matrix": (
         lambda cap: ou_kernel_matrix(construct_obtuse([[0.5, 0.5]] * 2, cap), 1.0),
@@ -221,3 +231,23 @@ def test_size_above_the_cap_is_refused(name):
     message = f"{lead} {entries} entries, above the cap of {entries - 1}"
     with pytest.raises(SizeCapError, match=f"^{re.escape(message)}$"):
         build(entries - 1)
+
+
+# -- a tolerance that is finite and > 0 -----------------------------------------
+
+@pytest.mark.parametrize(
+    "tol, message",
+    [
+        (np.inf, "tolerance must be finite, got inf"),
+        (0.0, "tolerance must be > 0, got 0.0"),
+        (-1e-10, "tolerance must be > 0, got -1e-10"),
+        (np.nan, "tolerance must be > 0, got nan"),
+    ],
+)
+def test_tolerance_outside_its_range_is_refused(tol, message):
+    """An infinite tolerance would pass a walk that is not obtuse; a NaN one would fail every walk."""
+    step = construct_obtuse([[0.25, 0.75]]).steps[0]
+    walk = WalkSpec(d=1, N=0, steps=(StepLaw(step.p, 2.0 * step.v),))
+    assert not validate(walk, tol=1.0).passed
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate(walk, tol=tol)
