@@ -7,12 +7,16 @@ Subcommands drive every library module from JSON specifications:
     gradient, clark-ocone, divergence, ou, ou-kernel, deviation
     market emm | market price | market hedge | market verify
 
-Exit status is 0 on success, 1 on validation or input failure, 2 on usage
-errors. Numeric output carries 17 significant digits and identical inputs
-produce byte-identical output. A form accepts only the flags it reads.
-`walk validate`, `deviation` and `market verify` print their dataclass,
-ValidationReport, DeviationBound and StrategyReport, field for field, so a
-field added to one of them changes that form's output and its golden.
+Each form returns its result and `main` alone writes it: CSV text as it
+is, a report dataclass (ValidationReport, DeviationBound, StrategyReport)
+as JSON field for field, so a field added to one changes that form's
+golden, and any other payload through `serialize.dump_json`. Exit status
+is 1 when the result has a false `passed` field (a failed `walk validate`
+or `market verify`, written all the same) or the input is refused with one
+`error:` line, 2 on usage errors, else 0. Every form except `walk
+validate` refuses a walk that `validate` refuses. Numeric output carries
+17 significant digits and identical inputs produce byte-identical output.
+A form accepts only the flags it reads.
 """
 from __future__ import annotations
 
@@ -62,22 +66,23 @@ def _emit(args, text: str) -> None:
 
 
 def _load_walk(args) -> walk_mod.WalkSpec:
-    return _load(args.walk, serialize.walk_from_json, cap=args.cap)
+    """The walk of an operator form, refused with its file unless `validate` passes it."""
+    return _load(args.walk, lambda spec: walk_mod.require_obtuse(
+        serialize.walk_from_json(spec, args.cap)))
+
+
+def _walk_and_table(args):
+    walk = _load_walk(args)
+    return walk, _load(args.table, serialize.table_from_json, walk.space)
 
 
 def _load_market(args) -> market_mod.MarketSpec:
     return _load(args.market, serialize.market_from_json, cap=args.cap)
 
 
-def _load_table(path: str, space):
-    return _load(path, serialize.table_from_json, space)
-
-
-def _emit_table(args, table) -> None:
-    if args.format == "csv":
-        _emit(args, serialize.table_to_csv(table.values))
-    else:
-        _emit(args, serialize.dump_json(table.values))
+def _table_result(args, result, to_csv=serialize.table_to_csv):
+    """A table or process in the form's --format: CSV text, or its values for JSON."""
+    return to_csv(result.values) if args.format == "csv" else result.values
 
 
 def _market_job(args):
@@ -87,103 +92,70 @@ def _market_job(args):
     if args.payoff is not None:
         claim = eval_payoff(parse_payoff(args.payoff, market.d, market.N), market)
     else:
-        claim = _load_table(args.payoff_table, market.space)
+        claim = _load(args.payoff_table, serialize.table_from_json, market.space)
     return market, walk, claim
 
 
-def _cmd_walk_validate(args) -> int:
-    walk = _load_walk(args)
-    report = walk_mod.validate(walk, tol=args.tol)
-    _emit(args, serialize.dump_json(dataclasses.asdict(report)))
-    return 0 if report.passed else 1
+def _cmd_walk_validate(args):
+    """Reads any walk, obtuse or not, and reports on it."""
+    return walk_mod.validate(_load(args.walk, serialize.walk_from_json, args.cap), args.tol)
 
 
-def _cmd_walk_construct(args) -> int:
-    walk = _load_walk(args)
-    _emit(args, serialize.dump_json(serialize.walk_to_json(walk)))
-    return 0
+def _cmd_walk_construct(args):
+    return serialize.walk_to_json(_load_walk(args))
 
 
-def _cmd_chaos_decompose(args) -> int:
-    walk = _load_walk(args)
-    table = _load_table(args.table, walk.space)
-    coeffs = chaos_mod.decompose(walk, table)
-    _emit(args, serialize.dump_json(serialize.chaos_to_json(coeffs)))
-    return 0
+def _cmd_chaos_decompose(args):
+    return serialize.chaos_to_json(chaos_mod.decompose(*_walk_and_table(args)))
 
 
-def _cmd_chaos_reconstruct(args) -> int:
+def _cmd_chaos_reconstruct(args):
     walk = _load_walk(args)
     coeffs = _load(args.coeffs, serialize.chaos_from_json, cap=args.cap)
-    _emit_table(args, chaos_mod.reconstruct(walk, coeffs))
-    return 0
+    return _table_result(args, chaos_mod.reconstruct(walk, coeffs))
 
 
-def _cmd_gradient(args) -> int:
-    walk = _load_walk(args)
-    table = _load_table(args.table, walk.space)
-    grad = malliavin.gradient(walk, table)
-    if args.format == "json":
-        _emit(args, serialize.dump_json(grad.values))
-    else:
-        _emit(args, serialize.gradient_to_csv(grad.values))
-    return 0
+def _cmd_gradient(args):
+    grad = malliavin.gradient(*_walk_and_table(args))
+    return _table_result(args, grad, serialize.gradient_to_csv)
 
 
-def _cmd_clark_ocone(args) -> int:
-    walk = _load_walk(args)
-    table = _load_table(args.table, walk.space)
-    if args.start is not None:
-        head, xi = malliavin.clark_ocone_from(walk, table, args.start)
-        payload = {"head": head.values, "integrand": xi.on_paths()}
-    else:
+def _cmd_clark_ocone(args):
+    walk, table = _walk_and_table(args)
+    if args.start is None:
         mean, xi = malliavin.clark_ocone(walk, table)
-        payload = {"mean": mean, "integrand": xi.on_paths()}
-    _emit(args, serialize.dump_json(payload))
-    return 0
+        return {"mean": mean, "integrand": xi.on_paths()}
+    head, xi = malliavin.clark_ocone_from(walk, table, args.start)
+    return {"head": head.values, "integrand": xi.on_paths()}
 
 
-def _cmd_divergence(args) -> int:
+def _cmd_divergence(args):
     walk = _load_walk(args)
     process = _load(args.process, serialize.process_from_json, walk.space)
-    _emit_table(args, malliavin.divergence(walk, process))
-    return 0
+    return _table_result(args, malliavin.divergence(walk, process))
 
 
-def _cmd_ou(args) -> int:
-    walk = _load_walk(args)
-    table = _load_table(args.table, walk.space)
+def _cmd_ou(args):
     apply = ou.ou_apply_kernel if args.method == "kernel" else ou.ou_apply_chaos
-    _emit_table(args, apply(walk, table, args.t))
-    return 0
+    return _table_result(args, apply(*_walk_and_table(args), args.t))
 
 
-def _cmd_ou_kernel(args) -> int:
-    walk = _load_walk(args)
-    _emit(args, serialize.matrix_to_csv(ou.ou_kernel_matrix(walk, args.t)))
-    return 0
+def _cmd_ou_kernel(args):
+    return serialize.matrix_to_csv(ou.ou_kernel_matrix(_load_walk(args), args.t))
 
 
-def _cmd_deviation(args) -> int:
-    walk = _load_walk(args)
-    table = _load_table(args.payoff_table, walk.space)
-    bound = ou.deviation_bound(walk, table, args.x)
-    _emit(args, serialize.dump_json(dataclasses.asdict(bound)))
-    return 0
+def _cmd_deviation(args):
+    return ou.deviation_bound(*_walk_and_table(args), args.x)
 
 
-def _cmd_market_emm(args) -> int:
-    market = _load_market(args)
-    walk = market_mod.find_emm(market)
-    _emit(args, serialize.dump_json({"q": np.stack([step.p for step in walk.steps])}))
-    return 0
+def _cmd_market_emm(args):
+    walk = market_mod.find_emm(_load_market(args))
+    return {"q": np.stack([step.p for step in walk.steps])}
 
 
-def _cmd_market_price(args) -> int:
+def _cmd_market_price(args):
     market, walk, claim = _market_job(args)
-    price = market_mod.price_claim(market, walk, claim)
-    _emit(args, serialize.dump_json({"price": price}))
-    return 0
+    return {"price": market_mod.price_claim(market, walk, claim)}
 
 
 def _hedge(args, market, walk, claim):
@@ -192,19 +164,14 @@ def _hedge(args, market, walk, claim):
     return market_mod.hedge_replicate(market, walk, claim)
 
 
-def _cmd_market_hedge(args) -> int:
+def _cmd_market_hedge(args):
     market, walk, claim = _market_job(args)
-    strategy = _hedge(args, market, walk, claim)
-    _emit(args, serialize.strategy_to_csv(market, strategy))
-    return 0
+    return serialize.strategy_to_csv(market, _hedge(args, market, walk, claim))
 
 
-def _cmd_market_verify(args) -> int:
+def _cmd_market_verify(args):
     market, walk, claim = _market_job(args)
-    strategy = _hedge(args, market, walk, claim)
-    report = market_mod.verify_strategy(market, strategy, claim)
-    _emit(args, serialize.dump_json(dataclasses.asdict(report)))
-    return 0 if report.passed else 1
+    return market_mod.verify_strategy(market, _hedge(args, market, walk, claim), claim)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -225,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     walk_sub = walk_parser.add_subparsers(dest="action", required=True)
     p = walk_sub.add_parser("validate", help="check the defining identities")
     p.add_argument("walk")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=walk_mod.IDENTITY_TOL)
     common(p)
     p.set_defaults(func=_cmd_walk_validate)
     p = walk_sub.add_parser("construct", help="complete steps that only give probabilities")
@@ -281,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deviation", help="tail bound constants for a table")
     p.add_argument("walk")
-    p.add_argument("--payoff-table", dest="payoff_table", required=True)
+    p.add_argument("--payoff-table", dest="table", metavar="PAYOFF_TABLE", required=True)
     p.add_argument("--x", type=float, required=True)
     common(p)
     p.set_defaults(func=_cmd_deviation)
@@ -347,10 +314,17 @@ def main(argv: list[str] | None = None) -> int:
             raise ObtuseWalkError(f"enumeration cap must be >= 1, got {args.cap}")
         if hasattr(args, "tol"):
             _check_tolerance(args.tol)
-        return args.func(args)
-    except (ObtuseWalkError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        result = args.func(args)
+        if dataclasses.is_dataclass(result):
+            text = serialize.dump_json(dataclasses.asdict(result))
+        else:
+            text = result if isinstance(result, str) else serialize.dump_json(result)
+        _emit(args, text)
+    except (ObtuseWalkError, ValueError, OSError, KeyError, MemoryError) as exc:
+        text = str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+        print(f"error: {text}", file=sys.stderr)
         return 1
+    return 0 if getattr(result, "passed", True) else 1
 
 
 if __name__ == "__main__":

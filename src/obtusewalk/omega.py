@@ -147,8 +147,7 @@ class PathTable:
 
     def _coerce(self, other) -> np.ndarray:
         if isinstance(other, PathTable):
-            if other.space != self.space:
-                raise ValueError("tables live on different path spaces")
+            _check_space(self.space, other, "operand", "table")
             return other.values
         return np.asarray(other, dtype=float)
 

@@ -114,8 +114,11 @@ class ValidationReport:
     worst_moment: tuple[int, int, int] | None  # (step, j, l)
 
 
+IDENTITY_TOL = 1e-10  # default bound on the residuals of the walk identities
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def validate(walk: WalkSpec, tol: float = 1e-10) -> ValidationReport:
+def validate(walk: WalkSpec, tol: float = IDENTITY_TOL) -> ValidationReport:
     """Check the centering and covariance identities at every step.
 
     Structural defects (non-positive probabilities, probability sums away
@@ -128,25 +131,25 @@ def validate(walk: WalkSpec, tol: float = 1e-10) -> ValidationReport:
     """
     _check_tolerance(tol)
     errors: list[str] = []
-    for n, step in enumerate(walk.steps):
-        if np.any(step.p <= 0.0):
-            errors.append(f"step {n}: non-positive probability")
-        psum = float(np.add.reduce(step.p))
-        if abs(psum - 1.0) > 1e-12:
-            errors.append(f"step {n}: probabilities sum to {psum!r}, not 1")
-
     max_mean = 0.0
     worst_mean: tuple[int, int] | None = None
     max_moment = 0.0
     worst_moment: tuple[int, int, int] | None = None
+    eye = np.eye(walk.d)
+    # array methods, not np.any/np.argmax: the command line validates every walk it reads
     for n, step in enumerate(walk.steps):
+        if (step.p <= 0.0).any():
+            errors.append(f"step {n}: non-positive probability")
+        psum = float(np.add.reduce(step.p))
+        if abs(psum - 1.0) > 1e-12:
+            errors.append(f"step {n}: probabilities sum to {psum!r}, not 1")
         mean_res = np.abs(step.c.sum(axis=0))  # (d,)
-        j = int(np.argmax(mean_res))
+        j = int(mean_res.argmax())
         if not mean_res[j] < max_mean:
             max_mean = float(mean_res[j])
             worst_mean = (n, j + 1)
-        moment_res = np.abs(step.c.T @ step.v - np.eye(walk.d))  # (d, d)
-        jl = np.unravel_index(int(np.argmax(moment_res)), moment_res.shape)
+        moment_res = np.abs(step.c.T @ step.v - eye)  # (d, d)
+        jl = divmod(int(moment_res.argmax()), walk.d)
         if not moment_res[jl] < max_moment:
             max_moment = float(moment_res[jl])
             worst_moment = (n, jl[0] + 1, jl[1] + 1)
@@ -159,6 +162,31 @@ def validate(walk: WalkSpec, tol: float = 1e-10) -> ValidationReport:
         worst_mean=worst_mean,
         max_moment_residual=max_moment,
         worst_moment=worst_moment,
+    )
+
+
+def require_obtuse(walk: WalkSpec) -> WalkSpec:
+    """The walk, if validate passes it; else ValueError naming the defect.
+
+    The message is the first structural error of the report, word for word,
+    or else the worse failing identity with its step and coordinates.
+    """
+    report = validate(walk)
+    if report.passed:
+        return walk
+    if report.errors:
+        raise ValueError(report.errors[0])
+    mean, moment = report.max_mean_residual, report.max_moment_residual
+    if not mean <= IDENTITY_TOL and not mean < moment:
+        n, j = report.worst_mean
+        raise ValueError(
+            f"step {n}: centering residual {mean:.3g} at coordinate {j}"
+            f" exceeds {IDENTITY_TOL:g}"
+        )
+    n, j, l = report.worst_moment
+    raise ValueError(
+        f"step {n}: covariance residual {moment:.3g} at coordinates ({j}, {l})"
+        f" exceeds {IDENTITY_TOL:g}"
     )
 
 
@@ -197,11 +225,12 @@ def _complete_orthogonal(sqrt_p: np.ndarray) -> np.ndarray:
 def canonical_step(p: Sequence[float], n: int = 0, cap: int = DEFAULT_CAP) -> StepLaw:
     """Step n of the canonical construction for the outcome probabilities p.
 
-    p must be strictly positive and sum to one within 1e-9; it is then
+    p must lie in (0, 1] and sum to one within 1e-9; it is then
     renormalized. An orthogonal (d+1)x(d+1) matrix U with first row
     (sqrt p_0, ..., sqrt p_d) is completed, and the outcome vectors are
     v_i^j = U[j, i] / sqrt(p_i). A U of more entries than the cap is
-    refused before anything else is checked.
+    refused before anything else is checked, and a probability outside
+    (0, 1] before the sum, which it could overflow.
     """
     p = np.asarray(p, dtype=float)
     _check_cap(p.size**2, cap, f"step {n}: completing {p.size} outcomes would need")
@@ -209,6 +238,8 @@ def canonical_step(p: Sequence[float], n: int = 0, cap: int = DEFAULT_CAP) -> St
         raise ValueError(f"step {n}: need at least two outcome probabilities")
     if np.any(p <= 0.0):
         raise ValueError(f"step {n}: probabilities must be strictly positive")
+    if np.any(p > 1.0):
+        raise ValueError(f"step {n}: probabilities must not exceed 1")
     total = float(np.add.reduce(p))
     if not abs(total - 1.0) <= 1e-9:  # also rejects NaN
         raise ValueError(f"step {n}: probabilities sum to {total!r}, not 1")

@@ -1,5 +1,8 @@
 """Golden-file CLI tests: byte-identical output, exit codes, library parity."""
+import copy
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -175,15 +178,22 @@ class TestSemantics:
             "error: deviation threshold must be finite and > 0, got inf\n"
         )
 
-    def test_out_flag_writes_file(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        code, out = run_cli(
-            COMMANDS["walk-validate"] + ["--out", str(target)], capsys
-        )
-        assert code == 0
-        assert out == ""
-        with open(os.path.join(GOLD, "walk-validate.txt"), "r", encoding="utf-8") as handle:
-            assert target.read_text() == handle.read()
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_out_flag_writes_file(self, capsys, tmp_path, name):
+        target = tmp_path / "out.txt"
+        code, out = run_cli(COMMANDS[name] + ["--out", str(target)], capsys)
+        assert (code, out) == (0, "")
+        with open(os.path.join(GOLD, f"{name}.txt"), "r", encoding="utf-8") as handle:
+            assert target.read_text(encoding="utf-8") == handle.read()
+
+    def test_failed_report_is_written_and_exits_one(self, capsys, tmp_path):
+        walk, target = tmp_path / "walk.json", tmp_path / "report.json"
+        walk.write_text(_NOT_OBTUSE)
+        code, out = run_cli(["walk", "validate", str(walk), "--out", str(target)], capsys)
+        assert (code, out) == (1, "")
+        report = json.loads(target.read_text(encoding="utf-8"))
+        assert report["passed"] is False
+        assert report["errors"][0] == "step 0: non-positive probability"
 
 
 class TestFormatsAndFlags:
@@ -374,13 +384,29 @@ class TestExitCodes:
         )
 
     def test_validation_failure_is_one(self, capsys, tmp_path):
+        """Also for the walk that the operator forms refuse: `walk validate` reports on it."""
         bad = tmp_path / "bad.json"
-        bad.write_text(
-            '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[1.0], [1.0]]}]}'
-        )
-        code, out = run_cli(["walk", "validate", str(bad)], capsys)
-        assert code == 1
-        assert '"passed": false' in out
+        for content in ('{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[1.0], [1.0]]}]}',
+                        _NOT_OBTUSE):
+            bad.write_text(content)
+            code, out = run_cli(["walk", "validate", str(bad)], capsys)
+            assert code == 1
+            assert '"passed": false' in out
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 1.03 GiB for an array"),
+         "Unable to allocate 1.03 GiB for an array"),
+        (MemoryError(), "out of memory"),
+        (ValueError(), ""),  # only a MemoryError reads "out of memory" when it says nothing
+    ])
+    def test_memory_error_is_one_line(self, capsys, monkeypatch, exc, line):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(cli.malliavin, "clark_ocone", exhausted)
+        code = main(COMMANDS["clark-ocone"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {line}\n")
 
     def test_arbitrage_is_one(self, capsys, tmp_path):
         bad = tmp_path / "market.json"
@@ -785,6 +811,12 @@ _CRR = '"S0": [100.0], "r": 0.0, "scenarios": [[{"lambda": [0.25]}, {"lambda": [
 _MARKET = '{"d": 1, "N": %s, "S0": %s, "r": %s, "scenarios": %s}'
 _SCENARIOS = '[[{"lambda": [0.25]}, {"lambda": [-0.25]}]]'
 _EMM = ["market", "emm", "{file}"]
+#: bernoulli.json with a zero probability at step 0: well formed, but not obtuse
+_NOT_OBTUSE = (
+    '{"d": 1, "N": 1, "steps": [{"p": [0, 0.5], "v": [[1], [-1]]}, {"p": [0.5, 0.5], "v": [[1.0], [-1.0]]}]}'
+)
+_REFUSED = "{file}: step 0: non-positive probability"
+_TABLE = ["--table", f"{FIX}/indicator_table.json"]
 
 #: malformed input that exits 1 with one stderr line, and no output:
 #: name -> (argv, content of "{file}" or None, the line after "error: ")
@@ -867,6 +899,27 @@ MALFORMED = {
         _MARKET % (1, "[100.0]", "[0.0, 0.01]", _SCENARIOS[:-1] + ", " + _SCENARIOS[1:]),
         "rates are not uniform",
     ),
+    "walk-p-1e308": (
+        ["walk", "construct", "{file}"], '{"d": 2, "N": 0, "steps": [{"p": [1e308, 0.25, 1e308]}]}',
+        "{file}: step 0: probabilities must not exceed 1",
+    ),
+    "gradient-not-obtuse": (["gradient", "{file}", *_TABLE], _NOT_OBTUSE, _REFUSED),
+    "ou-not-obtuse": (["ou", "{file}", *_TABLE, "--t", "0.5"], _NOT_OBTUSE, _REFUSED),
+    "deviation-not-obtuse": (
+        ["deviation", "{file}", "--payoff-table", _TABLE[1], "--x", "1"], _NOT_OBTUSE, _REFUSED
+    ),
+    "chaos-decompose-not-obtuse": (["chaos", "decompose", "{file}", *_TABLE], _NOT_OBTUSE, _REFUSED),
+    "clark-ocone-not-obtuse": (["clark-ocone", "{file}", *_TABLE], _NOT_OBTUSE, _REFUSED),
+    "walk-centering-fails": (
+        ["ou-kernel", "{file}", "--t", "1"],
+        '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[1.5], [-0.5]]}]}',
+        "{file}: step 0: centering residual 0.5 at coordinate 1 exceeds 1e-10",
+    ),
+    "walk-covariance-fails": (
+        ["ou-kernel", "{file}", "--t", "1"],
+        '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[2.0], [-1.0]]}]}',
+        "{file}: step 0: covariance residual 1.5 at coordinates (1, 1) exceeds 1e-10",
+    ),
 }
 
 
@@ -929,3 +982,87 @@ def test_completion_that_fits_the_cap_is_unchanged(capsys, tmp_path):
     fits = run_cli(argv[:-1] + ["9"], capsys)
     assert fits[0] == 0
     assert fits == run_cli(argv[:-2], capsys)
+
+
+@pytest.mark.parametrize("name", ["walk-p-1e308"] + [n for n in MALFORMED if n.endswith("-not-obtuse")])
+def test_refused_walk_is_one_line_in_a_fresh_process(tmp_path, name):
+    """No numpy warning joins the line when RuntimeWarning is an error."""
+    message = MALFORMED[name][2].replace("{file}", str(tmp_path / f"{name}.json"))
+    argv = malformed_argv(name, str(tmp_path))
+    done = _fresh_process(argv, {"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert done == (1, "", f"error: {message}\n")
+
+
+#: values a mutation writes into a fixture field
+_MUTANTS = [0, -0.0, 1e308, float("nan"), True, "1", [], 10**30]
+
+#: the forms whose failed report is written like a passed one
+_REPORT_FORMS = ("walk-validate", "market-verify")
+
+
+def _fields(obj, at=()):
+    """The location of every field of a JSON value, as its keys and indices."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from _fields(value, at + (key,))
+
+
+def _mutated(obj, where, action, value):
+    """A copy of obj with the field at where replaced by value, deleted or duplicated.
+
+    A list item is duplicated in place; an object field is copied over the
+    next field of its object.
+    """
+    obj = copy.deepcopy(obj)
+    *outer, key = where
+    parent = functools.reduce(operator.getitem, outer, obj)
+    if action == "replace":
+        parent[key] = value
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, parent[key])
+    else:
+        keys = list(parent)
+        parent[keys[(keys.index(key) + 1) % len(keys)]] = parent[key]
+    return obj
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # as the CI entry-point steps run
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_fixture_is_refused_or_obtuse(capsys, tmp_path, name, data):
+    """One field of one fixture replaced, deleted or duplicated: the form exits 0, 1 or 2;
+    a refusal is one stderr line and no output, and exit 0 means the walk is obtuse."""
+    argv = COMMANDS[name]
+    files = [i for i, arg in enumerate(argv) if arg.endswith(".json")]
+    i = data.draw(st.sampled_from(files))
+    with open(argv[i], encoding="utf-8") as handle:
+        original = json.load(handle)
+    spec = _mutated(
+        original,
+        data.draw(st.sampled_from(list(_fields(original)))),
+        data.draw(st.sampled_from(["replace", "delete", "duplicate"])),
+        data.draw(st.sampled_from(_MUTANTS)),
+    )
+    path = tmp_path / os.path.basename(argv[i])
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    argv = [*argv[:i], str(path), *argv[i + 1:]]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    if code == 1 and name in _REPORT_FORMS and captured.out:
+        assert json.loads(captured.out)["passed"] is False and captured.err == ""
+    elif code == 1:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if code == 0 and argv[0] != "market":
+        with open(argv[2 if argv[0] in ("walk", "chaos") else 1], encoding="utf-8") as handle:
+            assert obtusewalk.validate(serialize.walk_from_json(json.load(handle))).passed

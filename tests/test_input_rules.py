@@ -126,6 +126,7 @@ SPACE_CASES = {
     "verify_strategy-claim": (
         lambda: verify_strategy(MARKET, _strategy(MARKET.space, 2), THEIRS), "claim", "market"
     ),
+    "PathTable-arithmetic": (lambda: MINE + THEIRS, "operand", "table"),
 }
 
 
@@ -193,6 +194,24 @@ def test_index_at_either_end_is_accepted(name):
     call, low, high, _ = RANGE_CASES[name]
     call(low)
     call(high)
+
+
+#: name -> (call with a size or count one below the least it takes, the message)
+BELOW_LEAST_CASES = {
+    "PathSpace-dimension": (lambda: PathSpace(0, 1), "dimension must be >= 1, got 0"),
+    "PathSpace-last-time": (lambda: PathSpace(1, -1), "last time index must be >= 0, got -1"),
+    "predictable_representation-tables": (
+        lambda: predictable_representation(WALK, [ONE] * WALK.N),
+        "need 4 tables, got 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BELOW_LEAST_CASES))
+def test_count_below_its_least_is_refused(name):
+    call, message = BELOW_LEAST_CASES[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- sizes within the cap -----------------------------------------------------
