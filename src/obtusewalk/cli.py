@@ -97,8 +97,12 @@ def _market_job(args):
 
 
 def _cmd_walk_validate(args):
-    """Reads any walk, obtuse or not, and reports on it."""
-    return walk_mod.validate(_load(args.walk, serialize.walk_from_json, args.cap), args.tol)
+    """Reads any walk, obtuse or not, and reports on it. JSON has no inf or NaN,
+    so a walk whose residual overflows is refused as the operator forms refuse it."""
+    report = walk_mod.validate(_load(args.walk, serialize.walk_from_json, args.cap), args.tol)
+    if not np.isfinite(report.max_mean_residual + report.max_moment_residual):
+        _load_walk(args)  # raises: the walk fails require_obtuse
+    return report
 
 
 def _cmd_walk_construct(args):

@@ -48,15 +48,17 @@ closed-form share count is the Clark-Ocone integrand of those means,
 `malliavin.atom_integrand`, as `clark_ocone` computes it. A `Strategy` is
 one `integrals.PredictableProcess` of [beta | gamma] rows, one per atom of
 F_{n-1} for each n, like the Clark-Ocone integrand, so it is predictable by
-construction. `verify_strategy` evaluates the remaining identities once per
-atom of F_n. Every verdict on a computed result (the hedge ratios, the
-closed-form bond position, the verify report) is relative to the size of
-what it judges, with no absolute floor, so none depends on the price unit.
+construction. `verify_strategy` checks self-financing once per atom of
+F_{n-1}, where the position is formed, and the other identities once per
+atom of F_n; a NaN residual at any step fails the report. Every verdict on
+a computed result (the hedge ratios, the closed-form bond position, the
+verify report) is relative to the size of what it judges, with no absolute
+floor, so none depends on the price unit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -531,84 +533,76 @@ def verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) ->
     All checks are reported as max residuals. A strategy holds one position
     per atom of F_{n-1}, so it is predictable by construction; the report
     carries the defect that `PredictableProcess.from_paths` measured on
-    path-indexed input. The self-financing, telescoping, discounted increment and (for
-    diagonal uniform-rate models) value-decomposition identities and
-    replication involve only F_n-measurable quantities at time n, so they
-    are evaluated once per atom of F_n: the position of an atom of F_{n-1}
-    and the running sums over F_{n-1} are repeated to its d+1 sub-atoms.
-    Each residual equals its maximum over all paths bit for bit. Prices
-    come from the market, so the check stays independent of the hedge.
+    path-indexed input. Self-financing at time n-1 depends only on the atom
+    of F_{n-1} where the position is formed, so it is checked once per atom
+    of F_{n-1}. The telescoping, discounted increment and (for diagonal
+    uniform-rate models) value-decomposition identities and replication
+    involve V_n, so they are checked once per atom of F_n, each position
+    repeated to the d+1 sub-atoms of its atom. Each residual equals its
+    maximum over all paths bit for bit. Prices come from the market, so
+    the check stays independent of the hedge.
     It passes iff each residual is at most 1e-8 * max|F| (omega._negligible),
     as they round at the size of the finite claim F; with no absolute floor,
     the report reads the same for prices and claim scaled together, and an
     all-zero claim needs exact-zero residuals. Non-finite positions give an
-    inf or NaN residual, which fails; the running maxima keep a NaN, as max()
-    would not.
+    inf or NaN residual, which fails; np.max over the per-step maxima keeps
+    a NaN of any step, as max() would not.
     """
     _check_space(market.space, strategy, "strategy", "market")
     _check_claim(market, claim)
-    space, d, lattice, bond = market.space, market.d, market.lattice, market.bond
-
+    d, lattice = market.d, market.lattice
+    dot = partial(np.einsum, "aj,aj->a")  # row-wise inner products
+    bonds = np.concatenate([[1.0], market.bond])  # B_{n-1} at index n
     decomposable = market.diagonal and bool(np.all(market.rates == market.rates[0]))
     rate = float(market.rates[0])
     v_init = float(strategy.beta_init)
-    self_fin = telescoping = discounted = 0.0
-    decomposition = 0.0 if decomposable else None
-    # positions, prices and running sums on the atoms of F_{n-1}; F_{-1} has one atom
-    beta_prev = np.array([strategy.beta_init])
-    gamma_prev = np.zeros((1, d))
-    s_prev = lattice.atom_prices(-1)
-    bond_prev = 1.0
-    gains = np.array([v_init])
-    disc_prev = np.array([v_init])
-    acc = np.zeros(1)
+    # the position held into time n-1 on each atom of F_{n-1}: before time 0,
+    # the one atom of F_{-1} holds v_init in the bond and no shares
+    beta, gamma = np.array([v_init]), np.zeros((1, d))
+    s_prev, acc = lattice.atom_prices(-1), np.zeros(1)
+    gains = disc_prev = np.array([v_init])
+    self_fin, telescoping, discounted, decomposition = [], [], [], []
     for n in range(market.N + 1):
         rows = strategy.positions.at(n)
-        beta, gamma = np.repeat(rows[:, 0], d + 1), np.repeat(rows[:, 1:], d + 1, axis=0)
-        s_now = lattice.atom_prices(n)
-        s_before = np.repeat(s_prev, d + 1, axis=0)
-        values = beta * bond[n] + np.einsum("aj,aj->a", gamma, s_now)
-
         # self-financing at n-1: rebalancing conserves value
-        res = bond_prev * (beta - np.repeat(beta_prev, d + 1)) + np.einsum(
-            "aj,aj->a", s_before, gamma - np.repeat(gamma_prev, d + 1, axis=0)
-        )
-        self_fin = np.maximum(self_fin, np.max(np.abs(res)))
+        res = bonds[n] * (rows[:, 0] - beta) + dot(s_prev, rows[:, 1:] - gamma)
+        self_fin.append(np.max(np.abs(res)))
+        # the position formed at n-1, held into time n on each atom of F_n
+        beta, gamma = np.repeat(rows[:, 0], d + 1), np.repeat(rows[:, 1:], d + 1, axis=0)
+        s_now, s_before = lattice.atom_prices(n), np.repeat(s_prev, d + 1, axis=0)
+        values = beta * bonds[n + 1] + dot(gamma, s_now)
 
         # telescoping: V_n = V_{-1} + sum_{k<=n} beta_k dB + <gamma_k, dS>
-        gains = np.repeat(gains, d + 1) + beta * (float(bond[n]) - bond_prev) + np.einsum(
-            "aj,aj->a", gamma, s_now - s_before
+        gains = np.repeat(gains, d + 1) + beta * (bonds[n + 1] - bonds[n]) + dot(
+            gamma, s_now - s_before
         )
-        telescoping = np.maximum(telescoping, np.max(np.abs(values - gains)))
+        telescoping.append(np.max(np.abs(values - gains)))
 
         # discounted increments: dV~_n = <gamma_n, dS~_n>
-        disc_val = values / float(bond[n])
-        res = disc_val - np.repeat(disc_prev, d + 1) - np.einsum(
-            "aj,aj->a", gamma, s_now / float(bond[n]) - s_before / bond_prev
+        disc_val = values / bonds[n + 1]
+        res = disc_val - np.repeat(disc_prev, d + 1) - dot(
+            gamma, s_now / bonds[n + 1] - s_before / bonds[n]
         )
-        discounted = np.maximum(discounted, np.max(np.abs(res)))
-        disc_prev = disc_val
+        discounted.append(np.max(np.abs(res)))
 
         if decomposable:
             # atom a*(d+1)+i of F_n took scenario i at step n
-            excess = np.tile(market.lambdas[n] - rate, (space.atom_count(n - 1), 1))
-            acc = (1.0 + rate) * np.repeat(acc, d + 1) + np.einsum(
-                "aj,aj->a", excess * gamma, s_before
-            )
+            excess = gamma.reshape(-1, d + 1, d) * (market.lambdas[n] - rate)
+            acc = (1.0 + rate) * np.repeat(acc, d + 1) + dot(excess.reshape(-1, d), s_before)
             expected = (1.0 + rate) ** (n + 1) * v_init + acc
-            decomposition = np.maximum(decomposition, np.max(np.abs(values - expected)))
-        beta_prev, gamma_prev, s_prev, bond_prev = beta, gamma, s_now, float(bond[n])
+            decomposition.append(np.max(np.abs(values - expected)))
+        s_prev, disc_prev = s_now, disc_val
 
     replication = float(np.max(np.abs(values - claim.values)))  # F_N atoms are paths
-    residuals = [strategy.predictability_defect, self_fin, telescoping, discounted, replication]
-    worst = np.max([res for res in residuals + [decomposition] if res is not None])
+    worst = [strategy.predictability_defect, replication]
+    worst += self_fin + telescoping + discounted + decomposition
     return StrategyReport(
-        passed=_negligible(float(worst), 1e-8, claim.values),
+        passed=_negligible(float(np.max(worst)), 1e-8, claim.values),
         predictability=strategy.predictability_defect,
-        self_financing=float(self_fin),
-        telescoping=float(telescoping),
-        discounted_increment=float(discounted),
-        decomposition=None if decomposition is None else float(decomposition),
+        self_financing=float(np.max(self_fin)),
+        telescoping=float(np.max(telescoping)),
+        discounted_increment=float(np.max(discounted)),
+        decomposition=float(np.max(decomposition)) if decomposable else None,
         replication=replication,
         value_initial=v_init,
     )

@@ -851,6 +851,11 @@ MALFORMED = {
         '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[2.0], [-1.0]]}]}',
         "tolerance must be finite, got inf",
     ),
+    "walk-residual-inf": (
+        ["walk", "validate", "{file}"],
+        '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[1e300], [-1e300]]}]}',
+        "{file}: step 0: covariance residual inf at coordinates (1, 1) exceeds 1e-10",
+    ),
     "payoff-index-1e300": (["market", "price", f"{FIX}/crr25.json", "--payoff", "S(1e300)"], None,
                            "1:1: asset index 1e300 outside [1, 1]"),
     "payoff-time-1e20": (["market", "price", f"{FIX}/crr25.json", "--payoff", "S(1,1e20)"], None,

@@ -41,12 +41,15 @@ from market_oracle import (
 )
 
 V = np.array([[SQ2, 1.0], [-SQ2, 1.0], [0.0, -1.0]])
+#: The d = 3 walk that construct_obtuse completes for p = (1/8, 1/8, 1/4, 1/2)
+V3 = np.array([[2.0, SQ2, 1.0], [-2.0, SQ2, 1.0], [0.0, -SQ2, 1.0], [0.0, 0.0, -1.0]])
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _basket_step(rng, rate):
-    sig = rng.uniform(0.01, 0.2, size=2)
-    return np.array([np.diag(rate + sig * V[i]) for i in range(3)])
+def _basket_step(rng, rate, v):
+    """Diagonal scenarios whose excess returns load on one coordinate of the walk v each."""
+    sig = rng.uniform(0.01, 0.2, size=v.shape[1])
+    return np.array([np.diag(rate + sig * row) for row in v])
 
 
 def _nondiag_step(rng, rate, s_init):
@@ -76,9 +79,10 @@ def _stepwise_crr(rng, rate, periods):
 
 @st.composite
 def markets(draw):
-    kind = draw(st.sampled_from(["crr", "stepwise", "diag2", "nondiag2"]))
-    # recombining CRR trees group thousands of prior atoms into few nodes
-    periods = draw(st.integers(1, 12 if kind == "crr" else 6))
+    kind = draw(st.sampled_from(["crr", "stepwise", "diag2", "nondiag2", "diag3"]))
+    # recombining CRR trees group thousands of prior atoms into few nodes;
+    # diag3 has 4^periods paths, and its inner products sum three coordinates
+    periods = draw(st.integers(1, {"crr": 12, "diag3": 4}.get(kind, 6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rate = float(rng.uniform(-0.02, 0.05))
     if kind == "crr":
@@ -86,12 +90,13 @@ def markets(draw):
         return crr_market(float(rng.uniform(50, 150)), up, down, rate, periods), rng
     if kind == "stepwise":
         return _stepwise_crr(rng, rate, periods), rng
-    s_init = rng.uniform(80.0, 120.0, size=2)
-    steps = [_basket_step(rng, rate) for _ in range(periods)]
+    d, v = (3, V3) if kind == "diag3" else (2, V)
+    s_init = rng.uniform(80.0, 120.0, size=d)
+    steps = [_basket_step(rng, rate, v) for _ in range(periods)]
     if kind == "nondiag2":
         steps[0] = _nondiag_step(rng, rate, s_init)
     market = MarketSpec(
-        d=2,
+        d=d,
         N=periods - 1,
         s_init=s_init,
         rates=np.full(periods, rate),
