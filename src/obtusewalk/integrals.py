@@ -41,6 +41,7 @@ from .omega import (
     _check_space,
     _frozen_float,
     _negligible,
+    _tree_offset,
     atom_deviation,
 )
 from .walk import WalkSpec
@@ -300,8 +301,13 @@ class PredictableProcess:
 
     rows stacks the steps 0..N in level order, step n one row per atom of
     F_{n-1} in canonical order: d entries for a Clark-Ocone integrand,
-    [beta | gamma] for a hedging portfolio. `defect` is how far path-indexed
-    input was from predictable (see from_paths); a process built on atoms has none.
+    [beta | gamma] for a hedging portfolio. Row k is atom k of the tree
+    order of the filtration (omega._tree_offset): row 0 is the atom of F_{-1},
+    row k > 0 has the parent row (k - 1) // (d + 1), and the d+1 atoms of F_n
+    below row k, which hold its position, are the atoms k*(d+1) + 1 + i, so
+    np.repeat(rows, d + 1) lists the position held on every atom of F_0..F_N.
+    `defect` is how far path-indexed input was from predictable (see
+    from_paths); a process built on atoms has none.
     """
 
     space: PathSpace
@@ -318,7 +324,7 @@ class PredictableProcess:
 
     def _start(self, n: int) -> int:
         """Rows of the steps before n: the atoms of F_{-1}..F_{n-2}."""
-        return (self.space.atom_count(n - 1) - 1) // self.space.d
+        return _tree_offset(self.space.d, n - 1)
 
     def at(self, n: int) -> np.ndarray:
         """(atoms of F_{n-1}, width) rows of step n."""

@@ -23,11 +23,13 @@ from .omega import (
     _check_range,
     _check_space,
     _negligible,
+    _tree_offset,
     atom_deviation,
     atom_means,
     conditional_expectation,
     covariance,
     expectation,
+    level_means,
 )
 from .walk import WalkSpec
 
@@ -65,9 +67,23 @@ def gradient(walk: WalkSpec, table: PathTable) -> VectorProcess:
     return VectorProcess(space, out)
 
 
-def atom_integrand(walk: WalkSpec, means: np.ndarray, k: int) -> np.ndarray:
-    """sum_i c_i(k) E[F | F_{k-1}, w_k = i] per atom of F_{k-1}, from the means on atoms of F_k."""
-    return means.reshape(-1, walk.d + 1) @ walk.steps[k].c + 0.0
+def atom_integrand(walk: WalkSpec, means: np.ndarray, first: int) -> np.ndarray:
+    """sum_i c_i(k) E[F | F_{k-1}, w_k = i] per atom of F_{k-1}, for k = first, first + 1, ...
+
+    means holds the means on the atoms of F_first, F_{first+1}, ... in level
+    order (omega.level_means), and the rows come out in the same order. Each
+    step is one product with its own c_k: BLAS picks its kernel by the shape
+    of the product, so a product over several steps would round differently.
+    """
+    rows = means.reshape(-1, walk.d + 1)
+    out = np.empty((len(rows), walk.d))
+    start, k = 0, first
+    while start < len(rows):
+        stop = start + walk.space.atom_count(k - 1)
+        np.matmul(rows[start:stop], walk.steps[k].c, out=out[start:stop])
+        start, k = stop, k + 1
+    out += 0.0
+    return out
 
 
 def gradient_chaos(
@@ -107,10 +123,15 @@ def divergence(walk: WalkSpec, process: VectorProcess) -> PathTable:
 
 
 def _integrand_from(walk: WalkSpec, table: PathTable, n: int) -> PredictableProcess:
-    """E[D_k F | F_{k-1}] for k > n, and zero for the steps k <= n."""
-    steps = [np.zeros((walk.space.atom_count(k - 1), walk.d)) for k in range(n + 1)]
-    for k in range(n + 1, walk.N + 1):
-        steps.append(atom_integrand(walk, atom_means(walk, table.values, k), k))
+    """E[D_k F | F_{k-1}] for k > n, and zero for the steps k <= n.
+
+    The means on F_{n+1}..F_{N-1} come from one product (level_means), and
+    those on F_N are the table itself.
+    """
+    steps = [np.zeros((_tree_offset(walk.d, n), walk.d))]  # the rows of steps 0..n
+    if n < walk.N:
+        coarse = level_means(walk, table.values)[_tree_offset(walk.d, n + 1) - 1 :]
+        steps += [atom_integrand(walk, coarse, n + 1), atom_integrand(walk, table.values, walk.N)]
     return PredictableProcess.from_steps(walk.space, steps)
 
 

@@ -13,9 +13,12 @@ Prices live on a lattice built once per MarketSpec (`PriceLattice`): at
 each time n the distinct price vectors (nodes), numbered by their first
 atom, and the node of every atom of F_n. Step n+1 grows only the nodes of
 time n, d+1 children each, and merges children with the same bytes, so a
-recombining model such as CRR keeps far fewer nodes than atoms. An atom's
-prices are its node's row; nothing here builds prices path by path (the
-test suite's path-by-path price oracle is in tests/market_oracle.py).
+recombining model such as CRR keeps far fewer nodes than atoms; this growth
+is the one part of the lattice that goes time by time. An atom's prices are
+its node's row, and the nodes of all atoms are one array in tree order
+(below), so the prices of any run of levels are one gather; nothing here
+builds prices path by path (the test suite's path-by-path price oracle is
+in tests/market_oracle.py).
 
 The replication system depends only on the node, and so does the
 risk-neutral system of a step with a non-diagonal scenario matrix. A
@@ -41,16 +44,32 @@ market whose systems are all well conditioned takes no SVD at all.
 
 Every adapted quantity is computed on the atoms of the filtration, one row
 per atom: an atom of F_n is a contiguous block of atom_size(n) paths, and
-its d+1 sub-atoms of F_{n+1} follow it scenario by scenario. Both hedges
-read the claim only through its conditional means on the atoms of F_n
-(`omega.atom_means`); neither builds the path-wise gradient. The
-closed-form share count is the Clark-Ocone integrand of those means,
-`malliavin.atom_integrand`, as `clark_ocone` computes it. A `Strategy` is
-one `integrals.PredictableProcess` of [beta | gamma] rows, one per atom of
+its d+1 sub-atoms of F_{n+1} follow it scenario by scenario. The atoms of
+F_{-1}..F_N in level order form one tree (`omega._tree_offset`), atom k > 0
+below atom (k-1)//(d+1). Both hedges read the claim only through its
+conditional means on the atoms of F_n (`omega.level_means`, all levels from
+one product); neither builds the path-wise gradient. The closed-form share
+count is the Clark-Ocone integrand of those means, `malliavin.atom_integrand`,
+as `clark_ocone` computes it. A `Strategy` is one
+`integrals.PredictableProcess` of [beta | gamma] rows, one per atom of
 F_{n-1} for each n, like the Clark-Ocone integrand, so it is predictable by
-construction. `verify_strategy` checks self-financing once per atom of
-F_{n-1}, where the position is formed, and the other identities once per
-atom of F_n; a NaN residual at any step fails the report. Every verdict on
+construction; its rows are in tree order, so the position held on every
+atom of F_0..F_N is np.repeat(rows, d+1). `verify_strategy` checks
+self-financing once per atom of F_{n-1}, where the position is formed, and
+the other identities once per atom of F_n; a NaN residual at any step
+fails the report.
+
+Both hedges and the verifier compute over whole levels at once, in two
+blocks of steps (`_blocks`): 0..N-1, then N, so no block holds more rows
+than the last level. Each step's constants are repeated by level size, so
+every entry has the bits of the step computed alone; the closed-form
+hedge's per-step verdicts come from np.maximum.reduceat and
+np.fmax.reduceat, so the first failing step raises with its own defect.
+Level by level go only the running sums of the verifier (`_down_the_tree`:
+each atom adds its term to its parent's sum, in the association of a step
+alone), the block sums of `level_means` and the products with each step's
+c_k in `atom_integrand`, which numpy and BLAS round by the shape of their
+operands. Every verdict on
 a computed result (the hedge ratios, the closed-form bond position, the
 verify report) is relative to the size of what it judges, with no absolute
 floor, so none depends on the price unit.
@@ -73,8 +92,10 @@ from .omega import (
     _check_finite,
     _check_space,
     _negligible,
-    atom_means,
+    _tree_offset,
+    _within,
     expectation,
+    level_means,
 )
 from .walk import WalkSpec, construct_obtuse
 
@@ -208,51 +229,70 @@ def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class PriceLattice:
     """The distinct prices (nodes) of each time and the node of every atom.
 
-    nodes[n] holds the distinct price vectors S_n, numbered by their first
-    atom of F_n; owner[n][a] is the node of atom a of F_n; children[n][c, i]
-    is the node that node c of time n-1 moves to in scenario i. Time -1 has
-    one node, the initial prices.
+    points stacks the nodes of the times -1, 0, ..., N, each time's distinct
+    price vectors numbered by their first atom of F_n; time -1 has one node,
+    the initial prices, and the nodes of time n are the rows
+    starts[n+1]..starts[n+2] of points. tree[k] is the row of points that
+    holds the prices of atom k of F_{-1}..F_N in tree order
+    (omega._tree_offset), so prices of atoms are one gather whatever their
+    levels. children[n][c, i] is the node that node c of time n-1 moves to in
+    scenario i, numbered within time n; nodes[n] holds time n's nodes.
     """
 
     s_init: np.ndarray  # (d,)
-    nodes: tuple[np.ndarray, ...]  # (nodes of time n, d) per n
-    owner: tuple[np.ndarray, ...]  # (atoms of F_n,) per n
+    points: np.ndarray  # (nodes of all times, d)
+    starts: tuple[int, ...]  # first row of each time -1..N in points, then the row count
+    tree: np.ndarray  # (atoms of F_{-1}..F_N,) rows of points
     children: tuple[np.ndarray, ...]  # (nodes of time n-1, d+1) per n
 
     @staticmethod
     def build(s_init: np.ndarray, growth: np.ndarray) -> "PriceLattice":
         """Grow the lattice step by step from the (N+1, d+1, d, d) growth matrices I + M."""
         d = len(s_init)
-        nodes, owner, children = [], [], []
-        prev, prev_owner = s_init[None], np.zeros(1, dtype=np.intp)
-        for step in growth:
+        level = [_tree_offset(d, n) for n in range(-1, len(growth) + 1)]  # F_n from level[n+1]
+        tree = np.empty(level[-1], dtype=np.intp)
+        tree[0] = 0  # the atom of F_{-1} is at the initial prices
+        nodes, children, starts = [s_init[None]], [], [0, 1]
+        for n, step in enumerate(growth):
             # row c*(d+1)+i is node c followed by scenario i; its first atom is
             # first_atom(c)*(d+1)+i, so numbering rows by first occurrence
             # numbers the new nodes by first atom
-            rows = np.einsum("kij,aj->aki", step, prev).reshape(-1, d)
+            rows = np.einsum("kij,aj->aki", step, nodes[-1]).reshape(-1, d)
             number, first = _first_occurrence(rows)
             kids = number.reshape(-1, d + 1)
-            prev, prev_owner = rows[first], np.take(kids, prev_owner, axis=0).ravel()
-            for arr in (prev, prev_owner, kids):
-                arr.setflags(write=False)
-            nodes.append(prev)
-            owner.append(prev_owner)
+            # the nodes of the atoms of F_n, numbered within time n; ids are in
+            # range, and mode "clip" spares the copy "raise" makes of out
+            prior, owner = tree[level[n] : level[n + 1]], tree[level[n + 1] : level[n + 2]]
+            np.take(kids, prior, axis=0, out=owner.reshape(-1, d + 1), mode="clip")
+            prior += starts[-2]  # rows of points from now on
+            kids.setflags(write=False)
+            nodes.append(rows[first])
             children.append(kids)
-        return PriceLattice(s_init, tuple(nodes), tuple(owner), tuple(children))
+            starts.append(starts[-1] + len(first))
+        owner += starts[-2]
+        points = np.concatenate(nodes)
+        for arr in (points, tree):
+            arr.setflags(write=False)
+        return PriceLattice(s_init, points, tuple(starts), tree, tuple(children))
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, ...]:
+        """(nodes of time n, d) per n."""
+        starts = self.starts[1:]
+        return tuple(self.points[a:b] for a, b in zip(starts[:-1], starts[1:]))
 
     def prior(self, n: int) -> np.ndarray:
         """(nodes of time n-1, d) prices before step n; before step 0 the initial prices."""
         return self.nodes[n - 1] if n > 0 else self.s_init[None]
 
-    def prior_owner(self, n: int) -> np.ndarray:
-        """(atoms of F_{n-1},) node of time n-1 of every atom."""
-        return self.owner[n - 1] if n > 0 else np.zeros(1, dtype=np.intp)
+    def tree_prices(self, start: int, stop: int) -> np.ndarray:
+        """(stop - start, d) prices of the atoms start..stop-1 in tree order."""
+        return np.take(self.points, self.tree[start:stop], axis=0)
 
     def atom_prices(self, n: int) -> np.ndarray:
         """(atoms of F_n, d) prices S_n, one row per atom; n = -1 gives the initial prices."""
-        if n < 0:
-            return self.s_init[None]
-        return np.take(self.nodes[n], self.owner[n], axis=0)
+        d = len(self.s_init)
+        return self.tree_prices(_tree_offset(d, n), _tree_offset(d, n + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,6 +444,16 @@ def _check_claim(market: MarketSpec, claim: PathTable) -> None:
     _check_finite(claim, "claim")
 
 
+def _blocks(N: int) -> list[tuple[int, int]]:
+    """The steps 0..N in two blocks (lo, hi), each computed at once: 0..N-1, then N.
+
+    Steps 0..N-1 form their positions on the atoms of F_{-1}..F_{N-2}, fewer
+    than the atoms of F_{N-1} on which step N forms its own, so no block
+    holds more rows than the last level. A market of one period has one block.
+    """
+    return [(0, N), (N, N + 1)] if N else [(0, 1)]
+
+
 def hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strategy:
     """Atom-wise replication of the claim.
 
@@ -412,32 +462,40 @@ def hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strat
     scenario; the resulting strategy is predictable and self-financing.
     An atom's matrix is its node's, so the matrices of every node of every
     step are conditioned, columns balanced, before any atom is solved; the
-    singular step with the largest n raises.
+    singular step with the largest n raises. The atoms' systems are solved
+    in one call per block of steps (_blocks).
     """
     price = price_claim(market, wq, claim)  # checks both before any other arithmetic
-    d, lattice, bond = market.d, market.lattice, market.bond
+    d, N, lattice, bond = market.d, market.N, market.lattice, market.bond
     # row i for a node of time n-1: the bond, then the prices of its child in scenario i
     mats = []
-    for n in range(market.N + 1):
+    for n in range(N + 1):
         node_mats = np.empty(lattice.children[n].shape + (d + 1,))
         node_mats[:, :, 0] = bond[n]
         node_mats[:, :, 1:] = lattice.nodes[n][lattice.children[n]]
         mats.append(node_mats)
-    singular = _singular(_balanced(np.concatenate(mats), axis=-2))
+    mats = np.concatenate(mats)  # one per row of lattice.points before time N
+    singular = _singular(_balanced(mats, axis=-2))
     if singular.any():
-        step = np.repeat(np.arange(market.N + 1), [len(m) for m in mats])
+        step = np.repeat(np.arange(N + 1), np.diff(lattice.starts[:-1]))
         raise IncompleteMarketError(
             f"incomplete market: replication system at step {int(step[singular].max())} is singular"
         )
 
-    steps = []
-    for n in range(market.N + 1):
+    rows = np.empty((_tree_offset(d, N), d + 1))
+    for lo, hi in _blocks(N):
         # replication values V_n = B_n / B_N E_Q[F | F_n] on the atoms of F_n; row i
         # of atom a of F_{n-1} is atom a*(d+1)+i of F_n: a followed by scenario i
-        values = (float(bond[n]) / float(bond[market.N])) * atom_means(wq, claim.values, n)
-        atom_mats = np.take(mats[n], lattice.prior_owner(n), axis=0)
-        steps.append(np.linalg.solve(atom_mats, values.reshape(-1, d + 1, 1))[..., 0])
-    return Strategy(PredictableProcess.from_steps(market.space, steps), beta_init=price)
+        sizes = [market.space.atom_count(n) for n in range(lo, hi)]
+        values = np.repeat(bond[lo:hi] / bond[N], sizes)
+        values *= level_means(wq, claim.values) if hi <= N else claim.values
+        # the positions of steps lo..hi-1, on the atoms of F_{lo-1}..F_{hi-2}
+        formed = slice(_tree_offset(d, lo - 1), _tree_offset(d, hi - 1))
+        atom_mats = np.take(mats, lattice.tree[formed], axis=0)
+        rows[formed] = np.linalg.solve(atom_mats, values.reshape(-1, d + 1, 1))[..., 0]
+        del values, atom_mats
+    rows.setflags(write=False)
+    return Strategy(PredictableProcess(market.space, rows), beta_init=price)
 
 
 def _hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:
@@ -476,40 +534,69 @@ def hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Str
     ratio must be scenario-independent. On an atom of F_{n-1}, xi_n is the
     (d+1)-term sum  sum_i c_i(n) E[F | atom, w_n = i]  over its F_n atoms.
     The bond position implied on the d+1 sub-atoms must agree within 1e-6
-    times the largest |term| it is the difference of (omega._negligible).
+    times the largest |term| it is the difference of (omega._negligible), at
+    every step; the first step that fails raises with its own defect.
     """
     price = price_claim(market, wq, claim)  # checks both before any other arithmetic
     if not market.diagonal:
         raise HedgeFormulaError(
             "closed-form hedge needs diagonal scenario matrices; use hedge_replicate"
         )
-    rate = market.uniform_rate()
-    d, lattice = market.d, market.lattice
-    ratio_const = _hedge_ratios(market, wq, rate)
+    ratio_const = _hedge_ratios(market, wq, market.uniform_rate())
+    d, N = market.d, market.N
+    rows = np.empty((_tree_offset(d, N), d + 1))
+    for lo, hi in _blocks(N):
+        cond = level_means(wq, claim.values) if hi <= N else claim.values
+        formed = slice(_tree_offset(d, lo - 1), _tree_offset(d, hi - 1))
+        rows[formed, 0], rows[formed, 1:] = _closed_form(market, wq, ratio_const, cond, lo, hi)
+    rows.setflags(write=False)
+    return Strategy(PredictableProcess(market.space, rows), beta_init=price)
 
-    steps = []
-    s_prev = lattice.atom_prices(-1)
-    for n in range(market.N + 1):
-        s_now = lattice.atom_prices(n)
-        cond = atom_means(wq, claim.values, n)  # E_Q[F | F_n], one entry per atom
-        xi = atom_integrand(wq, cond, n)  # (atoms of F_{n-1}, d)
-        gam = (1.0 + rate) ** (n - market.N) * xi * ratio_const[n] / s_prev
-        claim_part = (1.0 + rate) ** (-market.N - 1) * cond
-        share_part = (1.0 + rate) ** (-n - 1) * np.einsum(
-            "aj,aj->a", np.repeat(gam, d + 1, axis=0), s_now
+
+def _closed_form(
+    market: MarketSpec, wq: WalkSpec, ratio_const: np.ndarray, cond: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bond units and share counts of the closed-form hedge at steps lo..hi-1.
+
+    cond holds E_Q[F | F_n] on the atoms of F_lo..F_{hi-1}; the positions
+    come one row per atom of F_{lo-1}..F_{hi-2}. Each step's constants are
+    repeated to its rows, so every entry has the bits of a step computed
+    alone, and each temporary is dropped once it is reduced.
+    """
+    d, N, space = market.d, market.N, market.space
+    growth = 1.0 + float(market.rates[0])
+    steps = range(lo, hi)
+    counts = [space.atom_count(n - 1) for n in steps]  # positions of step n
+    per_row = partial(np.repeat, repeats=counts, axis=0)
+    first, mid, stop = (_tree_offset(d, n) for n in (lo - 1, lo, hi))
+    prices = market.lattice.tree_prices(first, stop)  # S_{n-1}, then S_n from mid on
+    gam = per_row([growth ** (n - N) for n in steps])[:, None] * atom_integrand(wq, cond, lo)
+    gam *= per_row(ratio_const[lo:hi])
+    gam /= prices[: _tree_offset(d, hi - 1) - first]
+    share_part = np.repeat([growth ** (-n - 1) for n in steps], np.multiply(counts, d + 1))
+    share_part *= np.einsum("aj,aj->a", np.repeat(gam, d + 1, axis=0), prices[mid - first :])
+    del prices
+    claim_part = growth ** (-N - 1) * cond
+    # rounding in raw_beta grows with its two terms, not with their difference
+    starts = np.cumsum([0] + counts[:-1])
+    scale = np.fmax(
+        np.fmax.reduceat(np.abs(claim_part), starts * (d + 1)),
+        np.fmax.reduceat(np.abs(share_part), starts * (d + 1)),
+    )
+    raw_beta = np.subtract(claim_part, share_part, out=share_part).reshape(-1, d + 1)
+    del claim_part
+    probs = np.stack([wq.steps[n].p for n in steps])
+    bet = (raw_beta * per_row(probs)).sum(axis=1)  # E_Q[raw | F_{n-1}]
+    raw_beta -= bet[:, None]
+    defect = np.maximum.reduceat(np.abs(raw_beta, out=raw_beta).ravel(), starts * (d + 1))
+    failing = np.flatnonzero(~_within(defect, 1e-6 * scale))
+    if failing.size:
+        k = failing[0]
+        raise HedgeFormulaError(
+            f"bond position at step {lo + k} is not predictable "
+            f"(defect {float(defect[k]):.3e}); use hedge_replicate"
         )
-        raw_beta = (claim_part - share_part).reshape(-1, d + 1)
-        bet = (raw_beta * wq.steps[n].p).sum(axis=1)  # E_Q[raw | F_{n-1}]
-        defect = float(np.max(np.abs(raw_beta - bet[:, None])))
-        # rounding in raw_beta grows with its two terms, not with their difference
-        if not _negligible(defect, 1e-6, claim_part, share_part):
-            raise HedgeFormulaError(
-                f"bond position at step {n} is not predictable (defect {defect:.3e}); "
-                "use hedge_replicate"
-            )
-        steps.append(np.column_stack([bet, gam]))
-        s_prev = s_now
-    return Strategy(PredictableProcess.from_steps(market.space, steps), beta_init=price)
+    return bet, gam
 
 
 @dataclass(frozen=True)
@@ -533,67 +620,102 @@ def verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) ->
     All checks are reported as max residuals. A strategy holds one position
     per atom of F_{n-1}, so it is predictable by construction; the report
     carries the defect that `PredictableProcess.from_paths` measured on
-    path-indexed input. Self-financing at time n-1 depends only on the atom
-    of F_{n-1} where the position is formed, so it is checked once per atom
-    of F_{n-1}. The telescoping, discounted increment and (for diagonal
+    path-indexed input. Self-financing at time n depends only on the atom
+    of F_n where a position is formed, so it is checked once per atom of
+    F_{-1}..F_{N-1}. The telescoping, discounted increment and (for diagonal
     uniform-rate models) value-decomposition identities and replication
-    involve V_n, so they are checked once per atom of F_n, each position
-    repeated to the d+1 sub-atoms of its atom. Each residual equals its
-    maximum over all paths bit for bit. Prices come from the market, so
-    the check stays independent of the hedge.
+    involve V_n, so they are checked once per atom of F_n, on the position
+    its parent atom formed. The atoms of a block of steps (_blocks) are
+    checked at once; only the running sums of the telescoping gains and of
+    the decomposition go level by level, each atom adding its own term to
+    its parent's sum. Each residual equals its maximum over all paths bit
+    for bit. Prices come from the market, so the check stays independent of
+    the hedge.
     It passes iff each residual is at most 1e-8 * max|F| (omega._negligible),
     as they round at the size of the finite claim F; with no absolute floor,
     the report reads the same for prices and claim scaled together, and an
     all-zero claim needs exact-zero residuals. Non-finite positions give an
-    inf or NaN residual, which fails; np.max over the per-step maxima keeps
-    a NaN of any step, as max() would not.
+    inf or NaN residual, which fails; np.max keeps a NaN of any step, as
+    max() would not.
     """
     _check_space(market.space, strategy, "strategy", "market")
     _check_claim(market, claim)
-    d, lattice = market.d, market.lattice
+    d, N, space, lattice = market.d, market.N, market.space, market.lattice
     dot = partial(np.einsum, "aj,aj->a")  # row-wise inner products
     bonds = np.concatenate([[1.0], market.bond])  # B_{n-1} at index n
     decomposable = market.diagonal and bool(np.all(market.rates == market.rates[0]))
     rate = float(market.rates[0])
+    growth = 1.0 + rate
     v_init = float(strategy.beta_init)
-    # the position held into time n-1 on each atom of F_{n-1}: before time 0,
-    # the one atom of F_{-1} holds v_init in the bond and no shares
-    beta, gamma = np.array([v_init]), np.zeros((1, d))
-    s_prev, acc = lattice.atom_prices(-1), np.zeros(1)
-    gains = disc_prev = np.array([v_init])
-    self_fin, telescoping, discounted, decomposition = [], [], [], []
-    for n in range(market.N + 1):
-        rows = strategy.positions.at(n)
-        # self-financing at n-1: rebalancing conserves value
-        res = bonds[n] * (rows[:, 0] - beta) + dot(s_prev, rows[:, 1:] - gamma)
-        self_fin.append(np.max(np.abs(res)))
-        # the position formed at n-1, held into time n on each atom of F_n
-        beta, gamma = np.repeat(rows[:, 0], d + 1), np.repeat(rows[:, 1:], d + 1, axis=0)
-        s_now, s_before = lattice.atom_prices(n), np.repeat(s_prev, d + 1, axis=0)
-        values = beta * bonds[n + 1] + dot(gamma, s_now)
+    rows = strategy.positions.rows
+    # self-financing at time -1: the one atom of F_{-1} held v_init in the bond
+    # and no shares (- 0.0, which also gives einsum a contiguous copy)
+    res = bonds[0] * (rows[:1, 0] - v_init) + dot(lattice.s_init[None], rows[:1, 1:] - 0.0)
+    self_fin, telescoping, discounted, decomposition = [np.max(np.abs(res))], [], [], []
+    # gains, discounted value and decomposition sum on the last level checked
+    gains_prev = disc_prev = np.array([v_init])
+    acc_prev = np.zeros(1)
+    for lo, hi in _blocks(N):
+        # the atoms of F_{lo-1}..F_{hi-1} in tree order: the parents, the atoms of
+        # F_{lo-1}..F_{hi-2} that formed the positions of steps lo..hi-1, and
+        # from `own` on the atoms of F_lo..F_{hi-1} that hold them
+        first, own, stop = (_tree_offset(d, n) for n in (lo - 1, lo, hi))
+        parents = slice(first, _tree_offset(d, hi - 1))
+        sizes = [space.atom_count(n) for n in range(lo - 1, hi)]
+        levels = np.cumsum([0] + sizes) - (own - first)  # F_n at levels[n-lo+1]..levels[n-lo+2]
+        beta = np.repeat(rows[parents, 0], d + 1)
+        gamma = np.repeat(rows[parents, 1:], d + 1, axis=0)
+        prices = lattice.tree_prices(first, stop)
+        s_now = prices[own - first :]
+        s_before = np.repeat(prices[: parents.stop - first], d + 1, axis=0)
+        bond_at = np.repeat(bonds[lo : hi + 1], sizes)  # B_n on the atoms of F_n
+        bond_now = bond_at[own - first :]
+        values = beta * bond_now + dot(gamma, s_now)
 
-        # telescoping: V_n = V_{-1} + sum_{k<=n} beta_k dB + <gamma_k, dS>
-        gains = np.repeat(gains, d + 1) + beta * (bonds[n + 1] - bonds[n]) + dot(
-            gamma, s_now - s_before
-        )
-        telescoping.append(np.max(np.abs(values - gains)))
+        if hi <= N:
+            # self-financing at time n on the atoms of F_n: rebalancing conserves value
+            formed = rows[own:stop]
+            res = bond_now * (formed[:, 0] - beta) + dot(s_now, formed[:, 1:] - gamma)
+            self_fin.append(np.max(np.abs(res)))
+
+        # telescoping: V_n = V_{-1} + sum_{k<=n} beta_k dB + <gamma_k, dS>; each
+        # atom adds beta dB, then <gamma, dS>, to its parent's gains
+        gains = beta * np.repeat(np.diff(bonds)[lo:hi], sizes[1:])
+        del beta
+        gains_prev = _down_the_tree(gains, gains_prev, levels, 1.0, dot(gamma, s_now - s_before))
+        telescoping.append(np.max(np.abs(np.subtract(values, gains, out=gains), out=gains)))
+        del gains
 
         # discounted increments: dV~_n = <gamma_n, dS~_n>
-        disc_val = values / bonds[n + 1]
-        res = disc_val - np.repeat(disc_prev, d + 1) - dot(
-            gamma, s_now / bonds[n + 1] - s_before / bonds[n]
-        )
+        disc = np.empty(stop - first)
+        disc[: own - first] = disc_prev
+        np.divide(values, bond_now, out=disc[own - first :])
+        disc_prev = disc[levels[-2] + own - first :].copy()
+        res = disc[own - first :] - np.repeat(disc[: parents.stop - first], d + 1)
+        del disc
+        s_disc = prices / bond_at[:, None]
+        del prices, s_now, bond_at, bond_now
+        s_disc[own - first :] -= np.repeat(s_disc[: parents.stop - first], d + 1, axis=0)
+        res -= dot(gamma, s_disc[own - first :])
+        del s_disc
         discounted.append(np.max(np.abs(res)))
+        del res
 
         if decomposable:
-            # atom a*(d+1)+i of F_n took scenario i at step n
-            excess = gamma.reshape(-1, d + 1, d) * (market.lambdas[n] - rate)
-            acc = (1.0 + rate) * np.repeat(acc, d + 1) + dot(excess.reshape(-1, d), s_before)
-            expected = (1.0 + rate) ** (n + 1) * v_init + acc
-            decomposition.append(np.max(np.abs(values - expected)))
-        s_prev, disc_prev = s_now, disc_val
-
-    replication = float(np.max(np.abs(values - claim.values)))  # F_N atoms are paths
+            # atom a*(d+1)+i of F_n took scenario i at step n; each atom's sum is
+            # (1 + r) times its parent's, plus its own term
+            excess = gamma.reshape(-1, d + 1, d) * np.repeat(
+                market.lambdas[lo:hi] - rate, sizes[:-1], axis=0
+            )
+            acc = dot(excess.reshape(-1, d), s_before)
+            del excess
+            acc_prev = _down_the_tree(acc, acc_prev, levels, growth)
+            acc += np.repeat([growth ** (n + 1) * v_init for n in range(lo, hi)], sizes[1:])
+            decomposition.append(np.max(np.abs(np.subtract(values, acc, out=acc), out=acc)))
+            del acc
+        if hi > N:
+            replication = float(np.max(np.abs(values - claim.values)))  # F_N atoms are paths
+        del gamma, s_before, values
     worst = [strategy.predictability_defect, replication]
     worst += self_fin + telescoping + discounted + decomposition
     return StrategyReport(
@@ -606,6 +728,28 @@ def verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) ->
         replication=replication,
         value_initial=v_init,
     )
+
+
+def _down_the_tree(
+    sums: np.ndarray, carry: np.ndarray, levels: np.ndarray, factor: float, then=None
+) -> np.ndarray:
+    """Running sums from the root down, in place: each atom's entry of sums
+    plus factor times its parent's sum, then plus its entry of `then`.
+
+    sums holds the levels of a block, level j at levels[j+1]..levels[j+2];
+    carry is the level above the block. The levels go one after another, as
+    each needs its parent's sums; each is one in-place add (two with
+    `then`) in the association of a level computed alone. Returns a copy of
+    the last level, the carry of the next block.
+    """
+    for j in range(len(levels) - 2):
+        level = slice(levels[j + 1], levels[j + 2])
+        parent = carry if j == 0 else sums[levels[j] : levels[j + 1]]
+        own = sums[level].reshape(len(parent), -1)
+        own += factor * parent[:, None]
+        if then is not None:
+            sums[level] += then[level]
+    return sums[levels[-2] :].copy()
 
 
 def crr_market(

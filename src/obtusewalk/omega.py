@@ -13,7 +13,8 @@ than the cap (_check_cap), a table that is not finite (_check_finite) and
 a tolerance that is not finite and > 0 (_check_tolerance). Beside them is
 the one verdict rule (_negligible): a computed defect passes iff it is at
 most eps times the largest |entry| of what it judges, so no verdict
-changes when its input is scaled.
+changes when its input is scaled; _within is its test, elementwise, for
+verdicts taken on several levels at once.
 """
 from __future__ import annotations
 
@@ -205,6 +206,35 @@ def atom_means(walk: "WalkSpec", values: np.ndarray, n: int) -> np.ndarray:
     return (w * v).sum(axis=1) / w.sum(axis=1)
 
 
+def _tree_offset(d: int, n: int) -> int:
+    """Index of the first atom of F_n when the atoms of F_{-1}, F_0, ..., F_N
+    stand in level order: the atoms of F_{-1}..F_{n-1} come before it.
+
+    In that order, which is the tree order of the filtration, atom k > 0 has
+    the parent (k - 1) // (d + 1) and atom k the children k*(d+1) + 1 + i.
+    """
+    return ((d + 1) ** (n + 1) - 1) // d
+
+
+def level_means(walk: "WalkSpec", values: np.ndarray) -> np.ndarray:
+    """Atom means of the (num_paths,) values on F_0, ..., F_{N-1}, in level order.
+
+    Entry k - 1 is the mean on atom k of the tree order (_tree_offset), so the
+    (-1, d+1) rows are the sub-atom means of the atoms of F_{-1}..F_{N-2}.
+    One product measure * values serves every level; level n sums the same
+    contiguous blocks of it as atom_means(walk, values, n), so every entry has
+    the bits atom_means gives it. The means on F_N are the values themselves.
+    """
+    space = walk.space
+    weighted = walk.measure * values
+    out = np.empty(_tree_offset(space.d, space.N) - 1)
+    for n in range(space.N):
+        means = out[_tree_offset(space.d, n) - 1 : _tree_offset(space.d, n + 1) - 1]
+        np.add.reduce(weighted.reshape(len(means), -1), axis=1, out=means)
+        means /= np.add.reduce(walk.measure.reshape(len(means), -1), axis=1)
+    return out
+
+
 def conditional_expectation(walk: "WalkSpec", table: PathTable, n: int) -> PathTable:
     """E[F | F_n] as a table, constant on each prefix atom.
 
@@ -258,10 +288,14 @@ def _negligible(defect: float, eps: float, *judged: np.ndarray) -> bool:
     defect fails, so a NaN entry fails the verdict wherever it makes the
     defect NaN, and only there.
     """
-    if not defect < np.inf:
-        return False
     scale = max(float(np.fmax.reduce(np.abs(v), axis=None, initial=0.0)) for v in judged)
-    return bool(defect <= eps * scale)
+    return bool(_within(defect, eps * scale))
+
+
+def _within(defect, bound):
+    """The test of _negligible, elementwise on arrays: the defect is finite
+    and at most the bound. A NaN defect is neither."""
+    return (defect < np.inf) & (defect <= bound)
 
 
 def _check_space(space: PathSpace, obj, name: str = "table", owner: str = "walk") -> None:

@@ -347,22 +347,19 @@ def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     that atom and its value at formation, so the first row's value is the
     claim price.
     """
-    v_init = float(strategy.beta_init)
-    header = "time,atom,beta," + ",".join(
-        f"gamma_{j}" for j in range(1, market.d + 1)
-    ) + ",V"
-    heads, values = [], [np.array([v_init])]
-    for n in range(market.N + 1):
-        heads += [f"{n},{prefix}," for prefix in _atom_prefixes(market.d, n)]
-        if n:
-            rows = strategy.positions.at(n)
-            # stacked 1x1 matmul: the same BLAS dot per atom as gamma_row @ price_row,
-            # which an elementwise sum would not reproduce bit for bit
-            prices = market.lattice.atom_prices(n - 1)
-            dots = np.matmul(rows[:, None, 1:], prices[:, :, None])[:, 0, 0]
-            values.append(rows[:, 0] * market.bond[n - 1] + dots)
-    table = np.column_stack([strategy.positions.rows, np.concatenate(values)])
-    return header + "\n" + _csv_rows(heads, table) + "\n"
+    d, N = market.d, market.N
+    header = "time,atom,beta," + ",".join(f"gamma_{j}" for j in range(1, d + 1)) + ",V"
+    heads = [f"{n},{prefix}," for n in range(N + 1) for prefix in _atom_prefixes(d, n)]
+    # row k > 0 is formed on atom k of F_0..F_{N-1} in tree order, at its prices
+    # and the bond B_{n-1} of its step n; row 0 is worth the claim price
+    rows = strategy.positions.rows
+    prices = market.lattice.tree_prices(1, len(rows))
+    # stacked 1x1 matmul: the same BLAS dot per atom as gamma_row @ price_row,
+    # which an elementwise sum would not reproduce bit for bit
+    dots = np.matmul(rows[1:, None, 1:], prices[:, :, None])[:, 0, 0]
+    bonds = np.repeat(market.bond[:N], [market.space.atom_count(n) for n in range(N)])
+    values = np.concatenate([[float(strategy.beta_init)], rows[1:, 0] * bonds + dots])
+    return header + "\n" + _csv_rows(heads, np.column_stack([rows, values])) + "\n"
 
 
 def _csv_rows(heads: list[str], table: np.ndarray) -> str:

@@ -28,6 +28,7 @@ from obtusewalk.market import HedgeFormulaError, MarketModelError
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2
 from market_oracle import (
+    oracle_hedge_clark_ocone,
     oracle_prices,
     oracle_strategy_values,
     oracle_verify_strategy,
@@ -314,6 +315,33 @@ class TestHedgeClarkOcone:
             r"use hedge_replicate$",
         ):
             hedge_clark_ocone(market, doubled, call(market))
+
+    @pytest.mark.parametrize("periods", [3, 4])
+    def test_first_failing_step_names_itself(self, periods):
+        """With outcome vectors doubled from step 1 on, step 0 passes and the
+        later steps fail. The error names step 1 with its own defect, as the
+        step-by-step oracle does; step 2's defect, read from a walk doubled
+        from step 2 on, is larger, so a verdict over several steps would show.
+        At 4 periods steps 1 and 2 are checked in one block."""
+        market = crr_market(100.0, 0.1, -0.1, 0.0, periods)
+        wq, claim = find_emm(market), call(market)
+
+        def doubled(first):
+            steps = [StepLaw(s.p, 2.0 * s.v if k >= first else s.v) for k, s in enumerate(wq.steps)]
+            return WalkSpec(wq.d, wq.N, tuple(steps))
+
+        messages = {}
+        for first in (1, 2):
+            for hedge in (hedge_clark_ocone, oracle_hedge_clark_ocone):
+                with pytest.raises(HedgeFormulaError) as exc:
+                    hedge(market, doubled(first), claim)
+                messages[hedge, first] = str(exc.value)
+            assert messages[hedge_clark_ocone, first] == messages[oracle_hedge_clark_ocone, first]
+        pattern = r"bond position at step {} is not predictable \(defect (\S+)\); use hedge_replicate"
+        step_one = re.fullmatch(pattern.format(1), messages[hedge_clark_ocone, 1])
+        step_two = re.fullmatch(pattern.format(2), messages[hedge_clark_ocone, 2])
+        assert step_one and step_two
+        assert float(step_two[1]) > float(step_one[1])
 
     @pytest.mark.parametrize("size", [1e9, 1e12])
     def test_large_claim_hedges(self, size):

@@ -26,6 +26,7 @@ from obtusewalk import (
 from obtusewalk import malliavin, serialize
 from obtusewalk import market as market_mod
 from obtusewalk.market import MarketModelError, StateDependentMeasureError, _hedge_ratios
+from obtusewalk.omega import _tree_offset
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2, random_walk
 from market_oracle import (
@@ -39,6 +40,7 @@ from market_oracle import (
     path_strategy,
     strategy_paths,
 )
+from serialize_oracle import oracle_strategy_to_csv
 
 V = np.array([[SQ2, 1.0], [-SQ2, 1.0], [0.0, -1.0]])
 #: The d = 3 walk that construct_obtuse completes for p = (1/8, 1/8, 1/4, 1/2)
@@ -208,6 +210,55 @@ class TestAgainstOracle:
         for strategy in strategies:
             report = verify_strategy(market, strategy, claim)
             assert report == oracle_verify_strategy(market, strategy, claim)
+
+
+def _benchmark_basket(periods: int, rate: float = 0.01) -> MarketSpec:
+    """The two-asset basket of the benchmark: returns that load on the walk V."""
+    sig = np.array([0.05, 0.07])
+    step = np.array([np.diag(rate + sig * row) for row in V])
+    return MarketSpec(
+        d=2,
+        N=periods - 1,
+        s_init=np.array([101.0, 96.0]),
+        rates=np.full(periods, rate),
+        scenarios=np.array([step] * periods),
+    )
+
+
+#: The depths of the benchmark's market models, with path-dependent claims
+#: whose conditional means differ at every level.
+BENCHMARK_DEPTHS = {
+    "crr12": (
+        lambda: crr_market(100.0, 0.09, -0.07, 0.01, 12),
+        "max((S(1,3)+S(1,7)+S(1))/3-99.5,0)",
+    ),
+    "basket8": (
+        lambda: _benchmark_basket(8),
+        "max(S(1,3)-S(2,3),0)+max(0.5*(S(1)+S(2))-98,0)",
+    ),
+}
+
+
+class TestBenchmarkDepths:
+    """Both hedges, the verifier and the strategy CSV at the depths the
+    benchmark runs, where each block of steps spans many levels."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_DEPTHS))
+    def test_hedges_reports_and_csv_match_the_oracles(self, name):
+        make, source = BENCHMARK_DEPTHS[name]
+        market = make()
+        claim = eval_payoff(parse_payoff(source, market.d, market.N), market)
+        wq = find_emm(market)
+        replicated = hedge_replicate(market, wq, claim)
+        want = oracle_hedge_replicate(market, wq, claim)
+        assert replicated.positions.rows.tobytes() == want.positions.rows.tobytes()
+        for strategy in (replicated, hedge_clark_ocone(market, wq, claim)):
+            report = verify_strategy(market, strategy, claim)
+            assert report.passed
+            assert report == oracle_verify_strategy(market, strategy, claim)
+            assert serialize.strategy_to_csv(market, strategy) == oracle_strategy_to_csv(
+                market, strategy
+            )
 
 
 class TestPredictabilityOnPaths:
@@ -446,6 +497,12 @@ LATTICE_MARKETS = {
 }
 
 
+def _owner(lattice, n: int) -> np.ndarray:
+    """(atoms of F_n,) the node of every atom, numbered within time n (one node at n = -1)."""
+    d = len(lattice.s_init)
+    return lattice.tree[_tree_offset(d, n) : _tree_offset(d, n + 1)] - lattice.starts[n + 1]
+
+
 class TestLattice:
     """The lattice's nodes against the path-by-path prices and the byte grouping of atoms."""
 
@@ -454,7 +511,7 @@ class TestLattice:
         market = LATTICE_MARKETS[name]()
         lattice, want = market.lattice, oracle_prices(market)
         for n in range(market.N + 1):
-            first = np.unique(lattice.owner[n], return_index=True)[1]  # first atom per node
+            first = np.unique(_owner(lattice, n), return_index=True)[1]  # first atom per node
             rows = want[n][:: market.space.atom_size(n)]  # one row per atom of F_n
             assert lattice.nodes[n].tobytes() == rows[first].tobytes()
 
@@ -464,23 +521,23 @@ class TestLattice:
         lattice, want = market.lattice, oracle_prices(market)
         for n in range(market.N + 1):
             rows = want[n][:: market.space.atom_size(n)]
-            first = np.unique(lattice.owner[n], return_index=True)[1]
+            first = np.unique(_owner(lattice, n), return_index=True)[1]
             assert np.array_equal(first, np.sort(_distinct(rows)))
-            assert lattice.nodes[n][lattice.owner[n]].tobytes() == rows.tobytes()
+            assert lattice.nodes[n][_owner(lattice, n)].tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("name", sorted(LATTICE_MARKETS))
     def test_node_ids_increase_with_first_atom(self, name):
         market = LATTICE_MARKETS[name]()
         lattice = market.lattice
         for n in range(market.N + 1):
-            ids, first = np.unique(lattice.owner[n], return_index=True)
+            ids, first = np.unique(_owner(lattice, n), return_index=True)
             assert np.array_equal(ids, np.arange(len(lattice.nodes[n])))
             assert np.all(np.diff(first) > 0)
             assert first[0] == 0  # node 0 is the node of atom 0
             # atom a*(d+1)+i of F_n is node owner[n-1][a] followed by scenario i
             assert np.array_equal(
-                lattice.owner[n].reshape(-1, market.d + 1),
-                lattice.children[n][lattice.prior_owner(n)],
+                _owner(lattice, n).reshape(-1, market.d + 1),
+                lattice.children[n][_owner(lattice, n - 1)],
             )
 
 
