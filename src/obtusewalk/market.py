@@ -9,30 +9,31 @@ walk that `find_emm` returns, every claim is priced by discounted
 expectation under that walk, and the hedge is recovered either by backward
 replication or through the predictable-representation formula on the walk.
 
-Prices live on a lattice built once per MarketSpec (`PriceLattice`): at
-each time n the distinct price vectors (nodes), numbered by their first
-atom, and the node of every atom of F_n. Step n+1 grows only the nodes of
-time n, d+1 children each, and merges children with the same bytes, so a
-recombining model such as CRR keeps far fewer nodes than atoms; this growth
-is the one part of the lattice that goes time by time. An atom's prices are
-its node's row, and the nodes of all atoms are one array in tree order
-(below), so the prices of any run of levels are one gather; nothing here
-builds prices path by path (the test suite's path-by-path price oracle is
-in tests/market_oracle.py).
+Prices are one array per MarketSpec (`MarketSpec.prices`): the prices of
+every atom of F_{-1}..F_N in tree order (below), each level one product of
+the level above with the step's growth matrices I + M, so the prices of any
+run of levels are one slice; this growth is the one part of the prices
+that goes time by time. Nothing here builds prices path by path (the test
+suite's path-by-path price oracle is in tests/market_oracle.py).
 
-The replication system depends only on the node, and so does the
-risk-neutral system of a step with a non-diagonal scenario matrix. A
-diagonal step's risk-neutral system does not depend on prices at all: it
-is solved once, rescaled by exact powers of two, and its nodes are read
-only to find a dead one (a zero or overflowing price), which makes the
-step singular. `find_emm` stacks the systems of every step, conditions
-them in one batch and solves them in one call; the first failing (step,
-node) decides the error, and since nodes are numbered by first atom this
-is the first failing atom of the one-atom-at-a-time loop.
+The replication system of an atom depends only on its price row, and so
+does the risk-neutral system of a step with a non-diagonal scenario
+matrix; each is formed once per distinct row (by bytes) of its level, at
+the row's first atom. The first atoms of a level are children of the first
+atoms of the level above, so one cached sweep (`MarketSpec.first_atoms`)
+finds them level by level from a few rows; a recombining model such as CRR
+has far fewer distinct rows than atoms. A diagonal step's risk-neutral
+system does not depend on prices at all: it is solved once, rescaled by
+exact powers of two, and its atoms' prices are read only to find a dead
+one (a zero or overflowing price), which makes the step singular.
+`find_emm` stacks the systems of every step, conditions them in one batch
+and solves them in one call; the first failing (step, first atom) decides
+the error, which is the first failing atom of the one-atom-at-a-time loop.
 A system with a non-finite entry counts as singular. `hedge_replicate`
-conditions one replication matrix per node, for all steps at once, and
-then solves each atom's system against the claim. The one-atom-at-a-time
-loops survive only as the test suite's oracle.
+conditions one replication matrix per distinct row, for all steps at once,
+and then solves each atom's system, built from slices of the prices,
+against the claim. The one-atom-at-a-time loops survive only as the test
+suite's oracle.
 
 Conditioning (`_singular`) reads copies balanced by powers of two, so no
 decision depends on the price unit, and screens before an SVD: the bound
@@ -101,7 +102,7 @@ from .walk import WalkSpec, construct_obtuse
 
 _COND_LIMIT = 1e12
 _SCREEN_LIMIT = 1e10  # condition bound that clears a system without an SVD
-_AGREE_LIMIT = 1e-9  # how far a non-diagonal step's weights may differ across nodes
+_AGREE_LIMIT = 1e-9  # how far a non-diagonal step's weights may differ across atoms
 
 
 class MarketModelError(ObtuseWalkError):
@@ -140,10 +141,11 @@ class MarketSpec:
     scenarios: np.ndarray  # (N+1, d+1, d, d) matrices M_k^i
     cap: int = field(default=DEFAULT_CAP, compare=False, repr=False)
     space: PathSpace = field(init=False, compare=False, repr=False)
+    growth: np.ndarray = field(init=False, compare=False, repr=False)  # (N+1, d+1, d, d) I + M
 
     def __post_init__(self) -> None:
         _check_market_size(self.d, self.N, self.cap)
-        # the path space enforces the enumeration cap before any lattice is built
+        # the path space enforces the enumeration cap before any price is built
         object.__setattr__(self, "space", PathSpace(self.d, self.N, self.cap))
         s_init = np.array(self.s_init, dtype=float)
         rates = np.array(self.rates, dtype=float)
@@ -166,11 +168,12 @@ class MarketSpec:
         growth = np.eye(self.d)[None, None] + scenarios
         if np.any(growth < 0.0):
             raise MarketModelError("I + M must have nonnegative entries in every scenario")
-        for arr in (s_init, rates, scenarios):
+        for arr in (s_init, rates, scenarios, growth):
             arr.setflags(write=False)
         object.__setattr__(self, "s_init", s_init)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "scenarios", scenarios)
+        object.__setattr__(self, "growth", growth)
 
     @cached_property
     def diagonal(self) -> bool:
@@ -197,102 +200,56 @@ class MarketSpec:
         return out
 
     @cached_property
-    def lattice(self) -> "PriceLattice":
-        """Price nodes of every time, built once per market."""
-        growth = np.eye(self.d)[None, None] + self.scenarios  # (N+1, d+1, d, d)
-        return PriceLattice.build(self.s_init, growth)
+    def prices(self) -> np.ndarray:
+        """(atoms of F_{-1}..F_N, d) prices of every atom, in tree order (omega._tree_offset).
 
-
-def _first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct (n, d) float64 rows, by exact bytes, in order of first occurrence.
-
-    Returns the number of every row and the index of each number's first row.
-    Rows are compared through their uint64 view, so NaN rows match NaN rows of
-    the same bits and 0.0 and -0.0 differ.
-    """
-    keys = np.ascontiguousarray(rows).view(np.uint64)
-    order = np.lexsort(keys.T)  # stable: equal rows keep their index order
-    ranked = keys[order]
-    starts = np.empty(len(rows), dtype=bool)
-    starts[:1] = True
-    starts[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    heads = order[starts]  # each group's first row, in sorted-row order
-    by_first = np.argsort(heads)
-    number = np.empty(len(heads), dtype=np.intp)
-    number[by_first] = np.arange(len(heads))
-    out = np.empty(len(rows), dtype=np.intp)
-    out[order] = number[np.cumsum(starts) - 1]
-    return out, heads[by_first]
-
-
-@dataclass(frozen=True, eq=False)
-class PriceLattice:
-    """The distinct prices (nodes) of each time and the node of every atom.
-
-    points stacks the nodes of the times -1, 0, ..., N, each time's distinct
-    price vectors numbered by their first atom of F_n; time -1 has one node,
-    the initial prices, and the nodes of time n are the rows
-    starts[n+1]..starts[n+2] of points. tree[k] is the row of points that
-    holds the prices of atom k of F_{-1}..F_N in tree order
-    (omega._tree_offset), so prices of atoms are one gather whatever their
-    levels. children[n][c, i] is the node that node c of time n-1 moves to in
-    scenario i, numbered within time n; nodes[n] holds time n's nodes.
-    """
-
-    s_init: np.ndarray  # (d,)
-    points: np.ndarray  # (nodes of all times, d)
-    starts: tuple[int, ...]  # first row of each time -1..N in points, then the row count
-    tree: np.ndarray  # (atoms of F_{-1}..F_N,) rows of points
-    children: tuple[np.ndarray, ...]  # (nodes of time n-1, d+1) per n
-
-    @staticmethod
-    def build(s_init: np.ndarray, growth: np.ndarray) -> "PriceLattice":
-        """Grow the lattice step by step from the (N+1, d+1, d, d) growth matrices I + M."""
-        d = len(s_init)
-        level = [_tree_offset(d, n) for n in range(-1, len(growth) + 1)]  # F_n from level[n+1]
-        tree = np.empty(level[-1], dtype=np.intp)
-        tree[0] = 0  # the atom of F_{-1} is at the initial prices
-        nodes, children, starts = [s_init[None]], [], [0, 1]
-        for n, step in enumerate(growth):
-            # row c*(d+1)+i is node c followed by scenario i; its first atom is
-            # first_atom(c)*(d+1)+i, so numbering rows by first occurrence
-            # numbers the new nodes by first atom
-            rows = np.einsum("kij,aj->aki", step, nodes[-1]).reshape(-1, d)
-            number, first = _first_occurrence(rows)
-            kids = number.reshape(-1, d + 1)
-            # the nodes of the atoms of F_n, numbered within time n; ids are in
-            # range, and mode "clip" spares the copy "raise" makes of out
-            prior, owner = tree[level[n] : level[n + 1]], tree[level[n + 1] : level[n + 2]]
-            np.take(kids, prior, axis=0, out=owner.reshape(-1, d + 1), mode="clip")
-            prior += starts[-2]  # rows of points from now on
-            kids.setflags(write=False)
-            nodes.append(rows[first])
-            children.append(kids)
-            starts.append(starts[-1] + len(first))
-        owner += starts[-2]
-        points = np.concatenate(nodes)
-        for arr in (points, tree):
-            arr.setflags(write=False)
-        return PriceLattice(s_init, points, tuple(starts), tree, tuple(children))
+        Row 0 is the initial prices. Atom a*(d+1)+1+i is atom a moved by
+        scenario i, so each level is one product of the level above with the
+        step's d+1 growth matrices, written in place.
+        """
+        d = self.d
+        out = np.empty((_tree_offset(d, self.N + 1), d))
+        out[0] = self.s_init
+        for n, step in enumerate(self.growth):
+            above, level = (slice(_tree_offset(d, k - 1), _tree_offset(d, k)) for k in (n, n + 1))
+            np.einsum("kij,aj->aki", step, out[above], out=out[level].reshape(-1, d + 1, d))
+        out.setflags(write=False)
+        return out
 
     @cached_property
-    def nodes(self) -> tuple[np.ndarray, ...]:
-        """(nodes of time n, d) per n."""
-        starts = self.starts[1:]
-        return tuple(self.points[a:b] for a, b in zip(starts[:-1], starts[1:]))
+    def first_atoms(self) -> tuple[np.ndarray, ...]:
+        """For each step k, the first atom (tree order) of each distinct price row of F_{k-1}.
 
-    def prior(self, n: int) -> np.ndarray:
-        """(nodes of time n-1, d) prices before step n; before step 0 the initial prices."""
-        return self.nodes[n - 1] if n > 0 else self.s_init[None]
+        Rows are distinct by their bytes and listed by first atom. Two atoms
+        with one price row have children with one price row in each
+        scenario, so the first atoms of F_n are children of first atoms of
+        F_{n-1}: each level dedupes only those children, keeping each row's
+        first occurrence.
+        """
+        d, prices, first = self.d, self.prices, [np.zeros(1, dtype=np.intp)]
+        scenario = np.arange(1, d + 2)  # atom a's children are a*(d+1) + scenario
+        for _ in range(self.N):
+            children = ((d + 1) * first[-1][:, None] + scenario).ravel()
+            first.append(children[_first_rows(prices[children])])
+        for arr in first:
+            arr.setflags(write=False)
+        return tuple(first)
 
-    def tree_prices(self, start: int, stop: int) -> np.ndarray:
-        """(stop - start, d) prices of the atoms start..stop-1 in tree order."""
-        return np.take(self.points, self.tree[start:stop], axis=0)
 
-    def atom_prices(self, n: int) -> np.ndarray:
-        """(atoms of F_n, d) prices S_n, one row per atom; n = -1 gives the initial prices."""
-        d = len(self.s_init)
-        return self.tree_prices(_tree_offset(d, n), _tree_offset(d, n + 1))
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct (n, d) row, in increasing order.
+
+    Rows are compared by their bytes, so NaN rows of the same bits match and
+    0.0 and -0.0 differ.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    order = np.argsort(keys, kind="stable")  # equal rows keep their index order
+    ranked = keys[order]
+    heads = np.empty(len(rows), dtype=bool)
+    heads[:1] = True
+    heads[1:] = ranked[1:] != ranked[:-1]
+    return np.sort(order[heads])
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,56 +325,62 @@ def find_emm(market: MarketSpec) -> WalkSpec:
     for asset j is  sum_i q_i lambda_k^{i,j} = r_k  times the price, whatever
     the price, so it is scaled instead by the power of two that puts its
     largest |lambda| in [1, 2), which is exact and leaves the rows balanced
-    against the normalization row. Its prices matter only at a dead node, a
-    node whose own row would be all-zero or non-finite (a zero price, or a
+    against the normalization row. Its prices matter only at a dead atom, an
+    atom whose own row would be all-zero or non-finite (a zero price, or a
     price whose moves overflow): that makes the step singular, ahead of the
-    step's system at the node of atom 0 and after it at any other node. A
-    step with a non-diagonal matrix solves one system per node of its prior
-    time, and the solutions must agree within _AGREE_LIMIT. The systems of
-    every step are conditioned (rows balanced) and solved together; the
-    first failing (step, node) decides the error. The walk is `construct_obtuse`
+    step's system at atom 0 and after it at any other atom. A step with a
+    non-diagonal matrix solves one system per distinct price row of its
+    prior time, at the row's first atom (`MarketSpec.first_atoms`), and the
+    solutions must agree within _AGREE_LIMIT. The systems of every step are
+    conditioned (rows balanced) and solved together; the first failing
+    (step, first atom) decides the error. The walk is `construct_obtuse`
     of the solved probabilities with the market's cap; outcome i of step k
     is scenario i, and its probabilities price the claim and both hedges.
     """
-    d, lattice, steps = market.d, market.lattice, np.arange(market.N + 1)
-    prior = [lattice.prior(k) for k in steps]
+    d, N, prices, steps = market.d, market.N, market.prices, np.arange(market.N + 1)
     diagonal = np.all(market.scenarios * (1.0 - np.eye(d)) == 0.0, axis=(1, 2, 3))
     biggest = np.max(np.abs(np.einsum("kijj->kij", market.scenarios)), axis=1)  # (N+1, d)
     unit = np.ldexp(1.0, 1 - np.frexp(biggest)[1])  # biggest * unit lies in [1, 2)
-    s_sys = [unit[k, None] if diagonal[k] else prior[k] for k in steps]
+    s_sys = [unit[k, None] if diagonal[k] else prices[market.first_atoms[k]] for k in steps]
     sizes = [len(s) for s in s_sys]
     step = np.repeat(steps, sizes)  # the step of every system
-    starts = np.cumsum([0] + sizes[:-1])  # each step's first system: node 0's, the node of atom 0
-    s_node = np.concatenate(s_sys)
+    starts = np.cumsum([0] + sizes[:-1])  # each step's first system, at the step's first atom
+    s_prior = np.concatenate(s_sys)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as singular
-        mats = np.ones((len(s_node), d + 1, d + 1))
-        moved = np.matmul(market.scenarios[step], s_node[:, None, :, None])
+        mats = np.ones((len(s_prior), d + 1, d + 1))
+        moved = np.matmul(market.scenarios[step], s_prior[:, None, :, None])
         mats[:, :d, :] = moved[..., 0].transpose(0, 2, 1)  # column i: M_k^i S_{k-1}
-        rhs = np.ones((len(s_node), d + 1, 1))
-        rhs[:, :d, 0] = market.rates[step, None] * s_node
+        rhs = np.ones((len(s_prior), d + 1, 1))
+        rhs[:, :d, 0] = market.rates[step, None] * s_prior
     singular = _singular(_balanced(mats, axis=-1)) | ~np.isfinite(rhs).all(axis=(1, 2))
-    q = np.zeros((len(s_node), d + 1))
+    q = np.zeros((len(s_prior), d + 1))
     q[~singular] = np.linalg.solve(mats[~singular], rhs[~singular])[..., 0]
     positive = np.all(q > 0.0, axis=1)
     agree = np.max(np.abs(q - q[np.repeat(starts, sizes)]), axis=1) <= _AGREE_LIMIT
-    counts = [len(s) for s in prior]
-    node_step = np.repeat(steps, counts)
-    nodes = np.concatenate(prior)
-    top = np.maximum(biggest, np.abs(market.rates)[:, None])[node_step]
+    # a dead atom of F_{k-1} has a zero price, or one that overflows times the largest
+    # |return| or rate of step k. Prices are nonnegative or NaN, and the rounded
+    # product grows with the price, so some price of a level overflows iff its
+    # largest does; a NaN price makes that NaN
+    top = np.maximum(biggest, np.abs(market.rates)[:, None])
+    level = [_tree_offset(d, k - 1) for k in steps]  # the first atom of F_{k-1}
+    prior = prices[: _tree_offset(d, N)]
     with np.errstate(over="ignore", invalid="ignore"):
-        dead = ~np.all(np.isfinite(top * nodes) & (nodes != 0.0), axis=1)
-    dead_first = dead[np.cumsum([0] + counts[:-1])]
-    any_dead = np.bincount(node_step[dead], minlength=len(steps)) > 0
+        dead_first = ~np.all(np.isfinite(top * prior[level]) & (prior[level] != 0.0), axis=1)
+        any_dead = ~np.all(
+            np.isfinite(top * np.maximum.reduceat(prior, level))
+            & (np.minimum.reduceat(prior, level) != 0.0),
+            axis=1,
+        )
     singular[starts] |= diagonal & (dead_first | (any_dead & positive[starts]))
     failing = np.flatnonzero(singular | ~(positive & agree))
     if failing.size:
-        node = failing[0]
-        k = int(step[node])
-        if singular[node]:
+        first = failing[0]
+        k = int(step[first])
+        if singular[first]:
             raise IncompleteMarketError(
                 f"incomplete market: scenario system at step {k} is singular"
             )
-        if not positive[node]:
+        if not positive[first]:
             raise ArbitrageError(
                 f"arbitrage: risk-neutral weights at step {k} are not strictly positive"
             )
@@ -460,24 +423,23 @@ def hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strat
     At each time and prior atom, the bond row and the d+1 scenario prices
     determine the portfolio matching the replication values in every
     scenario; the resulting strategy is predictable and self-financing.
-    An atom's matrix is its node's, so the matrices of every node of every
-    step are conditioned, columns balanced, before any atom is solved; the
+    Atoms with one price row have one matrix, so the matrices of every
+    step at the first atom of each distinct price row (`MarketSpec.first_atoms`)
+    are conditioned, columns balanced, before any atom is solved; the
     singular step with the largest n raises. The atoms' systems are solved
     in one call per block of steps (_blocks).
     """
     price = price_claim(market, wq, claim)  # checks both before any other arithmetic
-    d, N, lattice, bond = market.d, market.N, market.lattice, market.bond
-    # row i for a node of time n-1: the bond, then the prices of its child in scenario i
-    mats = []
-    for n in range(N + 1):
-        node_mats = np.empty(lattice.children[n].shape + (d + 1,))
-        node_mats[:, :, 0] = bond[n]
-        node_mats[:, :, 1:] = lattice.nodes[n][lattice.children[n]]
-        mats.append(node_mats)
-    mats = np.concatenate(mats)  # one per row of lattice.points before time N
+    d, N, prices, bond = market.d, market.N, market.prices, market.bond
+    # row i of the system of atom a of F_{n-1}: the bond B_n, then the prices of
+    # its child a*(d+1)+1+i, the atom that follows it in scenario i
+    first = np.concatenate(market.first_atoms)
+    step = np.repeat(np.arange(N + 1), [len(f) for f in market.first_atoms])
+    mats = np.empty((len(first), d + 1, d + 1))
+    mats[:, :, 0] = bond[step, None]
+    mats[:, :, 1:] = prices[(d + 1) * first[:, None] + np.arange(1, d + 2)]
     singular = _singular(_balanced(mats, axis=-2))
     if singular.any():
-        step = np.repeat(np.arange(N + 1), np.diff(lattice.starts[:-1]))
         raise IncompleteMarketError(
             f"incomplete market: replication system at step {int(step[singular].max())} is singular"
         )
@@ -489,9 +451,13 @@ def hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strat
         sizes = [market.space.atom_count(n) for n in range(lo, hi)]
         values = np.repeat(bond[lo:hi] / bond[N], sizes)
         values *= level_means(wq, claim.values) if hi <= N else claim.values
-        # the positions of steps lo..hi-1, on the atoms of F_{lo-1}..F_{hi-2}
+        # the positions of steps lo..hi-1 are formed on the atoms of F_{lo-1}..F_{hi-2},
+        # whose children are the atoms of F_lo..F_{hi-1}
         formed = slice(_tree_offset(d, lo - 1), _tree_offset(d, hi - 1))
-        atom_mats = np.take(mats, lattice.tree[formed], axis=0)
+        atom_mats = np.empty((formed.stop - formed.start, d + 1, d + 1))
+        atom_mats[:, :, 0] = np.repeat(bond[lo:hi], sizes).reshape(-1, d + 1)
+        held = prices[_tree_offset(d, lo) : _tree_offset(d, hi)]
+        atom_mats[:, :, 1:] = held.reshape(-1, d + 1, d)
         rows[formed] = np.linalg.solve(atom_mats, values.reshape(-1, d + 1, 1))[..., 0]
         del values, atom_mats
     rows.setflags(write=False)
@@ -569,7 +535,7 @@ def _closed_form(
     counts = [space.atom_count(n - 1) for n in steps]  # positions of step n
     per_row = partial(np.repeat, repeats=counts, axis=0)
     first, mid, stop = (_tree_offset(d, n) for n in (lo - 1, lo, hi))
-    prices = market.lattice.tree_prices(first, stop)  # S_{n-1}, then S_n from mid on
+    prices = market.prices[first:stop]  # S_{n-1}, then S_n from mid on
     gam = per_row([growth ** (n - N) for n in steps])[:, None] * atom_integrand(wq, cond, lo)
     gam *= per_row(ratio_const[lo:hi])
     gam /= prices[: _tree_offset(d, hi - 1) - first]
@@ -640,7 +606,7 @@ def verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) ->
     """
     _check_space(market.space, strategy, "strategy", "market")
     _check_claim(market, claim)
-    d, N, space, lattice = market.d, market.N, market.space, market.lattice
+    d, N, space = market.d, market.N, market.space
     dot = partial(np.einsum, "aj,aj->a")  # row-wise inner products
     bonds = np.concatenate([[1.0], market.bond])  # B_{n-1} at index n
     decomposable = market.diagonal and bool(np.all(market.rates == market.rates[0]))
@@ -650,7 +616,7 @@ def verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) ->
     rows = strategy.positions.rows
     # self-financing at time -1: the one atom of F_{-1} held v_init in the bond
     # and no shares (- 0.0, which also gives einsum a contiguous copy)
-    res = bonds[0] * (rows[:1, 0] - v_init) + dot(lattice.s_init[None], rows[:1, 1:] - 0.0)
+    res = bonds[0] * (rows[:1, 0] - v_init) + dot(market.s_init[None], rows[:1, 1:] - 0.0)
     self_fin, telescoping, discounted, decomposition = [np.max(np.abs(res))], [], [], []
     # gains, discounted value and decomposition sum on the last level checked
     gains_prev = disc_prev = np.array([v_init])
@@ -665,7 +631,7 @@ def verify_strategy(market: MarketSpec, strategy: Strategy, claim: PathTable) ->
         levels = np.cumsum([0] + sizes) - (own - first)  # F_n at levels[n-lo+1]..levels[n-lo+2]
         beta = np.repeat(rows[parents, 0], d + 1)
         gamma = np.repeat(rows[parents, 1:], d + 1, axis=0)
-        prices = lattice.tree_prices(first, stop)
+        prices = market.prices[first:stop]
         s_now = prices[own - first :]
         s_before = np.repeat(prices[: parents.stop - first], d + 1, axis=0)
         bond_at = np.repeat(bonds[lo : hi + 1], sizes)  # B_n on the atoms of F_n

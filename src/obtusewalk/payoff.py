@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ObtuseWalkError
 from .market import MarketSpec
-from .omega import PathTable, _check_finite, _check_range
+from .omega import PathTable, _check_finite, _check_range, _tree_offset
 
 
 class PayoffSyntaxError(ObtuseWalkError):
@@ -306,43 +306,46 @@ def eval_payoff(expr: PayoffExpr, market: MarketSpec) -> PathTable:
     path (an overflow, say), raises PayoffEvalError naming the first such path;
     an asset or time index outside the market raises ValueError.
     """
-    lattice, bond = market.lattice, market.bond
-    space = market.space
-
-    def binop(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        if op == "/" and (zeros := np.flatnonzero(right == 0.0)).size:
-            idx = int(zeros[0])
-            raise PayoffEvalError(f"division by zero at path {idx} = {space.path_at(idx)}")
-        return _ARITHMETIC[op](left, right)
-
-    def ev(node: PayoffExpr) -> np.ndarray:
-        if isinstance(node, Num):
-            return np.full(space.num_paths, node.value)
-        if isinstance(node, PriceRef):
-            asset = _check_range(node.asset, 1, market.d, "asset index")
-            time = market.N if node.time is None else node.time
-            _check_range(time, 0, market.N, "time index")
-            column = lattice.atom_prices(time)[:, asset - 1]
-            return np.repeat(column, space.atom_size(time))
-        if isinstance(node, BondRef):
-            time = _check_range(node.time, 0, market.N, "time index")
-            return np.full(space.num_paths, float(bond[time]))
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, BinOp):
-            leaf, pairs = node._spine()
-            out = ev(leaf)
-            for op, right in reversed(pairs):
-                out = binop(op, out, ev(right))
-            return out
-        if isinstance(node, FuncCall):
-            args = [ev(a) for a in node.args]
-            if node.name == "abs":
-                return np.abs(args[0])
-            return reduce(np.maximum if node.name == "max" else np.minimum, args)
-        raise TypeError(f"not a payoff expression: {node!r}")
-
     with np.errstate(over="ignore", invalid="ignore"):
-        table = PathTable(space, ev(expr))
+        table = PathTable(market.space, _evaluate(expr, market))
     _check_finite(table, "payoff", PayoffEvalError)
     return table
+
+
+def _evaluate(node: PayoffExpr, market: MarketSpec) -> np.ndarray:
+    """The (num_paths,) values of one expression node.
+
+    A module function, not a recursive closure: a closure that calls itself
+    is a reference cycle, which would keep the market and its prices alive
+    until the garbage collector runs.
+    """
+    space = market.space
+    if isinstance(node, Num):
+        return np.full(space.num_paths, node.value)
+    if isinstance(node, PriceRef):
+        asset = _check_range(node.asset, 1, market.d, "asset index")
+        time = market.N if node.time is None else node.time
+        _check_range(time, 0, market.N, "time index")
+        atoms = slice(_tree_offset(market.d, time), _tree_offset(market.d, time + 1))
+        return np.repeat(market.prices[atoms, asset - 1], space.atom_size(time))
+    if isinstance(node, BondRef):
+        time = _check_range(node.time, 0, market.N, "time index")
+        return np.full(space.num_paths, float(market.bond[time]))
+    if isinstance(node, Neg):
+        return -_evaluate(node.operand, market)
+    if isinstance(node, BinOp):
+        leaf, pairs = node._spine()
+        out = _evaluate(leaf, market)
+        for op, right in reversed(pairs):
+            values = _evaluate(right, market)
+            if op == "/" and (zeros := np.flatnonzero(values == 0.0)).size:
+                idx = int(zeros[0])
+                raise PayoffEvalError(f"division by zero at path {idx} = {space.path_at(idx)}")
+            out = _ARITHMETIC[op](out, values)
+        return out
+    if isinstance(node, FuncCall):
+        args = [_evaluate(a, market) for a in node.args]
+        if node.name == "abs":
+            return np.abs(args[0])
+        return reduce(np.maximum if node.name == "max" else np.minimum, args)
+    raise TypeError(f"not a payoff expression: {node!r}")

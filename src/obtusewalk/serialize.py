@@ -306,14 +306,15 @@ def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
     rates = obj.get("r", 0.0)
     if isinstance(rates, (int, float)):
         rates = np.full(N + 1, float(rates))
-    scenarios = np.empty((N + 1, d + 1, d, d))
+    scenarios = np.zeros((N + 1, d + 1, d, d))
+    diagonals = np.einsum("kijj->kij", scenarios)  # a writable view
     for k, step in enumerate(raw_steps):
         for i, scen in enumerate(step):
             if "lambda" in scen:
                 lam = np.asarray(scen["lambda"], dtype=float)
                 if lam.shape != (d,):
                     raise ValueError(f"step {k} scenario {i}: lambda needs {d} entries")
-                scenarios[k, i] = np.diag(lam)
+                diagonals[k, i] = lam
             elif "M" in scen:
                 matrix = np.asarray(scen["M"], dtype=float)
                 if matrix.shape != (d, d):
@@ -331,13 +332,18 @@ def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
     )
 
 
-def _atom_prefixes(d: int, n: int) -> list[str]:
-    """Outcome prefixes w_0..w_{n-1} of the atoms of F_{n-1}, in canonical order."""
-    prefixes = [""]
+def _row_heads(d: int, N: int) -> list[str]:
+    """Heads "n,w_0..w_{n-1}," of the atoms of F_{n-1} for n = 0..N, in tree order.
+
+    Each time's outcome prefixes extend the last time's by one digit, and
+    its heads come from one join and one split.
+    """
     digits = [str(i) for i in range(d + 1)]
-    for _ in range(n):
+    prefixes, heads = [""], ["0,,"]
+    for n in range(1, N + 1):
         prefixes = [prefix + digit for prefix in prefixes for digit in digits]
-    return prefixes
+        heads += (f"{n}," + f",\0{n},".join(prefixes) + ",").split("\0")
+    return heads
 
 
 def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
@@ -349,17 +355,16 @@ def strategy_to_csv(market: MarketSpec, strategy: Strategy) -> str:
     """
     d, N = market.d, market.N
     header = "time,atom,beta," + ",".join(f"gamma_{j}" for j in range(1, d + 1)) + ",V"
-    heads = [f"{n},{prefix}," for n in range(N + 1) for prefix in _atom_prefixes(d, n)]
     # row k > 0 is formed on atom k of F_0..F_{N-1} in tree order, at its prices
     # and the bond B_{n-1} of its step n; row 0 is worth the claim price
     rows = strategy.positions.rows
-    prices = market.lattice.tree_prices(1, len(rows))
+    prices = market.prices[1 : len(rows)]
     # stacked 1x1 matmul: the same BLAS dot per atom as gamma_row @ price_row,
     # which an elementwise sum would not reproduce bit for bit
     dots = np.matmul(rows[1:, None, 1:], prices[:, :, None])[:, 0, 0]
     bonds = np.repeat(market.bond[:N], [market.space.atom_count(n) for n in range(N)])
     values = np.concatenate([[float(strategy.beta_init)], rows[1:, 0] * bonds + dots])
-    return header + "\n" + _csv_rows(heads, np.column_stack([rows, values])) + "\n"
+    return header + "\n" + _csv_rows(_row_heads(d, N), np.column_stack([rows, values])) + "\n"
 
 
 def _csv_rows(heads: list[str], table: np.ndarray) -> str:

@@ -1,21 +1,22 @@
 """Per-atom and per-path reference versions of the market engine.
 
 `oracle_find_emm` and `oracle_hedge_replicate` are the one-system-at-a-time
-loops that `find_emm` and `hedge_replicate` replace with per-node and
+loops that `find_emm` and `hedge_replicate` replace with per-row and
 batched work. They check and solve every atom separately, in canonical
 order, so the first failing atom raises. `oracle_prices` and `oracle_measure` build
 the price and probability tables path by path from the outcome matrix,
-where the library builds them on the price lattice and prefix by prefix;
-`_distinct` groups the atoms of a time by the bytes of their prices, as
-the lattice's nodes should, and `oracle_first_occurrence` numbers rows by
-first occurrence with a dict, as the lattice's sort-based numbering should.
+where the library builds them level by level and prefix by prefix;
+`_distinct` groups the atoms of a time by the bytes of their prices, and
+`oracle_first_occurrence` numbers rows by first occurrence with a dict, as
+the first-atom sweep should; `check_prices` holds `MarketSpec.prices` and
+`MarketSpec.first_atoms` to both.
 `oracle_hedge_clark_ocone` takes the path-wise gradient of the claim and
 averages it back onto atoms, with the closed-form ratios computed one
 (n, j) at a time by `oracle_hedge_ratios`, and
 `oracle_verify_strategy` checks every identity on every path at every
 step; the library works on the atoms of the filtration instead. The oracles
-read prices path by path from `oracle_prices`, never from the lattice they
-check. The oracle hedges fill path-indexed arrays and hand them to
+read prices path by path from `oracle_prices`, never from the price array
+they check. The oracle hedges fill path-indexed arrays and hand them to
 `path_strategy`, which goes through `PredictableProcess.from_paths`;
 `strategy_paths` broadcasts a strategy back to paths,
 and `oracle_strategy_values` gives its portfolio value along them. Tests
@@ -44,7 +45,7 @@ from obtusewalk.market import (
     StateDependentMeasureError,
     StrategyReport,
 )
-from obtusewalk.omega import atom_deviation, expectation
+from obtusewalk.omega import _tree_offset, atom_deviation, expectation
 from helpers import atom_average
 
 
@@ -72,6 +73,22 @@ def oracle_first_occurrence(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     number = np.empty(len(rows), dtype=np.intp)
     number[first] = np.arange(len(first))
     return number[head], first
+
+
+def check_prices(market: MarketSpec) -> None:
+    """Assert that `market.prices` equals `oracle_prices` byte for byte at every
+    level, and that `market.first_atoms` lists each level's first occurrences as
+    the dict finds them."""
+    want, d = oracle_prices(market), market.d
+    assert market.prices[0].tobytes() == market.s_init.tobytes()
+    assert len(market.first_atoms) == market.N + 1 and market.first_atoms[0].tolist() == [0]
+    for n in range(market.N + 1):
+        rows = want[n][:: market.space.atom_size(n)]  # one row per atom of F_n
+        start = _tree_offset(d, n)
+        assert market.prices[start : _tree_offset(d, n + 1)].tobytes() == rows.tobytes()
+        if n < market.N:
+            first = market.first_atoms[n + 1] - start
+            assert np.array_equal(first, oracle_first_occurrence(rows)[1])
 
 
 def oracle_hedge_ratios(market: MarketSpec, wq: WalkSpec, rate: float) -> np.ndarray:

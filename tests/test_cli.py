@@ -158,6 +158,16 @@ class TestSemantics:
         assert (code, report["passed"]) == (0, True)
         assert 0.0 < report["discounted_increment"] <= 1e-8 * 1.25e14
 
+    def test_non_diagonal_first_and_third_steps(self, capsys):
+        """Step 2 of nondiag4.json is non-diagonal, so it solves one system per
+        distinct price row of F_1; its weights agree across them within 1e-9."""
+        code, out = run_cli(["market", "emm", f"{FIX}/nondiag4.json"], capsys)
+        assert code == 0 and len(json.loads(out)["q"]) == 4
+        argv = ["market", "verify", f"{FIX}/nondiag4.json", "--payoff",
+                "max(0.5*(S(1)+S(2))-75,0)", "--method", "replicate"]
+        code, out = run_cli(argv, capsys)
+        assert (code, json.loads(out)["passed"]) == (0, True)
+
     def test_deviation_log_bound_value(self, capsys):
         _, out = run_cli(COMMANDS["deviation"], capsys)
         assert json.loads(out)["bound_log"] == pytest.approx(3.0 ** -0.25, abs=1e-15)

@@ -11,7 +11,7 @@ from obtusewalk import (
     find_emm,
     predictable_representation,
 )
-from obtusewalk.omega import atom_means
+from obtusewalk.omega import _tree_offset, atom_means
 from exact_oracle import (
     Comparison,
     atom_entries,
@@ -84,11 +84,11 @@ def _diagonal_market(rng, d, N, homogeneous, s_init):
     return MarketSpec(d=d, N=N, s_init=s_init, rates=np.full(N + 1, rate), scenarios=scenarios)
 
 
-def _node0_rows(market):
-    """Each step's weights solved at the prices of atom 0's node, then renormalized."""
+def _atom0_rows(market):
+    """Each step's weights solved at the prices of atom 0 before it, then renormalized."""
     d, rows = market.d, []
     for k in range(market.N + 1):
-        s = market.lattice.prior(k)[0]
+        s = market.prices[_tree_offset(d, k - 1)]
         mat = np.ones((d + 1, d + 1))
         mat[:d] = (market.scenarios[k] @ s).T  # column i: M_k^i S_{k-1}
         rows.append(np.linalg.solve(mat, np.append(market.rates[k] * s, 1.0)))
@@ -97,7 +97,7 @@ def _node0_rows(market):
 
 def test_one_solve_per_diagonal_step_passes_the_exact_rule():
     """`find_emm` solves a diagonal step once, its rows balanced by powers of two;
-    solving it at the prices of atom 0's node is the form it replaced. On 512
+    solving it at the prices of atom 0 is the form it replaced. On 512
     diagonal markets, half time-homogeneous, half with initial prices log-uniform
     on [1e-3, 1e6], the one solve must pass the rule against it."""
     rng = np.random.default_rng(23)
@@ -111,7 +111,7 @@ def test_one_solve_per_diagonal_step_passes_the_exact_rule():
         market = _diagonal_market(rng, d, N, m % 2 == 0, s_init)
         comparison.add(
             [step.p for step in find_emm(market).steps],
-            _node0_rows(market),
+            _atom0_rows(market),
             [exact_emm_weights(market.lambdas[k], market.rates[k]) for k in range(N + 1)],
         )
     assert comparison.entries > 4000

@@ -86,12 +86,12 @@ def general_market():
 class TestBuildPrices:
     def test_one_period(self):
         market = crr1()
-        assert np.allclose(market.lattice.atom_prices(0)[:, 0], [110.0, 90.0])
+        assert np.allclose(market.prices[1:3, 0], [110.0, 90.0])
         assert np.all(market.bond == 1.0)
 
     def test_two_period(self):
         market = crr2()
-        assert np.allclose(market.lattice.atom_prices(1)[:, 0], [121.0, 99.0, 99.0, 81.0])
+        assert np.allclose(market.prices[3:7, 0], [121.0, 99.0, 99.0, 81.0])
 
     def test_bond_accumulates(self):
         market = crr_market(100.0, 0.1, -0.1, 0.05, 2)

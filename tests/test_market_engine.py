@@ -1,5 +1,8 @@
-"""Node-level market engine: agreement with the per-atom and per-path oracles,
-error order, caching."""
+"""Market engine on the price array: agreement with the per-atom and per-path
+oracles, error order, caching."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +34,7 @@ from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2, random_walk
 from market_oracle import (
     _distinct,
+    check_prices,
     oracle_find_emm,
     oracle_hedge_clark_ocone,
     oracle_hedge_replicate,
@@ -429,7 +433,33 @@ class TestMultiAtomErrors:
             rates=np.zeros(3),
             scenarios=np.array([diag, diag, _calibrated_step(at_atom0)]),
         )
-        assert len(market.lattice.nodes[1]) < market.space.atom_count(1)
+        assert len(market.first_atoms[2]) < market.space.atom_count(1)  # F_1 recombines
+        want = _outcome(oracle_find_emm, market)
+        assert want[0] is error
+        assert _outcome(find_emm, market) == want
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "order, error",
+        [
+            # atom 1 of F_{k-1} has other positive weights, atom 2 negative ones
+            ([0, 1, 2], StateDependentMeasureError),
+            # the same prices with those two atoms swapped
+            ([0, 2, 1], ArbitrageError),
+        ],
+    )
+    def test_non_diagonal_step_after_recombining_steps(self, k, order, error):
+        """The non-diagonal step k has weights (0.3, 0.3, 0.4) at atom 0 of F_{k-1}
+        and solves one system per distinct price row, at its first atom; the first
+        failing atom decides as in the atom-by-atom loop."""
+        diag = [np.diag(lam) for lam in RECOMBINING_LAMS]
+        s_init = np.array([64.0, 80.0])
+        at_atom0 = s_init * 1.25**k  # exact, as every return of scenario 0 is 0.25
+        steps = [diag] * (k - 1) + [[diag[i] for i in order], _calibrated_step(at_atom0)]
+        market = MarketSpec(
+            d=2, N=k, s_init=s_init, rates=np.zeros(k + 1), scenarios=np.array(steps)
+        )
+        assert len(market.first_atoms[k]) < market.space.atom_count(k - 1)
         want = _outcome(oracle_find_emm, market)
         assert want[0] is error
         assert _outcome(find_emm, market) == want
@@ -462,13 +492,15 @@ class TestMultiAtomErrors:
 
 
 class TestNodes:
+    """A node is a distinct price row of a level; the first-atom sweep finds one atom per node."""
+
     def test_recombining_tree_shares_nodes(self):
         market = crr_market(100.0, 0.1, -0.08, 0.01, 12)
-        assert len(market.lattice.nodes[10]) * 8 < market.space.atom_count(10)
+        assert len(market.first_atoms[11]) * 8 < market.space.atom_count(10)
 
     def test_stepwise_returns_never_recombine(self):
         market = _stepwise_crr(np.random.default_rng(3), 0.01, 8)
-        assert len(market.lattice.nodes[6]) == market.space.atom_count(6)
+        assert len(market.first_atoms[7]) == market.space.atom_count(6)
 
 
 def _recombining_d2():
@@ -497,48 +529,45 @@ LATTICE_MARKETS = {
 }
 
 
-def _owner(lattice, n: int) -> np.ndarray:
-    """(atoms of F_n,) the node of every atom, numbered within time n (one node at n = -1)."""
-    d = len(lattice.s_init)
-    return lattice.tree[_tree_offset(d, n) : _tree_offset(d, n + 1)] - lattice.starts[n + 1]
-
-
 class TestLattice:
-    """The lattice's nodes against the path-by-path prices and the byte grouping of atoms."""
+    """The price array and the first-atom sweep against the path-by-path prices
+    and the byte grouping of atoms; a node is a distinct price row of a level,
+    found at its first atom."""
+
+    @given(markets())
+    @settings(max_examples=80, deadline=None)
+    def test_prices_and_first_atoms_match_the_oracles(self, drawn):
+        check_prices(drawn[0])
 
     @pytest.mark.parametrize("name", sorted(LATTICE_MARKETS))
     def test_nodes_are_the_prices_at_their_first_atoms(self, name):
         market = LATTICE_MARKETS[name]()
-        lattice, want = market.lattice, oracle_prices(market)
-        for n in range(market.N + 1):
-            first = np.unique(_owner(lattice, n), return_index=True)[1]  # first atom per node
+        want = oracle_prices(market)
+        for n in range(market.N):
             rows = want[n][:: market.space.atom_size(n)]  # one row per atom of F_n
-            assert lattice.nodes[n].tobytes() == rows[first].tobytes()
+            first = market.first_atoms[n + 1]
+            nodes = market.prices[first]
+            assert nodes.tobytes() == rows[first - _tree_offset(market.d, n)].tobytes()
+            assert len(np.unique(nodes, axis=0)) == len(nodes)
 
     @pytest.mark.parametrize("name", sorted(LATTICE_MARKETS))
     def test_owner_groups_atoms_as_distinct_does(self, name):
         market = LATTICE_MARKETS[name]()
-        lattice, want = market.lattice, oracle_prices(market)
-        for n in range(market.N + 1):
+        want = oracle_prices(market)
+        for n in range(market.N):
             rows = want[n][:: market.space.atom_size(n)]
-            first = np.unique(_owner(lattice, n), return_index=True)[1]
+            first = market.first_atoms[n + 1] - _tree_offset(market.d, n)
             assert np.array_equal(first, np.sort(_distinct(rows)))
-            assert lattice.nodes[n][_owner(lattice, n)].tobytes() == rows.tobytes()
 
     @pytest.mark.parametrize("name", sorted(LATTICE_MARKETS))
     def test_node_ids_increase_with_first_atom(self, name):
         market = LATTICE_MARKETS[name]()
-        lattice = market.lattice
-        for n in range(market.N + 1):
-            ids, first = np.unique(_owner(lattice, n), return_index=True)
-            assert np.array_equal(ids, np.arange(len(lattice.nodes[n])))
+        for n in range(market.N):
+            first = market.first_atoms[n + 1]
             assert np.all(np.diff(first) > 0)
-            assert first[0] == 0  # node 0 is the node of atom 0
-            # atom a*(d+1)+i of F_n is node owner[n-1][a] followed by scenario i
-            assert np.array_equal(
-                _owner(lattice, n).reshape(-1, market.d + 1),
-                lattice.children[n][_owner(lattice, n - 1)],
-            )
+            assert first[0] == _tree_offset(market.d, n)  # the level's atom 0 is a first atom
+            # the first atom of every node is a child of a first atom of the level above
+            assert np.isin((first - 1) // (market.d + 1), market.first_atoms[n]).all()
 
 
 class TestNoPricePaths:
@@ -568,6 +597,30 @@ class TestNoPricePaths:
                 assert "outcomes" not in space.__dict__
 
 
+class TestNoCycles:
+    def test_market_job_frees_its_market(self):
+        """Load, payoff, risk-neutral walk, both hedges and verify leave no
+        reference cycle holding the market: it is freed on return, with the
+        garbage collector off."""
+        spec = {"d": 1, "N": 5, "S0": [100.0], "r": 0.01,
+                "scenarios": [[{"lambda": [0.1]}, {"lambda": [-0.08]}]] * 6}
+        source = "max(S(1,2)/B(2)-S(1)/B(5),0)+abs(-S(1,1))"
+        gc.collect()
+        gc.disable()
+        try:
+            market = serialize.market_from_json(spec)
+            freed = weakref.ref(market)
+            claim = eval_payoff(parse_payoff(source, market.d, market.N), market)
+            wq = find_emm(market)
+            for hedge in (hedge_replicate, hedge_clark_ocone):
+                assert verify_strategy(market, hedge(market, wq, claim), claim).passed
+            assert "prices" in market.__dict__ and "first_atoms" in market.__dict__
+            del market, claim, wq
+            assert freed() is None
+        finally:
+            gc.enable()
+
+
 def _random_scenarios(rng, d, N):
     """Full scenario matrices with I + M entrywise nonnegative."""
     diag = rng.uniform(-0.3, 0.3, size=(N + 1, d + 1, d, d))
@@ -590,10 +643,7 @@ class TestPrefixTables:
             rates=np.zeros(N + 1),
             scenarios=_random_scenarios(rng, d, N),
         )
-        want = oracle_prices(market)
-        for n in range(N + 1):
-            got = np.repeat(market.lattice.atom_prices(n), market.space.atom_size(n), axis=0)
-            assert got.tobytes() == want[n].tobytes()
+        check_prices(market)
 
     @pytest.mark.parametrize("d, N", SHAPES)
     def test_measure(self, d, N):
@@ -649,7 +699,7 @@ class TestMarketSize:
 
     def test_paths_checked_against_cap_before_the_lattice(self, monkeypatch):
         monkeypatch.setattr(
-            market_mod.PriceLattice, "build", lambda *a: pytest.fail("built the lattice")
+            market_mod.MarketSpec, "prices", property(lambda self: pytest.fail("built the prices"))
         )
         with pytest.raises(SizeCapError, match="above the cap of 100$"):
             crr_market(100.0, 0.09, -0.07, 0.01, 30, cap=100)

@@ -1,5 +1,5 @@
-"""The determinant screen in front of the condition-number SVD, the sort-based
-lattice numbering and the vectorized closed-form hedge ratios, each against
+"""The determinant screen in front of the condition-number SVD, the byte
+dedupe of price rows and the vectorized closed-form hedge ratios, each against
 its one-at-a-time reference."""
 import warnings
 
@@ -17,13 +17,13 @@ from obtusewalk.market import (
     _COND_LIMIT,
     HedgeFormulaError,
     _balanced,
-    _first_occurrence,
+    _first_rows,
     _hedge_ratios,
     _singular,
 )
 from obtusewalk.payoff import eval_payoff, parse_payoff
 from helpers import SQ2
-from market_oracle import oracle_first_occurrence, oracle_hedge_ratios
+from market_oracle import check_prices, oracle_first_occurrence, oracle_hedge_ratios
 
 V = np.array([[SQ2, 1.0], [-SQ2, 1.0], [0.0, -1.0]])
 
@@ -152,37 +152,34 @@ class TestFirstOccurrence:
     @pytest.mark.parametrize("count", [0, 1, 7, 200, 1200])
     def test_equals_dict_numbering(self, rng, d, count):
         rows = _rows(rng, count, d)
-        number, first = _first_occurrence(rows)
-        want_number, want_first = oracle_first_occurrence(rows)
-        assert np.array_equal(number, want_number)
-        assert np.array_equal(first, want_first)
-        assert number.dtype == first.dtype == np.intp
+        first = _first_rows(rows)
+        assert np.array_equal(first, oracle_first_occurrence(rows)[1])
+        assert first.dtype == np.intp
 
     def test_signed_zero_and_nan_rows_stay_apart(self):
         rows = np.array([[0.0], [-0.0], [np.nan], [0.0], [-np.nan], [np.nan], [-0.0]])
-        number, first = _first_occurrence(rows)
-        assert number.tolist() == [0, 1, 2, 0, 3, 2, 1]
-        assert first.tolist() == [0, 1, 2, 4]
+        assert _first_rows(rows).tolist() == [0, 1, 2, 4]
 
     def test_overflowing_lattice_numbers_as_the_dict(self, monkeypatch):
-        """0 * inf in an overflowing basket gives NaN price rows; the lattice numbers them alike."""
+        """0 * inf in an overflowing basket gives NaN price rows; the first-atom
+        sweep dedupes them as the dict does, and the prices equal the path oracle's."""
         seen = []
 
         def checked(rows):
-            got = _first_occurrence(rows)
-            want = oracle_first_occurrence(rows)
+            got = _first_rows(rows)
             seen.append(bool(np.isnan(rows).any()))
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert np.array_equal(got, oracle_first_occurrence(rows)[1])
             return got
 
-        monkeypatch.setattr("obtusewalk.market._first_occurrence", checked)
+        monkeypatch.setattr("obtusewalk.market._first_rows", checked)
         lam = np.array([[1e200, 0.5], [-0.5, 0.2], [0.1, -0.5]])
         market = MarketSpec(
             d=2, N=3, s_init=np.array([1e200, 1.0]), rates=np.zeros(4),
             scenarios=np.array([[np.diag(row) for row in lam]] * 4),
         )
-        market.lattice
-        assert any(seen) and len(seen) == 4
+        check_prices(market)
+        assert any(seen) and len(seen) == market.N
+        assert np.isnan(market.prices).any() and np.isinf(market.prices).any()
 
 
 class TestHedgeRatios:

@@ -189,6 +189,42 @@ def test_strategy_csv_matches_atom_loop(rng, kind, method):
     )
 
 
+def _nested_heads(d: int, N: int) -> list[str]:
+    """The CSV row heads built as before: each time's prefixes grown again from the empty one."""
+    heads = []
+    for n in range(N + 1):
+        prefixes = [""]
+        for _ in range(n):
+            prefixes = [prefix + str(i) for prefix in prefixes for i in range(d + 1)]
+        heads += [f"{n},{prefix}," for prefix in prefixes]
+    return heads
+
+
+def test_strategy_csv_heads_extend_the_last_time(rng):
+    """Row heads built in one pass equal the per-time construction, and the
+    text equals the atom loop's."""
+    for _ in range(16):
+        d = int(rng.integers(1, 4))
+        N = int(rng.integers(0, {1: 7, 2: 5, 3: 4}[d]))
+        assert serialize._row_heads(d, N) == _nested_heads(d, N)
+        lam = rng.uniform(-0.2, 0.2, size=(N + 1, d + 1, d))
+        scenarios = np.zeros((N + 1, d + 1, d, d))
+        scenarios[..., np.arange(d), np.arange(d)] = lam
+        market = MarketSpec(
+            d=d, N=N, s_init=rng.uniform(50.0, 150.0, size=d), rates=np.full(N + 1, 0.01),
+            scenarios=scenarios,
+        )
+        paths = market.space.num_paths
+        strategy = path_strategy(
+            market.space,
+            rng.uniform(-1.0, 1.0, size=(N + 1, paths)),
+            rng.uniform(-1.0, 1.0, size=(N + 1, paths, d)),
+            float(rng.uniform(-1.0, 1.0)),
+        )
+        text = serialize.strategy_to_csv(market, strategy)
+        assert text == oracle_strategy_to_csv(market, strategy)
+
+
 def test_strategy_csv_prefixes_with_multi_digit_outcomes(rng):
     d, N = 10, 2
     market = MarketSpec(
