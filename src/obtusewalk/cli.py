@@ -14,9 +14,11 @@ golden, and any other payload through `serialize.dump_json`. Exit status
 is 1 when the result has a false `passed` field (a failed `walk validate`
 or `market verify`, written all the same) or the input is refused with one
 `error:` line, 2 on usage errors, else 0. Every form except `walk
-validate` refuses a walk that `validate` refuses. Numeric output carries
-17 significant digits and identical inputs produce byte-identical output.
-A form accepts only the flags it reads.
+validate` refuses a walk that `validate` refuses, and `validate` judges
+every walk at the one fixed bound `walk.IDENTITY_TOL`, so all forms agree
+on whether a walk is obtuse. Numeric output carries 17 significant digits
+and identical inputs produce byte-identical output. A form accepts only
+the flags it reads.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from . import malliavin, ou, serialize
 from . import market as market_mod
 from . import walk as walk_mod
 from .errors import ObtuseWalkError
-from .omega import DEFAULT_CAP, _check_tolerance
+from .omega import DEFAULT_CAP
 from .payoff import eval_payoff, parse_payoff
 
 
@@ -99,10 +101,15 @@ def _market_job(args):
 def _cmd_walk_validate(args):
     """Reads any walk, obtuse or not, and reports on it. JSON has no inf or NaN,
     so a walk whose residual overflows is refused as the operator forms refuse it."""
-    report = walk_mod.validate(_load(args.walk, serialize.walk_from_json, args.cap), args.tol)
-    if not np.isfinite(report.max_mean_residual + report.max_moment_residual):
-        _load_walk(args)  # raises: the walk fails require_obtuse
-    return report
+
+    def report(spec):
+        walk = serialize.walk_from_json(spec, args.cap)
+        result = walk_mod.validate(walk)
+        if not np.isfinite(result.max_mean_residual + result.max_moment_residual):
+            walk_mod.require_obtuse(walk)  # raises: the walk fails validate
+        return result
+
+    return _load(args.walk, report)
 
 
 def _cmd_walk_construct(args):
@@ -196,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     walk_sub = walk_parser.add_subparsers(dest="action", required=True)
     p = walk_sub.add_parser("validate", help="check the defining identities")
     p.add_argument("walk")
-    p.add_argument("--tol", type=float, default=walk_mod.IDENTITY_TOL)
     common(p)
     p.set_defaults(func=_cmd_walk_validate)
     p = walk_sub.add_parser("construct", help="complete steps that only give probabilities")
@@ -316,8 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cap < 1:
             raise ObtuseWalkError(f"enumeration cap must be >= 1, got {args.cap}")
-        if hasattr(args, "tol"):
-            _check_tolerance(args.tol)
         result = args.func(args)
         if dataclasses.is_dataclass(result):
             text = serialize.dump_json(dataclasses.asdict(result))

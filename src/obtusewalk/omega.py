@@ -6,15 +6,14 @@ index blocks. Expectations are probability-weighted sums in that fixed
 order and conditional expectations are means over atoms: dense tables, no
 sampling, the same bits on every run.
 
-The module also owns the five input rules every operator applies, one
+The module also owns the four input rules every operator applies, one
 helper and one wording each: an input on another path space
 (_check_space), an index outside its range (_check_range), arrays larger
-than the cap (_check_cap), a table that is not finite (_check_finite) and
-a tolerance that is not finite and > 0 (_check_tolerance). Beside them is
-the one verdict rule (_negligible): a computed defect passes iff it is at
-most eps times the largest |entry| of what it judges, so no verdict
-changes when its input is scaled; _within is its test, elementwise, for
-verdicts taken on several levels at once.
+than the cap (_check_cap) and a table that is not finite (_check_finite).
+Beside them is the one verdict rule (_negligible): a computed defect
+passes iff it is at most eps times the largest |entry| of what it judges,
+so no verdict changes when its input is scaled; _within is its test,
+elementwise, for verdicts taken on several levels at once.
 """
 from __future__ import annotations
 
@@ -171,12 +170,6 @@ class PathTable:
     def __neg__(self) -> "PathTable":
         return PathTable(self.space, -self.values)
 
-    def max_abs_diff(self, other: "PathTable") -> float:
-        return float(np.max(np.abs(self.values - self._coerce(other))))
-
-    def allclose(self, other, atol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.values - self._coerce(other))) <= atol)
-
 
 def expectation(walk: "WalkSpec", table: PathTable) -> float:
     """Exact expectation: probability-weighted sum in canonical path order.
@@ -315,12 +308,6 @@ def _check_cap(entries: int, cap: int, lead: str) -> None:
     """Refuse an allocation of more entries than the cap; lead says what needs them."""
     if entries > cap:
         raise SizeCapError(f"{lead} {entries} entries, above the cap of {cap}")
-
-
-def _check_tolerance(tol: float) -> None:
-    """Refuse a tolerance that is not finite and > 0: an infinite one passes everything."""
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance must be {'finite' if tol > 0 else '> 0'}, got {tol}")
 
 
 def _check_finite(table: PathTable, name: str, error: type[Exception] = ValueError) -> None:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .chaos import chaos_order
-from .integrals import along_axes
+from .integrals import _synthesize, along_axes
 from .malliavin import _gradient_inner, _step_gradient, clark_ocone
 from .omega import PathTable, _check_cap, _check_finite, _check_space, expectation
 from .walk import WalkSpec
@@ -37,9 +37,8 @@ def _scale_chaos(walk: WalkSpec, table: PathTable, factors: Sequence[float]) -> 
     """Table whose order-r chaos component is factors[r] times that of F."""
     _check_space(walk.space, table)
     coef = along_axes(walk, walk.measure * table.values, [step.basis.T for step in walk.steps])
-    coef = coef * np.asarray(factors, dtype=float)[chaos_order(walk.d, walk.N)]
-    values = along_axes(walk, coef, [step.basis for step in walk.steps])
-    return PathTable(walk.space, values.ravel())
+    factors = np.asarray(factors, dtype=float)[chaos_order(walk.d, walk.N)]
+    return _synthesize(walk, coef * factors)
 
 
 def ou_apply_chaos(walk: WalkSpec, table: PathTable, t: float) -> PathTable:

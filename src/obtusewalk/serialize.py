@@ -270,10 +270,6 @@ def table_from_json(obj: Any, space: PathSpace) -> PathTable:
     return table
 
 
-def table_to_json(table: PathTable) -> list:
-    return table.values.tolist()
-
-
 def process_from_json(obj: dict, space: PathSpace) -> VectorProcess:
     """Process schema: {"values": [[[coord per asset] per path] per time]}."""
     process = VectorProcess(space, np.asarray(obj["values"], dtype=float))
@@ -285,10 +281,6 @@ def process_from_json(obj: dict, space: PathSpace) -> VectorProcess:
             f"is not finite: {float(process.values[time, path, coord])!r}"
         )
     return process
-
-
-def process_to_json(process: VectorProcess) -> dict:
-    return {"values": process.values.tolist()}
 
 
 # -- markets and strategies ---------------------------------------------------

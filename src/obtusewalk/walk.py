@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .omega import DEFAULT_CAP, PathSpace, PathTable, _check_cap, _check_range, _check_tolerance
+from .omega import DEFAULT_CAP, PathSpace, PathTable, _check_cap, _check_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,22 +114,20 @@ class ValidationReport:
     worst_moment: tuple[int, int, int] | None  # (step, j, l)
 
 
-IDENTITY_TOL = 1e-10  # default bound on the residuals of the walk identities
+IDENTITY_TOL = 1e-10  # the bound on the residuals of the walk identities
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def validate(walk: WalkSpec, tol: float = IDENTITY_TOL) -> ValidationReport:
+def validate(walk: WalkSpec) -> ValidationReport:
     """Check the centering and covariance identities at every step.
 
     Structural defects (non-positive probabilities, probability sums away
     from one) fail the report outright; otherwise the report carries the
-    worst residual of each identity and passes iff both stay within tol.
-    A residual that overflows reads inf or NaN and counts as the worst.
-    The identities are dimensionless, so tol is absolute; it must be
-    finite and > 0 (omega._check_tolerance), as an infinite one would
-    pass every walk.
+    worst residual of each identity and passes iff both stay within
+    IDENTITY_TOL. A residual that overflows reads inf or NaN and counts as
+    the worst. The identities are dimensionless, so the bound is absolute,
+    and it is fixed: every reader of a walk judges it alike.
     """
-    _check_tolerance(tol)
     errors: list[str] = []
     max_mean = 0.0
     worst_mean: tuple[int, int] | None = None
@@ -154,7 +152,7 @@ def validate(walk: WalkSpec, tol: float = IDENTITY_TOL) -> ValidationReport:
             max_moment = float(moment_res[jl])
             worst_moment = (n, jl[0] + 1, jl[1] + 1)
 
-    passed = not errors and max_mean <= tol and max_moment <= tol
+    passed = not errors and max_mean <= IDENTITY_TOL and max_moment <= IDENTITY_TOL
     return ValidationReport(
         passed=passed,
         errors=tuple(errors),

@@ -73,3 +73,13 @@ def random_process(rng: np.random.Generator, walk: WalkSpec) -> VectorProcess:
         walk.space,
         rng.uniform(-1.0, 1.0, size=(walk.N + 1, walk.space.num_paths, walk.d)),
     )
+
+
+def max_abs_diff(table: PathTable, other) -> float:
+    """Largest |table - other| over the paths; other is a table on the same space or a number."""
+    return float(np.max(np.abs((table - other).values)))
+
+
+def allclose(table: PathTable, other, *, atol: float) -> bool:
+    """Whether max_abs_diff(table, other) is at most atol."""
+    return max_abs_diff(table, other) <= atol

@@ -67,8 +67,8 @@ COMMANDS = {
 }
 
 
-#: the forms that read --tol
-TOL_FORMS = ("walk-validate",)
+#: construct_obtuse([[0.5, 0.5], [0.3, 0.7]]) with step 1's v[0][0] scaled by 1 + 2e-6
+NEAR_OBTUSE = f"{FIX}/near_obtuse.json"
 
 #: `ou-kernel` of bernoulli.json at t = 0.5
 KERNEL_MATRIX_T05 = (
@@ -264,10 +264,8 @@ class TestFormatsAndFlags:
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
     def test_tol_only_where_it_is_read(self, capsys, name):
+        """No form reads --tol: a walk is judged at walk.IDENTITY_TOL alone."""
         argv = COMMANDS[name] + ["--tol", "1e-3"]
-        if name in TOL_FORMS:
-            assert run_cli(argv, capsys)[0] == 0
-            return
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
@@ -278,6 +276,13 @@ class TestFormatsAndFlags:
             main(COMMANDS["market-verify"] + ["--tol-verify", "1e-3"])
         assert info.value.code == 2
         assert "unrecognized arguments: --tol-verify 1e-3" in capsys.readouterr().err
+
+    def test_validate_takes_no_tolerance(self, capsys):
+        """No bound set on the command line passes the walk that the operator forms refuse."""
+        with pytest.raises(SystemExit) as info:
+            main(["walk", "validate", NEAR_OBTUSE, "--tol", "1e-3"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("action", ["price", "hedge", "verify"])
     def test_one_claim_source(self, capsys, monkeypatch, action):
@@ -310,7 +315,7 @@ class TestFormatsAndFlags:
             with pytest.raises(SystemExit):
                 main(form + ["--help"])
             text = capsys.readouterr().out
-            assert ("--tol " in text) == ("-".join(form) in TOL_FORMS), form
+            assert "--tol" not in text, form
             assert "--kernel-matrix" not in text
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -354,7 +359,7 @@ class TestClarkOconeFrom:
                 assert code == 0
                 head, xi = obtusewalk.clark_ocone_from(walk, table, start)
                 payload = {
-                    "head": serialize.table_to_json(head),
+                    "head": head.values.tolist(),
                     "integrand": xi.on_paths().tolist(),
                 }
                 assert out == serialize.dump_json(payload) + "\n"
@@ -369,29 +374,16 @@ class TestClarkOconeFrom:
         assert captured.err == "error: conditioning time 3 outside [-1, 1]\n"
 
 
-def _assert_rejected_before_loading(monkeypatch, capsys, flags, message, names=tuple(COMMANDS)):
-    """Each named command form exits 1 with the one-line message and reads no file."""
-
-    def forbidden(path):
-        raise AssertionError(f"read {path}")
-
-    monkeypatch.setattr(cli, "_load_json", forbidden)
-    for name in names:
-        code = main(COMMANDS[name] + flags)
-        captured = capsys.readouterr()
-        assert (name, code, captured.out, captured.err) == (name, 1, "", message)
-
-
 class TestExitCodes:
-    def test_bad_tolerance_is_one(self, capsys, monkeypatch):
-        _assert_rejected_before_loading(
-            monkeypatch, capsys, ["--tol", "0"], "error: tolerance must be > 0, got 0.0\n", TOL_FORMS
-        )
-
     def test_bad_cap_is_one(self, capsys, monkeypatch):
-        _assert_rejected_before_loading(
-            monkeypatch, capsys, ["--cap", "0"], "error: enumeration cap must be >= 1, got 0\n"
-        )
+        """Every form exits 1 with the one-line message and reads no file."""
+        monkeypatch.setattr(cli, "_load_json", lambda path: pytest.fail(f"read {path}"))
+        for name in COMMANDS:
+            code = main(COMMANDS[name] + ["--cap", "0"])
+            captured = capsys.readouterr()
+            assert (name, code, captured.out, captured.err) == (
+                name, 1, "", "error: enumeration cap must be >= 1, got 0\n"
+            )
 
     def test_validation_failure_is_one(self, capsys, tmp_path):
         """Also for the walk that the operator forms refuse: `walk validate` reports on it."""
@@ -402,6 +394,22 @@ class TestExitCodes:
             code, out = run_cli(["walk", "validate", str(bad)], capsys)
             assert code == 1
             assert '"passed": false' in out
+
+    def test_near_obtuse_walk_has_one_verdict(self, capsys):
+        """A covariance residual of 2.8e-6 fails `walk validate` and every form that reads a walk."""
+        code, out = run_cli(["walk", "validate", NEAR_OBTUSE], capsys)
+        report = json.loads(out)
+        assert (code, report["passed"], report["worst_moment"]) == (1, False, [1, 1, 1])
+        line = (f"error: {NEAR_OBTUSE}: step 1: covariance residual 2.8e-06"
+                " at coordinates (1, 1) exceeds 1e-10\n")
+        walks = (f"{FIX}/bernoulli.json", f"{FIX}/construct_d2.json")
+        forms = [[NEAR_OBTUSE if arg in walks else arg for arg in argv]
+                 for name, argv in COMMANDS.items()
+                 if name != "walk-validate" and not name.startswith("market-")]
+        for argv in forms + [["ou-kernel", NEAR_OBTUSE, "--t", "0.5"]]:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (argv[0], code, captured.out, captured.err) == (argv[0], 1, "", line)
 
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 1.03 GiB for an array"),
@@ -856,11 +864,6 @@ MALFORMED = {
     ),
     "market-d-1.9": (["market", "emm", "{file}"], '{"d": 1.9, "N": 0, %s}' % _CRR,
                      "{file}: d must be an integer, got 1.9"),
-    "walk-tol-inf": (
-        ["walk", "validate", "{file}", "--tol", "inf"],
-        '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[2.0], [-1.0]]}]}',
-        "tolerance must be finite, got inf",
-    ),
     "walk-residual-inf": (
         ["walk", "validate", "{file}"],
         '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[1e300], [-1e300]]}]}',
@@ -955,6 +958,22 @@ def test_malformed_input_is_one_error_line(capsys, tmp_path, name):
     captured = capsys.readouterr()
     message = MALFORMED[name][2].replace("{file}", str(tmp_path / f"{name}.json"))
     assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("case", ["passed", "failed", "walk-residual-inf", "walk-d-1.5"])
+def test_walk_validate_reads_its_file_once(capsys, monkeypatch, tmp_path, case):
+    """Passed, failed, refused for an overflowing residual or malformed: one read of the walk."""
+    files = {"passed": f"{FIX}/bernoulli.json", "failed": NEAR_OBTUSE}
+    if case in files:
+        argv = ["walk", "validate", files[case]]
+    else:
+        argv = malformed_argv(case, str(tmp_path))
+    reads = []
+    load = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: reads.append(path) or load(path))
+    code = main(argv)
+    capsys.readouterr()
+    assert (code, reads) == (0 if case == "passed" else 1, [argv[2]])
 
 
 @pytest.mark.parametrize("name", ["payoff-index-1e300", "payoff-time-1e20"])

@@ -1,5 +1,5 @@
-"""The input rules every operator shares: one path space, indices in range, sizes
-within the cap, and a tolerance that is finite and > 0.
+"""The input rules every operator shares: one path space, indices in range and
+sizes within the cap.
 
 Each rule is one helper in omega; these tables run every public operator
 that takes a table, process, walk, strategy or index into it and pin the
@@ -16,10 +16,8 @@ from obtusewalk import (
     PathTable,
     PredictableProcess,
     SizeCapError,
-    StepLaw,
     Strategy,
     VectorProcess,
-    WalkSpec,
     clark_ocone,
     clark_ocone_from,
     conditional_expectation,
@@ -50,7 +48,6 @@ from obtusewalk import (
     structure_residual,
     structure_tensor,
     tail_probability,
-    validate,
     verify_strategy,
 )
 from obtusewalk.omega import atom_means
@@ -250,23 +247,3 @@ def test_size_above_the_cap_is_refused(name):
     message = f"{lead} {entries} entries, above the cap of {entries - 1}"
     with pytest.raises(SizeCapError, match=f"^{re.escape(message)}$"):
         build(entries - 1)
-
-
-# -- a tolerance that is finite and > 0 -----------------------------------------
-
-@pytest.mark.parametrize(
-    "tol, message",
-    [
-        (np.inf, "tolerance must be finite, got inf"),
-        (0.0, "tolerance must be > 0, got 0.0"),
-        (-1e-10, "tolerance must be > 0, got -1e-10"),
-        (np.nan, "tolerance must be > 0, got nan"),
-    ],
-)
-def test_tolerance_outside_its_range_is_refused(tol, message):
-    """An infinite tolerance would pass a walk that is not obtuse; a NaN one would fail every walk."""
-    step = construct_obtuse([[0.25, 0.75]]).steps[0]
-    walk = WalkSpec(d=1, N=0, steps=(StepLaw(step.p, 2.0 * step.v),))
-    assert not validate(walk, tol=1.0).passed
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        validate(walk, tol=tol)

@@ -26,6 +26,7 @@ from chaos_oracle import kernel_dot, kernel_head_slice, kernel_truncate, monomia
 from helpers import (
     bernoulli,
     d2_fixture,
+    max_abs_diff,
     random_kernel,
     random_predictable,
     random_process,
@@ -49,7 +50,7 @@ class TestIntegratePredictable:
         vals[1, :, 0] = y0.values
         result = integrate_predictable(walk, VectorProcess(walk.space, vals))
         expected = y0 * increment_rv(walk, 1, 1)
-        assert result.max_abs_diff(expected) == 0.0
+        assert max_abs_diff(result, expected) == 0.0
 
     def test_rejects_non_predictable(self, rng):
         walk = bernoulli(1)
@@ -74,7 +75,7 @@ class TestIntegratePredictable:
                 rhs = conditional_expectation(
                     walk, type(integral)(walk.space, norm), n - 1
                 )
-                assert lhs.max_abs_diff(rhs) < 1e-10
+                assert max_abs_diff(lhs, rhs) < 1e-10
 
 
 ONES = np.ones((2, 2))
@@ -210,7 +211,7 @@ class TestSymmetrize:
         kernel = symmetrize([((1, 0), (2, 1), raw_value)], 2, 2)
         integral = multiple_integral(walk, kernel)
         expected = monomial_table(walk, (0, 1), (1, 2)) * raw_value
-        assert integral.max_abs_diff(expected) < 1e-12
+        assert max_abs_diff(integral, expected) < 1e-12
 
 
 class TestMultipleIntegral:
@@ -277,7 +278,7 @@ class TestMultipleIntegral:
             for horizon in range(-1, 3):
                 conditioned = conditional_expectation(walk, table, horizon)
                 truncated = multiple_integral(walk, kernel_truncate(f, horizon))
-                assert conditioned.max_abs_diff(truncated) < 1e-10
+                assert max_abs_diff(conditioned, truncated) < 1e-10
 
     def test_measurability_corollary(self, rng):
         walk = random_walk(rng, 1, 2)
@@ -294,7 +295,7 @@ class TestMonomialKernel:
     def test_single_increment(self):
         walk = bernoulli(1)
         table = multiple_integral(walk, monomial_kernel((0,), (1,), 1))
-        assert table.max_abs_diff(increment_rv(walk, 0, 1)) == 0.0
+        assert max_abs_diff(table, increment_rv(walk, 0, 1)) == 0.0
 
     def test_pair_on_bernoulli(self):
         walk = bernoulli(1)
@@ -305,7 +306,7 @@ class TestMonomialKernel:
         walk = d2_fixture(1)
         table = multiple_integral(walk, monomial_kernel((0, 1), (1, 2), 2))
         expected = increment_rv(walk, 0, 1) * increment_rv(walk, 1, 2)
-        assert table.max_abs_diff(expected) < 1e-14
+        assert max_abs_diff(table, expected) < 1e-14
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from obtusewalk import (
     ChaosCoefficients,
     MarketSpec,
     PathTable,
-    VectorProcess,
     clark_ocone,
     clark_ocone_from,
     crr_market,
@@ -259,16 +258,6 @@ def test_table_gradient_and_matrix_csv_match_loops(rng, d, N):
     small = random_walk(rng, d, 2)
     matrix = ou_kernel_matrix(small, 0.5)
     assert serialize.matrix_to_csv(matrix) == oracle_matrix_to_csv(matrix)
-
-
-def test_json_views_equal_per_element_conversion(rng):
-    walk = random_walk(rng, 2, 3)
-    table = PathTable(walk.space, rng.standard_normal(walk.space.num_paths))
-    xi = VectorProcess(walk.space, clark_ocone(walk, table)[1].on_paths())
-    assert serialize.table_to_json(table) == [float(x) for x in table.values]
-    assert serialize.process_to_json(xi)["values"] == [
-        [list(map(float, row)) for row in t] for t in xi.values
-    ]
 
 
 # -- realistic sizes: every writer and every CLI form against the reference writers
