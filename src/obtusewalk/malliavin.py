@@ -25,11 +25,10 @@ from .omega import (
     _negligible,
     _tree_offset,
     atom_deviation,
-    atom_means,
     conditional_expectation,
     covariance,
     expectation,
-    level_means,
+    tree_means,
 )
 from .walk import WalkSpec
 
@@ -70,8 +69,8 @@ def gradient(walk: WalkSpec, table: PathTable) -> VectorProcess:
 def atom_integrand(walk: WalkSpec, means: np.ndarray, first: int) -> np.ndarray:
     """sum_i c_i(k) E[F | F_{k-1}, w_k = i] per atom of F_{k-1}, for k = first, first + 1, ...
 
-    means holds the means on the atoms of F_first, F_{first+1}, ... in level
-    order (omega.level_means), and the rows come out in the same order. Each
+    means holds the means on the atoms of F_first, F_{first+1}, ... in tree
+    order (omega.tree_means), and the rows come out in the same order. Each
     step is one product with its own c_k: BLAS picks its kernel by the shape
     of the product, so a product over several steps would round differently.
     """
@@ -123,15 +122,11 @@ def divergence(walk: WalkSpec, process: VectorProcess) -> PathTable:
 
 
 def _integrand_from(walk: WalkSpec, table: PathTable, n: int) -> PredictableProcess:
-    """E[D_k F | F_{k-1}] for k > n, and zero for the steps k <= n.
-
-    The means on F_{n+1}..F_{N-1} come from one product (level_means), and
-    those on F_N are the table itself.
-    """
+    """E[D_k F | F_{k-1}] for k > n, from one atom_integrand call on the means
+    on F_{n+1}..F_N (omega.tree_means), and zero for the steps k <= n."""
     steps = [np.zeros((_tree_offset(walk.d, n), walk.d))]  # the rows of steps 0..n
     if n < walk.N:
-        coarse = level_means(walk, table.values)[_tree_offset(walk.d, n + 1) - 1 :]
-        steps += [atom_integrand(walk, coarse, n + 1), atom_integrand(walk, table.values, walk.N)]
+        steps.append(atom_integrand(walk, tree_means(walk, table.values, n + 1, walk.N + 1), n + 1))
     return PredictableProcess.from_steps(walk.space, steps)
 
 
@@ -177,7 +172,7 @@ def predictable_representation(
     prev = np.array([m_init])
     steps = []
     for n, (m, step) in enumerate(zip(martingale, walk.steps)):
-        means = atom_means(walk, m.values, n)
+        means = tree_means(walk, m.values, n, n + 1)
         defect = float(np.max(np.abs(means.reshape(-1, walk.d + 1) @ step.p - prev)))
         if not _negligible(defect, MARTINGALE_TOL, means, prev):
             raise MartingaleError(

@@ -48,8 +48,8 @@ per atom: an atom of F_n is a contiguous block of atom_size(n) paths, and
 its d+1 sub-atoms of F_{n+1} follow it scenario by scenario. The atoms of
 F_{-1}..F_N in level order form one tree (`omega._tree_offset`), atom k > 0
 below atom (k-1)//(d+1). Both hedges read the claim only through its
-conditional means on the atoms of F_n (`omega.level_means`, all levels from
-one product); neither builds the path-wise gradient. The closed-form share
+conditional means on the atoms of F_n (`omega.tree_means`, a block's levels
+from one product); neither builds the path-wise gradient. The closed-form share
 count is the Clark-Ocone integrand of those means, `malliavin.atom_integrand`,
 as `clark_ocone` computes it. A `Strategy` is one
 `integrals.PredictableProcess` of [beta | gamma] rows, one per atom of
@@ -68,7 +68,7 @@ hedge's per-step verdicts come from np.maximum.reduceat and
 np.fmax.reduceat, so the first failing step raises with its own defect.
 Level by level go only the running sums of the verifier (`_down_the_tree`:
 each atom adds its term to its parent's sum, in the association of a step
-alone), the block sums of `level_means` and the products with each step's
+alone), the block sums of `tree_means` and the products with each step's
 c_k in `atom_integrand`, which numpy and BLAS round by the shape of their
 operands. Every verdict on
 a computed result (the hedge ratios, the closed-form bond position, the
@@ -96,7 +96,7 @@ from .omega import (
     _tree_offset,
     _within,
     expectation,
-    level_means,
+    tree_means,
 )
 from .walk import WalkSpec, construct_obtuse
 
@@ -450,7 +450,7 @@ def hedge_replicate(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Strat
         # of atom a of F_{n-1} is atom a*(d+1)+i of F_n: a followed by scenario i
         sizes = [market.space.atom_count(n) for n in range(lo, hi)]
         values = np.repeat(bond[lo:hi] / bond[N], sizes)
-        values *= level_means(wq, claim.values) if hi <= N else claim.values
+        values *= tree_means(wq, claim.values, lo, hi)
         # the positions of steps lo..hi-1 are formed on the atoms of F_{lo-1}..F_{hi-2},
         # whose children are the atoms of F_lo..F_{hi-1}
         formed = slice(_tree_offset(d, lo - 1), _tree_offset(d, hi - 1))
@@ -512,7 +512,7 @@ def hedge_clark_ocone(market: MarketSpec, wq: WalkSpec, claim: PathTable) -> Str
     d, N = market.d, market.N
     rows = np.empty((_tree_offset(d, N), d + 1))
     for lo, hi in _blocks(N):
-        cond = level_means(wq, claim.values) if hi <= N else claim.values
+        cond = tree_means(wq, claim.values, lo, hi)
         formed = slice(_tree_offset(d, lo - 1), _tree_offset(d, hi - 1))
         rows[formed, 0], rows[formed, 1:] = _closed_form(market, wq, ratio_const, cond, lo, hi)
     rows.setflags(write=False)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -103,6 +104,32 @@ def _as_int(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def _leaves(items: list) -> tuple[list, set, tuple | None]:
+    """The entries of the nested lists at the first depth that is not all
+    lists, their types, and the shape down to them (None if it is uneven)."""
+    kinds, shape = set(map(type, items)), (len(items),)
+    while kinds == {list}:
+        lengths = set(map(len, items))
+        shape = shape + (lengths.pop(),) if shape and len(lengths) == 1 else None
+        items = list(chain.from_iterable(items))
+        kinds = set(map(type, items))
+    return items, kinds, shape
+
+
+def _as_real(value, field: str) -> np.ndarray:
+    """Real numbers from outside the program as a float array: a number, or
+    lists nested down to numbers. A bool, string or null is refused, as
+    _as_int refuses it; uneven lists are left to numpy's own error."""
+    nested = type(value) is list
+    leaves, kinds, shape = _leaves(value if nested else [value])
+    if kinds <= {int, float} and shape is not None:
+        return np.array(leaves, dtype=float).reshape(shape if nested else ())
+    for leaf in leaves:
+        if type(leaf) is bool or not isinstance(leaf, (int, float, np.integer, np.floating, list)):
+            raise ValueError(f"{field} must be a real number, got {leaf!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _frozen_float(values) -> np.ndarray:
     """Read-only float64 array holding the values, copied only when needed.
 
@@ -181,24 +208,6 @@ def expectation(walk: "WalkSpec", table: PathTable) -> float:
     return float(np.add.reduce(walk.measure * table.values))
 
 
-def atom_means(walk: "WalkSpec", values: np.ndarray, n: int) -> np.ndarray:
-    """Probability-weighted mean of the values on each F_n-atom, one row per atom.
-
-    Works on arrays of shape (num_paths, ...); row a averages the contiguous
-    block of paths of atom a. At n = N every path is an atom and the values
-    are returned unchanged.
-    """
-    space = walk.space
-    _check_range(n, -1, space.N, "conditioning time")
-    if n == space.N:
-        return np.asarray(values, dtype=float)
-    atoms = space.atom_count(n)
-    trailing = values.shape[1:]
-    w = walk.measure.reshape(atoms, -1, *(1,) * len(trailing))
-    v = values.reshape(atoms, -1, *trailing)
-    return (w * v).sum(axis=1) / w.sum(axis=1)
-
-
 def _tree_offset(d: int, n: int) -> int:
     """Index of the first atom of F_n when the atoms of F_{-1}, F_0, ..., F_N
     stand in level order: the atoms of F_{-1}..F_{n-1} come before it.
@@ -209,23 +218,28 @@ def _tree_offset(d: int, n: int) -> int:
     return ((d + 1) ** (n + 1) - 1) // d
 
 
-def level_means(walk: "WalkSpec", values: np.ndarray) -> np.ndarray:
-    """Atom means of the (num_paths,) values on F_0, ..., F_{N-1}, in level order.
+def tree_means(walk: "WalkSpec", values: np.ndarray, first: int, stop: int) -> np.ndarray:
+    """Probability-weighted means of the (num_paths,) values on the atoms of
+    F_first, ..., F_{stop-1}, in tree order (_tree_offset).
 
-    Entry k - 1 is the mean on atom k of the tree order (_tree_offset), so the
-    (-1, d+1) rows are the sub-atom means of the atoms of F_{-1}..F_{N-2}.
-    One product measure * values serves every level; level n sums the same
-    contiguous blocks of it as atom_means(walk, values, n), so every entry has
-    the bits atom_means gives it. The means on F_N are the values themselves.
+    One product measure * values serves every level: level n sums its
+    contiguous blocks, one per atom, and divides by the atom masses summed
+    alike, so each level has the bits of that level asked for alone. The
+    means on F_N are the values: tree_means(walk, v, N, N + 1) is v.
     """
     space = walk.space
+    _check_range(first, -1, space.N, "conditioning time")
+    _check_range(stop, first, space.N + 1, "conditioning time")
+    if (first, stop) == (space.N, space.N + 1):
+        return values
     weighted = walk.measure * values
-    out = np.empty(_tree_offset(space.d, space.N) - 1)
-    for n in range(space.N):
-        means = out[_tree_offset(space.d, n) - 1 : _tree_offset(space.d, n + 1) - 1]
-        np.add.reduce(weighted.reshape(len(means), -1), axis=1, out=means)
-        means /= np.add.reduce(walk.measure.reshape(len(means), -1), axis=1)
-    return out
+    levels = [np.empty(0)]
+    for atoms in map(space.atom_count, range(first, min(stop, space.N))):
+        sums = np.add.reduce(weighted.reshape(atoms, -1), axis=1)
+        levels.append(sums / np.add.reduce(walk.measure.reshape(atoms, -1), axis=1))
+    if stop > space.N:
+        levels.append(values)
+    return np.concatenate(levels)
 
 
 def conditional_expectation(walk: "WalkSpec", table: PathTable, n: int) -> PathTable:
@@ -234,7 +248,7 @@ def conditional_expectation(walk: "WalkSpec", table: PathTable, n: int) -> PathT
     n = -1 yields the constant E[F]; n = N yields F itself.
     """
     _check_space(walk.space, table)
-    means = atom_means(walk, table.values, n)
+    means = tree_means(walk, table.values, n, n + 1)
     return PathTable(walk.space, np.repeat(means, walk.space.atom_size(n)))
 
 

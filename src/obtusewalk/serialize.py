@@ -9,7 +9,9 @@ each distinct value of an array once pays because the paper's objects repeat val
 gradient d+1 times, a Clark-Ocone integrand once per path of an atom). A
 float64 ndarray or a nest of float lists is rendered bottom-up one axis at a
 time, and a list of same-keyed dicts one key at a time. Readers take counts
-and indices through omega._as_int and leave other checks to constructors.
+and indices through omega._as_int and real numbers through omega._as_real,
+which reads their types with the writers' scan of nested lists
+(omega._leaves), and leave other checks to constructors.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from .chaos import ChaosCoefficients
 from .integrals import Kernel, VectorProcess, symmetrize
 from .market import MarketSpec, Strategy, _check_market_size
-from .omega import DEFAULT_CAP, PathSpace, PathTable, _as_int, _check_finite
+from .omega import DEFAULT_CAP, PathSpace, PathTable, _as_int, _as_real, _check_finite, _leaves
 from .walk import StepLaw, WalkSpec, canonical_step
 
 _FORMAT = "%.17g"
@@ -103,18 +105,10 @@ def _array_items(arr: np.ndarray, indent: int) -> list[str]:
 def _float_nest(items: list) -> np.ndarray | None:
     """The lists as one float64 array if they nest equally deep and evenly
     down to floats, else None."""
-    level = items
-    while True:
-        level = list(chain.from_iterable(level))
-        kinds = set(map(type, level))
-        if kinds != {list}:
-            break
-    if not kinds <= {float, np.float64}:
+    leaves, kinds, shape = _leaves(items)
+    if shape is None or not kinds <= {float, np.float64}:
         return None
-    try:
-        return np.array(items, dtype=np.float64)
-    except ValueError:  # rows of unequal length
-        return None
+    return np.array(leaves, dtype=np.float64).reshape(shape)
 
 
 def _item_texts(items, indent: int) -> list[str]:
@@ -207,10 +201,11 @@ def walk_from_json(obj: dict, cap: int = DEFAULT_CAP) -> WalkSpec:
     d, N = _as_int(obj["d"], "d"), _as_int(obj["N"], "N")
     steps = []
     for n, raw in enumerate(obj["steps"]):
+        p = _as_real(raw["p"], f"step {n}: p entry")
         if "v" in raw:
-            steps.append(StepLaw(raw["p"], raw["v"]))
+            steps.append(StepLaw(p, _as_real(raw["v"], f"step {n}: v entry")))
         else:
-            steps.append(canonical_step(raw["p"], n, cap))
+            steps.append(canonical_step(p, n, cap))
     return WalkSpec(d=d, N=N, steps=tuple(steps), cap=cap)
 
 
@@ -239,7 +234,9 @@ def kernel_to_json(kernel: Kernel) -> dict:
 
 def kernel_from_json(obj: dict, d: int) -> Kernel:
     """Load raw kernel entries and symmetrize them."""
-    raw = [(e["times"], e["coords"], float(e["value"])) for e in obj.get("entries", [])]
+    entries = obj.get("entries", [])
+    values = _as_real([e["value"] for e in entries], "value").tolist()  # a list stays a list
+    raw = [(e["times"], e["coords"], v) for e, v in zip(entries, values)]
     return symmetrize(raw, _as_int(obj["order"], "order"), d)
 
 
@@ -258,21 +255,22 @@ def chaos_from_json(obj: dict, cap: int = DEFAULT_CAP) -> ChaosCoefficients:
         if raw and _as_int(raw["order"], "order") != r:  # checked before any d^order tensor is built
             raise ValueError(f"kernel {r} declares order {raw['order']}")
     kernels = [kernel_from_json(raw, d) for raw in raws.values() if raw]
-    return ChaosCoefficients.from_kernels(d, N, float(obj["mean"]), kernels)
+    (mean,) = _as_real([obj["mean"]], "mean").tolist()  # a list stays a list
+    return ChaosCoefficients.from_kernels(d, N, mean, kernels)
 
 
 # -- tables and processes ----------------------------------------------------
 
 def table_from_json(obj: Any, space: PathSpace) -> PathTable:
     """A raw table is a JSON array of finite numbers in canonical path order."""
-    table = PathTable(space, obj)
+    table = PathTable(space, _as_real(obj, "table entry"))
     _check_finite(table, "table")
     return table
 
 
 def process_from_json(obj: dict, space: PathSpace) -> VectorProcess:
     """Process schema: {"values": [[[coord per asset] per path] per time]}."""
-    process = VectorProcess(space, np.asarray(obj["values"], dtype=float))
+    process = VectorProcess(space, _as_real(obj["values"], "process value"))
     bad = np.flatnonzero(~np.isfinite(process.values))
     if bad.size:
         time, path, coord = np.unravel_index(bad[0], process.values.shape)
@@ -295,20 +293,19 @@ def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
             raise ValueError(f"step {k}: expected {d + 1} scenarios, got {len(step)}")
     # lengths and size first, so that no array is sized by a bare d or N alone
     _check_market_size(d, N, cap)
-    rates = obj.get("r", 0.0)
-    if isinstance(rates, (int, float)):
-        rates = np.full(N + 1, float(rates))
+    rates = _as_real(obj.get("r", 0.0), "r")
+    rates = np.full(N + 1, rates) if rates.ndim == 0 else rates
     scenarios = np.zeros((N + 1, d + 1, d, d))
     diagonals = np.einsum("kijj->kij", scenarios)  # a writable view
     for k, step in enumerate(raw_steps):
         for i, scen in enumerate(step):
             if "lambda" in scen:
-                lam = np.asarray(scen["lambda"], dtype=float)
+                lam = _as_real(scen["lambda"], f"step {k} scenario {i}: lambda entry")
                 if lam.shape != (d,):
                     raise ValueError(f"step {k} scenario {i}: lambda needs {d} entries")
                 diagonals[k, i] = lam
             elif "M" in scen:
-                matrix = np.asarray(scen["M"], dtype=float)
+                matrix = _as_real(scen["M"], f"step {k} scenario {i}: M entry")
                 if matrix.shape != (d, d):
                     raise ValueError(f"step {k} scenario {i}: M needs shape ({d}, {d})")
                 scenarios[k, i] = matrix
@@ -317,7 +314,7 @@ def market_from_json(obj: dict, cap: int = DEFAULT_CAP) -> MarketSpec:
     return MarketSpec(
         d=d,
         N=N,
-        s_init=np.asarray(obj["S0"], dtype=float),
+        s_init=_as_real(obj["S0"], "S0 entry"),
         rates=rates,
         scenarios=scenarios,
         cap=cap,

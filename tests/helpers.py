@@ -3,7 +3,7 @@ import numpy as np
 from itertools import combinations
 
 from obtusewalk import Kernel, StepLaw, VectorProcess, WalkSpec, construct_obtuse
-from obtusewalk.omega import PathTable, atom_means
+from obtusewalk.omega import PathTable, _check_range
 
 SQ2 = np.sqrt(2.0)
 
@@ -39,6 +39,20 @@ def random_walk(rng: np.random.Generator, d: int, N: int) -> WalkSpec:
         raw = rng.uniform(0.2, 1.0, size=d + 1)
         ps.append(raw / raw.sum())
     return construct_obtuse(ps)
+
+
+def atom_means(walk: WalkSpec, values: np.ndarray, n: int) -> np.ndarray:
+    """Probability-weighted mean of the (num_paths, ...) values on each F_n-atom,
+    one row per atom; at n = N every path is an atom and the values are returned."""
+    space = walk.space
+    _check_range(n, -1, space.N, "conditioning time")
+    if n == space.N:
+        return np.asarray(values, dtype=float)
+    atoms = space.atom_count(n)
+    trailing = values.shape[1:]
+    w = walk.measure.reshape(atoms, -1, *(1,) * len(trailing))
+    v = values.reshape(atoms, -1, *trailing)
+    return (w * v).sum(axis=1) / w.sum(axis=1)
 
 
 def atom_average(walk: WalkSpec, values: np.ndarray, n: int) -> np.ndarray:

@@ -589,7 +589,7 @@ class TestLoaderErrors:
             (
                 ["market", "emm", "{file}"],
                 '{"d": 1, "N": 0, "S0": [100.0], "scenarios": [[{"M": "x"}, {"lambda": [-0.1]}]]}',
-                "could not convert string to float: 'x'",
+                "step 0 scenario 0: M entry must be a real number, got 'x'",
             ),
         ],
     )
@@ -937,6 +937,58 @@ MALFORMED = {
         ["ou-kernel", "{file}", "--t", "1"],
         '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[2.0], [-1.0]]}]}',
         "{file}: step 0: covariance residual 1.5 at coordinates (1, 1) exceeds 1e-10",
+    ),
+    # a real number is a JSON number: never a string, a boolean or null
+    "walk-p-string": (
+        ["walk", "validate", "{file}"],
+        '{"d": 1, "N": 0, "steps": [{"p": ["0.5", 0.5], "v": [[1.0], [-1.0]]}]}',
+        "{file}: step 0: p entry must be a real number, got '0.5'",
+    ),
+    "walk-v-null": (
+        ["walk", "validate", "{file}"],
+        '{"d": 1, "N": 0, "steps": [{"p": [0.5, 0.5], "v": [[1.0], [null]]}]}',
+        "{file}: step 0: v entry must be a real number, got None",
+    ),
+    "walk-construct-p-true": (
+        ["walk", "construct", "{file}"], '{"d": 1, "N": 0, "steps": [{"p": [0.5, true]}]}',
+        "{file}: step 0: p entry must be a real number, got True",
+    ),
+    "table-string": (["chaos", "decompose", f"{FIX}/bernoulli.json", "--table", "{file}"],
+                     '["1", 0, 0, 1]', "{file}: table entry must be a real number, got '1'"),
+    "process-string": (
+        ["divergence", f"{FIX}/bernoulli.json", "--process", "{file}"],
+        '{"values": [[[0], [0], [0], [0]], [[0], ["1"], [0], [false]]]}',
+        "{file}: process value must be a real number, got '1'",
+    ),
+    "process-false": (
+        ["divergence", f"{FIX}/bernoulli.json", "--process", "{file}"],
+        '{"values": [[[0], [0], [0], [0]], [[0], [0], [0], [false]]]}',
+        "{file}: process value must be a real number, got False",
+    ),
+    "market-S0-string": (["market", "price", "{file}", "--payoff", "S(1)"],
+                         _MARKET % (0, '["100"]', 0.0, _SCENARIOS),
+                         "{file}: S0 entry must be a real number, got '100'"),
+    "market-r-true": (_EMM, _MARKET % (1, "[100.0]", "[true, 0.01]", _SCENARIOS[:-1] + ", " + _SCENARIOS[1:]),
+                      "{file}: r must be a real number, got True"),
+    "market-r-string": (_EMM, _MARKET % (0, "[100.0]", '"0.01"', _SCENARIOS),
+                        "{file}: r must be a real number, got '0.01'"),
+    "market-lambda-null": (
+        _EMM, _MARKET % (0, "[100.0]", 0.0, '[[{"lambda": [null]}, {"lambda": [-0.25]}]]'),
+        "{file}: step 0 scenario 0: lambda entry must be a real number, got None",
+    ),
+    "market-M-string": (
+        _EMM, _MARKET % (0, "[100.0]", 0.0, '[[{"lambda": [0.25]}, {"M": [["-0.25"]]}]]'),
+        "{file}: step 0 scenario 1: M entry must be a real number, got '-0.25'",
+    ),
+    "chaos-mean-string": (
+        ["chaos", "reconstruct", f"{FIX}/bernoulli.json", "--coeffs", "{file}"],
+        '{"d": 1, "N": 1, "mean": "0.5", "kernels": {}}',
+        "{file}: mean must be a real number, got '0.5'",
+    ),
+    "chaos-value-true": (
+        ["chaos", "reconstruct", f"{FIX}/bernoulli.json", "--coeffs", "{file}"],
+        _ENTRY % ("1", '{"times": [0], "coords": [1], "value": 0.5}, {"times": [1], "coords": [1], "value": true}'),
+        "{file}: value must be a real number, got True",
     ),
 }
 

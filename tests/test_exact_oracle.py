@@ -11,7 +11,7 @@ from obtusewalk import (
     find_emm,
     predictable_representation,
 )
-from obtusewalk.omega import _tree_offset, atom_means
+from obtusewalk.omega import _tree_offset, tree_means
 from exact_oracle import (
     Comparison,
     atom_entries,
@@ -31,7 +31,7 @@ def test_exact_on_a_walk_whose_arithmetic_is_exact():
     walk = bernoulli(3)
     table = PathTable(walk.space, np.arange(walk.space.num_paths) ** 2 - 7.0)
     for n in range(-1, walk.N + 1):
-        assert exact_means(walk, table.values, n) == list(atom_means(walk, table.values, n))
+        assert exact_means(walk, table.values, n) == list(tree_means(walk, table.values, n, n + 1))
     exact = exact_integrand(walk, [table.values] * (walk.N + 1))
     got = atom_entries(clark_ocone(walk, table)[1])
     assert [list(row) for row in got] == exact

@@ -50,7 +50,7 @@ from obtusewalk import (
     tail_probability,
     verify_strategy,
 )
-from obtusewalk.omega import atom_means
+from obtusewalk.omega import tree_means
 from obtusewalk.payoff import BondRef, PriceRef
 from obtusewalk.walk import canonical_step
 
@@ -147,7 +147,8 @@ MARKET2 = crr_market(100.0, 0.1, -0.1, 0.0, 3)
 RANGE_CASES = {
     "path_at": (WALK2.space.path_at, 0, 26, "path index"),
     "axis_view": (lambda k: WALK2.space.axis_view(np.zeros(27), k), 0, 2, "time index"),
-    "atom_means": (lambda n: atom_means(WALK2, np.zeros(27), n), -1, 2, "conditioning time"),
+    "tree_means-first": (lambda n: tree_means(WALK2, np.zeros(27), n, n), -1, 2, "conditioning time"),
+    "tree_means-stop": (lambda s: tree_means(WALK2, np.zeros(27), 0, s), 0, 3, "conditioning time"),
     "conditional_expectation": (
         lambda n: conditional_expectation(WALK2, PathTable.constant(WALK2.space, 1.0), n),
         -1, 2, "conditioning time",

@@ -27,6 +27,7 @@ from obtusewalk import (
 )
 from helpers import (
     allclose,
+    atom_means,
     bernoulli,
     d2_fixture,
     max_abs_diff,
@@ -36,6 +37,7 @@ from helpers import (
     random_walk,
 )
 from obtusewalk import malliavin, serialize
+from obtusewalk.omega import _tree_offset
 from malliavin_oracle import product_rule_residual
 
 
@@ -385,3 +387,43 @@ class TestProductRule:
             f = random_table(rng, walk.space)
             g = random_table(rng, walk.space)
             assert product_rule_residual(walk, f, g) < 1e-9
+
+
+def _integrand_by_levels(walk, values, n):
+    """E[D_k F | F_{k-1}] for k > n as computed before one call read every
+    level: the means on F_{n+1}..F_{N-1} in one atom_integrand call, the
+    table itself for step N in another, each level's means from atom_means."""
+    rows = [np.zeros((_tree_offset(walk.d, n), walk.d))]
+    if n < walk.N:
+        coarse = [np.empty(0)] + [atom_means(walk, values, k) for k in range(n + 1, walk.N)]
+        rows += [
+            malliavin.atom_integrand(walk, np.concatenate(coarse), n + 1),
+            malliavin.atom_integrand(walk, values, walk.N),
+        ]
+    return np.concatenate(rows)
+
+
+class TestMeansKeepTheirBits:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_representations_equal_the_level_by_level_forms(self, rng, d):
+        """Clark-Ocone at every start, the conditional means and the predictable
+        representation have the bytes of the level-by-level computation."""
+        for N in [0, 1, 2, 3, 4][: 6 - d] * 4:
+            walk = random_walk(rng, d, N)
+            table = random_table(rng, walk.space)
+            values = table.values
+            mean, xi = clark_ocone(walk, table)
+            assert mean == expectation(walk, table)
+            assert xi.rows.tobytes() == _integrand_by_levels(walk, values, -1).tobytes()
+            for n in range(-1, N + 1):
+                head, xi = clark_ocone_from(walk, table, n)
+                means = np.repeat(atom_means(walk, values, n), walk.space.atom_size(n))
+                assert head.values.tobytes() == means.tobytes()
+                assert xi.rows.tobytes() == _integrand_by_levels(walk, values, n).tobytes()
+            martingale = [conditional_expectation(walk, table, n) for n in range(N + 1)]
+            _, xi = predictable_representation(walk, martingale)
+            rows = [
+                malliavin.atom_integrand(walk, atom_means(walk, m.values, n), n)
+                for n, m in enumerate(martingale)
+            ]
+            assert xi.rows.tobytes() == np.concatenate(rows).tobytes()

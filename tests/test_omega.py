@@ -12,9 +12,10 @@ from obtusewalk import (
     increment_rv,
     is_measurable,
 )
-from obtusewalk.omega import _as_int
+from obtusewalk.omega import _as_int, _as_real, _tree_offset, tree_means
 from helpers import (
     allclose,
+    atom_means,
     bernoulli,
     biased,
     d2_fixture,
@@ -171,6 +172,30 @@ class TestConditionalExpectation:
             assert is_measurable(conditional_expectation(walk, f, n), n)
 
 
+class TestTreeMeans:
+    @pytest.mark.parametrize("d, N", [(1, 0), (1, 5), (2, 4), (3, 3)])
+    def test_every_range_has_the_bits_of_its_levels(self, rng, d, N):
+        """For every (first, stop), the means on F_first..F_{stop-1} in tree
+        order are the one-level calls and the oracle, byte for byte."""
+        for _ in range(3):
+            walk = random_walk(rng, d, N)
+            values = random_table(rng, walk.space).values
+            levels = {n: tree_means(walk, values, n, n + 1) for n in range(-1, N + 1)}
+            for n, means in levels.items():
+                assert means.tobytes() == atom_means(walk, values, n).tobytes()
+            for first in range(-1, N + 1):
+                for stop in range(first, N + 2):
+                    got = tree_means(walk, values, first, stop)
+                    assert len(got) == _tree_offset(d, stop) - _tree_offset(d, first)
+                    want = [np.empty(0)] + [levels[n] for n in range(first, stop)]
+                    assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_last_level_is_the_values_themselves(self, rng):
+        walk = random_walk(rng, 2, 2)
+        values = random_table(rng, walk.space).values
+        assert tree_means(walk, values, 2, 3) is values
+
+
 class TestMutatePath:
     def test_mutated_indices_consistent(self):
         for d, N in [(2, 2), (1, 3), (3, 1)]:
@@ -223,6 +248,31 @@ class TestIntegerRule:
         assert space.path_at(5.0) == space.path_at(5) == (1, 2)
         with pytest.raises(ValueError, match=r"^path index must be an integer, got 1.5$"):
             space.path_at(1.5)
+
+
+class TestRealRule:
+    @pytest.mark.parametrize("value", [
+        2, -0.0, 1e308, np.float64(0.5), np.int64(3), [], [1, 2.5], [[0.5], [2]], float("nan"),
+    ])
+    def test_numbers_and_lists_of_numbers_pass(self, value):
+        got = _as_real(value, "p entry")
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.asarray(value, dtype=float), equal_nan=True)
+
+    @pytest.mark.parametrize("value, bad", [
+        (True, True), ("0.5", "0.5"), (None, None), ([0.5, False], False),
+        ([[1.0], ["2"]], "2"), ([[1.0, None]], None), ({"a": 1}, {"a": 1}),
+        ([0.5, 1j], 1j), ([np.complex128(1.0)], np.complex128(1.0)), ([np.True_], np.True_),
+    ])
+    def test_bool_string_or_null_is_one_error_naming_the_field(self, value, bad):
+        with pytest.raises(ValueError) as info:
+            _as_real(value, "p entry")
+        assert str(info.value) == f"p entry must be a real number, got {bad!r}"
+
+    @pytest.mark.parametrize("value", [[[1.0], [2.0, 3.0]], [[1.0], 2.0]])
+    def test_uneven_lists_are_refused(self, value):
+        with pytest.raises(ValueError):
+            _as_real(value, "p entry")
 
 
 class TestTableArithmetic:
